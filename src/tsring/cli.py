@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import blocks, cartan, mackey
-from .errors import TsringError
+from .errors import CharacterIllDefined, TsringError, UnrecognizedShape
 from .exactarith import QQ, ZZ, scalar_ring
 from .groupmodel import make_params
 from .tring import basis_label, basis_to_json, sort_key, tring
@@ -134,7 +134,15 @@ def _check_oracle(params, ring):
     compared = 0
     for a in ring.basis:
         for b in ring.basis:
-            if orc.oracle_mult(a, b) != ring.mult_basis(a, b):
+            try:
+                product = orc.oracle_mult(a, b)
+            except (UnrecognizedShape, CharacterIllDefined) as exc:
+                return "inconclusive", {
+                    "pair": [basis_label(a), basis_label(b)],
+                    "error": str(exc),
+                    "compared": str(compared),
+                }
+            if product != ring.mult_basis(a, b):
                 return "violation", {
                     "pair": [basis_label(a), basis_label(b)],
                     "compared": str(compared),

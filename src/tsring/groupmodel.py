@@ -11,12 +11,20 @@ bimodule computations: restriction of automorphisms between levels,
 automorphism cosets modulo the image of E, E-hat characters (written
 additively as Z/e), explicit subgroups of G x G with shape tags and
 linear characters, double cosets, star products, and conjugation.
+
+A subgroup of G x G is a sorted int64 array of pair codes g*|G| + h
+(indices as in GroupTable) with an aligned int64 array of character
+values mod e; conjugation, star products and shape recognition are numpy
+gathers, joins and lookups on them.  Only the named constructors verify
+closure and characters: star products and conjugates of subgroups are
+subgroups by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -224,12 +232,6 @@ def coset_mul(params: ModelParams, a: AutCoset, b: AutCoset) -> AutCoset:
     return canonical_coset(params, a.level, a.rep * b.rep % params.p**a.level)
 
 
-def coset_restrict(params: ModelParams, a: AutCoset, k: int) -> AutCoset:
-    if k > a.level:
-        raise BadLevel("cannot restrict to a higher level")
-    return canonical_coset(params, k, a.rep % params.p**k)
-
-
 # --------------------------------------------------------------------------
 # subgroups of G x G
 # --------------------------------------------------------------------------
@@ -245,71 +247,99 @@ TAG_EXPLICIT = "Explicit"
 class SubgroupGG:
     """A subgroup of G x G with a shape tag and optional linear character.
 
-    The character maps each element to Z/e (additive); when present it is
-    checked to be a homomorphism.
+    `codes` and `chars` are the arrays of the module docstring (`chars` is
+    None without a character); `from_pairs` checks the subgroup laws.
     """
 
-    def __init__(self, params, tag, elements, character=None, check=True):
+    def __init__(self, params, tag, codes, chars=None):
         self.params = params
         self.tag = tag
-        self.elements = frozenset(elements)
-        self.character = dict(character) if character is not None else None
-        if check:
-            self._check_subgroup()
-            if self.character is not None:
-                self._check_character()
+        self.codes = codes
+        self.chars = chars
+
+    @classmethod
+    def from_pairs(cls, params, tag, elements, character=None) -> "SubgroupGG":
+        """Encode explicit (g, h) pairs, verifying closure and the character."""
+        table = group_table(params)
+        pairs = list(elements)
+        codes = np.array(
+            [table.index[a] * len(table.elems) + table.index[b] for a, b in pairs],
+            dtype=np.int64,
+        )
+        codes, first = np.unique(codes, return_index=True)
+        chars = None
+        if character is not None:
+            if set(character) != set(pairs):
+                raise CharacterIllDefined("character not defined on every element")
+            values = np.array([character[pair] for pair in pairs], dtype=np.int64)
+            chars = values[first] % params.e
+        sub = cls(params, tag, codes, chars)
+        sub._check_subgroup()
+        if chars is not None:
+            sub._check_character()
+        return sub
 
     # ------------------------------------------------------------- checks
 
+    def _products(self) -> np.ndarray:
+        """Codes of all products a*b, as an |H| x |H| array."""
+        table = group_table(self.params)
+        g, h = np.divmod(self.codes, len(table.elems))
+        return _encode(table, table.mul[np.ix_(g, g)], table.mul[np.ix_(h, h)])
+
     def _check_subgroup(self):
-        params = self.params
-        ident = (params.identity, params.identity)
-        if ident not in self.elements:
+        table = group_table(self.params)
+        if not len(self.codes) or self.codes[0] != 0:
             raise ValueError("subgroup misses the identity")
-        for a1, a2 in self.elements:
-            inv = (params.g_inv(a1), params.g_inv(a2))
-            if inv not in self.elements:
-                raise ValueError("subgroup not closed under inverses")
-        for a1, a2 in self.elements:
-            for b1, b2 in self.elements:
-                prod = (params.g_mul(a1, b1), params.g_mul(a2, b2))
-                if prod not in self.elements:
-                    raise ValueError("subgroup not closed under products")
+        g, h = np.divmod(self.codes, len(table.elems))
+        inverses = _encode(table, table.inv[g], table.inv[h])
+        if (_positions(self.codes, inverses) < 0).any():
+            raise ValueError("subgroup not closed under inverses")
+        if (_positions(self.codes, self._products()) < 0).any():
+            raise ValueError("subgroup not closed under products")
 
     def _check_character(self):
-        params = self.params
-        chi = self.character
-        if set(chi) != set(self.elements):
-            raise CharacterIllDefined("character not defined on every element")
-        for a in self.elements:
-            for b in self.elements:
-                prod = (params.g_mul(a[0], b[0]), params.g_mul(a[1], b[1]))
-                if chi[prod] != (chi[a] + chi[b]) % params.e:
-                    raise CharacterIllDefined(
-                        f"character is not a homomorphism at {a} * {b}"
-                    )
+        chi = self.chars
+        products = chi[_positions(self.codes, self._products())]
+        bad = np.argwhere(products != (chi[:, None] + chi[None, :]) % self.params.e)
+        if len(bad):
+            a, b = (self._pairs()[k] for k in bad[0])
+            raise CharacterIllDefined(f"character is not a homomorphism at {a} * {b}")
 
     # -------------------------------------------------------------- views
 
-    def __len__(self):
-        return len(self.elements)
+    def _pairs(self) -> list:
+        """The elements as (g, h) pairs of G-elements, in code order."""
+        elems = group_table(self.params).elems
+        n = len(elems)
+        return [(elems[c // n], elems[c % n]) for c in self.codes.tolist()]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubgroupGG)
-            and self.params == other.params
-            and self.elements == other.elements
-            and self.character == other.character
-        )
+    def _char_at(self, a, b) -> int:
+        table = group_table(self.params)
+        code = table.index[a] * len(table.elems) + table.index[b]
+        pos = int(self.codes.searchsorted(code))
+        if pos == len(self.codes) or self.codes[pos] != code:
+            raise KeyError((a, b))
+        return int(self.chars[pos])
+
+    @cached_property
+    def elements(self) -> frozenset:
+        return frozenset(self._pairs())
+
+    @cached_property
+    def character(self):
+        if self.chars is None:
+            return None
+        return MappingProxyType(dict(zip(self._pairs(), self.chars.tolist())))
+
+    def __len__(self):
+        return len(self.codes)
 
     def __repr__(self):
-        return f"SubgroupGG(tag={self.tag}, order={len(self.elements)})"
+        return f"SubgroupGG(tag={self.tag}, order={len(self.codes)})"
 
     def first_projection(self) -> frozenset:
         return frozenset(a for a, _ in self.elements)
-
-    def second_projection(self) -> frozenset:
-        return frozenset(b for _, b in self.elements)
 
     def left_kernel(self) -> frozenset:
         """k_1: elements g of G with (g, 1) in the subgroup."""
@@ -321,15 +351,16 @@ class SubgroupGG:
         ident = self.params.identity
         return frozenset(b for a, b in self.elements if a == ident)
 
-    def retagged(self) -> "SubgroupGG":
-        tag = recognize_shape(self.params, self.elements)
-        return SubgroupGG(
-            self.params,
-            tag if tag is not None else (TAG_EXPLICIT,),
-            self.elements,
-            self.character,
-            check=False,
-        )
+
+def _encode(table, g, h) -> np.ndarray:
+    """Pair codes g*|G| + h of index arrays g and h."""
+    return g.astype(np.int64) * len(table.elems) + h
+
+
+def _positions(codes, queries) -> np.ndarray:
+    """Positions of the queries in the sorted code array, -1 where absent."""
+    pos = np.minimum(codes.searchsorted(queries), len(codes) - 1)
+    return np.where(codes[pos] == queries, pos, -1)
 
 
 # ----------------------------------------------------------- constructors
@@ -352,7 +383,7 @@ def subgroup_exe(params, lam=None, mu=None) -> SubgroupGG:
             for r in params.subgroup_E
             for s in params.subgroup_E
         }
-    return SubgroupGG(params, (TAG_EXE,), elements, character)
+    return SubgroupGG.from_pairs(params, (TAG_EXE,), elements, character)
 
 
 def subgroup_exone(params, lam=None) -> SubgroupGG:
@@ -363,7 +394,7 @@ def subgroup_exone(params, lam=None) -> SubgroupGG:
             ((0, r), params.identity): params.char_value(lam, r)
             for r in params.subgroup_E
         }
-    return SubgroupGG(params, (TAG_EXONE,), elements, character)
+    return SubgroupGG.from_pairs(params, (TAG_EXONE,), elements, character)
 
 
 def subgroup_onexe(params, mu=None) -> SubgroupGG:
@@ -374,7 +405,7 @@ def subgroup_onexe(params, mu=None) -> SubgroupGG:
             (params.identity, (0, s)): params.char_value(mu, s)
             for s in params.subgroup_E
         }
-    return SubgroupGG(params, (TAG_ONEXE,), elements, character)
+    return SubgroupGG.from_pairs(params, (TAG_ONEXE,), elements, character)
 
 
 def subgroup_diag_p(params, i, unit) -> SubgroupGG:
@@ -382,7 +413,7 @@ def subgroup_diag_p(params, i, unit) -> SubgroupGG:
     if not 1 <= i <= params.n:
         raise BadLevel(f"level {i} outside 1..{params.n}")
     elements = [((unit * y % params.pn, 1), (y, 1)) for y in params.d_subgroup(i)]
-    return SubgroupGG(params, (TAG_DIAG_P, i, unit % params.p**i), elements)
+    return SubgroupGG.from_pairs(params, (TAG_DIAG_P, i, unit % params.p**i), elements)
 
 
 def subgroup_diag_pe(params, i, unit, lam=None) -> SubgroupGG:
@@ -396,7 +427,7 @@ def subgroup_diag_pe(params, i, unit, lam=None) -> SubgroupGG:
         elements.append(pair)
         if character is not None:
             character[pair] = params.char_value(lam, g[1])
-    return SubgroupGG(
+    return SubgroupGG.from_pairs(
         params, (TAG_DIAG_PE, i, unit % params.p**i), elements, character
     )
 
@@ -409,47 +440,21 @@ def delta_g(params) -> SubgroupGG:
 # --------------------------------------------------------- shape recognition
 
 
-def recognize_shape(params, elements) -> tuple | None:
-    """Match an explicit element set against the known shapes, or None."""
-    elements = frozenset(elements)
-    e_set = frozenset((0, r) for r in params.subgroup_E)
-    ident = params.identity
-    if elements == frozenset((a, b) for a in e_set for b in e_set):
-        return (TAG_EXE,)
-    if elements == frozenset((a, ident) for a in e_set):
-        return (TAG_EXONE,)
-    if elements == frozenset((ident, b) for b in e_set):
-        return (TAG_ONEXE,)
-    second = frozenset(b for _, b in elements)
-    if len(second) != len(elements):
-        return None
-    # candidate twisted diagonal: the set is the graph of a map on `second`
+def recognize_shape(params, codes) -> tuple:
+    """The tag of the shape with exactly these sorted pair codes, else Explicit."""
+    return _shape_tags(params).get(codes.tobytes(), (TAG_EXPLICIT,))
+
+
+@lru_cache(maxsize=None)
+def _shape_tags(params) -> dict:
+    """Code bytes -> tag of every shape; the first built wins at e = 1."""
+    shapes = [subgroup_exe(params), subgroup_exone(params), subgroup_onexe(params)]
     for i in range(params.n, 0, -1):
-        d_i = frozenset((y, 1) for y in params.d_subgroup(i))
-        if second == d_i:
-            kinds = (TAG_DIAG_P, i)
-            break
-        die = frozenset(params.die_elements(i))
-        if second == die:
-            kinds = (TAG_DIAG_PE, i)
-            break
-    else:
-        return None
-    tag_name, i = kinds
-    gen = (params.p ** (params.n - i), 1)
-    graph = dict((b, a) for a, b in elements)
-    img = graph[gen]
-    if img[1] != 1 or img[0] % params.p ** (params.n - i) != 0:
-        return None
-    unit = img[0] // params.p ** (params.n - i)
-    if unit % params.p == 0:
-        return None
-    unit %= params.p**i
-    for b, a in graph.items():
-        y, r = b
-        if a != (unit * y % params.pn, r):
-            return None
-    return (tag_name, i, unit)
+        for unit in range(1, params.p**i):
+            if unit % params.p:
+                shapes.append(subgroup_diag_p(params, i, unit))
+                shapes.append(subgroup_diag_pe(params, i, unit))
+    return {sub.codes.tobytes(): sub.tag for sub in reversed(shapes)}
 
 
 # --------------------------------------------------------------- star, conj
@@ -465,49 +470,56 @@ def star(x: SubgroupGG, y: SubgroupGG) -> SubgroupGG:
     if x.params != y.params:
         raise ParamsMismatch("star of subgroups over different params")
     params = x.params
-    by_first: dict = {}
-    for h, k in y.elements:
-        by_first.setdefault(h, []).append(k)
-    with_chars = x.character is not None and y.character is not None
-    elements = set()
-    character = {} if with_chars else None
-    for g, h in x.elements:
-        for k in by_first.get(h, ()):
-            pair = (g, k)
-            elements.add(pair)
-            if with_chars:
-                value = (x.character[(g, h)] + y.character[(h, k)]) % params.e
-                if character.setdefault(pair, value) != value:
-                    raise CharacterIllDefined(
-                        f"connecting elements disagree at {pair}"
-                    )
-    return SubgroupGG(
-        params, (TAG_EXPLICIT,), elements, character, check=False
-    ).retagged()
+    table = group_table(params)
+    xg, xh = np.divmod(x.codes, len(table.elems))
+    yh, yk = np.divmod(y.codes, len(table.elems))
+    # y is sorted by code, hence by its first coordinate: join on h
+    lo = yh.searchsorted(xh, "left")
+    counts = yh.searchsorted(xh, "right") - lo
+    xi = np.repeat(np.arange(len(xh)), counts)
+    yi = np.arange(len(xi)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    codes = _encode(table, xg[xi], yk[yi])
+    if x.chars is None or y.chars is None:
+        codes = np.unique(codes)
+        return SubgroupGG(params, recognize_shape(params, codes), codes)
+    order = codes.argsort(kind="stable")
+    codes = codes[order]
+    chars = ((x.chars[xi] + y.chars[yi]) % params.e)[order]
+    repeat = codes[1:] == codes[:-1]
+    clash = np.flatnonzero(repeat & (chars[1:] != chars[:-1]))
+    if len(clash):
+        g, k = divmod(int(codes[clash[0]]), len(table.elems))
+        raise CharacterIllDefined(
+            f"connecting elements disagree at {(table.elems[g], table.elems[k])}"
+        )
+    first = np.concatenate(([True], ~repeat))
+    codes = codes[first]
+    return SubgroupGG(params, recognize_shape(params, codes), codes, chars[first])
 
 
 def conj(s: GGPair, x: SubgroupGG) -> SubgroupGG:
     """Conjugate a subgroup of G x G by the pair s, transporting characters."""
-    params = x.params
-    s1, s2 = s
-    elements = set()
-    character = {} if x.character is not None else None
-    for a, b in x.elements:
-        pair = (params.g_conj(s1, a), params.g_conj(s2, b))
-        elements.add(pair)
-        if character is not None:
-            character[pair] = x.character[(a, b)]
-    return SubgroupGG(
-        params, (TAG_EXPLICIT,), elements, character, check=False
-    ).retagged()
+    table = group_table(x.params)
+    s1, s2 = table.index[s[0]], table.index[s[1]]
+    g, h = np.divmod(x.codes, len(table.elems))
+    codes = _encode(
+        table,
+        table.mul[table.mul[s1, g], table.inv[s1]],
+        table.mul[table.mul[s2, h], table.inv[s2]],
+    )
+    order = codes.argsort()
+    codes = codes[order]
+    chars = x.chars[order] if x.chars is not None else None
+    return SubgroupGG(x.params, recognize_shape(x.params, codes), codes, chars)
 
 
 # --------------------------------------------------------------------------
 # index tables and double cosets
 #
 # Elements of G are indexed in lexicographic (x, r) order; index 0 is the
-# identity.  The multiplication table lets the brute-force scans below run
-# as numpy index arithmetic, which keeps them exact.
+# identity.  The multiplication table lets the subgroup kernels above and
+# the brute-force scans below run as numpy index arithmetic, which keeps
+# them exact.
 # --------------------------------------------------------------------------
 
 
@@ -516,16 +528,13 @@ class GroupTable:
         self.params = params
         self.elems = list(params.g_elements())
         self.index = {g: i for i, g in enumerate(self.elems)}
-        order = len(self.elems)
-        mul = np.empty((order, order), dtype=np.int32)
-        for i, a in enumerate(self.elems):
-            for j, b in enumerate(self.elems):
-                mul[i, j] = self.index[params.g_mul(a, b)]
-        self.mul = mul
-        inv = np.empty(order, dtype=np.int32)
-        for i, a in enumerate(self.elems):
-            inv[i] = self.index[params.g_inv(a)]
-        self.inv = inv
+        self.mul = np.array(
+            [[self.index[params.g_mul(a, b)] for b in self.elems] for a in self.elems],
+            dtype=np.int32,
+        )
+        self.inv = np.array(
+            [self.index[params.g_inv(a)] for a in self.elems], dtype=np.int32
+        )
 
     def subgroup_indices(self, level: int) -> np.ndarray:
         members = self.params.die_elements(level)
@@ -563,7 +572,8 @@ def double_cosets(params: ModelParams, i: int, j: int) -> list[GElement]:
     return [table.elems[block[0]] for block in double_coset_partition(params, i, j)]
 
 
-def double_cosets_in_d(params: ModelParams, i: int, j: int) -> list[GElement]:
+@lru_cache(maxsize=None)
+def double_cosets_in_d(params: ModelParams, i: int, j: int) -> tuple[GElement, ...]:
     """One representative per double coset, chosen inside D."""
     table = group_table(params)
     reps = []
@@ -571,7 +581,7 @@ def double_cosets_in_d(params: ModelParams, i: int, j: int) -> list[GElement]:
         in_d = [table.elems[t] for t in block if table.elems[t][1] == 1]
         assert in_d, "every double coset meets D"
         reps.append(min(in_d))
-    return reps
+    return tuple(reps)
 
 
 # --------------------------------------------------------------------------

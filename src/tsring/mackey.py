@@ -8,6 +8,10 @@ arises from actual coset enumeration; the closed-form counts used by
 tsring.tring are never consulted, so agreement of the two paths is a
 genuine cross-check.
 
+Subgroups are the pair-code arrays of tsring.groupmodel: the kernel
+intersection, conjugation, star products and character lookups below are
+numpy searches and gathers, and only the named constructors check laws.
+
 The subgroups met along the way all canonicalize into five shapes:
 E x E, E x 1, 1 x E, and the twisted diagonals of D_k and of D_k E.
 Anything else raises UnrecognizedShape, which is a hard failure worth
@@ -24,6 +28,9 @@ characters disagree.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
+
+import numpy as np
 
 from .errors import UnrecognizedShape
 from .groupmodel import (
@@ -35,6 +42,7 @@ from .groupmodel import (
     TAG_ONEXE,
     ModelParams,
     SubgroupGG,
+    _positions,
     canonical_coset,
     conj,
     double_cosets_in_d,
@@ -48,9 +56,8 @@ from .tring import NonProj, ProjPair
 class MackeyOracle:
     """Per-model caches for the oracle computation."""
 
-    def __init__(self, params: ModelParams, full_search: bool = False):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.full_search = full_search
         self._subgroups: dict = {}
 
     # ------------------------------------------------------------- factors
@@ -80,14 +87,15 @@ class MackeyOracle:
         first coordinate; the tensor product over it vanishes unless the
         two scalar actions agree.
         """
-        params = self.params
-        ident = params.identity
-        middle = x.right_kernel() & y.left_kernel()
-        for h in middle:
-            left_action = (-x.character[(ident, h)]) % params.e
-            right_action = y.character[(h, ident)]
-            if left_action != right_action:
-                return None
+        order = self.params.group_order
+        # (1, h) in X are the codes below |G|; (h, 1) in Y the multiples of |G|
+        x_right = x.codes[: x.codes.searchsorted(order)]
+        y_left = np.flatnonzero(y.codes % order == 0)
+        ix = _positions(x_right, y.codes[y_left] // order)
+        middle = ix >= 0
+        left_action = (-x.chars[ix[middle]]) % self.params.e
+        if (left_action != y.chars[y_left[middle]]).any():
+            return None
         return star(x, y)
 
     # ----------------------------------------------------- canonicalization
@@ -98,32 +106,17 @@ class MackeyOracle:
         Literal recognition is the fast path.  Otherwise search for a
         conjugating pair inside (D x D) Delta(E), which normalizes every
         twisted diagonal; the class of the induced module is unchanged.
-        Full G x G search is available behind the full_search flag.
         """
         if z.tag[0] != TAG_EXPLICIT:
             return z
-        for s in self._conjugators():
-            moved = conj(s, z)
+        d = range(self.params.pn)
+        for z1, z2, r in product(d, d, self.params.subgroup_E):
+            moved = conj(((z1, r), (z2, r)), z)
             if moved.tag[0] != TAG_EXPLICIT:
                 return moved
-        if self.full_search:
-            for s1 in self.params.g_elements():
-                for s2 in self.params.g_elements():
-                    moved = conj((s1, s2), z)
-                    if moved.tag[0] != TAG_EXPLICIT:
-                        return moved
         raise UnrecognizedShape(
             f"subgroup of order {len(z)} fits no known shape"
         )
-
-    def _conjugators(self):
-        params = self.params
-        out = []
-        for z1 in range(params.pn):
-            for z2 in range(params.pn):
-                for r in params.subgroup_E:
-                    out.append(((z1, r), (z2, r)))
-        return out
 
     # ------------------------------------------------------- classification
 
@@ -131,33 +124,31 @@ class MackeyOracle:
         """Decompose the class induced from a recognized-shape subgroup."""
         params = self.params
         e = params.e
-        chi = z.character
+        chi = z._char_at
         rho = (0, params.e_generator)
         ident = params.identity
         tag = z.tag[0]
         if tag == TAG_EXE:
-            lam = chi[(rho, ident)] if e > 1 else 0
-            kappa = chi[(ident, rho)] if e > 1 else 0
+            lam = chi(rho, ident) if e > 1 else 0
+            kappa = chi(ident, rho) if e > 1 else 0
             return {ProjPair(lam, (-kappa) % e): 1}
         if tag == TAG_EXONE:
-            lam = chi[(rho, ident)] if e > 1 else 0
+            lam = chi(rho, ident) if e > 1 else 0
             return {ProjPair(lam, nu): 1 for nu in range(e)}
         if tag == TAG_ONEXE:
-            kappa = chi[(ident, rho)] if e > 1 else 0
+            kappa = chi(ident, rho) if e > 1 else 0
             return {ProjPair(nu, (-kappa) % e): 1 for nu in range(e)}
         if tag == TAG_DIAG_PE:
             _, level, unit = z.tag
             step = params.p ** (params.n - level)
-            p_gen = ((unit * step % params.pn, 1), (step, 1))
-            if chi[p_gen] != 0:
+            if chi((unit * step % params.pn, 1), (step, 1)) != 0:
                 raise UnrecognizedShape("nontrivial character on a p-element")
-            diag_rho = ((0, params.e_generator), (0, params.e_generator))
-            lam = chi[diag_rho] if e > 1 else 0
+            lam = chi(rho, rho) if e > 1 else 0
             rep = canonical_coset(params, level, unit).rep
             return {NonProj(level, rep, lam): 1}
         if tag == TAG_DIAG_P:
             _, level, unit = z.tag
-            if any(chi.values()):
+            if z.chars.any():
                 raise UnrecognizedShape("nontrivial character on a p-group")
             rep = canonical_coset(params, level, unit).rep
             return {NonProj(level, rep, nu): 1 for nu in range(e)}
@@ -194,14 +185,3 @@ class MackeyOracle:
 def oracle(params: ModelParams) -> MackeyOracle:
     return MackeyOracle(params)
 
-
-def subgroup_of_basis(params: ModelParams, b) -> SubgroupGG:
-    return oracle(params).subgroup_of_basis(b)
-
-
-def classify_induced(params: ModelParams, z: SubgroupGG) -> dict:
-    return oracle(params).classify_induced(z)
-
-
-def oracle_mult(params: ModelParams, a, b) -> dict:
-    return oracle(params).oracle_mult(a, b)

@@ -5,7 +5,10 @@ import subprocess
 import sys
 
 from tsring.cli import main
-from tsring.tring import basis_from_json, basis_from_label
+from tsring.errors import UnrecognizedShape
+from tsring.groupmodel import make_params
+from tsring.mackey import MackeyOracle
+from tsring.tring import basis_from_json, basis_from_label, basis_label, tring
 
 
 def run_cli(args, capsys):
@@ -89,6 +92,30 @@ def test_verify_oracle(capsys):
     doc = json.loads(out)
     assert doc["status"] == "ok"
     assert doc["payload"]["checks"][0]["details"]["compared"] == "144"
+
+
+def test_verify_oracle_failure_is_inconclusive(monkeypatch, capsys):
+    # an oracle that cannot classify a summand has not decided the pair:
+    # the report names the pair and the check exits 3, not the usage code
+    def refuse(self, z):
+        raise UnrecognizedShape("injected: no shape")
+
+    monkeypatch.setattr(MackeyOracle, "classify_induced", refuse)
+    code, out = run_cli(
+        ["verify", "--p", "3", "--n", "2", "--e", "2", "--which", "oracle,assoc"], capsys
+    )
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "inconclusive"
+    oracle_check, assoc_check = doc["payload"]["checks"]
+    assert oracle_check["status"] == "inconclusive"
+    first = basis_label(tring(make_params(3, 2, 2)).basis[0])
+    assert oracle_check["details"] == {
+        "pair": [first, first],
+        "error": "injected: no shape",
+        "compared": "0",
+    }
+    assert assoc_check["status"] == "ok"
 
 
 def test_verify_theorem_d(capsys):

@@ -1,10 +1,14 @@
 """Group model: parameters, cosets, double cosets, star products."""
 
+import random
+
 import numpy as np
 import pytest
 
 from tsring import groupmodel as gm
 from tsring.errors import BadLevel, BadOrder, CharacterIllDefined, NotPrime, TwoBlocked
+from tsring.mackey import oracle
+from tsring.tring import tring
 
 
 # ------------------------------------------------------------------ params
@@ -233,6 +237,61 @@ def test_conj_twist_matches_unit_action():
     assert out.tag == (gm.TAG_DIAG_P, 2, 3 * r % 49)
 
 
+# ------------------------------------- index kernels against the group law
+
+
+def _basis_subgroups(params):
+    orc = oracle(params)
+    return [orc.subgroup_of_basis(b) for b in tring(params).basis]
+
+
+def _assert_encodes(sub, character):
+    """The sorted, duplicate-free codes and aligned characters decode to `character`."""
+    assert (np.diff(sub.codes) > 0).all()
+    assert sub.elements == frozenset(character)
+    assert dict(sub.character) == character
+
+
+def test_conj_matches_group_law(small_params):
+    params = small_params
+    conjugators = gm.gg_generators(params) + random.Random(0).sample(
+        sorted(_dxd_delta_e(params)), 8
+    )
+    for sub in _basis_subgroups(params):
+        for s1, s2 in conjugators:
+            expected = {
+                (params.g_conj(s1, a), params.g_conj(s2, b)): value
+                for (a, b), value in sub.character.items()
+            }
+            _assert_encodes(gm.conj((s1, s2), sub), expected)
+
+
+def _compose(params, x, y):
+    """{(g, k) : (g, h) in X, (h, k) in Y} with summed characters, or None
+    when two connecting elements give one pair different values."""
+    out = {}
+    for (g, h), u in x.character.items():
+        for (h2, k), v in y.character.items():
+            if h == h2:
+                value = (u + v) % params.e
+                if out.setdefault((g, k), value) != value:
+                    return None
+    return out
+
+
+def test_star_matches_group_law(small_params):
+    params = small_params
+    subs = _basis_subgroups(params)
+    for x in subs:
+        for y in subs:
+            expected = _compose(params, x, y)
+            if expected is None:
+                with pytest.raises(CharacterIllDefined):
+                    gm.star(x, y)
+            else:
+                _assert_encodes(gm.star(x, y), expected)
+
+
 # ----------------------------------------------- normalizers and conjugacy
 
 
@@ -295,7 +354,7 @@ def test_subgroup_projections_and_kernels():
 def test_subgroup_validation_rejects_non_subgroup():
     params = gm.make_params(3, 1, 1)
     with pytest.raises(ValueError):
-        gm.SubgroupGG(params, (gm.TAG_EXPLICIT,), {((1, 1), (0, 1))})
+        gm.SubgroupGG.from_pairs(params, (gm.TAG_EXPLICIT,), {((1, 1), (0, 1))})
 
 
 def test_star_requires_same_params():
@@ -331,8 +390,8 @@ def test_constructor_tags_match_recognition():
         gm.subgroup_diag_pe(params, 2, 7),
     ]
     for sub in built:
-        recognized = gm.recognize_shape(params, sub.elements)
-        assert recognized is not None
+        recognized = gm.recognize_shape(params, sub.codes)
+        assert recognized != (gm.TAG_EXPLICIT,)
         assert recognized[0] == sub.tag[0]
         if len(recognized) == 3:
             # the recognized unit must generate the same coset

@@ -1,12 +1,26 @@
 """The coset-enumeration oracle against the closed-form multiplication."""
 
 import pytest
+from conftest import INSTANCES
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsring import groupmodel as gm
 from tsring.errors import UnrecognizedShape
+from tsring.exactarith import is_prime
 from tsring.groupmodel import make_params
-from tsring.mackey import MackeyOracle, oracle
+from tsring.mackey import oracle
 from tsring.tring import NonProj, ProjPair, tring
+
+# every admissible (p, n, e) with d = e^2 + p^n - 1 <= 60 outside INSTANCES
+BEYOND_INSTANCES = [
+    (p, n, e)
+    for p in range(2, 61)
+    if is_prime(p)
+    for n in range(1, 6)
+    for e in range(1, p)
+    if (p - 1) % e == 0 and e * e + p**n - 1 <= 60 and (p, n, e) not in INSTANCES
+]
 
 
 # -------------------------------------------------------- inducing subgroups
@@ -56,7 +70,7 @@ def test_classify_untwisted_level_one_diagonal():
     params = make_params(3, 2, 2)
     orc = oracle(params)
     sub = gm.subgroup_diag_p(params, 1, 1)
-    plain = gm.SubgroupGG(
+    plain = gm.SubgroupGG.from_pairs(
         params, sub.tag, sub.elements, {g: 0 for g in sub.elements}
     )
     assert orc.classify_induced(plain) == {NonProj(1, 1, 0): 1, NonProj(1, 1, 1): 1}
@@ -67,7 +81,7 @@ def test_classify_rejects_alien_subgroup():
     orc = oracle(params)
     # 1 x D_1 has no twisted-diagonal shape and no conjugate that does
     elements = {(params.identity, (y, 1)) for y in params.d_subgroup(1)}
-    alien = gm.SubgroupGG(
+    alien = gm.SubgroupGG.from_pairs(
         params, (gm.TAG_EXPLICIT,), elements, {g: 0 for g in elements}
     )
     with pytest.raises(UnrecognizedShape):
@@ -151,14 +165,6 @@ def test_representative_independence(p, n, e, a, b):
     assert orc.oracle_mult_with_reps(a, b, alt) == orc.oracle_mult(a, b)
 
 
-def test_full_search_flag_agrees():
-    params = make_params(3, 2, 2)
-    slow = MackeyOracle(params, full_search=True)
-    fast = oracle(params)
-    for a, b in [(ProjPair(0, 0), NonProj(2, 2, 1)), (NonProj(1, 1, 1), NonProj(1, 1, 0))]:
-        assert slow.oracle_mult(a, b) == fast.oracle_mult(a, b)
-
-
 # ----------------------------------------------------------- coset plumbing
 
 
@@ -197,3 +203,14 @@ def test_oracle_equivalence_edge_instances(p, n, e):
     for a in ring.basis:
         for b in ring.basis:
             assert orc.oracle_mult(a, b) == ring.mult_basis(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(BEYOND_INSTANCES))
+def test_oracle_matches_rules_beyond_instances(pne):
+    params = make_params(*pne)
+    ring = tring(params)
+    orc = oracle(params)
+    for a in ring.basis:
+        for b in ring.basis:
+            assert orc.oracle_mult(a, b) == ring.mult_basis(a, b), (pne, a, b)
