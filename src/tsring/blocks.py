@@ -239,10 +239,6 @@ def level_group(params: ModelParams, level: int) -> LevelGroup:
 # --------------------------------------------------------------------------
 
 
-def ga_zero():
-    return {}
-
-
 def ga_one(gamma, S):
     return {gamma.identity: S.one}
 
@@ -254,15 +250,6 @@ def ga_add(S, x, y):
         if S.is_zero(w):
             out.pop(g, None)
         else:
-            out[g] = w
-    return out
-
-
-def ga_scale(S, c, x):
-    out = {}
-    for g, v in x.items():
-        w = S.mul(c, v)
-        if not S.is_zero(w):
             out[g] = w
     return out
 

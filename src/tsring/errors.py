@@ -57,6 +57,10 @@ class CharIsP(TsringError):
     """Coefficient field has the blocked characteristic p."""
 
 
+class ArithmeticBound(TsringError):
+    """A fixed-width integer computation could exceed its range."""
+
+
 class ScanTooLarge(TsringError):
     """Central idempotent scan would exceed the configured bound."""
 

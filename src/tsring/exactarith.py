@@ -234,10 +234,6 @@ def identity_matrix(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(rows: int, cols: int):
-    return [[0] * cols for _ in range(rows)]
-
-
 def mat_shape(a):
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -268,11 +264,6 @@ def mat_eq(a, b):
     return mat_shape(a) == mat_shape(b) and all(
         a[i][j] == b[i][j] for i in range(len(a)) for j in range(len(a[0]))
     )
-
-
-def mat_transpose(a):
-    rows, cols = mat_shape(a)
-    return [[a[i][j] for i in range(rows)] for j in range(cols)]
 
 
 def det_int(a) -> int:

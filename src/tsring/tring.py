@@ -24,6 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+
+import numpy as np
 
 from .errors import BadLevel, ParamsMismatch, ScalarMismatch
 from .exactarith import ZZ, nullspace_over_field
@@ -115,9 +118,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def support_levels(self) -> set:
-        return {b.level if isinstance(b, NonProj) else 0 for b in self.coeffs}
-
     def __eq__(self, other):
         return (
             isinstance(other, RingElement)
@@ -188,6 +188,7 @@ class TRing:
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.one_elem = NonProj(params.n, 1, 0)
         self._pair_table: dict = {}
+        self._structure_arrays = None
         self._int_gram = None
 
     def _build_basis(self):
@@ -262,6 +263,30 @@ class TRing:
                     key = NonProj(k, prod.rep, nu)
                     out[key] = out.get(key, 0) + ml
         return {key: v for key, v in out.items() if v}
+
+    def structure_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """All structure constants as two zero-padded int64 arrays K, V.
+
+        e_a * e_b = sum_j V[a, b, j] e_{K[a, b, j]} over j < J, the largest
+        number of terms of any basis product; unused slots hold K = V = 0.
+        Built once from `mult_basis`.
+        """
+        if self._structure_arrays is None:
+            d = len(self.basis)
+            rows, slots, targets, coeffs = [], [], [], []
+            for row, (a, b) in enumerate(product(self.basis, repeat=2)):
+                for j, (c, v) in enumerate(self.mult_basis(a, b).items()):
+                    rows.append(row)
+                    slots.append(j)
+                    targets.append(self.index[c])
+                    coeffs.append(v)
+            width = max(slots) + 1
+            K = np.zeros((d * d, width), dtype=np.int64)
+            V = np.zeros((d * d, width), dtype=np.int64)
+            K[rows, slots] = targets
+            V[rows, slots] = coeffs
+            self._structure_arrays = (K.reshape(d, d, width), V.reshape(d, d, width))
+        return self._structure_arrays
 
     def _table_entry(self, ia: int, ib: int):
         key = (ia, ib)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from tsring.exactarith import is_prime
 from tsring.groupmodel import make_params
 
 # the full verification instance set
@@ -19,6 +20,16 @@ INSTANCES = [
 ]
 
 SMALL_INSTANCES = [t for t in INSTANCES if t[0] ** t[1] * t[2] <= 24]
+
+# every admissible (p, n, e) with d = e^2 + p^n - 1 <= 60 outside INSTANCES
+BEYOND_INSTANCES = [
+    (p, n, e)
+    for p in range(2, 61)
+    if is_prime(p)
+    for n in range(1, 6)
+    for e in range(1, p)
+    if (p - 1) % e == 0 and e * e + p**n - 1 <= 60 and (p, n, e) not in INSTANCES
+]
 
 
 @pytest.fixture(params=INSTANCES, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}")

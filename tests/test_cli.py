@@ -1,14 +1,27 @@
 """Command-line interface: payloads, exit codes, byte determinism."""
 
 import json
+import random
 import subprocess
 import sys
 
-from tsring.cli import main
-from tsring.errors import UnrecognizedShape
+import pytest
+from conftest import INSTANCES, SMALL_INSTANCES
+
+from tsring import blocks, cli
+from tsring.cli import _check_assoc, main
+from tsring.errors import ArithmeticBound, UnrecognizedShape
+from tsring.exactarith import ZZ
 from tsring.groupmodel import make_params
 from tsring.mackey import MackeyOracle
-from tsring.tring import basis_from_json, basis_from_label, basis_label, tring
+from tsring.tring import (
+    NonProj,
+    TRing,
+    basis_from_json,
+    basis_from_label,
+    basis_label,
+    tring,
+)
 
 
 def run_cli(args, capsys):
@@ -118,6 +131,101 @@ def test_verify_oracle_failure_is_inconclusive(monkeypatch, capsys):
     assert assoc_check["status"] == "ok"
 
 
+# ------------------------------------------------------------ associativity
+
+
+def _first_assoc_failure(ring):
+    """Brute-force reference: status and index of the first failing triple."""
+    elems = [ring.from_basis(ZZ, b) for b in ring.basis]
+    checked = 0
+    for x in elems:
+        for y in elems:
+            xy = ring.mult(x, y)
+            for z in elems:
+                if ring.mult(xy, z) != ring.mult(x, ring.mult(y, z)):
+                    return "violation", checked
+                checked += 1
+    return "ok", checked
+
+
+def _mutate_mult_basis(monkeypatch, a, b, c, delta):
+    """Add delta to the coefficient of c in every product a * b."""
+    original = TRing.mult_basis
+
+    def mult_basis(self, x, y):
+        prod = original(self, x, y)
+        if (x, y) == (a, b):
+            prod = dict(prod)
+            prod[c] = prod.get(c, 0) + delta
+        return prod
+
+    monkeypatch.setattr(TRing, "mult_basis", mult_basis)
+
+
+@pytest.fixture
+def fresh_rings():
+    # mutated rings must not leak into the ring cache other tests share
+    tring.cache_clear()
+    yield
+    tring.cache_clear()
+
+
+def test_verify_assoc_reports_first_failing_triple(fresh_rings, monkeypatch, capsys):
+    a = b = c = NonProj(1, 1, 0)  # M[1,1,0]^2 = 2 M[1,1,0] + M[1,1,1]
+    _mutate_mult_basis(monkeypatch, a, b, c, 1)
+    ring = tring(make_params(3, 2, 2))
+    status, first = _first_assoc_failure(ring)
+    assert status == "violation"
+    code, out = run_cli(
+        ["verify", "--p", "3", "--n", "2", "--e", "2", "--which", "assoc"], capsys
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "violation"
+    assert doc["payload"]["checks"][0] == {
+        "name": "assoc",
+        "status": "violation",
+        "details": {"checked": str(first)},
+    }
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_assoc_check_agrees_with_loop_under_mutation(fresh_rings, monkeypatch, seed):
+    # one coefficient raised, or one new term added, in one basis product;
+    # most of these break associativity, at varying first-failure indices
+    rng = random.Random(seed)
+    params = make_params(*rng.choice(SMALL_INSTANCES))
+    basis = tring(params).basis
+    a, b = rng.choice(basis), rng.choice(basis)
+    if seed % 3:
+        c = rng.choice(list(tring(params).mult_basis(a, b)))
+    else:
+        c = rng.choice(basis)
+    tring.cache_clear()
+    _mutate_mult_basis(monkeypatch, a, b, c, rng.randint(1, 3))
+    ring = tring(params)
+    status, first = _first_assoc_failure(ring)
+    expected = (status, {"checked": str(first)})
+    assert _check_assoc(params, ring) == expected
+    monkeypatch.setattr(cli, "ASSOC_CHUNK_ENTRIES", 1)  # one (a, b) row per chunk
+    assert _check_assoc(params, ring) == expected
+
+
+@pytest.mark.parametrize("pne", INSTANCES, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}")
+def test_assoc_check_all_instances(pne):
+    params = make_params(*pne)
+    ring = tring(params)
+    assert _check_assoc(params, ring) == ("ok", {"checked": str(ring.dimension() ** 3)})
+
+
+def test_assoc_check_refuses_int64_overflow(fresh_rings, monkeypatch):
+    one = NonProj(1, 1, 0)
+    _mutate_mult_basis(monkeypatch, one, one, one, 1 << 31)
+    params = make_params(3, 1, 1)
+    with pytest.raises(ArithmeticBound):
+        _check_assoc(params, tring(params))
+
+
 def test_verify_theorem_d(capsys):
     code, out = run_cli(
         [
@@ -164,8 +272,9 @@ def test_verify_semisimple_322(capsys):
 
 
 def test_verify_semisimple_reports_violation_at_known_defect(capsys):
-    # n = 1 at characteristic p: the certified decision contradicts the
-    # stated invertibility criterion, and the tool must say so loudly
+    # n = 1 at characteristic p, where comparing against the invertibility
+    # criterion alone reported a false violation: p - 1 is invertible, yet
+    # the ring is not semisimple, and that is the verdict expected there
     code, out = run_cli(
         [
             "verify",
@@ -182,11 +291,28 @@ def test_verify_semisimple_reports_violation_at_known_defect(capsys):
         ],
         capsys,
     )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "ok"
+    entry = doc["payload"]["checks"][0]["details"]["fields"][0]
+    assert entry["decision"] == "No"
+    assert entry["aut_order_invertible"] == "Yes"
+
+
+def test_verify_semisimple_violation_at_char_p(monkeypatch, capsys):
+    # a decision of "semisimple" at characteristic p contradicts the
+    # expected verdict even where p - 1 is invertible
+    def decide(params, q):
+        return blocks.SemisimplicityDecision(params, q, "semisimple", "injected")
+
+    monkeypatch.setattr(blocks, "semisimplicity_decide", decide)
+    args = ["--p", "3", "--n", "1", "--e", "1", "--which", "semisimple", "--field", "F3"]
+    code, out = run_cli(["verify", *args], capsys)
     assert code == 1
     doc = json.loads(out)
     assert doc["status"] == "violation"
     entry = doc["payload"]["checks"][0]["details"]["fields"][0]
-    assert entry["decision"] == "No"
+    assert entry["decision"] == "Yes"
     assert entry["aut_order_invertible"] == "Yes"
 
 

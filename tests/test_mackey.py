@@ -1,26 +1,15 @@
 """The coset-enumeration oracle against the closed-form multiplication."""
 
 import pytest
-from conftest import INSTANCES
+from conftest import BEYOND_INSTANCES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsring import groupmodel as gm
 from tsring.errors import UnrecognizedShape
-from tsring.exactarith import is_prime
 from tsring.groupmodel import make_params
 from tsring.mackey import oracle
 from tsring.tring import NonProj, ProjPair, tring
-
-# every admissible (p, n, e) with d = e^2 + p^n - 1 <= 60 outside INSTANCES
-BEYOND_INSTANCES = [
-    (p, n, e)
-    for p in range(2, 61)
-    if is_prime(p)
-    for n in range(1, 6)
-    for e in range(1, p)
-    if (p - 1) % e == 0 and e * e + p**n - 1 <= 60 and (p, n, e) not in INSTANCES
-]
 
 
 # -------------------------------------------------------- inducing subgroups

@@ -3,7 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from conftest import BEYOND_INSTANCES
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tsring.cli import _check_assoc
 from tsring.errors import BadLevel, ParamsMismatch, ScalarMismatch
 from tsring.exactarith import GF, QQ, ZZ, det_over_field, rank_over_field
 from tsring.groupmodel import make_params
@@ -217,6 +221,34 @@ def test_associativity_small(small_params):
             xy = ring.mult(x, y)
             for z in elems:
                 assert ring.mult(xy, z) == ring.mult(x, ring.mult(y, z))
+
+
+def test_structure_arrays_match_mult_basis(small_params):
+    ring = tring(small_params)
+    K, V = ring.structure_arrays()
+    for ia, a in enumerate(ring.basis):
+        for ib, b in enumerate(ring.basis):
+            terms = {}
+            for ic, v in zip(K[ia, ib].tolist(), V[ia, ib].tolist()):
+                if v:
+                    terms[ring.basis[ic]] = v
+            assert terms == ring.mult_basis(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(BEYOND_INSTANCES))
+def test_ring_axioms_beyond_instances(pne):
+    params = make_params(*pne)
+    ring = tring(params)
+    d = ring.dimension()
+    assert _check_assoc(params, ring) == ("ok", {"checked": str(d**3)})
+    one = NonProj(params.n, 1, 0)
+    for b in ring.basis:
+        assert ring.mult_basis(one, b) == {b: 1}
+        assert ring.mult_basis(b, one) == {b: 1}
+        for x in ring.basis:
+            for v in ring.mult_basis(b, x).values():
+                assert type(v) is int and v > 0, (pne, b, x, v)
 
 
 # ------------------------------------------------------- center, trace form
