@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
 
 from .cartan import (
     cartan_matrix,
@@ -34,7 +33,6 @@ from .errors import BadLevel, CharIsP, ScanTooLarge, TheoremViolation
 from .exactarith import (
     QQ,
     ZZ,
-    CyclotomicRing,
     field_of_characteristic,
     mat_inverse_over_field,
     nullspace_over_field,
@@ -52,10 +50,10 @@ from .tring import NonProj, ProjPair, RingElement, TRing, tring
 class LevelGroup:
     """Pairs (automorphism coset at level i, character of E), componentwise.
 
-    Abelian of order p^(i-1)(p-1).  The group is realized as a direct
-    product of explicit cyclic factors, which drives character
-    enumeration; the factorization is verified by checking that exponent
-    tuples enumerate the group bijectively.
+    Abelian of order p^(i-1)(p-1).  Subgroups are frozensets of indices
+    into `elements`, built from an index multiplication table: the cyclic
+    subgroups <g>, closed under products (AB is a subgroup because the
+    group is abelian).
     """
 
     def __init__(self, params: ModelParams, level: int):
@@ -73,9 +71,6 @@ class LevelGroup:
         self.identity = (1, 0)
         self.order = len(self.elements)
         assert self.order == params.p ** (level - 1) * (params.p - 1)
-        self.factors = self._find_factors(reps)
-        self.exponent = lcm(1, *(order for _, order in self.factors))
-        self._dlog = self._exponent_table()
 
     # ------------------------------------------------------------ group law
 
@@ -86,147 +81,89 @@ class LevelGroup:
         ).rep
         return (rep, (a[1] + b[1]) % params.e)
 
-    def inv(self, a):
-        params = self.params
-        q = params.p**self.level
-        rep = canonical_coset(params, self.level, pow(a[0], -1, q)).rep
-        return (rep, -a[1] % params.e)
+    # ------------------------------------------------------------ subgroups
 
-    def power(self, a, k):
-        out = self.identity
-        cur = a
-        k = int(k)
-        while k:
-            if k & 1:
-                out = self.mul(out, cur)
-            cur = self.mul(cur, cur)
-            k >>= 1
+    @cached_property
+    def _table(self):
+        """elements[_table[a][b]] = elements[a] * elements[b]."""
+        index = {g: k for k, g in enumerate(self.elements)}
+        return [[index[self.mul(a, b)] for b in self.elements] for a in self.elements]
+
+    def _product(self, a, b):
+        table = self._table
+        return frozenset(table[x][y] for x in a for y in b)
+
+    @cached_property
+    def cyclic_subgroups(self):
+        """The distinct subgroups <g>, as frozensets of element indices."""
+        table = self._table
+        one = self.elements.index(self.identity)
+        out = set()
+        for g in range(self.order):
+            powers = {one}
+            cur = g
+            while cur != one:
+                powers.add(cur)
+                cur = table[cur][g]
+            out.add(frozenset(powers))
         return out
 
-    def element_order(self, a):
-        k = 1
-        cur = a
-        while cur != self.identity:
-            cur = self.mul(cur, a)
-            k += 1
-        return k
-
-    # ------------------------------------------------- cyclic factorization
-
-    def _find_factors(self, reps):
-        params = self.params
-        factors = []
-        coset_count = len(reps)
-        if params.p == 2:
-            # unit group mod 2^i: trivial, {1,3}, or <-1> x <3>
-            q = 2**self.level
-            if self.level == 2:
-                factors.append(((3, 0), 2))
-            elif self.level >= 3:
-                factors.append(((q - 1, 0), 2))
-                factors.append(((3 % q, 0), 2 ** (self.level - 2)))
-        elif coset_count > 1:
-            # the coset group is cyclic for odd p; smallest generator wins
-            for rep in reps:
-                candidate = (rep, 0)
-                if self.element_order(candidate) == coset_count:
-                    factors.append((candidate, coset_count))
-                    break
-            else:
-                raise AssertionError("no generator found in a cyclic group")
-        if params.e > 1:
-            factors.append(((1, 1), params.e))
-        return tuple(factors)
-
-    def _exponent_table(self):
-        """elem -> exponent tuple over the factors; verifies directness."""
-        table = {}
-
-        def rec(prefix, elem):
-            idx = len(prefix)
-            if idx == len(self.factors):
-                if elem in table:
-                    raise AssertionError("factorization is not direct")
-                table[elem] = tuple(prefix)
-                return
-            gen, order = self.factors[idx]
-            cur = elem
-            for k in range(order):
-                rec(prefix + [k], cur)
-                cur = self.mul(cur, gen)
-
-        rec([], self.identity)
-        if len(table) != self.order:
-            raise AssertionError("factorization does not cover the group")
-        return table
-
-    # ----------------------------------------------------------- characters
-
-    def characters(self):
-        """All characters as exponent tuples over the cyclic factors."""
-        out = [()]
-        for _, order in self.factors:
-            out = [t + (a,) for t in out for a in range(order)]
-        return out
-
-    def character_exponent(self, chi, elem) -> int:
-        """chi(elem) as an exponent of a primitive exponent-th root of 1."""
-        M = self.exponent
-        ks = self._dlog[elem]
-        total = 0
-        for a, k, (_, order) in zip(chi, ks, self.factors):
-            total += a * k * (M // order)
-        return total % M
-
-    def galois_orbits(self):
-        """Galois-conjugacy classes of characters, canonically ordered."""
-        M = self.exponent
-        units = [s for s in range(1, M + 1) if M == 1 or _coprime(s, M)]
-        chars = sorted(self.characters())
-        seen = set()
-        orbits = []
-        for chi in chars:
-            if chi in seen:
-                continue
-            orbit = set()
-            for s in units:
-                orbit.add(
-                    tuple(
-                        (s * a) % order
-                        for a, (_, order) in zip(chi, self.factors)
-                    )
-                )
-            seen |= orbit
-            orbits.append(tuple(sorted(orbit)))
-        return orbits
+    @cached_property
+    def _subgroups(self):
+        """Every subgroup: products of cyclic subgroups."""
+        found = set(self.cyclic_subgroups)
+        frontier = found
+        while frontier:
+            frontier = {
+                self._product(a, c) for a in frontier for c in self.cyclic_subgroups
+            } - found
+            found |= frontier
+        return found
 
     def primitive_rational_idempotents(self):
-        """Primitive central idempotents of Q[Gamma], one per Galois orbit.
+        """Primitive central idempotents of Q[Gamma], one per cyclic quotient.
 
-        Coefficients are Galois-orbit character sums evaluated in the
-        cyclotomic ring of the group exponent; each sum is checked to be
-        rational before use.
+        For each subgroup H with Gamma/H cyclic of order m,
+
+            eps(Gamma, H) = sum over squarefree d | m of mu(d) * avg(M_d),
+
+        where M_d is the subgroup containing H with [M_d : H] = d and avg(M)
+        is the average of the elements of M: the product of avg(H) - avg(M)
+        over the M of prime index over H, expanded (Jespers-Leal-Paques
+        2003; Olivieri-del Rio-Simon 2004).  There are as many as there are
+        cyclic subgroups, the number of simple components of Q[Gamma]
+        (Perlis-Walker); `primitive_central_idempotents_q` checks the count.
+        Ordered by decreasing |H|, then by the element indices of H.
         """
-        ring = CyclotomicRing(self.exponent)
+        everything = frozenset(range(self.order))
         out = []
-        for orbit in self.galois_orbits():
+        for h in sorted(self._subgroups, key=lambda s: (-len(s), sorted(s))):
+            if all(self._product(h, c) != everything for c in self.cyclic_subgroups):
+                continue  # Gamma/H is not cyclic
             coeffs = {}
-            for g in self.elements:
-                g_inv = self.inv(g)
-                total = ring.zero
-                for chi in orbit:
-                    total = ring.add(
-                        total, ring.zeta_pow(self.character_exponent(chi, g_inv))
-                    )
-                coeffs[g] = ring.as_rational(total) / self.order
-            out.append({g: v for g, v in coeffs.items() if v != 0})
+            for m in self._subgroups:
+                mu = _mobius(len(m) // len(h)) if h <= m else 0
+                if mu:
+                    for g in m:
+                        coeffs[g] = coeffs.get(g, 0) + Fraction(mu, len(m))
+            out.append(
+                {self.elements[g]: v for g, v in sorted(coeffs.items()) if v != 0}
+            )
         return out
 
 
-def _coprime(a, b):
-    while b:
-        a, b = b, a % b
-    return a == 1
+def _mobius(d: int) -> int:
+    """mu(d): 0 unless d is squarefree, else (-1)^(number of prime factors)."""
+    mu = 1
+    q = 2
+    while d > 1:
+        if d % q == 0:
+            d //= q
+            if d % q == 0:
+                return 0
+            mu = -mu
+        q += 1
+    return mu
 
 
 @lru_cache(maxsize=None)
@@ -591,12 +528,6 @@ def _build_level_iso(ring: TRing, S, i: int, fi: RingElement) -> LevelBlockIso:
     return iso
 
 
-def block_iso(params: ModelParams, S, i: int):
-    """The certified isomorphism for one block (0 = matrix block)."""
-    decomp = central_decomposition(params, S)
-    return decomp.isos[i]
-
-
 # --------------------------------------------------------------------------
 # integral primitive decomposition of the identity
 # --------------------------------------------------------------------------
@@ -668,15 +599,27 @@ class ScanReport:
 
 
 def primitive_central_idempotents_q(params: ModelParams) -> list[RingElement]:
-    """All primitive central idempotents of the ring over Q, verified."""
+    """All primitive central idempotents of the ring over Q, verified.
+
+    The ring over Q is a matrix algebra times the Q[Gamma_i], and Q[Gamma_i]
+    has one simple component per cyclic subgroup of Gamma_i (Perlis-Walker).
+    A complete family of nonzero orthogonal central idempotents that large
+    is therefore primitive; count, nonzeroness, idempotency, centrality,
+    orthogonality and the sum are all checked.
+    """
     ring = tring(params)
     decomp = central_decomposition(params, QQ)
     prims = [decomp.projectors[0]]
     for i in range(1, params.n + 1):
         iso = decomp.isos[i]
-        for idem in iso.gamma.primitive_rational_idempotents():
-            prims.append(iso.from_group_algebra(idem))
+        idems = iso.gamma.primitive_rational_idempotents()
+        cyclic = len(iso.gamma.cyclic_subgroups)
+        if len(idems) != cyclic:
+            _violation(f"simple components of Q[Gamma_{i}]", len(idems), cyclic)
+        prims.extend(iso.from_group_algebra(idem) for idem in idems)
     for x in prims:
+        if x.is_zero():
+            _violation("primitive central idempotent is nonzero", x, None)
         if ring.mult(x, x) != x:
             _violation("primitive central idempotent", ring.mult(x, x), x)
         for b in ring.basis:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NotInvertible, NotUnit, ShapeMismatch
+from .errors import ShapeMismatch
 from .exactarith import (
     QQ,
     ZZ,
-    det_int,
     field_mat_mul,
     mat_eq,
     mat_inverse_over_field,
@@ -72,55 +71,6 @@ class TwistedMatRing:
         if self.scalar is ZZ:
             zero = [[0] * self.size for _ in range(self.size)]
         return mat_eq(self.mult(a, b), zero) and mat_eq(self.mult(b, a), zero)
-
-
-class RcIso:
-    """The ring isomorphism R_c -> R_d, r -> v r u, valid when c = u d v."""
-
-    def __init__(self, c, d, u, v, scalar=ZZ):
-        self.scalar = scalar
-        self.c, self.d, self.u, self.v = c, d, u, v
-        if scalar is ZZ:
-            if abs(det_int(u)) != 1 or abs(det_int(v)) != 1:
-                raise NotUnit("transformation matrices must be unimodular")
-            if not mat_eq(c, mat_mul(mat_mul(u, d), v)):
-                raise ValueError("c != u d v")
-        else:
-            K = scalar
-            try:
-                mat_inverse_over_field(u, K)
-                mat_inverse_over_field(v, K)
-            except NotInvertible as exc:
-                raise NotUnit(str(exc)) from exc
-            lhs = mat_lift(c, K)
-            rhs = field_mat_mul(
-                field_mat_mul(mat_lift(u, K), mat_lift(d, K), K), mat_lift(v, K), K
-            )
-            if not mat_eq(lhs, rhs):
-                raise ValueError("c != u d v over " + K.name)
-
-    def apply(self, r):
-        if self.scalar is ZZ:
-            return mat_mul(mat_mul(self.v, r), self.u)
-        K = self.scalar
-        return field_mat_mul(
-            field_mat_mul(mat_lift(self.v, K), mat_lift(r, K), K),
-            mat_lift(self.u, K),
-            K,
-        )
-
-    def verify_multiplicative(self, samples) -> bool:
-        size = mat_shape(self.c)[0]
-        ring_c = TwistedMatRing(size, self.c, self.scalar)
-        ring_d = TwistedMatRing(size, self.d, self.scalar)
-        for a in samples:
-            for b in samples:
-                if not mat_eq(
-                    self.apply(ring_c.mult(a, b)),
-                    ring_d.mult(self.apply(a), self.apply(b)),
-                ):
-                    return False
-        return True
 
 
 def matrix_units(l: int):

@@ -18,7 +18,14 @@ import time
 import numpy as np
 
 from . import blocks, cartan, mackey
-from .errors import ArithmeticBound, CharacterIllDefined, TsringError, UnrecognizedShape
+from .errors import (
+    ArithmeticBound,
+    CharacterIllDefined,
+    ScanTooLarge,
+    TheoremViolation,
+    TsringError,
+    UnrecognizedShape,
+)
 from .exactarith import QQ, scalar_ring
 from .groupmodel import make_params
 from .tring import basis_label, basis_to_json, sort_key, tring
@@ -273,6 +280,9 @@ def _check_theorem_d(params, ring, fields):
     return status, {"fields": results}
 
 
+_DECISIONS = {"semisimple": "Yes", "inconclusive": "Inconclusive"}
+
+
 def _check_semisimple(params, ring, fields):
     results = []
     status = "ok"
@@ -285,13 +295,14 @@ def _check_semisimple(params, ring, fields):
         expected = q != params.p and invertible
         verdict_yes = decision.verdict == "semisimple"
         if decision.verdict == "inconclusive":
-            status = "inconclusive"
+            if status == "ok":
+                status = "inconclusive"
         elif verdict_yes != expected:
             status = "violation"
         results.append(
             {
                 "field": K.name,
-                "decision": "Yes" if verdict_yes else "No",
+                "decision": _DECISIONS.get(decision.verdict, "No"),
                 "method": decision.method,
                 "aut_order_invertible": "Yes" if invertible else "No",
             }
@@ -310,20 +321,25 @@ def cmd_verify(args) -> int:
     checks = []
     overall = "ok"
     for w in which:
-        if w == "oracle":
-            status, payload = _check_oracle(params, ring)
-        elif w == "assoc":
-            status, payload = _check_assoc(params, ring)
-        elif w == "theorem-a":
-            status, payload = _check_theorem_a(params, ring)
-        elif w == "theorem-b":
-            status, payload = _check_theorem_b(params, ring, fields)
-        elif w == "theorem-c":
-            status, payload = _check_theorem_c(params, ring, args.scan_bound)
-        elif w == "theorem-d":
-            status, payload = _check_theorem_d(params, ring, fields)
-        else:
-            status, payload = _check_semisimple(params, ring, fields)
+        try:
+            if w == "oracle":
+                status, payload = _check_oracle(params, ring)
+            elif w == "assoc":
+                status, payload = _check_assoc(params, ring)
+            elif w == "theorem-a":
+                status, payload = _check_theorem_a(params, ring)
+            elif w == "theorem-b":
+                status, payload = _check_theorem_b(params, ring, fields)
+            elif w == "theorem-c":
+                status, payload = _check_theorem_c(params, ring, args.scan_bound)
+            elif w == "theorem-d":
+                status, payload = _check_theorem_d(params, ring, fields)
+            else:
+                status, payload = _check_semisimple(params, ring, fields)
+        except TheoremViolation as exc:
+            status, payload = "violation", {"error": str(exc)}
+        except ScanTooLarge as exc:
+            status, payload = "inconclusive", {"error": str(exc)}
         checks.append({"name": w, "status": status, "details": payload})
         if status == "violation":
             overall = "violation"

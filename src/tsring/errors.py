@@ -33,16 +33,8 @@ class NotInvertible(TsringError):
     """Element or matrix is not invertible over the requested ring."""
 
 
-class NotUnit(TsringError):
-    """A ring element required to be a unit is not one."""
-
-
 class ShapeMismatch(TsringError):
     """Matrix shapes are incompatible with the requested operation."""
-
-
-class BadGaloisIndex(TsringError):
-    """Galois automorphism index is not coprime to the conductor."""
 
 
 class CharacterIllDefined(TsringError):

@@ -1,8 +1,8 @@
 """Exact scalar arithmetic and integer matrix normal forms.
 
 Everything here is exact: arbitrary-precision integers, reduced
-rationals, prime fields F_q, and cyclotomic quotient rings
-Q[x]/(Phi_m(x)).  No floating point occurs anywhere in the package.
+rationals and prime fields F_q.  No floating point occurs anywhere in
+the package.
 
 Matrices are plain lists of rows.  The Smith normal form routine
 returns transformation certificates (d, u, v) with d = u*c*v, u and v
@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .errors import BadGaloisIndex, NotInvertible, NotPrime, ShapeMismatch
+from .errors import NotInvertible, NotPrime, ShapeMismatch
 
 
 def is_prime(q: int) -> bool:
@@ -548,152 +547,3 @@ def nullspace_over_field(a, K):
             vec[pcol] = K.neg(red[r][j])
         basis.append(vec)
     return basis
-
-
-# --------------------------------------------------------------------------
-# cyclotomic quotient rings Q[x]/(Phi_m)
-# --------------------------------------------------------------------------
-
-_cyclotomic_cache: dict[int, tuple[int, ...]] = {}
-
-
-def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_m, ascending degree."""
-    if m < 1:
-        raise ValueError("conductor must be positive")
-    if m in _cyclotomic_cache:
-        return _cyclotomic_cache[m]
-    # (x^m - 1) divided by the product of Phi_d over proper divisors d of m
-    num = [0] * (m + 1)
-    num[0] = -1
-    num[m] = 1
-    for d in range(1, m):
-        if m % d == 0:
-            num = _poly_exact_div(num, list(cyclotomic_polynomial(d)))
-    result = tuple(num)
-    _cyclotomic_cache[m] = result
-    return result
-
-
-def _poly_exact_div(num, den):
-    num = list(num)
-    out_deg = len(num) - len(den)
-    out = [0] * (out_deg + 1)
-    lead = den[-1]
-    for k in range(out_deg, -1, -1):
-        coef = num[k + len(den) - 1]
-        if coef % lead != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q = coef // lead
-        out[k] = q
-        if q:
-            for i, d in enumerate(den):
-                num[k + i] -= q * d
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
-
-
-class CyclotomicRing:
-    """Exact arithmetic in Q[x]/(Phi_m); elements are coefficient tuples.
-
-    Supports the Galois action sigma_a: x -> x^a for gcd(a, m) = 1 and a
-    rational-trace map (sum over the full Galois orbit, which always lands
-    in Q).
-    """
-
-    def __init__(self, m: int):
-        self.m = m
-        self.modulus = cyclotomic_polynomial(m)
-        self.degree = len(self.modulus) - 1
-        self.zero = tuple([Fraction(0)] * self.degree)
-        # x^k reduced mod Phi_m for k = 0 .. m-1 (and up to 2*degree for
-        # products); x^m reduces to 1 so exponents are taken mod m.
-        self._powers = self._power_table()
-        self.one = self._powers[0]
-        self.galois_indices = tuple(a for a in range(1, m + 1) if gcd(a, m) == 1)
-
-    def _power_table(self):
-        deg = self.degree
-        powers = []
-        cur = [Fraction(0)] * deg
-        cur[0] = Fraction(1)
-        for _ in range(max(self.m, 2 * deg)):
-            powers.append(tuple(cur))
-            # multiply by x, then reduce the overflow coefficient
-            nxt = [Fraction(0)] + cur[:]
-            if nxt[deg] != 0:
-                top = nxt.pop()
-                for i in range(deg):
-                    nxt[i] -= top * self.modulus[i]
-            else:
-                nxt.pop()
-            cur = nxt
-        return powers
-
-    def from_rational(self, q):
-        vec = [Fraction(0)] * self.degree
-        vec[0] = Fraction(q)
-        return tuple(vec)
-
-    def zeta_pow(self, k: int):
-        return self._powers[k % self.m]
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def scale(self, q, a):
-        q = Fraction(q)
-        return tuple(q * x for x in a)
-
-    def mul(self, a, b):
-        deg = self.degree
-        conv = [Fraction(0)] * (2 * deg - 1 if deg > 0 else 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y == 0:
-                    continue
-                conv[i + j] += x * y
-        out = [Fraction(0)] * deg
-        for k, coef in enumerate(conv):
-            if coef == 0:
-                continue
-            pw = self._powers[k] if k < len(self._powers) else self.zeta_pow(k)
-            for i in range(deg):
-                out[i] += coef * pw[i]
-        return tuple(out)
-
-    def galois(self, a: int, z):
-        if gcd(a, self.m) != 1:
-            raise BadGaloisIndex(f"gcd({a}, {self.m}) != 1")
-        out = [Fraction(0)] * self.degree
-        for i, coef in enumerate(z):
-            if coef == 0:
-                continue
-            pw = self.zeta_pow(a * i)
-            for t in range(self.degree):
-                out[t] += coef * pw[t]
-        return tuple(out)
-
-    def is_rational(self, z) -> bool:
-        return all(c == 0 for c in z[1:])
-
-    def as_rational(self, z) -> Fraction:
-        if not self.is_rational(z):
-            raise ValueError(f"{z} is not rational")
-        return z[0]
-
-    def rational_trace(self, z) -> Fraction:
-        """Sum of the full Galois orbit of z, returned as a rational."""
-        total = self.zero
-        for a in self.galois_indices:
-            total = self.add(total, self.galois(a, z))
-        return self.as_rational(total)

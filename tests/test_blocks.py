@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import BEYOND_INSTANCES, INSTANCES
 
 from tsring import blocks
 from tsring.errors import BadLevel, CharIsP, ScanTooLarge
@@ -26,19 +27,42 @@ def test_level_group_orders(any_params):
 
 
 def test_level_group_non_cyclic_two_power():
+    # (Z/8)^x = {1, 3, 5, 7} is a Klein four-group: no cyclic quotient of
+    # order 4, so four idempotents, one per subgroup of index at most 2
     gamma = blocks.level_group(make_params(2, 3, 1), 3)
     assert gamma.order == 4
-    assert sorted(order for _, order in gamma.factors) == [2, 2]
-    assert gamma.exponent == 2
+    quarter = Fraction(1, 4)
+    signs = [(1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1)]
+    assert gamma.primitive_rational_idempotents() == [
+        {(u, 0): s * quarter for u, s in zip((1, 3, 5, 7), row)} for row in signs
+    ]
 
 
-def test_level_group_primitive_idempotents(any_params):
-    params = any_params
+def _distinct_cyclic_subgroups(gamma):
+    out = set()
+    for g in gamma.elements:
+        powers = {gamma.identity}
+        cur = g
+        while cur != gamma.identity:
+            powers.add(cur)
+            cur = gamma.mul(cur, g)
+        out.add(frozenset(powers))
+    return len(out)
+
+
+@pytest.mark.parametrize(
+    "triple", INSTANCES + BEYOND_INSTANCES, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}"
+)
+def test_level_group_primitive_idempotents(triple):
+    params = make_params(*triple)
     for i in range(1, params.n + 1):
         gamma = blocks.level_group(params, i)
         idems = gamma.primitive_rational_idempotents()
+        # one per simple component of Q[Gamma], i.e. per cyclic subgroup
+        assert len(idems) == _distinct_cyclic_subgroups(gamma)
         total = {}
         for x in idems:
+            assert x
             assert blocks.ga_eq(QQ, blocks.ga_mul(gamma, QQ, x, x), x)
             total = blocks.ga_add(QQ, total, x)
         for a_idx, x in enumerate(idems):
@@ -330,9 +354,9 @@ def test_stated_criterion_values():
 
 def test_block_iso_dispatcher():
     params = make_params(3, 1, 1)
-    bottom = blocks.block_iso(params, QQ, 0)
+    bottom = blocks.central_decomposition(params, QQ).isos[0]
     assert bottom.to_matrix(bottom.projector) == [[Fraction(1)]]
-    top = blocks.block_iso(params, QQ, 1)
+    top = blocks.central_decomposition(params, QQ).isos[1]
     assert top.gamma.order == 2
     assert top.checks["multiplicative"] and top.checks["round_trip"]
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tsring import cartan
-from tsring.errors import NotInvertible, NotUnit, ShapeMismatch
+from tsring.errors import NotInvertible, ShapeMismatch
 from tsring.exactarith import (
     GF,
     QQ,
@@ -74,39 +74,6 @@ def test_twisted_shape_mismatch():
     ring = cartan.TwistedMatRing(2, identity_matrix(2))
     with pytest.raises(ShapeMismatch):
         ring.mult([[1, 2, 3]], [[1], [2], [3]])
-
-
-# ------------------------------------------------------------------- rc_iso
-
-
-def test_rc_iso_identity():
-    iso = cartan.RcIso(identity_matrix(2), identity_matrix(2), identity_matrix(2), identity_matrix(2))
-    assert iso.apply([[1, 2], [3, 4]]) == [[1, 2], [3, 4]]
-
-
-def test_rc_iso_snf_route():
-    c = [[5, 4], [4, 5]]
-    result = snf(c)
-    d = [list(r) for r in result.d]
-    u_inv = _int_inverse([list(r) for r in result.u])
-    v_inv = _int_inverse([list(r) for r in result.v])
-    # d = u c v means c = u^(-1) d v^(-1)
-    iso = cartan.RcIso(c, d, u_inv, v_inv)
-    samples = cartan.matrix_units(2)
-    assert iso.verify_multiplicative(samples)
-
-
-def test_rc_iso_field_route():
-    c = [[5, 4], [4, 5]]
-    iso = cartan.RcIso(c, identity_matrix(2), c, identity_matrix(2), scalar=QQ)
-    lifted = mat_lift([[1, 2], [0, 1]], QQ)
-    assert iso.apply(lifted) == field_mat_mul(lifted, mat_lift(c, QQ), QQ)
-    assert iso.verify_multiplicative([mat_lift(m, QQ) for m in cartan.matrix_units(2)])
-
-
-def test_rc_iso_rejects_non_units():
-    with pytest.raises(NotUnit):
-        cartan.RcIso([[2, 0], [0, 2]], identity_matrix(2), [[2, 0], [0, 1]], identity_matrix(2))
 
 
 # --------------------------------------------------- integral idempotents

@@ -10,7 +10,7 @@ from conftest import INSTANCES, SMALL_INSTANCES
 
 from tsring import blocks, cli
 from tsring.cli import _check_assoc, main
-from tsring.errors import ArithmeticBound, UnrecognizedShape
+from tsring.errors import ArithmeticBound, TheoremViolation, UnrecognizedShape
 from tsring.exactarith import ZZ
 from tsring.groupmodel import make_params
 from tsring.mackey import MackeyOracle
@@ -314,6 +314,60 @@ def test_verify_semisimple_violation_at_char_p(monkeypatch, capsys):
     entry = doc["payload"]["checks"][0]["details"]["fields"][0]
     assert entry["decision"] == "Yes"
     assert entry["aut_order_invertible"] == "Yes"
+
+
+def test_verify_semisimple_violation_outranks_inconclusive(monkeypatch, capsys):
+    # a violation at F3 stands even when a later field is inconclusive
+    def decide(params, q):
+        verdict = "semisimple" if q == 3 else "inconclusive"
+        return blocks.SemisimplicityDecision(params, q, verdict, "injected")
+
+    monkeypatch.setattr(blocks, "semisimplicity_decide", decide)
+    args = ["--p", "3", "--n", "1", "--e", "1", "--which", "semisimple", "--field", "F3,F5"]
+    code, out = run_cli(["verify", *args], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "violation"
+    check = doc["payload"]["checks"][0]
+    assert check["status"] == "violation"
+    assert [f["decision"] for f in check["details"]["fields"]] == ["Yes", "Inconclusive"]
+
+
+def test_verify_theorem_violation_is_reported(monkeypatch, capsys):
+    # a TheoremViolation inside a check fails that check, with the failing
+    # identity in the report; the other checks still run
+    def broken(params, S):
+        raise TheoremViolation("f_0 f_1: injected != 0")
+
+    monkeypatch.setattr(blocks, "central_decomposition", broken)
+    args = ["--p", "3", "--n", "1", "--e", "1", "--which", "theorem-a,theorem-d,theorem-b"]
+    code, out = run_cli(["verify", *args], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "violation"
+    checks = {c["name"]: c for c in doc["payload"]["checks"]}
+    assert [c["name"] for c in doc["payload"]["checks"]] == [
+        "theorem-a",
+        "theorem-d",
+        "theorem-b",
+    ]
+    assert checks["theorem-d"]["status"] == "violation"
+    assert checks["theorem-d"]["details"] == {"error": "f_0 f_1: injected != 0"}
+    assert checks["theorem-a"]["status"] == "ok"
+    assert checks["theorem-b"]["status"] == "ok"
+
+
+def test_verify_scan_bound_is_inconclusive(capsys):
+    # (3,2,2) has 7 primitive central idempotents over Q, past a bound of 3
+    args = ["--p", "3", "--n", "2", "--e", "2", "--which", "theorem-c,theorem-a"]
+    code, out = run_cli(["verify", *args, "--scan-bound", "3"], capsys)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "inconclusive"
+    scan, other = doc["payload"]["checks"]
+    assert scan["name"] == "theorem-c" and scan["status"] == "inconclusive"
+    assert scan["details"] == {"error": "7 primitive idempotents exceed the bound 3"}
+    assert other["name"] == "theorem-a" and other["status"] == "ok"
 
 
 def test_verify_multiple_checks(capsys):

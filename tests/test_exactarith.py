@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic, Smith normal form, cyclotomic rings."""
+"""Exact scalar arithmetic and Smith normal form."""
 
 import random
 from fractions import Fraction
@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsring.errors import BadGaloisIndex, NotInvertible
+from tsring.errors import NotInvertible
 from tsring.exactarith import (
     GF,
     QQ,
     ZZ,
-    CyclotomicRing,
-    cyclotomic_polynomial,
     det_int,
     field_mat_mul,
     field_identity,
@@ -208,55 +206,6 @@ def test_det_int_matches_field_det():
         from tsring.exactarith import det_over_field
 
         assert Fraction(det_int(mat)) == det_over_field(mat, QQ)
-
-
-# ------------------------------------------------------------- cyclotomics
-
-
-def test_cyclotomic_polynomials():
-    assert cyclotomic_polynomial(1) == (-1, 1)
-    assert cyclotomic_polynomial(4) == (1, 0, 1)
-    assert cyclotomic_polynomial(5) == (1, 1, 1, 1, 1)
-    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
-
-
-def test_cyclotomic_m1_is_rational():
-    ring = CyclotomicRing(1)
-    z = ring.from_rational(Fraction(3, 7))
-    assert ring.rational_trace(z) == Fraction(3, 7)
-    assert ring.mul(z, z) == ring.from_rational(Fraction(9, 49))
-
-
-def test_cyclotomic_galois_action_m4():
-    ring = CyclotomicRing(4)
-    zeta = ring.zeta_pow(1)
-    assert ring.galois(3, zeta) == ring.neg(zeta)
-    with pytest.raises(BadGaloisIndex):
-        ring.galois(2, zeta)
-
-
-def test_cyclotomic_trace_m5():
-    ring = CyclotomicRing(5)
-    assert ring.rational_trace(ring.zeta_pow(1)) == Fraction(-1)
-
-
-def test_cyclotomic_root_of_unity_relation():
-    for m in (1, 2, 3, 4, 5, 6, 8, 9, 12):
-        ring = CyclotomicRing(m)
-        phi = cyclotomic_polynomial(m)
-        acc = ring.zero
-        for k, coef in enumerate(phi):
-            acc = ring.add(acc, ring.scale(coef, ring.zeta_pow(k)))
-        assert acc == ring.zero
-        # zeta has exact order m
-        assert ring.zeta_pow(m) == ring.one
-
-
-def test_cyclotomic_product_respects_exponents():
-    ring = CyclotomicRing(12)
-    for a in range(12):
-        for b in range(12):
-            assert ring.mul(ring.zeta_pow(a), ring.zeta_pow(b)) == ring.zeta_pow(a + b)
 
 
 def test_is_prime_small():
