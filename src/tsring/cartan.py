@@ -37,6 +37,16 @@ def cartan_matrix(params) -> list[list[int]]:
     return [[m + 1 if i == j else m for j in range(e)] for i in range(e)]
 
 
+def cartan_inverse(params, K) -> list[list]:
+    """C^{-1} = I - (m/p^n) J over a field K of characteristic != p.
+
+    C = I + m J with J the all-ones matrix, J^2 = e J and 1 + m e = p^n.
+    """
+    shift = K.neg(K.div(K.from_int(params.multiplicity), K.from_int(params.pn)))
+    e = params.e
+    return [[K.add(K.one, shift) if i == j else shift for j in range(e)] for i in range(e)]
+
+
 class TwistedMatRing:
     """Square matrices with the product a *_c b = a c b."""
 
@@ -150,18 +160,6 @@ def projective_identity(c, K):
     NotInvertible when det(C) vanishes in K.
     """
     return mat_inverse_over_field(c, K)
-
-
-def projective_primitive_decomposition(c, K) -> list:
-    """Row slices of C^{-1}: l orthogonal idempotents summing to C^{-1}."""
-    size = mat_shape(c)[0]
-    inverse = mat_inverse_over_field(c, K)
-    out = []
-    for i in range(size):
-        piece = [[K.zero] * size for _ in range(size)]
-        piece[i] = list(inverse[i])
-        out.append(piece)
-    return out
 
 
 def matrix_to_projective_element(ring: TRing, S, mat) -> RingElement:

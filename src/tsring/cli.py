@@ -3,7 +3,8 @@
 Reports are canonical JSON (sorted keys, integers as decimal strings,
 rationals as "num/den"), so identical inputs produce byte-identical
 output; wall-clock timing goes to stderr only.  Exit codes: 0 ok,
-1 verification violation, 2 usage error, 3 inconclusive.
+1 verification violation, 2 usage error, 3 inconclusive (a check that
+could not decide, or was skipped at every requested field).
 """
 
 from __future__ import annotations
@@ -234,6 +235,13 @@ def _check_theorem_a(params, ring):
     return ("ok" if ok else "violation"), {"count": str(len(certs))}
 
 
+def _skipped_unless_certified(status, results):
+    """A check whose every field was skipped certified nothing."""
+    if all(r.get("status") == "skipped (char p)" for r in results):
+        return "skipped"
+    return status
+
+
 def _check_theorem_b(params, ring, fields):
     results = []
     status = "ok"
@@ -248,7 +256,7 @@ def _check_theorem_b(params, ring, fields):
         if not ok:
             status = "violation"
         results.append({"field": K.name, "central": central, "idempotent": idem})
-    return status, {"fields": results}
+    return _skipped_unless_certified(status, results), {"fields": results}
 
 
 def _check_theorem_c(params, ring, scan_bound):
@@ -277,7 +285,7 @@ def _check_theorem_d(params, ring, fields):
             continue
         decomp = blocks.central_decomposition(params, K)
         results.append({"field": K.name, "dims": [str(d) for d in decomp.dims]})
-    return status, {"fields": results}
+    return _skipped_unless_certified(status, results), {"fields": results}
 
 
 _DECISIONS = {"semisimple": "Yes", "inconclusive": "Inconclusive"}
@@ -343,7 +351,7 @@ def cmd_verify(args) -> int:
         checks.append({"name": w, "status": status, "details": payload})
         if status == "violation":
             overall = "violation"
-        elif status == "inconclusive" and overall == "ok":
+        elif status in ("inconclusive", "skipped") and overall == "ok":
             overall = "inconclusive"
     _write(_report("verify", params, overall, {"checks": checks}), args.out)
     if overall == "violation":

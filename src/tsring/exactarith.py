@@ -495,32 +495,6 @@ def rank_over_field(a, K) -> int:
     return len(pivots)
 
 
-def det_over_field(a, K):
-    rows, cols = mat_shape(a)
-    if rows != cols:
-        raise ShapeMismatch("determinant of a non-square matrix")
-    m = mat_lift(a, K)
-    det = K.one
-    for col in range(cols):
-        pivot_row = None
-        for i in range(col, rows):
-            if not K.is_zero(m[i][col]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return K.zero
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = K.neg(det)
-        det = K.mul(det, m[col][col])
-        inv = K.inv(m[col][col])
-        for i in range(col + 1, rows):
-            if not K.is_zero(m[i][col]):
-                factor = K.mul(m[i][col], inv)
-                m[i] = [K.sub(x, K.mul(factor, y)) for x, y in zip(m[i], m[col])]
-    return det
-
-
 def mat_inverse_over_field(c, K):
     """Exact two-sided inverse over the field K; raises NotInvertible."""
     rows, cols = mat_shape(c)

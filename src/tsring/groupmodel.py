@@ -190,15 +190,6 @@ def make_params(p: int, n: int, e: int) -> ModelParams:
 # --------------------------------------------------------------------------
 
 
-def pi(params: ModelParams, i: int, unit: int) -> int:
-    """Restrict an automorphism (a unit) to level i: reduction mod p^i."""
-    if not 1 <= i <= params.n:
-        raise BadLevel(f"level {i} outside 1..{params.n}")
-    if unit % params.p == 0:
-        raise BadOrder(f"{unit} is not a unit (divisible by {params.p})")
-    return unit % params.p**i
-
-
 @lru_cache(maxsize=None)
 def _pi_e_image(params: ModelParams, i: int) -> tuple[int, ...]:
     return tuple(sorted({s % params.p**i for s in params.subgroup_E}))
@@ -224,12 +215,6 @@ def canonical_coset(params: ModelParams, i: int, unit: int) -> AutCoset:
     q = params.p**i
     rep = min(unit * s % q for s in _pi_e_image(params, i))
     return AutCoset(level=i, rep=rep)
-
-
-def coset_mul(params: ModelParams, a: AutCoset, b: AutCoset) -> AutCoset:
-    if a.level != b.level:
-        raise BadLevel("cosets at different levels")
-    return canonical_coset(params, a.level, a.rep * b.rep % params.p**a.level)
 
 
 # --------------------------------------------------------------------------
@@ -338,19 +323,6 @@ class SubgroupGG:
     def __repr__(self):
         return f"SubgroupGG(tag={self.tag}, order={len(self.codes)})"
 
-    def first_projection(self) -> frozenset:
-        return frozenset(a for a, _ in self.elements)
-
-    def left_kernel(self) -> frozenset:
-        """k_1: elements g of G with (g, 1) in the subgroup."""
-        ident = self.params.identity
-        return frozenset(a for a, b in self.elements if b == ident)
-
-    def right_kernel(self) -> frozenset:
-        """k_2: elements h of G with (1, h) in the subgroup."""
-        ident = self.params.identity
-        return frozenset(b for a, b in self.elements if a == ident)
-
 
 def _encode(table, g, h) -> np.ndarray:
     """Pair codes g*|G| + h of index arrays g and h."""
@@ -430,11 +402,6 @@ def subgroup_diag_pe(params, i, unit, lam=None) -> SubgroupGG:
     return SubgroupGG.from_pairs(
         params, (TAG_DIAG_PE, i, unit % params.p**i), elements, character
     )
-
-
-def delta_g(params) -> SubgroupGG:
-    """The plain diagonal of G."""
-    return subgroup_diag_pe(params, params.n, 1)
 
 
 # --------------------------------------------------------- shape recognition
@@ -566,12 +533,6 @@ def double_coset_partition(params: ModelParams, i: int, j: int) -> tuple:
     return tuple(cosets)
 
 
-def double_cosets(params: ModelParams, i: int, j: int) -> list[GElement]:
-    """Canonical representatives: identity's coset first, then least-first."""
-    table = group_table(params)
-    return [table.elems[block[0]] for block in double_coset_partition(params, i, j)]
-
-
 @lru_cache(maxsize=None)
 def double_cosets_in_d(params: ModelParams, i: int, j: int) -> tuple[GElement, ...]:
     """One representative per double coset, chosen inside D."""
@@ -582,61 +543,3 @@ def double_cosets_in_d(params: ModelParams, i: int, j: int) -> tuple[GElement, .
         assert in_d, "every double coset meets D"
         reps.append(min(in_d))
     return tuple(reps)
-
-
-# --------------------------------------------------------------------------
-# brute-force verification helpers (no structure theory used)
-# --------------------------------------------------------------------------
-
-
-def gg_generators(params: ModelParams) -> list[GGPair]:
-    ident = params.identity
-    gens = [((1, 1), ident), (ident, (1, 1))]
-    if params.e > 1:
-        gens += [((0, params.e_generator), ident), (ident, (0, params.e_generator))]
-    return gens
-
-
-def normalizer_bruteforce(params: ModelParams, sub: SubgroupGG) -> set[GGPair]:
-    """All (s1, s2) in G x G normalizing the subgroup, by full scan."""
-    table = group_table(params)
-    order = len(table.elems)
-    member = np.zeros((order, order), dtype=bool)
-    for a, b in sub.elements:
-        member[table.index[a], table.index[b]] = True
-    mask = np.ones((order, order), dtype=bool)
-    all_idx = np.arange(order, dtype=np.int32)
-    for a, b in sub.elements:
-        ga, gb = table.index[a], table.index[b]
-        conj_a = table.mul[table.mul[all_idx, ga], table.inv[all_idx]]
-        conj_b = table.mul[table.mul[all_idx, gb], table.inv[all_idx]]
-        mask &= member[np.ix_(conj_a, conj_b)]
-    out = set()
-    for s1 in range(order):
-        for s2 in np.nonzero(mask[s1])[0]:
-            out.add((table.elems[s1], table.elems[int(s2)]))
-    return out
-
-
-def conjugate_subgroup_orbit(params: ModelParams, sub: SubgroupGG) -> set[frozenset]:
-    """Orbit of the subgroup under G x G conjugation (generator closure)."""
-    gens = gg_generators(params)
-    start = frozenset(sub.elements)
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        cur = frontier.pop()
-        for s1, s2 in gens:
-            moved = frozenset(
-                (params.g_conj(s1, a), params.g_conj(s2, b)) for a, b in cur
-            )
-            if moved not in orbit:
-                orbit.add(moved)
-                frontier.append(moved)
-    return orbit
-
-
-def are_conjugate_bruteforce(params, sub_a: SubgroupGG, sub_b: SubgroupGG) -> bool:
-    if len(sub_a) != len(sub_b):
-        return False
-    return frozenset(sub_b.elements) in conjugate_subgroup_orbit(params, sub_a)

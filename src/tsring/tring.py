@@ -29,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BadLevel, ParamsMismatch, ScalarMismatch
-from .exactarith import ZZ, nullspace_over_field
+from .exactarith import nullspace_over_field
 from .groupmodel import ModelParams, canonical_coset
 
 
@@ -151,16 +151,6 @@ class RingElement:
         self._require_compatible(other)
         return self.ring.mult(self, other)
 
-    def map_scalar(self, target):
-        """Reinterpret coefficients in another scalar ring, exactly."""
-        if self.scalar is ZZ:
-            conv = target.from_int
-        else:
-            conv = target.from_fraction
-        return RingElement(
-            self.ring, target, {b: conv(v) for b, v in self.coeffs.items()}
-        )
-
     def to_json(self) -> list:
         S = self.scalar
         return [
@@ -190,6 +180,8 @@ class TRing:
         self._pair_table: dict = {}
         self._structure_arrays = None
         self._int_gram = None
+        # certified block data, built once per ring by tsring.blocks
+        self.block_memo: dict = {}
 
     def _build_basis(self):
         params = self.params
@@ -380,10 +372,6 @@ class TRing:
                     )
             self._int_gram = gram
         return self._int_gram
-
-    def trace_form_gram(self, S) -> list[list]:
-        gram = self.gram_int()
-        return [[S.from_int(x) for x in row] for row in gram]
 
     def center_basis(self, S) -> list[RingElement]:
         """Basis of the centralizer of the whole ring, by exact linear solve."""

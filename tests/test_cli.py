@@ -162,14 +162,6 @@ def _mutate_mult_basis(monkeypatch, a, b, c, delta):
     monkeypatch.setattr(TRing, "mult_basis", mult_basis)
 
 
-@pytest.fixture
-def fresh_rings():
-    # mutated rings must not leak into the ring cache other tests share
-    tring.cache_clear()
-    yield
-    tring.cache_clear()
-
-
 def test_verify_assoc_reports_first_failing_triple(fresh_rings, monkeypatch, capsys):
     a = b = c = NonProj(1, 1, 0)  # M[1,1,0]^2 = 2 M[1,1,0] + M[1,1,1]
     _mutate_mult_basis(monkeypatch, a, b, c, 1)
@@ -355,6 +347,36 @@ def test_verify_theorem_violation_is_reported(monkeypatch, capsys):
     assert checks["theorem-d"]["details"] == {"error": "f_0 f_1: injected != 0"}
     assert checks["theorem-a"]["status"] == "ok"
     assert checks["theorem-b"]["status"] == "ok"
+
+
+def test_verify_all_fields_char_p_is_skipped(capsys):
+    # F3 is the only field and has characteristic p: nothing is certified
+    args = ["--p", "3", "--n", "1", "--e", "1", "--which", "theorem-b,theorem-d"]
+    code, out = run_cli(["verify", *args, "--field", "F3"], capsys)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "inconclusive"
+    for check in doc["payload"]["checks"]:
+        assert check["status"] == "skipped"
+        assert check["details"] == {"fields": [{"field": "F3", "status": "skipped (char p)"}]}
+    # one certified field keeps the check's own status
+    code, out = run_cli(["verify", *args, "--field", "F3,F5"], capsys)
+    assert code == 0
+    assert [c["status"] for c in json.loads(out)["payload"]["checks"]] == ["ok", "ok"]
+
+
+def test_verify_violation_outranks_skipped(monkeypatch, capsys):
+    # theorem-b is skipped at F3; theorem-c runs over Q whatever the fields
+    def broken(params, bound=20):
+        raise TheoremViolation("injected")
+
+    monkeypatch.setattr(blocks, "rational_central_idempotent_scan", broken)
+    args = ["--p", "3", "--n", "1", "--e", "1", "--which", "theorem-b,theorem-c"]
+    code, out = run_cli(["verify", *args, "--field", "F3"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "violation"
+    assert [c["status"] for c in doc["payload"]["checks"]] == ["skipped", "violation"]
 
 
 def test_verify_scan_bound_is_inconclusive(capsys):

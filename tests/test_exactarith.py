@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import det_over_field
 
 from tsring.errors import NotInvertible
 from tsring.exactarith import (
@@ -203,8 +204,6 @@ def test_det_int_matches_field_det():
     rng = random.Random(99)
     for _ in range(25):
         mat = [[rng.randint(-6, 6) for _ in range(4)] for _ in range(4)]
-        from tsring.exactarith import det_over_field
-
         assert Fraction(det_int(mat)) == det_over_field(mat, QQ)
 
 

@@ -4,6 +4,7 @@ import pytest
 from conftest import BEYOND_INSTANCES
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import delta_g
 
 from tsring import groupmodel as gm
 from tsring.errors import UnrecognizedShape
@@ -27,7 +28,7 @@ def test_subgroup_of_identity_class_is_full_diagonal():
     params = make_params(3, 2, 2)
     sub = oracle(params).subgroup_of_basis(NonProj(2, 1, 0))
     assert sub.tag == (gm.TAG_DIAG_PE, 2, 1)
-    assert sub.elements == gm.delta_g(params).elements
+    assert sub.elements == delta_g(params).elements
     assert all(v == 0 for v in sub.character.values())
 
 
