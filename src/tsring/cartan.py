@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, TheoremViolation
 from .exactarith import (
     QQ,
     ZZ,
+    field_identity,
     field_mat_mul,
     mat_eq,
-    mat_inverse_over_field,
     mat_lift,
     mat_mul,
     mat_shape,
@@ -153,15 +153,6 @@ def orthogonal_projective_idempotents(c) -> list[IdempotentCertificate]:
     return certs
 
 
-def projective_identity(c, K):
-    """Coefficient matrix of the identity of the projective ideal over K.
-
-    This is C^{-1}: the element sum_{i,j} c'_ij P[i, j].  Raises
-    NotInvertible when det(C) vanishes in K.
-    """
-    return mat_inverse_over_field(c, K)
-
-
 def matrix_to_projective_element(ring: TRing, S, mat) -> RingElement:
     """Interpret a coefficient matrix as an element of the projective span."""
     e = ring.params.e
@@ -189,16 +180,21 @@ def projective_element_to_matrix(x: RingElement):
 
 
 def projective_identity_element(ring: TRing, K) -> RingElement:
-    return matrix_to_projective_element(ring, K, projective_identity(
-        cartan_matrix(ring.params), K
-    ))
+    """The identity sum_{i,j} c'_ij P[i, j] of the projective span over K.
+
+    C^{-1} = (c'_ij) is the closed form `cartan_inverse`, certified by
+    C C^{-1} = I over K.  Built once per ring and field.
+    """
+    key = f"projective identity over {K.name}"
+    if key not in ring.block_memo:
+        c = cartan_matrix(ring.params)
+        inverse = cartan_inverse(ring.params, K)
+        if field_mat_mul(mat_lift(c, K), inverse, K) != field_identity(len(c), K):
+            raise TheoremViolation(f"C C^-1 = I over {K.name}")
+        ring.block_memo[key] = matrix_to_projective_element(ring, K, inverse)
+    return ring.block_memo[key]
 
 
 def projective_identity_is_central(ring: TRing, K) -> bool:
     """Does the projective identity commute with every basis class?"""
-    ident = projective_identity_element(ring, K)
-    for b in ring.basis:
-        x = ring.from_basis(K, b)
-        if ring.mult(ident, x) != ring.mult(x, ident):
-            return False
-    return True
+    return not ring.noncommuting(projective_identity_element(ring, K))

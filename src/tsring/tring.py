@@ -22,7 +22,9 @@ closed-form counts only; enumeration lives in the independent oracle
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -95,7 +97,11 @@ def basis_from_json(obj: dict):
 
 
 class RingElement:
-    """Sparse element: finite map from basis elements to scalars."""
+    """Sparse element: finite map from basis elements to scalars.
+
+    Values are ints over Z, residues in [0, q) over F_q and Fractions over
+    Q; `TRing.mult` converts them to exact integer arrays and back.
+    """
 
     __slots__ = ("ring", "scalar", "coeffs")
 
@@ -170,14 +176,20 @@ class RingElement:
 
 
 class TRing:
-    """Basis, multiplication table and derived structure for one model."""
+    """Basis, multiplication table and derived structure for one model.
+
+    The structure arrays (K, V) are the only multiplication table: products,
+    the actions of an element, the trace form and the center are exact
+    integer contractions over them, in int64 under an up-front bound on the
+    sums and in Python ints past it.  Over Q an element enters as integer
+    numerators over one common denominator.
+    """
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.basis = self._build_basis()
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.one_elem = NonProj(params.n, 1, 0)
-        self._pair_table: dict = {}
         self._structure_arrays = None
         self._int_gram = None
         # certified block data, built once per ring by tsring.blocks
@@ -261,7 +273,7 @@ class TRing:
 
         e_a * e_b = sum_j V[a, b, j] e_{K[a, b, j]} over j < J, the largest
         number of terms of any basis product; unused slots hold K = V = 0.
-        Built once from `mult_basis`.
+        Built once from `mult_basis`; the ring's only multiplication table.
         """
         if self._structure_arrays is None:
             d = len(self.basis)
@@ -278,34 +290,82 @@ class TRing:
             K[rows, slots] = targets
             V[rows, slots] = coeffs
             self._structure_arrays = (K.reshape(d, d, width), V.reshape(d, d, width))
+            self._vmax = int(np.abs(V).max())
         return self._structure_arrays
 
-    def _table_entry(self, ia: int, ib: int):
-        key = (ia, ib)
-        entry = self._pair_table.get(key)
-        if entry is None:
-            prod = self.mult_basis(self.basis[ia], self.basis[ib])
-            entry = tuple((self.index[c], v) for c, v in prod.items())
-            self._pair_table[key] = entry
-        return entry
+    def _numerators(self, x: RingElement):
+        """(support indices, integer numerators, common denominator) of x.
+
+        Residues over F_q; over Q the lcm of the denominators, else 1.
+        """
+        S = x.scalar
+        support = np.array([self.index[b] for b in x.coeffs], dtype=np.intp)
+        vals = list(x.coeffs.values())
+        den = 1
+        if S.characteristic:
+            vals = [v % S.characteristic for v in vals]
+        elif S.is_field:
+            den = math.lcm(*(v.denominator for v in vals))
+            vals = [v.numerator * (den // v.denominator) for v in vals]
+        return support, vals, den
 
     def mult(self, x: RingElement, y: RingElement) -> RingElement:
+        """x * y as one contraction of the two supports through (K, V)."""
         if x.ring.params != y.ring.params:
             raise ParamsMismatch("elements over different model parameters")
         if not (x.scalar is y.scalar or x.scalar == y.scalar):
             raise ScalarMismatch(f"scalars {x.scalar.name} and {y.scalar.name}")
         S = x.scalar
-        acc: dict = {}
-        for a, ca in x.coeffs.items():
-            ia = self.index[a]
-            for b, cb in y.coeffs.items():
-                w = S.mul(ca, cb)
-                if S.is_zero(w):
-                    continue
-                for ic, k in self._table_entry(ia, self.index[b]):
-                    c = self.basis[ic]
-                    acc[c] = S.add(acc.get(c, S.zero), S.mul(w, S.from_int(k)))
-        return RingElement(self, S, acc)
+        ia, X, dx = self._numerators(x)
+        ib, Y, dy = self._numerators(y)
+        if not (X and Y):
+            return RingElement(self, S, {})
+        K, V = self.structure_arrays()
+        keys = K[ia[:, None], ib]
+        dtype = exact_dtype(_max_abs(X) * _max_abs(Y) * self._vmax * keys.size)
+        weights = np.outer(np.array(X, dtype=dtype), np.array(Y, dtype=dtype))
+        sums = _segment_sum(
+            len(self.basis), keys, weights[..., None] * V[ia[:, None], ib].astype(dtype)
+        )
+        sums = _residues(S, sums)
+        live = np.flatnonzero(sums)
+        vals = sums[live].tolist()
+        if not S.characteristic and S.is_field:
+            vals = [Fraction(v, dx * dy) for v in vals]
+        basis = self.basis
+        return RingElement(self, S, {basis[i]: v for i, v in zip(live.tolist(), vals)})
+
+    def actions(self, x: RingElement):
+        """Left and right multiplication by x as d x d integer matrices.
+
+        Returns (left, right, den): column b of `left` is den * (x * e_b)
+        and column b of `right` is den * (e_b * x), with den the common
+        denominator of x over Q and 1 otherwise (residues over F_q).  Each
+        matrix is one contraction of the support of x through (K, V).
+        """
+        S = x.scalar
+        ia, X, den = self._numerators(x)
+        K, V = self.structure_arrays()
+        d, _, width = K.shape
+        dtype = exact_dtype(_max_abs(X) * self._vmax * len(X) * width)
+        X = np.array(X, dtype=dtype)
+        cols = np.arange(d)
+        # left[c, b] sums X_a V[a, b, j] over K[a, b, j] = c
+        left = _segment_sum(
+            d * d, K[ia] * d + cols[:, None], X[:, None, None] * V[ia].astype(dtype)
+        )
+        # right[c, b] sums X_a V[b, a, j] over K[b, a, j] = c
+        right = _segment_sum(
+            d * d,
+            K[:, ia] * d + cols[:, None, None],
+            X[:, None] * V[:, ia].astype(dtype),
+        )
+        return _residues(S, left).reshape(d, d), _residues(S, right).reshape(d, d), den
+
+    def noncommuting(self, x: RingElement) -> list:
+        """The basis classes b with x * b != b * x, in basis order."""
+        left, right, _ = self.actions(x)
+        return [self.basis[j] for j in np.flatnonzero((left != right).any(axis=0))]
 
     def quotient_mult(self, i: int, x: RingElement, y: RingElement) -> RingElement:
         """Product in the quotient by the vertex-order <= p^i ideal."""
@@ -340,63 +400,62 @@ class TRing:
 
     # ------------------------------------------------------ center and trace
 
-    def _full_int_table(self):
-        for ia in range(len(self.basis)):
-            for ib in range(len(self.basis)):
-                self._table_entry(ia, ib)
-
     def regular_trace_int(self) -> list[int]:
         """tr of left multiplication by each basis element, over Z."""
-        self._full_int_table()
-        d = len(self.basis)
-        traces = []
-        for ia in range(d):
-            t = 0
-            for ix in range(d):
-                for ic, v in self._pair_table[(ia, ix)]:
-                    if ic == ix:
-                        t += v
-            traces.append(t)
-        return traces
+        K, V = self.structure_arrays()
+        d, _, width = K.shape
+        diagonal = K == np.arange(d)[:, None]  # K[a, x, j] = x: a term on e_x
+        V = V.astype(exact_dtype(d * width * self._vmax))
+        return (V * diagonal).sum(axis=(1, 2)).tolist()
 
     def gram_int(self) -> list[list[int]]:
         """Integer Gram matrix of the regular trace form on the basis."""
         if self._int_gram is None:
+            K, V = self.structure_arrays()
             traces = self.regular_trace_int()
-            d = len(self.basis)
-            gram = [[0] * d for _ in range(d)]
-            for ia in range(d):
-                for ib in range(d):
-                    gram[ia][ib] = sum(
-                        v * traces[ic] for ic, v in self._pair_table[(ia, ib)]
-                    )
-            self._int_gram = gram
+            dtype = exact_dtype(_max_abs(traces) * self._vmax * K.shape[2])
+            traces = np.array(traces, dtype=dtype)
+            self._int_gram = (traces[K] * V.astype(dtype)).sum(axis=2).tolist()
         return self._int_gram
 
     def center_basis(self, S) -> list[RingElement]:
         """Basis of the centralizer of the whole ring, by exact linear solve."""
         if not S.is_field:
             raise ScalarMismatch("center computation needs a field")
-        self._full_int_table()
-        d = len(self.basis)
-        rows = []
-        for j in range(d):
-            # commutator of the unknown with basis j, one row per coordinate
-            comm = [[0] * d for _ in range(d)]
-            for i in range(d):
-                for ic, v in self._pair_table[(i, j)]:
-                    comm[ic][i] += v
-                for ic, v in self._pair_table[(j, i)]:
-                    comm[ic][i] -= v
-            rows.extend(row for row in comm if any(row))
-        if not rows:
-            rows = [[0] * d]
-        kernel = nullspace_over_field(rows, S)
-        out = []
-        for vec in kernel:
-            coeffs = {self.basis[i]: vec[i] for i in range(d)}
-            out.append(RingElement(self, S, coeffs))
-        return out
+        K, V = self.structure_arrays()
+        d, _, width = K.shape
+        a, b, _ = np.indices(K.shape)
+        # row (j, c), column i: coefficient of e_c in e_i e_j - e_j e_i, so
+        # e_a e_b adds V to row (b, c), column a and -V to row (a, c), column b
+        comm = np.zeros((d * d, d), dtype=exact_dtype(2 * width * self._vmax))
+        np.add.at(comm, (b * d + K, a), V)
+        np.add.at(comm, (a * d + K, b), -V)
+        rows = comm[comm.any(axis=1)].tolist() or [[0] * d]
+        return [
+            RingElement(self, S, dict(zip(self.basis, vec)))
+            for vec in nullspace_over_field(rows, S)
+        ]
+
+
+def exact_dtype(bound: int):
+    """int64 for sums bounded in magnitude by `bound` < 2^62, else Python ints."""
+    return np.int64 if bound < 1 << 62 else object
+
+
+def _max_abs(values) -> int:
+    return max(map(abs, values), default=0)
+
+
+def _residues(S, sums):
+    """Integer sums as values of S: residues over F_q, else unchanged."""
+    return sums % S.characteristic if S.characteristic else sums
+
+
+def _segment_sum(size: int, keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """out[k] = sum of vals over keys == k, exact in the dtype of vals."""
+    out = np.zeros(size, dtype=vals.dtype)
+    np.add.at(out, keys.ravel(), vals.ravel())
+    return out
 
 
 @lru_cache(maxsize=None)

