@@ -18,7 +18,7 @@ from tsring import blocks
 from tsring.cartan import cartan_inverse
 from tsring.cli import main
 from tsring.errors import BadLevel, CharIsP, ScanTooLarge
-from tsring.exactarith import GF, QQ, ZZ, field_mat_mul
+from tsring.exactarith import GF, QQ, ZZ, field_mat_mul, rank_over_field
 from tsring.groupmodel import make_params
 from tsring.tring import NonProj, ProjPair, TRing, tring
 
@@ -205,7 +205,6 @@ def test_matrix_block_311():
 
 def test_matrix_block_images_of_primitives_are_rank_one():
     from tsring import cartan
-    from tsring.exactarith import rank_over_field
 
     params = make_params(3, 2, 2)
     ring = tring(params)
@@ -387,8 +386,6 @@ def test_semisimplicity_312_grid():
     }
     # characteristic p: the trace form is degenerate (the projective-class
     # sum is in its radical) even though 2 is invertible mod 3
-    from tsring.exactarith import rank_over_field
-
     gram = trace_form_gram(tring(params), GF(3))
     assert rank_over_field(gram, GF(3)) < 6
 
@@ -426,6 +423,13 @@ def _brute_force_level_multiplicative(ring, S, iso):
     )
 
 
+def _block_rank(ring, f):
+    """Dimension of the block R f: the rank of the products b f, b a basis class."""
+    S = f.scalar
+    rows = [mult_reference(ring, ring.from_basis(S, b), f) for b in ring.basis]
+    return rank_over_field([[y.coeff(b) for b in ring.basis] for y in rows], S)
+
+
 CERTIFICATE_CASES = [
     (triple, S) for triple in SMALL_INSTANCES for S in (QQ, GF(5)) if triple[0] != 5
 ] + [(triple, QQ) for triple in SMALL_INSTANCES if triple[0] == 5]
@@ -439,7 +443,22 @@ CERTIFICATE_CASES = [
 def test_block_certificates_agree_with_brute_force(triple, field):
     params = make_params(*triple)
     ring = tring(params)
-    bottom, *levels = blocks.central_decomposition(params, field).isos
+    decomp = blocks.central_decomposition(params, field)
+    # what the decomposition derives instead of recomputing, by the dict loops
+    chain, projectors = decomp.chain, decomp.projectors
+    for i, ei in enumerate(chain):
+        for j, ej in enumerate(chain):
+            assert mult_reference(ring, ei, ej) == chain[min(i, j)]
+    for i, fi in enumerate(projectors):
+        for j, fj in enumerate(projectors):
+            assert mult_reference(ring, fi, fj) == (fi if i == j else ring.zero(field))
+    total = ring.zero(field)
+    for fi in projectors:
+        total = total + fi
+    assert total == ring.one(field)
+    for fi, dim in zip(projectors, decomp.dims):
+        assert _block_rank(ring, fi) == dim
+    bottom, *levels = decomp.isos
     assert bottom.checks == {"multiplicative": True, "identity": True, "round_trip": True}
     assert _brute_force_matrix_multiplicative(ring, field, bottom)
     for b in ring.level_basis(0):
@@ -643,6 +662,41 @@ def test_noncentral_chain_element_names_the_class(fresh_rings, monkeypatch):
     first = _first_noncommuting(ring, eps)
     assert first == ProjPair(0, 1)
     assert _theorem_d_error(params, QQ) == (1, f"e_0 central at {first}: None != None")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=lambda S: S.name)
+def test_chain_element_outside_its_ideal_is_refused(fresh_rings, monkeypatch, field):
+    # e_0 = e_1 is central and the identity on the projective span, but it
+    # lies outside that span: its block R e_0 is the whole level <= 1
+    # ideal, larger than the e^2 the dimension count would claim
+    params = make_params(3, 2, 2)
+    ring = tring(params)
+    original = blocks.ideal_identity
+    monkeypatch.setattr(
+        blocks, "ideal_identity", lambda params, S, i: original(params, S, i or 1)
+    )
+    assert _block_rank(ring, original(params, field, 1)) == 6
+    assert _theorem_d_error(params, field) == (
+        1,
+        "e_0 support: NonProj(level=1, alpha=1, lam=0) != None",
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=lambda S: S.name)
+def test_lost_level_class_fails_projection(fresh_rings, monkeypatch, field):
+    # the dimension count rests on x -> x f_i being injective on the level
+    # span; an embedding that sends the last class of a level to 0 is not
+    params = make_params(3, 2, 2)
+    ring = tring(params)
+    original = blocks.LevelBlockIso.embed
+
+    def embed(self, x):
+        last = self.ring.from_basis(self.scalar, self.ring.level_basis(self.level)[-1])
+        return self.ring.zero(self.scalar) if x == last else original(self, x)
+
+    monkeypatch.setattr(blocks.LevelBlockIso, "embed", embed)
+    last = ring.from_basis(field, ring.level_basis(1)[-1])
+    assert _theorem_d_error(params, field) == (1, f"block 1 projection: 0 != {last!r}")
 
 
 def test_noncentral_primitive_names_the_class(fresh_rings, monkeypatch):

@@ -1,8 +1,12 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no module-level function or class of the package goes unreferenced, and
-no floating point enters the package."""
+no module-level function or class of the package goes unreferenced, no
+floating point enters the package, and every function the benchmark's
+per-layer metrics name exists."""
 
 import ast
+import importlib
+import inspect
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -195,4 +199,95 @@ def test_float_use_is_reported(tmp_path):
         "sample.py:7 float dtype string",
         "sample.py:8 float64",
         "sample.py:8 0.5",
+    ]
+
+
+# Per-layer metrics that perfbench/run.py derives from the traced functions
+# listed, rather than reading one statistic of one function.
+DERIVED_METRICS = {
+    "mackey.star_module.nonzero_ratio": ["mackey.MackeyOracle.star_module"],
+    "mackey.canonicalize.conj_per_call": ["mackey.MackeyOracle.canonicalize", "groupmodel.conj"],
+}
+STATISTICS = {"calls", "s", "self_s"}
+
+
+def _public_function(dotted: str) -> bool:
+    """Is `module.name` or `module.Class.method` a public function of tsring?"""
+    module, *path = dotted.split(".")
+    try:
+        mod = importlib.import_module(f"tsring.{module}")
+    except ModuleNotFoundError:
+        return False
+    obj = vars(mod).get(path[0])
+    if path[0].startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+        return False
+    if len(path) == 1:
+        return inspect.isroutine(obj)
+    method = path[-1]
+    return (
+        len(path) == 2
+        and isinstance(obj, type)
+        and (method == "__init__" or not method.startswith("_"))
+        and inspect.isfunction(vars(obj).get(method))
+    )
+
+
+def per_layer_problems(names, checks) -> list[str]:
+    """Per-layer metric names that no longer name what they measure.
+
+    `<module>.<name>[.<method>].<statistic>` must name a public function or
+    method of tsring, `cli.check.<check>.<statistic>` a check of `verify`;
+    `proc.*` metrics measure the process.
+    """
+    problems = []
+    for name in names:
+        if name.startswith("proc."):
+            continue
+        if name in DERIVED_METRICS:
+            missing = [fn for fn in DERIVED_METRICS[name] if not _public_function(fn)]
+            problems += [f"{name}: no such public function {fn}" for fn in missing]
+            continue
+        target, _, stat = name.rpartition(".")
+        if stat not in STATISTICS:
+            problems.append(f"{name}: unknown statistic")
+        elif target.startswith("cli.check."):
+            if target.removeprefix("cli.check.") not in checks:
+                problems.append(f"{name}: no such check")
+        elif not _public_function(target):
+            problems.append(f"{name}: no such public function")
+    return problems
+
+
+def test_benchmark_per_layer_names_resolve():
+    from tsring.cli import VERIFY_CHECKS
+
+    path = SRC.parent.parent / "BENCHMARK.json"
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    names = [metric["name"] for metric in bench["per_layer"]]
+    assert per_layer_problems(names, VERIFY_CHECKS) == []
+
+
+def test_unresolved_per_layer_name_is_reported():
+    names = [
+        "proc.cpu_s",
+        "cli.check.assoc.s",
+        "tring.TRing.mult.calls",
+        "tring.tring.s",
+        "groupmodel.SubgroupGG.__init__.self_s",
+        "cli.check.nothing.s",
+        "blocks._decompose.s",
+        "blocks.gone.calls",
+        "blocks.LevelGroup._table.calls",
+        "exactarith.QQ.s",
+        "nomodule.f.s",
+        "tring.TRing.mult.median",
+    ]
+    assert per_layer_problems(names, ("assoc",)) == [
+        "cli.check.nothing.s: no such check",
+        "blocks._decompose.s: no such public function",
+        "blocks.gone.calls: no such public function",
+        "blocks.LevelGroup._table.calls: no such public function",
+        "exactarith.QQ.s: no such public function",
+        "nomodule.f.s: no such public function",
+        "tring.TRing.mult.median: unknown statistic",
     ]
