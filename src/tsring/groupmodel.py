@@ -16,8 +16,13 @@ A subgroup of G x G is a sorted int64 array of pair codes g*|G| + h
 (indices as in GroupTable) with an aligned int64 array of character
 values mod e; conjugation, star products and shape recognition are numpy
 gathers, joins and lookups on them.  Only the named constructors verify
-closure and characters: star products and conjugates of subgroups are
-subgroups by construction.
+closure and characters, closure once per code array: star products and
+conjugates of subgroups are subgroups by construction.
+
+`star` takes a SubgroupStack, subgroups of one order as the rows of 2-D
+arrays, and joins every row with one right factor in a single pass; a
+row whose connecting elements disagree gets its CharacterIllDefined in
+place of a subgroup.
 """
 
 from __future__ import annotations
@@ -245,6 +250,15 @@ class SubgroupGG:
     @classmethod
     def from_pairs(cls, params, tag, elements, character=None) -> "SubgroupGG":
         """Encode explicit (g, h) pairs, verifying closure and the character."""
+        sub = cls._encode(params, tag, elements, character)
+        sub._check_subgroup()
+        if sub.chars is not None:
+            sub._check_character()
+        return sub
+
+    @classmethod
+    def _encode(cls, params, tag, elements, character) -> "SubgroupGG":
+        """Codes and aligned characters of explicit pairs, unchecked."""
         table = group_table(params)
         pairs = list(elements)
         codes = np.array(
@@ -258,11 +272,7 @@ class SubgroupGG:
                 raise CharacterIllDefined("character not defined on every element")
             values = np.array([character[pair] for pair in pairs], dtype=np.int64)
             chars = values[first] % params.e
-        sub = cls(params, tag, codes, chars)
-        sub._check_subgroup()
-        if chars is not None:
-            sub._check_character()
-        return sub
+        return cls(params, tag, codes, chars)
 
     # ------------------------------------------------------------- checks
 
@@ -338,6 +348,23 @@ def _positions(codes, queries) -> np.ndarray:
 # ----------------------------------------------------------- constructors
 
 
+def _shape(params, tag, elements, character) -> SubgroupGG:
+    """A constructor's subgroup, its closure checked once per code array.
+
+    A plain shape has its closure checked here, and `_shape_tags` builds
+    each one once.  A shape with a character takes its closure from the
+    plain shape with the same codes, which `_shape_tags` holds, so only
+    its character is checked.
+    """
+    if character is None:
+        return SubgroupGG.from_pairs(params, tag, elements)
+    sub = SubgroupGG._encode(params, tag, elements, character)
+    if sub.codes.tobytes() not in _shape_tags(params):
+        sub._check_subgroup()
+    sub._check_character()
+    return sub
+
+
 def _tilde(params, i, unit, g):
     """The automorphism of D_i E extending multiplication by the unit."""
     x, r = g
@@ -355,7 +382,7 @@ def subgroup_exe(params, lam=None, mu=None) -> SubgroupGG:
             for r in params.subgroup_E
             for s in params.subgroup_E
         }
-    return SubgroupGG.from_pairs(params, (TAG_EXE,), elements, character)
+    return _shape(params, (TAG_EXE,), elements, character)
 
 
 def subgroup_exone(params, lam=None) -> SubgroupGG:
@@ -366,7 +393,7 @@ def subgroup_exone(params, lam=None) -> SubgroupGG:
             ((0, r), params.identity): params.char_value(lam, r)
             for r in params.subgroup_E
         }
-    return SubgroupGG.from_pairs(params, (TAG_EXONE,), elements, character)
+    return _shape(params, (TAG_EXONE,), elements, character)
 
 
 def subgroup_onexe(params, mu=None) -> SubgroupGG:
@@ -377,7 +404,7 @@ def subgroup_onexe(params, mu=None) -> SubgroupGG:
             (params.identity, (0, s)): params.char_value(mu, s)
             for s in params.subgroup_E
         }
-    return SubgroupGG.from_pairs(params, (TAG_ONEXE,), elements, character)
+    return _shape(params, (TAG_ONEXE,), elements, character)
 
 
 def subgroup_diag_p(params, i, unit) -> SubgroupGG:
@@ -385,7 +412,7 @@ def subgroup_diag_p(params, i, unit) -> SubgroupGG:
     if not 1 <= i <= params.n:
         raise BadLevel(f"level {i} outside 1..{params.n}")
     elements = [((unit * y % params.pn, 1), (y, 1)) for y in params.d_subgroup(i)]
-    return SubgroupGG.from_pairs(params, (TAG_DIAG_P, i, unit % params.p**i), elements)
+    return _shape(params, (TAG_DIAG_P, i, unit % params.p**i), elements, None)
 
 
 def subgroup_diag_pe(params, i, unit, lam=None) -> SubgroupGG:
@@ -399,9 +426,7 @@ def subgroup_diag_pe(params, i, unit, lam=None) -> SubgroupGG:
         elements.append(pair)
         if character is not None:
             character[pair] = params.char_value(lam, g[1])
-    return SubgroupGG.from_pairs(
-        params, (TAG_DIAG_PE, i, unit % params.p**i), elements, character
-    )
+    return _shape(params, (TAG_DIAG_PE, i, unit % params.p**i), elements, character)
 
 
 # --------------------------------------------------------- shape recognition
@@ -427,41 +452,81 @@ def _shape_tags(params) -> dict:
 # --------------------------------------------------------------- star, conj
 
 
-def star(x: SubgroupGG, y: SubgroupGG) -> SubgroupGG:
-    """The composition subgroup {(g, k) : (g, h) in X, (h, k) in Y}.
+class SubgroupStack:
+    """Subgroups of G x G of one order, one per row of 2-D codes and chars.
 
-    When both factors carry characters the result carries the sum through
-    any connecting element; disagreement between connecting elements raises
-    CharacterIllDefined.
+    Rows are the subgroups' sorted code arrays; `chars` is None unless
+    every subgroup carries a character.
     """
-    if x.params != y.params:
+
+    def __init__(self, params, codes, chars):
+        self.params = params
+        self.codes = codes
+        self.chars = chars
+
+    @classmethod
+    def of(cls, subgroups) -> "SubgroupStack":
+        chars = None
+        if all(x.chars is not None for x in subgroups):
+            chars = np.stack([x.chars for x in subgroups])
+        return cls(subgroups[0].params, np.stack([x.codes for x in subgroups]), chars)
+
+    def __len__(self):
+        return len(self.codes)
+
+
+def star(xs: SubgroupStack, y: SubgroupGG) -> list:
+    """The composition subgroups {(g, k) : (g, h) in X, (h, k) in Y}, X a row of xs.
+
+    One join over all rows.  When both sides carry characters a row's
+    result carries the sum through any connecting element; a row where
+    two connecting elements disagree gets a CharacterIllDefined in place
+    of its subgroup.
+    """
+    if xs.params != y.params:
         raise ParamsMismatch("star of subgroups over different params")
-    params = x.params
+    params = y.params
     table = group_table(params)
-    xg, xh = np.divmod(x.codes, len(table.elems))
-    yh, yk = np.divmod(y.codes, len(table.elems))
+    order = len(table.elems)
+    x = xs.codes.ravel()
+    xh, yh = x % order, y.codes // order
     # y is sorted by code, hence by its first coordinate: join on h
     lo = yh.searchsorted(xh, "left")
     counts = yh.searchsorted(xh, "right") - lo
-    xi = np.repeat(np.arange(len(xh)), counts)
+    xi = np.repeat(np.arange(len(x)), counts)
     yi = np.arange(len(xi)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    codes = _encode(table, xg[xi], yk[yi])
-    if x.chars is None or y.chars is None:
-        codes = np.unique(codes)
-        return SubgroupGG(params, recognize_shape(params, codes), codes)
-    order = codes.argsort(kind="stable")
-    codes = codes[order]
-    chars = ((x.chars[xi] + y.chars[yi]) % params.e)[order]
-    repeat = codes[1:] == codes[:-1]
-    clash = np.flatnonzero(repeat & (chars[1:] != chars[:-1]))
-    if len(clash):
-        g, k = divmod(int(codes[clash[0]]), len(table.elems))
-        raise CharacterIllDefined(
-            f"connecting elements disagree at {(table.elems[g], table.elems[k])}"
+    # one sort by (row, code): row r's codes are offset by r * |G x G|
+    row_g = xi // xs.codes.shape[1] * order + x[xi] // order
+    keys = row_g * order + y.codes[yi] % order
+    sort = keys.argsort(kind="stable")
+    keys = keys[sort]
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    chars = None
+    if xs.chars is not None and y.chars is not None:
+        chars = ((xs.chars.ravel()[xi] + y.chars[yi]) % params.e)[sort]
+        clash = keys[np.flatnonzero(~first[1:] & (chars[1:] != chars[:-1]))]
+        chars = chars[first]
+    square = order * order
+    row_of, codes = np.divmod(keys[first], square)
+    bounds = row_of.searchsorted(np.arange(len(xs) + 1)).tolist()
+    out = [
+        SubgroupGG(
+            params,
+            recognize_shape(params, codes[start:stop]),
+            codes[start:stop],
+            None if chars is None else chars[start:stop],
         )
-    first = np.concatenate(([True], ~repeat))
-    codes = codes[first]
-    return SubgroupGG(params, recognize_shape(params, codes), codes, chars[first])
+        for start, stop in zip(bounds[:-1], bounds[1:])
+    ]
+    if chars is not None:
+        # the first clash of each row, in code order
+        for key in clash[::-1].tolist():
+            row, code = divmod(key, square)
+            g, k = divmod(code, order)
+            out[row] = CharacterIllDefined(
+                f"connecting elements disagree at {(table.elems[g], table.elems[k])}"
+            )
+    return out
 
 
 def conj(s: GGPair, x: SubgroupGG) -> SubgroupGG:
@@ -527,9 +592,11 @@ def double_coset_partition(params: ModelParams, i: int, j: int) -> tuple:
     for g in range(order):
         if seen[g]:
             continue
-        block = np.unique(table.mul[np.ix_(table.mul[left, g], right)])
-        seen[block] = True
-        cosets.append(tuple(int(x) for x in block))
+        # sorted members as a mask: np.unique would import numpy.ma here
+        member = np.zeros(order, dtype=bool)
+        member[table.mul[np.ix_(table.mul[left, g], right)]] = True
+        seen |= member
+        cosets.append(tuple(np.flatnonzero(member).tolist()))
     return tuple(cosets)
 
 

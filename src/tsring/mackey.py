@@ -12,6 +12,16 @@ Subgroups are the pair-code arrays of tsring.groupmodel: the kernel
 intersection, conjugation, star products and character lookups below are
 numpy searches and gathers, and only the named constructors check laws.
 
+There is one path, batched by level block.  `products` takes left factors
+a at one level and right factors b at one level; for each double-coset
+representative t and each b it conjugates y_b by (t, 1) once, then runs
+the connecting-character test and the star join for all a in one pass
+over their stacked codes.  Each resulting summand is still zero-tested,
+clash-checked, recognized literally, canonicalized when Explicit and
+classified (memoised per shape tag and character).  `sweep` runs every
+pair in chunks of left rows, in basis order; `oracle_mult` is a one-row
+call.  Products leave as flat int arrays, never per-pair dicts.
+
 The subgroups met along the way all canonicalize into five shapes:
 E x E, E x 1, 1 x E, and the twisted diagonals of D_k and of D_k E.
 Anything else raises UnrecognizedShape, which is a hard failure worth
@@ -32,7 +42,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import UnrecognizedShape
+from .errors import CharacterIllDefined, UnrecognizedShape
 from .groupmodel import (
     TAG_DIAG_P,
     TAG_DIAG_PE,
@@ -42,6 +52,7 @@ from .groupmodel import (
     TAG_ONEXE,
     ModelParams,
     SubgroupGG,
+    SubgroupStack,
     _positions,
     canonical_coset,
     conj,
@@ -50,7 +61,12 @@ from .groupmodel import (
     subgroup_diag_pe,
     subgroup_exe,
 )
-from .tring import NonProj, ProjPair
+from .tring import NonProj, ProjPair, tring
+
+# stacked left-factor codes per block of `MackeyOracle.sweep`: a block's
+# temporaries stay near 0.7 MB, and (3,4,2)'s largest level, 54 rows of
+# 162 codes, takes two blocks
+ORACLE_CHUNK_ENTRIES = 4608
 
 
 class MackeyOracle:
@@ -58,7 +74,11 @@ class MackeyOracle:
 
     def __init__(self, params: ModelParams):
         self.params = params
+        # the basis only, for class indices; never its multiplication
+        self._ring = tring(params)
         self._subgroups: dict = {}
+        self._classified: dict = {}  # (tag, char bytes) -> terms
+        self._char_dtype = np.min_scalar_type(params.e - 1)
 
     # ------------------------------------------------------------- factors
 
@@ -79,24 +99,30 @@ class MackeyOracle:
 
     # -------------------------------------------------------- star modules
 
-    def star_module(self, x: SubgroupGG, y: SubgroupGG):
-        """Star product with the tensor-product character, or None if zero.
+    def star_module(self, xs: SubgroupStack, y: SubgroupGG):
+        """Star product of each row of xs with y, with the tensor-product character.
 
         The middle subgroup k(X, Y) acts on the left factor through its
         second coordinate (inverted) and on the right factor through its
         first coordinate; the tensor product over it vanishes unless the
-        two scalar actions agree.
+        two scalar actions agree.  Returns None when every row's module is
+        zero, else (row, what `star` gives the row) for the other rows.
         """
-        order = self.params.group_order
-        # (1, h) in X are the codes below |G|; (h, 1) in Y the multiples of |G|
-        x_right = x.codes[: x.codes.searchsorted(order)]
+        params = self.params
+        order = params.group_order
+        # (h, 1) in Y are the multiples of |G|; (1, h) in X has code h
         y_left = np.flatnonzero(y.codes % order == 0)
-        ix = _positions(x_right, y.codes[y_left] // order)
-        middle = ix >= 0
-        left_action = (-x.chars[ix[middle]]) % self.params.e
-        if (left_action != y.chars[y_left[middle]]).any():
+        offsets = np.arange(len(xs))[:, None] * (order * order)
+        h = y.codes[y_left] // order
+        ix = _positions((xs.codes + offsets).ravel(), h + offsets)
+        left_action = (-xs.chars.ravel()[ix]) % params.e
+        zero = ((ix >= 0) & (left_action != y.chars[y_left])).any(axis=1)
+        live = np.flatnonzero(~zero)
+        if not live.size:
             return None
-        return star(x, y)
+        if live.size < len(xs):
+            xs = SubgroupStack(params, xs.codes[live], xs.chars[live])
+        return list(zip(live.tolist(), star(xs, y)))
 
     # ----------------------------------------------------- canonicalization
 
@@ -156,28 +182,97 @@ class MackeyOracle:
 
     # ------------------------------------------------------------- product
 
+    def _terms(self, z: SubgroupGG) -> list:
+        """(basis index, multiplicity) of the class induced from a summand."""
+        if z.tag[0] == TAG_EXPLICIT:
+            z = self.canonicalize(z)
+        key = (z.tag, z.chars.astype(self._char_dtype).tobytes())
+        terms = self._classified.get(key)
+        if terms is None:
+            index = self._ring.index
+            terms = [(index[c], m) for c, m in self.classify_induced(z).items()]
+            self._classified[key] = terms
+        return terms
+
+    def products(self, left, right, reps=None):
+        """Products e_a * e_b by coset enumeration, a in `left`, b in `right`.
+
+        `left` and `right` are basis indices, each list inside one level;
+        `reps` defaults to `double_cosets_in_d` of the two levels.  For each
+        representative t and each b, y_b is conjugated by (t, 1) once and
+        joined with the stacked subgroups of all a in one pass.  Returns
+        (pair, cls, coeff, errors): one entry per term of one summand, with
+        pair = a * d + b and cls a basis index, unsummed; errors maps a pair
+        to the UnrecognizedShape or CharacterIllDefined of its first
+        failing representative.
+        """
+        params = self.params
+        basis = self._ring.basis
+        d = len(basis)
+        if reps is None:
+            reps = double_cosets_in_d(
+                params, self._level_of(basis[left[0]]), self._level_of(basis[right[0]])
+            )
+        xs = SubgroupStack.of([self.subgroup_of_basis(basis[a]) for a in left])
+        pairs, classes, coeffs, errors = [], [], [], {}
+        for t in reps:
+            for b in right:
+                y_t = conj((t, params.identity), self.subgroup_of_basis(basis[b]))
+                for row, z in self.star_module(xs, y_t) or ():
+                    pair = left[row] * d + b
+                    if isinstance(z, CharacterIllDefined):
+                        errors.setdefault(pair, z)
+                        continue
+                    try:
+                        terms = self._terms(z)
+                    except UnrecognizedShape as exc:
+                        errors.setdefault(pair, exc)
+                        continue
+                    for c, m in terms:
+                        pairs.append(pair)
+                        classes.append(c)
+                        coeffs.append(m)
+        as_array = lambda v: np.array(v, dtype=np.int64)
+        return as_array(pairs), as_array(classes), as_array(coeffs), errors
+
+    def sweep(self):
+        """All d^2 products, one chunk of left factors at a time, in basis order.
+
+        Yields (start, stop, products) for the basis rows start..stop-1
+        against every column, products as `products` returns them.  A chunk
+        holds at most ORACLE_CHUNK_ENTRIES stacked codes.
+        """
+        ring = self._ring
+        levels = [
+            [ring.index[b] for b in ring.level_basis(i)]
+            for i in range(self.params.n + 1)
+        ]
+        for left in levels:
+            order = len(self.subgroup_of_basis(ring.basis[left[0]]))
+            step = max(1, ORACLE_CHUNK_ENTRIES // order)
+            for lo in range(0, len(left), step):
+                chunk = left[lo : lo + step]
+                parts = [self.products(chunk, right) for right in levels]
+                errors = {}
+                for part in parts:
+                    errors.update(part[3])
+                arrays = (np.concatenate([part[k] for part in parts]) for k in range(3))
+                yield chunk[0], chunk[-1] + 1, (*arrays, errors)
+
     def oracle_mult(self, a, b) -> dict:
         """Structure constants of a * b recomputed by coset enumeration."""
-        reps = double_cosets_in_d(
-            self.params, self._level_of(a), self._level_of(b)
-        )
-        return self.oracle_mult_with_reps(a, b, reps)
+        return self.oracle_mult_with_reps(a, b, None)
 
     def oracle_mult_with_reps(self, a, b, reps) -> dict:
         """Same as oracle_mult but with caller-chosen coset representatives."""
-        params = self.params
-        x = self.subgroup_of_basis(a)
-        y = self.subgroup_of_basis(b)
+        index = self._ring.index
+        _, classes, coeffs, errors = self.products([index[a]], [index[b]], reps)
+        if errors:
+            raise next(iter(errors.values()))
+        basis = self._ring.basis
         out: dict = {}
-        for t in reps:
-            y_t = conj((t, params.identity), y)
-            summand = self.star_module(x, y_t)
-            if summand is None:
-                continue
-            for basis_elem, mult in self.classify_induced(
-                self.canonicalize(summand)
-            ).items():
-                out[basis_elem] = out.get(basis_elem, 0) + mult
+        for c, m in zip(classes.tolist(), coeffs.tolist()):
+            out[basis[c]] = out.get(basis[c], 0) + m
         return out
 
 

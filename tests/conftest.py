@@ -4,6 +4,7 @@ import pytest
 
 from tsring.exactarith import is_prime
 from tsring.groupmodel import make_params
+from tsring.mackey import oracle
 from tsring.tring import tring
 
 # the full verification instance set
@@ -35,15 +36,17 @@ BEYOND_INSTANCES = [
 
 @pytest.fixture
 def fresh_rings():
-    """Empty the ring cache before and after the test.
+    """Empty the ring and oracle caches before and after the test.
 
-    A mutated ring must not leak into the cache other tests share, and a
-    ring cached earlier must not hand a mutation test the block data it
-    certified before the mutation.
+    A mutated ring or oracle must not leak into the caches other tests
+    share, and one cached earlier must not hand a mutation test the block
+    data or the classifications it found before the mutation.
     """
     tring.cache_clear()
+    oracle.cache_clear()
     yield
     tring.cache_clear()
+    oracle.cache_clear()
 
 
 @pytest.fixture(params=INSTANCES, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}")

@@ -8,7 +8,13 @@ give the tests a shorter way to state an expectation.
 
 import numpy as np
 
-from tsring.errors import BadLevel, BadOrder, ShapeMismatch
+from tsring.errors import (
+    BadLevel,
+    BadOrder,
+    CharacterIllDefined,
+    ShapeMismatch,
+    UnrecognizedShape,
+)
 from tsring.exactarith import (
     ZZ,
     mat_inverse_over_field,
@@ -17,12 +23,20 @@ from tsring.exactarith import (
     nullspace_over_field,
 )
 from tsring.groupmodel import (
+    SubgroupGG,
+    SubgroupStack,
+    _encode,
+    _positions,
     canonical_coset,
+    conj,
     double_coset_partition,
+    double_cosets_in_d,
     group_table,
+    recognize_shape,
+    star,
     subgroup_diag_pe,
 )
-from tsring.tring import RingElement
+from tsring.tring import ProjPair, RingElement, basis_label, tring
 
 # ------------------------------------------------------------ the group model
 
@@ -51,6 +65,14 @@ def double_cosets(params, i, j):
     """Canonical representatives: identity's coset first, then least-first."""
     table = group_table(params)
     return [table.elems[block[0]] for block in double_coset_partition(params, i, j)]
+
+
+def star_one(x, y):
+    """The star product of two subgroups, as a one-row call of `star`."""
+    (out,) = star(SubgroupStack.of([x]), y)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def first_projection(sub):
@@ -243,3 +265,115 @@ def center_basis_reference(ring, S):
         rows.extend(row for row in comm if any(row))
     kernel = nullspace_over_field(rows or [[0] * d], S)
     return [RingElement(ring, S, dict(zip(ring.basis, vec))) for vec in kernel]
+
+
+# ------------------------------------------------------ the per-pair oracle
+
+
+def star_reference(x, y):
+    """The star product of two subgroups by one join, raising on a clash."""
+    params = x.params
+    table = group_table(params)
+    xg, xh = np.divmod(x.codes, len(table.elems))
+    yh, yk = np.divmod(y.codes, len(table.elems))
+    lo = yh.searchsorted(xh, "left")
+    counts = yh.searchsorted(xh, "right") - lo
+    xi = np.repeat(np.arange(len(xh)), counts)
+    yi = np.arange(len(xi)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    codes = _encode(table, xg[xi], yk[yi])
+    order = codes.argsort(kind="stable")
+    codes = codes[order]
+    chars = ((x.chars[xi] + y.chars[yi]) % params.e)[order]
+    repeat = codes[1:] == codes[:-1]
+    clash = np.flatnonzero(repeat & (chars[1:] != chars[:-1]))
+    if len(clash):
+        g, k = divmod(int(codes[clash[0]]), len(table.elems))
+        raise CharacterIllDefined(
+            f"connecting elements disagree at {(table.elems[g], table.elems[k])}"
+        )
+    first = np.concatenate(([True], ~repeat))
+    codes = codes[first]
+    return SubgroupGG(params, recognize_shape(params, codes), codes, chars[first])
+
+
+def _star_module_reference(x, y):
+    """The star product with the tensor-product character, or None if zero."""
+    order = x.params.group_order
+    x_right = x.codes[: x.codes.searchsorted(order)]
+    y_left = np.flatnonzero(y.codes % order == 0)
+    ix = _positions(x_right, y.codes[y_left] // order)
+    middle = ix >= 0
+    if ((-x.chars[ix[middle]]) % x.params.e != y.chars[y_left[middle]]).any():
+        return None
+    return star_reference(x, y)
+
+
+def oracle_mult_reference(orc, a, b, reps=None):
+    """a * b by the per-pair loop: conjugate, star module, canonicalize, classify."""
+    params = orc.params
+    level = lambda c: 0 if isinstance(c, ProjPair) else c.level
+    if reps is None:
+        reps = double_cosets_in_d(params, level(a), level(b))
+    x = orc.subgroup_of_basis(a)
+    y = orc.subgroup_of_basis(b)
+    out = {}
+    for t in reps:
+        summand = _star_module_reference(x, conj((t, params.identity), y))
+        if summand is None:
+            continue
+        for c, m in orc.classify_induced(orc.canonicalize(summand)).items():
+            out[c] = out.get(c, 0) + m
+    return out
+
+
+def check_oracle_reference(orc, ring):
+    """Status and payload of the oracle check, one pair at a time."""
+    compared = 0
+    for a in ring.basis:
+        for b in ring.basis:
+            try:
+                product = oracle_mult_reference(orc, a, b)
+            except (UnrecognizedShape, CharacterIllDefined) as exc:
+                return "inconclusive", {
+                    "pair": [basis_label(a), basis_label(b)],
+                    "error": str(exc),
+                    "compared": str(compared),
+                }
+            if product != ring.mult_basis(a, b):
+                return "violation", {
+                    "pair": [basis_label(a), basis_label(b)],
+                    "compared": str(compared),
+                }
+            compared += 1
+    return "ok", {"compared": str(compared)}
+
+
+def oracle_table(orc, reps_of=None):
+    """Every product by the block routine, as {(a, b): {class: coefficient}}.
+
+    By default through `sweep`, as the oracle check runs it; with
+    reps_of(i, j), one `products` call per pair of levels i, j with those
+    representatives.  The first error is raised.
+    """
+    ring = tring(orc.params)
+    basis = ring.basis
+    if reps_of is None:
+        blocks = (block for _, _, block in orc.sweep())
+    else:
+        levels = [
+            [ring.index[c] for c in ring.level_basis(i)] for i in range(ring.params.n + 1)
+        ]
+        blocks = (
+            orc.products(left, right, reps_of(i, j))
+            for i, left in enumerate(levels)
+            for j, right in enumerate(levels)
+        )
+    out = {}
+    for pair, cls, coeff, errors in blocks:
+        if errors:
+            raise errors[min(errors)]
+        for p, c, m in zip(pair.tolist(), cls.tolist(), coeff.tolist()):
+            a, b = divmod(p, len(basis))
+            prod = out.setdefault((basis[a], basis[b]), {})
+            prod[basis[c]] = prod.get(basis[c], 0) + m
+    return out

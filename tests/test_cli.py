@@ -107,7 +107,7 @@ def test_verify_oracle(capsys):
     assert doc["payload"]["checks"][0]["details"]["compared"] == "144"
 
 
-def test_verify_oracle_failure_is_inconclusive(monkeypatch, capsys):
+def test_verify_oracle_failure_is_inconclusive(fresh_rings, monkeypatch, capsys):
     # an oracle that cannot classify a summand has not decided the pair:
     # the report names the pair and the check exits 3, not the usage code
     def refuse(self, z):

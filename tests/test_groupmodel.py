@@ -16,6 +16,8 @@ from reference import (
     normalizer_bruteforce,
     pi,
     right_kernel,
+    star_one,
+    star_reference,
 )
 
 from tsring import groupmodel as gm
@@ -169,7 +171,7 @@ def test_double_coset_reps_first_is_identity(any_params):
 def test_star_diagonal_idempotent():
     params = gm.make_params(3, 2, 2)
     dg = delta_g(params)
-    assert gm.star(dg, dg).elements == dg.elements
+    assert star_one(dg, dg).elements == dg.elements
 
 
 def test_star_twisted_diagonals_compose():
@@ -178,7 +180,7 @@ def test_star_twisted_diagonals_compose():
         for j, beta in ((1, 1), (2, 2)):
             a = gm.subgroup_diag_pe(params, i, alpha)
             b = gm.subgroup_diag_pe(params, j, beta)
-            prod = gm.star(a, b)
+            prod = star_one(a, b)
             k = min(i, j)
             expected_unit = alpha * beta % params.p**k
             expected = gm.subgroup_diag_pe(params, k, expected_unit)
@@ -193,14 +195,14 @@ def test_star_exe_absorbs_diagonal():
     params = gm.make_params(3, 2, 2)
     exe = gm.subgroup_exe(params)
     diag = gm.subgroup_diag_pe(params, 2, 2)
-    assert gm.star(exe, diag).elements == exe.elements
+    assert star_one(exe, diag).elements == exe.elements
 
 
 def test_star_character_well_defined():
     params = gm.make_params(3, 2, 2)
     x = gm.subgroup_exe(params, lam=1, mu=0)
     y = gm.subgroup_diag_pe(params, 2, 1, lam=1)
-    out = gm.star(x, y)
+    out = star_one(x, y)
     assert out.character is not None
     out._check_character()
 
@@ -212,7 +214,7 @@ def test_star_character_conflict_raises():
     x = gm.subgroup_exe(params, lam=0, mu=1)
     y = gm.subgroup_exe(params, lam=0, mu=0)
     with pytest.raises(CharacterIllDefined):
-        gm.star(x, y)
+        star_one(x, y)
 
 
 # ------------------------------------------------------------- conjugation
@@ -293,16 +295,23 @@ def _compose(params, x, y):
 
 
 def test_star_matches_group_law(small_params):
+    # one stacked join per level of left factors, row by row against the law
     params = small_params
-    subs = _basis_subgroups(params)
-    for x in subs:
-        for y in subs:
-            expected = _compose(params, x, y)
-            if expected is None:
-                with pytest.raises(CharacterIllDefined):
-                    gm.star(x, y)
-            else:
-                _assert_encodes(gm.star(x, y), expected)
+    ring = tring(params)
+    orc = oracle(params)
+    for i in range(params.n + 1):
+        xs = [orc.subgroup_of_basis(b) for b in ring.level_basis(i)]
+        for y in _basis_subgroups(params):
+            for x, out in zip(xs, gm.star(gm.SubgroupStack.of(xs), y), strict=True):
+                expected = _compose(params, x, y)
+                if expected is None:
+                    # the row names its first clash, as the one-subgroup join does
+                    with pytest.raises(CharacterIllDefined) as clash:
+                        star_reference(x, y)
+                    assert isinstance(out, CharacterIllDefined)
+                    assert str(out) == str(clash.value)
+                else:
+                    _assert_encodes(out, expected)
 
 
 # ----------------------------------------------- normalizers and conjugacy
@@ -376,7 +385,7 @@ def test_star_requires_same_params():
     a = gm.subgroup_exe(gm.make_params(3, 2, 2))
     b = gm.subgroup_exe(gm.make_params(3, 1, 1))
     with pytest.raises(ParamsMismatch):
-        gm.star(a, b)
+        star_one(a, b)
 
 
 def test_double_coset_reps_are_least_members_in_order():
@@ -413,3 +422,25 @@ def test_constructor_tags_match_recognition():
             assert gm.canonical_coset(params, level, unit) == gm.canonical_coset(
                 params, level, sub.tag[2]
             )
+
+
+def test_constructors_check_closure_once_per_code_array(monkeypatch):
+    # a constructor's code array that `_shape_tags` holds was closure-checked
+    # there; only codes outside it (here from the non-unit 3) are checked
+    params = gm.make_params(3, 2, 2)
+    gm._shape_tags(params)
+    checked = []
+    monkeypatch.setattr(gm.SubgroupGG, "_check_subgroup", lambda sub: checked.append(sub.tag))
+    gm.subgroup_diag_pe(params, 2, 4, lam=1)
+    gm.subgroup_exe(params, lam=1, mu=0)
+    assert checked == []
+    gm.subgroup_diag_pe(params, 1, 3, lam=1)
+    assert checked == [(gm.TAG_DIAG_PE, 1, 0)]
+
+
+def test_constructors_still_check_the_character():
+    params = gm.make_params(3, 2, 2)
+    elements = list(gm.subgroup_exe(params).elements)
+    constant = {pair: 1 for pair in elements}  # not a homomorphism
+    with pytest.raises(CharacterIllDefined):
+        gm._shape(params, (gm.TAG_EXE,), elements, constant)

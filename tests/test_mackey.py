@@ -1,16 +1,29 @@
 """The coset-enumeration oracle against the closed-form multiplication."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
-from conftest import BEYOND_INSTANCES
+from conftest import BEYOND_INSTANCES, SMALL_INSTANCES
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import delta_g
+from reference import (
+    check_oracle_reference,
+    delta_g,
+    oracle_mult_reference,
+    oracle_table,
+)
 
+from tsring import cli, mackey
 from tsring import groupmodel as gm
 from tsring.errors import UnrecognizedShape
 from tsring.groupmodel import make_params
-from tsring.mackey import oracle
-from tsring.tring import NonProj, ProjPair, tring
+from tsring.mackey import MackeyOracle, oracle
+from tsring.tring import NonProj, ProjPair, TRing, basis_label, tring
+
+EDGE_INSTANCES = [(2, 1, 1), (3, 1, 2), (7, 1, 2), (5, 2, 1)]
 
 
 # -------------------------------------------------------- inducing subgroups
@@ -106,22 +119,21 @@ def test_oracle_identity_law(small_params):
         assert orc.oracle_mult(b, one) == {b: 1}
 
 
-def test_oracle_matches_rules_small(small_params):
-    params = small_params
+def _assert_matches_rules(params):
+    """The block sweep against the closed form, every pair compared."""
     ring = tring(params)
-    orc = oracle(params)
+    table = oracle_table(oracle(params))
     for a in ring.basis:
         for b in ring.basis:
-            assert orc.oracle_mult(a, b) == ring.mult_basis(a, b)
+            assert table.get((a, b), {}) == ring.mult_basis(a, b), (params, a, b)
+
+
+def test_oracle_matches_rules_small(small_params):
+    _assert_matches_rules(small_params)
 
 
 def test_oracle_matches_rules_322():
-    params = make_params(3, 2, 2)
-    ring = tring(params)
-    orc = oracle(params)
-    for a in ring.basis:
-        for b in ring.basis:
-            assert orc.oracle_mult(a, b) == ring.mult_basis(a, b)
+    _assert_matches_rules(make_params(3, 2, 2))
 
 
 # ------------------------------------------- representative independence
@@ -185,22 +197,226 @@ def test_representative_independence_all_pairs(p, n, e):
             assert orc.oracle_mult_with_reps(a, b, alt) == ring.mult_basis(a, b)
 
 
-@pytest.mark.parametrize("p,n,e", [(2, 1, 1), (3, 1, 2), (7, 1, 2), (5, 2, 1)])
+@pytest.mark.parametrize("p,n,e", EDGE_INSTANCES)
 def test_oracle_equivalence_edge_instances(p, n, e):
-    params = make_params(p, n, e)
-    ring = tring(params)
-    orc = oracle(params)
-    for a in ring.basis:
-        for b in ring.basis:
-            assert orc.oracle_mult(a, b) == ring.mult_basis(a, b)
+    _assert_matches_rules(make_params(p, n, e))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(BEYOND_INSTANCES))
 def test_oracle_matches_rules_beyond_instances(pne):
-    params = make_params(*pne)
-    ring = tring(params)
+    _assert_matches_rules(make_params(*pne))
+
+
+# ------------------------------------------- the block routine, pair by pair
+
+
+def _assert_block_matches_reference(params, alternate, sample=None):
+    # one `products` call per pair of levels against the per-pair loop,
+    # with least-in-D or worst-case representatives; every pair, or a
+    # random sample of pairs when the loop would be slow
     orc = oracle(params)
+    ring = tring(params)
+    level = lambda x: 0 if isinstance(x, ProjPair) else x.level
+    reps_of = (lambda i, j: _alternate_reps(params, i, j)) if alternate else (
+        lambda i, j: gm.double_cosets_in_d(params, i, j)
+    )
+    table = oracle_table(orc, reps_of)
+    pairs = [(a, b) for a in ring.basis for b in ring.basis]
+    if sample is not None:
+        pairs = sample.sample(pairs, min(len(pairs), 300))
+    for a, b in pairs:
+        reps = reps_of(level(a), level(b))
+        assert table.get((a, b), {}) == oracle_mult_reference(orc, a, b, reps), (a, b)
+
+
+@pytest.mark.parametrize("alternate", [False, True], ids=["least", "largest"])
+@pytest.mark.parametrize(
+    "pne", SMALL_INSTANCES + EDGE_INSTANCES, ids=lambda t: "p{}n{}e{}".format(*t)
+)
+def test_block_routine_matches_reference_loop(pne, alternate):
+    _assert_block_matches_reference(make_params(*pne), alternate)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from(BEYOND_INSTANCES), st.booleans(), st.randoms(use_true_random=False))
+def test_block_routine_matches_reference_beyond_instances(pne, alternate, sample):
+    # the whole table from the block routine, 300 of its pairs through the loop
+    _assert_block_matches_reference(make_params(*pne), alternate, sample)
+
+
+def test_oracle_mult_is_a_one_row_block():
+    params = make_params(3, 2, 2)
+    orc = oracle(params)
+    ring = tring(params)
     for a in ring.basis:
         for b in ring.basis:
-            assert orc.oracle_mult(a, b) == ring.mult_basis(a, b), (pne, a, b)
+            assert orc.oracle_mult(a, b) == oracle_mult_reference(orc, a, b)
+
+
+# ------------------------------------- mutations: the check against the loop
+
+
+@pytest.fixture(params=[None, 1], ids=["chunked", "row_by_row"])
+def chunk_entries(request, monkeypatch):
+    """The default sweep chunks, and one row per chunk."""
+    if request.param is not None:
+        monkeypatch.setattr(mackey, "ORACLE_CHUNK_ENTRIES", request.param)
+
+
+def _both_reports(params):
+    ring = tring(params)
+    block = cli._check_oracle(params, ring)
+    reference = check_oracle_reference(oracle(params), ring)
+    return block, reference
+
+
+def _first_pair_with(ring, target):
+    """Lexicographic rank of the first pair whose product contains the class."""
+    d = len(ring.basis)
+    return next(
+        ia * d + ib
+        for ia, a in enumerate(ring.basis)
+        for ib, b in enumerate(ring.basis)
+        if target in ring.mult_basis(a, b)
+    )
+
+
+def test_injected_unrecognized_shape_matches_reference(
+    fresh_rings, chunk_entries, monkeypatch
+):
+    # a summand whose class includes M[1,1,1] cannot be classified: the
+    # first pair with such a summand is inconclusive, in both paths
+    params = make_params(3, 2, 2)
+    target = NonProj(1, 1, 1)
+    classify = MackeyOracle.classify_induced
+
+    def refuse(self, z):
+        out = classify(self, z)
+        if target in out:
+            raise UnrecognizedShape("injected: no shape")
+        return out
+
+    monkeypatch.setattr(MackeyOracle, "classify_induced", refuse)
+    block, reference = _both_reports(params)
+    assert block == reference
+    assert block[0] == "inconclusive"
+    ring = tring(params)
+    assert block[1]["compared"] == str(_first_pair_with(ring, target)) == "52"
+    assert block[1]["error"] == "injected: no shape"
+
+
+def test_first_failing_representative_names_the_error(
+    fresh_rings, chunk_entries, monkeypatch
+):
+    # every twisted-diagonal summand is refused, naming its tag: the first
+    # such pair, M[1,1,0] * M[1,1,0], reports the summand of its first
+    # representative (TwistedDiagPE), not of a later one (TwistedDiagP)
+    classify = MackeyOracle.classify_induced
+
+    def refuse(self, z):
+        if z.tag[0] in (gm.TAG_DIAG_P, gm.TAG_DIAG_PE):
+            raise UnrecognizedShape(f"injected: {z.tag}")
+        return classify(self, z)
+
+    monkeypatch.setattr(MackeyOracle, "classify_induced", refuse)
+    params = make_params(3, 2, 2)
+    block, reference = _both_reports(params)
+    assert block == reference
+    assert block == (
+        "inconclusive",
+        {
+            "pair": ["M[1,1,0]", "M[1,1,0]"],
+            "error": f"injected: {(gm.TAG_DIAG_PE, 1, 1)}",
+            "compared": "52",
+        },
+    )
+
+
+def test_injected_character_clash_matches_reference(fresh_rings, chunk_entries, monkeypatch):
+    # raise the character of P[1,0] on the pairs with both coordinates
+    # outside the identity: it stops being a homomorphism, the zero test
+    # (which reads only (h, 1)) still passes against P[0,1], and the star
+    # product's connecting elements disagree there
+    params = make_params(3, 2, 2)
+    order = params.group_order
+    target = ProjPair(1, 0)
+    subgroup_of_basis = MackeyOracle.subgroup_of_basis
+
+    def corrupt(self, b):
+        sub = subgroup_of_basis(self, b)
+        if b != target:
+            return sub
+        inner = (sub.codes // order != 0) & (sub.codes % order != 0)
+        return gm.SubgroupGG(params, sub.tag, sub.codes, (sub.chars + inner) % params.e)
+
+    monkeypatch.setattr(MackeyOracle, "subgroup_of_basis", corrupt)
+    block, reference = _both_reports(params)
+    assert block == reference
+    assert block[0] == "inconclusive"
+    assert block[1]["pair"] == ["P[0,1]", "P[1,0]"]
+    assert block[1]["error"].startswith("connecting elements disagree at ")
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (5, 7), (11, 10)])
+def test_raised_closed_form_coefficient_matches_reference(
+    fresh_rings, chunk_entries, monkeypatch, pair
+):
+    params = make_params(3, 2, 2)
+    basis = tring(params).basis
+    chosen = (basis[pair[0]], basis[pair[1]])
+    mult_basis = TRing.mult_basis
+
+    def raised(self, a, b):
+        out = mult_basis(self, a, b)
+        if (a, b) == chosen:
+            first = next(iter(out))
+            out[first] += 1
+        return out
+
+    monkeypatch.setattr(TRing, "mult_basis", raised)
+    block, reference = _both_reports(params)
+    assert block == reference
+    assert block == (
+        "violation",
+        {
+            "pair": [basis_label(c) for c in chosen],
+            "compared": str(pair[0] * len(basis) + pair[1]),
+        },
+    )
+
+
+# ------------------------------------------------------------- memory guard
+
+# tracemalloc peak of `cli._check_oracle` at (3,4,2) in a fresh interpreter,
+# the ring's structure arrays built beforehand (the assoc check shares them).
+# The per-pair loop it replaced measured 2_186_626 bytes (about 2.19 MB) on
+# Python 3.11.7 and numpy 2.4.6; the sweep may add at most 0.25 MB.  The
+# sweep reads about 1.49 MB, and 1.71 MB with the arrays built inside.
+ORACLE_PEAK_BOUND = 2_186_626 + 250_000
+
+_PEAK_SCRIPT = """
+import tracemalloc
+from tsring import cli
+from tsring.groupmodel import make_params
+from tsring.tring import tring
+params = make_params(3, 4, 2)
+ring = tring(params)
+ring.structure_arrays()
+tracemalloc.start()
+status, payload = cli._check_oracle(params, ring)
+assert (status, payload) == ("ok", {"compared": "7056"}), (status, payload)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_oracle_check_memory_peak():
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert int(out.stdout) <= ORACLE_PEAK_BOUND
