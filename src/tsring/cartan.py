@@ -18,11 +18,10 @@ from .errors import ShapeMismatch, TheoremViolation
 from .exactarith import (
     QQ,
     ZZ,
-    field_identity,
+    _inverse,
+    _reduce_row,
     field_mat_mul,
-    mat_eq,
-    mat_lift,
-    mat_mul,
+    identity_matrix,
     mat_shape,
     rank_over_field,
     snf,
@@ -42,9 +41,9 @@ def cartan_inverse(params, K) -> list[list]:
 
     C = I + m J with J the all-ones matrix, J^2 = e J and 1 + m e = p^n.
     """
-    shift = K.neg(K.div(K.from_int(params.multiplicity), K.from_int(params.pn)))
+    shift = -params.multiplicity * _inverse(params.pn, K)
     e = params.e
-    return [[K.add(K.one, shift) if i == j else shift for j in range(e)] for i in range(e)]
+    return [_reduce_row([int(i == j) + shift for j in range(e)], K) for i in range(e)]
 
 
 class TwistedMatRing:
@@ -64,23 +63,15 @@ class TwistedMatRing:
             self.size,
         ):
             raise ShapeMismatch("operands must match the ring size")
-        if self.scalar is ZZ:
-            return mat_mul(mat_mul(a, self.twist), b)
         K = self.scalar
-        return field_mat_mul(
-            field_mat_mul(mat_lift(a, K), mat_lift(self.twist, K), K),
-            mat_lift(b, K),
-            K,
-        )
+        return field_mat_mul(field_mat_mul(a, self.twist, K), b, K)
 
     def is_idempotent(self, a) -> bool:
-        return mat_eq(self.mult(a, a), a)
+        return self.mult(a, a) == a
 
     def are_orthogonal(self, a, b) -> bool:
-        zero = [[self.scalar.zero] * self.size for _ in range(self.size)]
-        if self.scalar is ZZ:
-            zero = [[0] * self.size for _ in range(self.size)]
-        return mat_eq(self.mult(a, b), zero) and mat_eq(self.mult(b, a), zero)
+        zero = [[0] * self.size for _ in range(self.size)]
+        return self.mult(a, b) == zero and self.mult(b, a) == zero
 
 
 def matrix_units(l: int):
@@ -130,17 +121,19 @@ def orthogonal_projective_idempotents(c) -> list[IdempotentCertificate]:
     """
     size = mat_shape(c)[0]
     result = snf(c)
-    assert result.check(c)
+    if not result.check(c):
+        raise TheoremViolation(
+            "Smith normal form d = u C v with u, v unimodular and d a diagonal"
+            " divisibility chain"
+        )
     diag = result.diagonal()
     r = sum(1 for x in diag if x == 1)
     ring = TwistedMatRing(size, c)
-    u = [list(row) for row in result.u]
-    v = [list(row) for row in result.v]
     elements = []
     for i in range(r):
         unit = [[0] * size for _ in range(size)]
         unit[i][i] = 1
-        elements.append(mat_mul(mat_mul(v, unit), u))
+        elements.append(field_mat_mul(field_mat_mul(result.v, unit, ZZ), result.u, ZZ))
     certs = []
     for i, elem in enumerate(elements):
         cert = certify_projective_idempotent(c, elem)
@@ -159,19 +152,13 @@ def matrix_to_projective_element(ring: TRing, S, mat) -> RingElement:
     rows, cols = mat_shape(mat)
     if rows != e or cols != e:
         raise ShapeMismatch(f"expected {e}x{e} coefficients")
-    coeffs = {}
-    for lam in range(e):
-        for mu in range(e):
-            val = mat[lam][mu]
-            coeffs[ProjPair(lam, mu)] = (
-                S.from_int(val) if isinstance(val, int) else val
-            )
+    coeffs = {ProjPair(lam, mu): mat[lam][mu] for lam in range(e) for mu in range(e)}
     return RingElement(ring, S, coeffs)
 
 
 def projective_element_to_matrix(x: RingElement):
     e = x.ring.params.e
-    mat = [[x.scalar.zero] * e for _ in range(e)]
+    mat = [[0] * e for _ in range(e)]
     for b, val in x.coeffs.items():
         if not isinstance(b, ProjPair):
             raise ShapeMismatch("element is not supported on projectives")
@@ -189,7 +176,7 @@ def projective_identity_element(ring: TRing, K) -> RingElement:
     if key not in ring.block_memo:
         c = cartan_matrix(ring.params)
         inverse = cartan_inverse(ring.params, K)
-        if field_mat_mul(mat_lift(c, K), inverse, K) != field_identity(len(c), K):
+        if field_mat_mul(c, inverse, K) != identity_matrix(len(c)):
             raise TheoremViolation(f"C C^-1 = I over {K.name}")
         ring.block_memo[key] = matrix_to_projective_element(ring, K, inverse)
     return ring.block_memo[key]

@@ -335,6 +335,8 @@ def cmd_verify(args) -> int:
     params = make_params(args.p, args.n, args.e)
     ring = tring(params)
     which = [w.strip() for w in args.which.split(",") if w.strip()]
+    if not which:
+        raise ValueError("--which names no check")
     for w in which:
         if w not in VERIFY_CHECKS:
             raise ValueError(f"unknown check {w!r}")
@@ -377,6 +379,16 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- dispatcher
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsring",
@@ -411,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--scan-bound",
-        type=int,
+        type=_nonnegative_int,
         default=20,
         dest="scan_bound",
         help="cap on primitive central idempotents in the scan",

@@ -4,6 +4,12 @@ Everything here is exact: arbitrary-precision integers, reduced
 rationals and prime fields F_q.  No floating point occurs anywhere in
 the package.
 
+A scalar ring is a record of its name, characteristic and whether it is
+a field; its values are plain Python numbers: ints over Z, residues in
+[0, q) over F_q, and ints or Fractions over Q.  Arithmetic is Python's
+operators, and reduction mod q happens once per container (a ring
+element, a matrix product, a row operation).
+
 Matrices are plain lists of rows.  The Smith normal form routine
 returns transformation certificates (d, u, v) with d = u*c*v, u and v
 unimodular, and the diagonal of d a nonnegative divisibility chain.
@@ -30,186 +36,30 @@ def is_prime(q: int) -> bool:
 
 # --------------------------------------------------------------------------
 # scalar rings
-#
-# A scalar ring is a small object exposing exact arithmetic on its own value
-# type: python int for Z and F_q, Fraction for Q.  Ring elements are ordinary
-# values; the ring object knows how to combine them.
 # --------------------------------------------------------------------------
 
 
-class IntegerRing:
-    """The rational integers."""
+@dataclass(frozen=True)
+class ScalarRing:
+    """Z, Q or F_q, known by its characteristic and whether it is a field."""
 
-    name = "Z"
-    characteristic = 0
-    is_field = False
-
-    zero = 0
-    one = 1
-
-    def from_int(self, a):
-        return int(a)
-
-    def from_fraction(self, q):
-        q = Fraction(q)
-        if q.denominator != 1:
-            raise NotInvertible(f"{q} is not an integer")
-        return q.numerator
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a in (1, -1):
-            return a
-        raise NotInvertible(f"{a} is not a unit in Z")
-
-    def div(self, a, b):
-        if b != 0 and a % b == 0:
-            return a // b
-        raise NotInvertible(f"{a}/{b} is not an integer")
-
-    def is_zero(self, a):
-        return a == 0
-
-    def to_str(self, a):
-        return str(a)
-
-    def __repr__(self):
-        return "IntegerRing()"
+    name: str
+    characteristic: int
+    is_field: bool
 
 
-class RationalField:
-    """The rational numbers, always stored reduced."""
-
-    name = "Q"
-    characteristic = 0
-    is_field = True
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def from_int(self, a):
-        return Fraction(a)
-
-    def from_fraction(self, q):
-        return Fraction(q)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise NotInvertible("0 is not invertible")
-        return 1 / Fraction(a)
-
-    def div(self, a, b):
-        if b == 0:
-            raise NotInvertible("division by zero")
-        return Fraction(a) / b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def to_str(self, a):
-        a = Fraction(a)
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
-
-    def __repr__(self):
-        return "RationalField()"
+ZZ = ScalarRing("Z", 0, False)
+QQ = ScalarRing("Q", 0, True)
 
 
-class PrimeField:
-    """The field F_q for a prime q; values are residues in [0, q)."""
-
-    is_field = True
-
-    def __init__(self, q: int):
-        if not is_prime(q):
-            raise NotPrime(f"{q} is not prime")
-        self.q = q
-        self.name = f"F{q}"
-        self.characteristic = q
-        self.zero = 0
-        self.one = 1 % q
-
-    def from_int(self, a):
-        return a % self.q
-
-    def from_fraction(self, q):
-        q = Fraction(q)
-        return self.mul(q.numerator % self.q, self.inv(q.denominator % self.q))
-
-    def add(self, a, b):
-        return (a + b) % self.q
-
-    def sub(self, a, b):
-        return (a - b) % self.q
-
-    def mul(self, a, b):
-        return (a * b) % self.q
-
-    def neg(self, a):
-        return (-a) % self.q
-
-    def inv(self, a):
-        if a % self.q == 0:
-            raise NotInvertible(f"0 is not invertible in F_{self.q}")
-        return pow(a, -1, self.q)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def is_zero(self, a):
-        return a % self.q == 0
-
-    def to_str(self, a):
-        return str(a % self.q)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("PrimeField", self.q))
-
-    def __repr__(self):
-        return f"PrimeField({self.q})"
-
-
-ZZ = IntegerRing()
-QQ = RationalField()
-
-_prime_fields: dict[int, PrimeField] = {}
-
-
-def GF(q: int) -> PrimeField:
-    if q not in _prime_fields:
-        _prime_fields[q] = PrimeField(q)
-    return _prime_fields[q]
+def GF(q: int) -> ScalarRing:
+    if not is_prime(q):
+        raise NotPrime(f"{q} is not prime")
+    return ScalarRing(f"F{q}", q, True)
 
 
 def scalar_ring(spec: str):
-    """Parse "Z", "Q" or "F<q>" into a scalar ring object."""
+    """Parse "Z", "Q" or "F<q>" into a scalar ring."""
     if spec == "Z":
         return ZZ
     if spec == "Q":
@@ -224,8 +74,28 @@ def field_of_characteristic(q: int):
     return QQ if q == 0 else GF(q)
 
 
+def _sparse(coeffs: dict, K) -> dict:
+    """coeffs with each value reduced into K and the zeros dropped."""
+    q = K.characteristic
+    if q:
+        return {k: r for k, v in coeffs.items() if (r := v % q)}
+    return {k: v for k, v in coeffs.items() if v}
+
+
+def _inverse(a, K):
+    """1/a in K; raises NotInvertible for zero, and over Z for non-units."""
+    q = K.characteristic
+    if q:
+        if a % q == 0:
+            raise NotInvertible(f"{a} is not invertible in {K.name}")
+        return pow(a, -1, q)
+    if a == 0 or not (K.is_field or a in (1, -1)):
+        raise NotInvertible(f"{a} is not invertible in {K.name}")
+    return Fraction(1, a) if K.is_field else a
+
+
 # --------------------------------------------------------------------------
-# integer matrices
+# matrices
 # --------------------------------------------------------------------------
 
 
@@ -241,28 +111,22 @@ def mat_shape(a):
     return rows, cols
 
 
-def mat_mul(a, b):
+def field_mat_mul(a, b, K):
+    """a * b over K, reduced into K; the entries may be any ints or Fractions."""
     ra, ca = mat_shape(a)
     rb, cb = mat_shape(b)
     if ca != rb:
         raise ShapeMismatch(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    out = []
-    for i in range(ra):
-        row_a = a[i]
-        out_row = []
-        for j in range(cb):
-            s = 0
-            for k in range(ca):
-                s += row_a[k] * b[k][j]
-            out_row.append(s)
-        out.append(out_row)
-    return out
+    cols = list(zip(*b))
+    return [
+        _reduce_row([sum(x * y for x, y in zip(row, col)) for col in cols], K)
+        for row in a
+    ]
 
 
-def mat_eq(a, b):
-    return mat_shape(a) == mat_shape(b) and all(
-        a[i][j] == b[i][j] for i in range(len(a)) for j in range(len(a[0]))
-    )
+def _reduce_row(row: list, K) -> list:
+    q = K.characteristic
+    return [x % q for x in row] if q else row
 
 
 def det_int(a) -> int:
@@ -311,11 +175,9 @@ class SnfResult:
     def check(self, c) -> bool:
         """Recompute every SnfResult invariant against the input matrix."""
         d = [list(r) for r in self.d]
-        u = [list(r) for r in self.u]
-        v = [list(r) for r in self.v]
-        if not mat_eq(d, mat_mul(mat_mul(u, c), v)):
+        if d != field_mat_mul(field_mat_mul(self.u, c, ZZ), self.v, ZZ):
             return False
-        if not (is_unimodular(u) and is_unimodular(v)):
+        if not (is_unimodular(self.u) and is_unimodular(self.v)):
             return False
         rows, cols = mat_shape(d)
         for i in range(rows):
@@ -432,57 +294,27 @@ def snf(c) -> SnfResult:
 # --------------------------------------------------------------------------
 # linear algebra over a field
 #
-# These take either integer matrices (lifted entrywise) or matrices whose
-# entries already live in the field's value type.
+# These take matrices of ints or Fractions and reduce them into the field.
 # --------------------------------------------------------------------------
 
 
-def mat_lift(a, K):
-    return [[K.from_int(x) if isinstance(x, int) else x for x in row] for row in a]
-
-
-def field_mat_mul(a, b, K):
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
-    if ca != rb:
-        raise ShapeMismatch(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    out = []
-    for i in range(ra):
-        out_row = []
-        for j in range(cb):
-            s = K.zero
-            for k in range(ca):
-                s = K.add(s, K.mul(a[i][k], b[k][j]))
-            out_row.append(s)
-        out.append(out_row)
-    return out
-
-
-def field_identity(n, K):
-    return [[K.one if i == j else K.zero for j in range(n)] for i in range(n)]
-
-
 def _rref(a, K):
-    """Row-reduce in place; returns (matrix, pivot columns)."""
+    """Row-reduce `a` over K; returns (reduced matrix, pivot columns)."""
     rows, cols = mat_shape(a)
-    m = [list(row) for row in a]
+    m = [_reduce_row(list(row), K) for row in a]
     pivots = []
     r = 0
     for col in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if not K.is_zero(m[i][col]):
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, rows) if m[i][col]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = K.inv(m[r][col])
-        m[r] = [K.mul(inv, x) for x in m[r]]
+        inv = _inverse(m[r][col], K)
+        m[r] = _reduce_row([inv * x for x in m[r]], K)
         for i in range(rows):
-            if i != r and not K.is_zero(m[i][col]):
-                factor = m[i][col]
-                m[i] = [K.sub(x, K.mul(factor, y)) for x, y in zip(m[i], m[r])]
+            factor = m[i][col]
+            if i != r and factor:
+                m[i] = _reduce_row([x - factor * y for x, y in zip(m[i], m[r])], K)
         pivots.append(col)
         r += 1
         if r == rows:
@@ -491,7 +323,7 @@ def _rref(a, K):
 
 
 def rank_over_field(a, K) -> int:
-    _, pivots = _rref(mat_lift(a, K), K)
+    _, pivots = _rref(a, K)
     return len(pivots)
 
 
@@ -501,7 +333,7 @@ def mat_inverse_over_field(c, K):
     if rows != cols:
         raise ShapeMismatch("inverse of a non-square matrix")
     n = rows
-    m = [row + ident for row, ident in zip(mat_lift(c, K), field_identity(n, K))]
+    m = [list(row) + ident for row, ident in zip(c, identity_matrix(n))]
     red, pivots = _rref(m, K)
     if pivots != list(range(n)):
         raise NotInvertible("matrix is singular over " + K.name)
@@ -511,13 +343,13 @@ def mat_inverse_over_field(c, K):
 def nullspace_over_field(a, K):
     """Canonical basis of the right kernel (rref back-substitution)."""
     rows, cols = mat_shape(a)
-    red, pivots = _rref(mat_lift(a, K), K)
+    red, pivots = _rref(a, K)
     free = [j for j in range(cols) if j not in pivots]
     basis = []
     for j in free:
-        vec = [K.zero] * cols
-        vec[j] = K.one
+        vec = [0] * cols
+        vec[j] = 1
         for r, pcol in enumerate(pivots):
-            vec[pcol] = K.neg(red[r][j])
-        basis.append(vec)
+            vec[pcol] = -red[r][j]
+        basis.append(_reduce_row(vec, K))
     return basis

@@ -39,6 +39,7 @@ from .errors import (
     CharacterIllDefined,
     NotPrime,
     ParamsMismatch,
+    TheoremViolation,
     TwoBlocked,
 )
 from .exactarith import is_prime
@@ -133,7 +134,8 @@ class ModelParams:
         while cur not in members:
             members.add(cur)
             cur = cur * g % self.pn
-        assert len(members) == self.e
+        if len(members) != self.e:
+            raise BadOrder(f"{g} generates {len(members)} units, not e = {self.e}")
         return tuple(sorted(members))
 
     @cached_property
@@ -607,6 +609,8 @@ def double_cosets_in_d(params: ModelParams, i: int, j: int) -> tuple[GElement, .
     reps = []
     for block in double_coset_partition(params, i, j):
         in_d = [table.elems[t] for t in block if table.elems[t][1] == 1]
-        assert in_d, "every double coset meets D"
+        if not in_d:
+            first = table.elems[block[0]]
+            raise TheoremViolation(f"the double coset of {first} misses D")
         reps.append(min(in_d))
     return tuple(reps)

@@ -31,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BadLevel, ParamsMismatch, ScalarMismatch
-from .exactarith import nullspace_over_field
+from .exactarith import _sparse, nullspace_over_field
 from .groupmodel import ModelParams, canonical_coset
 
 
@@ -99,8 +99,9 @@ def basis_from_json(obj: dict):
 class RingElement:
     """Sparse element: finite map from basis elements to scalars.
 
-    Values are ints over Z, residues in [0, q) over F_q and Fractions over
-    Q; `TRing.mult` converts them to exact integer arrays and back.
+    Values are ints over Z, residues in [0, q) over F_q and ints or
+    Fractions over Q, reduced once here; `TRing.mult` converts them to
+    exact integer arrays and back.
     """
 
     __slots__ = ("ring", "scalar", "coeffs")
@@ -108,18 +109,18 @@ class RingElement:
     def __init__(self, ring, scalar, coeffs):
         self.ring = ring
         self.scalar = scalar
-        self.coeffs = {b: v for b, v in coeffs.items() if not scalar.is_zero(v)}
+        self.coeffs = _sparse(coeffs, scalar)
 
     def _require_compatible(self, other):
         if self.ring.params != other.ring.params:
             raise ParamsMismatch("elements over different model parameters")
-        if not (self.scalar is other.scalar or self.scalar == other.scalar):
+        if self.scalar != other.scalar:
             raise ScalarMismatch(
                 f"scalars {self.scalar.name} and {other.scalar.name}"
             )
 
     def coeff(self, b):
-        return self.coeffs.get(b, self.scalar.zero)
+        return self.coeffs.get(b, 0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -134,23 +135,20 @@ class RingElement:
 
     def __add__(self, other):
         self._require_compatible(other)
-        S = self.scalar
         out = dict(self.coeffs)
         for b, v in other.coeffs.items():
-            out[b] = S.add(out.get(b, S.zero), v)
-        return RingElement(self.ring, S, out)
+            out[b] = out.get(b, 0) + v
+        return RingElement(self.ring, self.scalar, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        S = self.scalar
-        return RingElement(self.ring, S, {b: S.neg(v) for b, v in self.coeffs.items()})
+        return self.scale(-1)
 
     def scale(self, c):
-        S = self.scalar
         return RingElement(
-            self.ring, S, {b: S.mul(c, v) for b, v in self.coeffs.items()}
+            self.ring, self.scalar, {b: c * v for b, v in self.coeffs.items()}
         )
 
     def __mul__(self, other):
@@ -158,18 +156,16 @@ class RingElement:
         return self.ring.mult(self, other)
 
     def to_json(self) -> list:
-        S = self.scalar
         return [
-            {"basis": basis_to_json(b), "coeff": S.to_str(v)}
+            {"basis": basis_to_json(b), "coeff": str(v)}
             for b, v in sorted(self.coeffs.items(), key=lambda kv: sort_key(kv[0]))
         ]
 
     def __repr__(self):
         if not self.coeffs:
             return "0"
-        S = self.scalar
         terms = [
-            f"{S.to_str(v)}*{basis_label(b)}"
+            f"{v}*{basis_label(b)}"
             for b, v in sorted(self.coeffs.items(), key=lambda kv: sort_key(kv[0]))
         ]
         return " + ".join(terms)
@@ -296,24 +292,19 @@ class TRing:
     def _numerators(self, x: RingElement):
         """(support indices, integer numerators, common denominator) of x.
 
-        Residues over F_q; over Q the lcm of the denominators, else 1.
+        The denominator is the lcm of those of the values: 1 unless some
+        value over Q is not an integer.
         """
-        S = x.scalar
         support = np.array([self.index[b] for b in x.coeffs], dtype=np.intp)
-        vals = list(x.coeffs.values())
-        den = 1
-        if S.characteristic:
-            vals = [v % S.characteristic for v in vals]
-        elif S.is_field:
-            den = math.lcm(*(v.denominator for v in vals))
-            vals = [v.numerator * (den // v.denominator) for v in vals]
-        return support, vals, den
+        vals = x.coeffs.values()
+        den = math.lcm(*(v.denominator for v in vals))
+        return support, [v.numerator * (den // v.denominator) for v in vals], den
 
     def mult(self, x: RingElement, y: RingElement) -> RingElement:
         """x * y as one contraction of the two supports through (K, V)."""
         if x.ring.params != y.ring.params:
             raise ParamsMismatch("elements over different model parameters")
-        if not (x.scalar is y.scalar or x.scalar == y.scalar):
+        if x.scalar != y.scalar:
             raise ScalarMismatch(f"scalars {x.scalar.name} and {y.scalar.name}")
         S = x.scalar
         ia, X, dx = self._numerators(x)
@@ -330,7 +321,7 @@ class TRing:
         sums = _residues(S, sums)
         live = np.flatnonzero(sums)
         vals = sums[live].tolist()
-        if not S.characteristic and S.is_field:
+        if dx * dy > 1:
             vals = [Fraction(v, dx * dy) for v in vals]
         basis = self.basis
         return RingElement(self, S, {basis[i]: v for i, v in zip(live.tolist(), vals)})
@@ -387,16 +378,13 @@ class TRing:
         return RingElement(self, S, {})
 
     def from_basis(self, S, b, coeff=None) -> RingElement:
-        return RingElement(self, S, {b: S.one if coeff is None else coeff})
+        return RingElement(self, S, {b: 1 if coeff is None else coeff})
 
     def one(self, S) -> RingElement:
         return self.from_basis(S, self.one_elem)
 
     def element(self, S, coeffs: dict) -> RingElement:
         return RingElement(self, S, coeffs)
-
-    def from_int_coeffs(self, S, coeffs: dict) -> RingElement:
-        return RingElement(self, S, {b: S.from_int(v) for b, v in coeffs.items()})
 
     # ------------------------------------------------------ center and trace
 

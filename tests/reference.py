@@ -6,6 +6,8 @@ it directly (full scans of G x G, determinants, conjugation orbits) or
 give the tests a shorter way to state an expectation.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from tsring.errors import (
@@ -16,9 +18,8 @@ from tsring.errors import (
     UnrecognizedShape,
 )
 from tsring.exactarith import (
-    ZZ,
+    _sparse,
     mat_inverse_over_field,
-    mat_lift,
     mat_shape,
     nullspace_over_field,
 )
@@ -151,21 +152,26 @@ def det_over_field(a, K):
     rows, cols = mat_shape(a)
     if rows != cols:
         raise ShapeMismatch("determinant of a non-square matrix")
-    m = mat_lift(a, K)
-    det = K.one
+    q = K.characteristic
+
+    def value(x):
+        return x % q if q else Fraction(x)
+
+    m = [[value(x) for x in row] for row in a]
+    det = value(1)
     for col in range(cols):
-        pivot_row = next((i for i in range(col, rows) if not K.is_zero(m[i][col])), None)
+        pivot_row = next((i for i in range(col, rows) if m[i][col]), None)
         if pivot_row is None:
-            return K.zero
+            return value(0)
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = K.neg(det)
-        det = K.mul(det, m[col][col])
-        inv = K.inv(m[col][col])
+            det = value(-det)
+        det = value(det * m[col][col])
+        inv = pow(m[col][col], -1, q) if q else 1 / m[col][col]
         for i in range(col + 1, rows):
-            if not K.is_zero(m[i][col]):
-                factor = K.mul(m[i][col], inv)
-                m[i] = [K.sub(x, K.mul(factor, y)) for x, y in zip(m[i], m[col])]
+            if m[i][col]:
+                factor = m[i][col] * inv
+                m[i] = [value(x - factor * y) for x, y in zip(m[i], m[col])]
     return det
 
 
@@ -184,7 +190,7 @@ def projective_primitive_decomposition(c, K):
     inverse = mat_inverse_over_field(c, K)
     out = []
     for i in range(size):
-        piece = [[K.zero] * size for _ in range(size)]
+        piece = [[0] * size for _ in range(size)]
         piece[i] = list(inverse[i])
         out.append(piece)
     return out
@@ -193,25 +199,18 @@ def projective_primitive_decomposition(c, K):
 # ------------------------------------------------------------- ring elements
 
 
-def trace_form_gram(ring, S):
-    return [[S.from_int(x) for x in row] for row in ring.gram_int()]
-
-
 def map_scalar(x, target):
-    """Reinterpret the coefficients of x in another scalar ring, exactly."""
-    conv = target.from_int if x.scalar is ZZ else target.from_fraction
-    return RingElement(x.ring, target, {b: conv(v) for b, v in x.coeffs.items()})
+    """Reduce the coefficients of x, ints or Fractions, into F_q exactly."""
+    q = target.characteristic
+    coeffs = {b: v.numerator * pow(v.denominator, -1, q) for b, v in x.coeffs.items()}
+    return RingElement(x.ring, target, coeffs)
 
 
 def ga_add(S, x, y):
     out = dict(x)
     for g, v in y.items():
-        w = S.add(out.get(g, S.zero), v)
-        if S.is_zero(w):
-            out.pop(g, None)
-        else:
-            out[g] = w
-    return out
+        out[g] = out.get(g, 0) + v
+    return _sparse(out, S)
 
 
 # ------------------------------------------- the dict-loop ring products
@@ -224,18 +223,14 @@ def _basis_product(ring, ia, ib):
 
 
 def mult_reference(ring, x, y):
-    """x * y by a loop over both supports, one scalar operation at a time."""
-    S = x.scalar
+    """x * y by a loop over both supports, one basis product at a time."""
     acc = {}
     for a, ca in x.coeffs.items():
         for b, cb in y.coeffs.items():
-            w = S.mul(ca, cb)
-            if S.is_zero(w):
-                continue
             for ic, k in _basis_product(ring, ring.index[a], ring.index[b]):
                 c = ring.basis[ic]
-                acc[c] = S.add(acc.get(c, S.zero), S.mul(w, S.from_int(k)))
-    return RingElement(ring, S, acc)
+                acc[c] = acc.get(c, 0) + ca * cb * k
+    return RingElement(ring, x.scalar, acc)
 
 
 def gram_int_reference(ring):

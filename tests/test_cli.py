@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from conftest import INSTANCES, SMALL_INSTANCES
@@ -392,6 +393,25 @@ def test_verify_scan_bound_is_inconclusive(capsys):
     assert other["name"] == "theorem-a" and other["status"] == "ok"
 
 
+def test_verify_empty_check_list_is_a_usage_error(capsys):
+    # "," names no check, so a report would certify nothing
+    for which in (",", " , "):
+        code, out = run_cli(
+            ["verify", "--p", "3", "--n", "1", "--e", "1", "--which", which], capsys
+        )
+        assert (code, out) == (2, "")
+
+
+def test_verify_negative_scan_bound_is_a_usage_error(capsys):
+    args = ["verify", "--p", "3", "--n", "1", "--e", "1", "--which", "theorem-c"]
+    for bound in ("-1", "x"):
+        code, out = run_cli([*args, "--scan-bound", bound], capsys)
+        assert (code, out) == (2, "")
+    # a bound of 0 is valid: the scan is refused, which is inconclusive
+    code, out = run_cli([*args, "--scan-bound", "0"], capsys)
+    assert code == 3 and json.loads(out)["status"] == "inconclusive"
+
+
 def test_verify_multiple_checks(capsys):
     code, out = run_cli(
         [
@@ -444,3 +464,63 @@ def test_byte_determinism_subprocess():
     second = subprocess.run(cmd, capture_output=True, check=False)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
+
+
+# snf returns a normal form with an off-diagonal entry, so the theorem-a
+# certificate must fail; a mutation check, run in a fresh interpreter
+SNF_MUTATION = """
+import sys
+from tsring import cartan, cli
+from tsring.exactarith import SnfResult, snf
+
+def mutated(c):
+    result = snf(c)
+    d = [list(row) for row in result.d]
+    d[0][1] += 1
+    return SnfResult(d=tuple(map(tuple, d)), u=result.u, v=result.v)
+
+cartan.snf = mutated
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_theorem_a_rejects_a_broken_snf_certificate(flags):
+    args = ["verify", "--p", "5", "--n", "1", "--e", "4", "--which", "theorem-a"]
+    run = subprocess.run(
+        [sys.executable, *flags, "-c", SNF_MUTATION, *args],
+        capture_output=True,
+        check=False,
+    )
+    assert run.returncode == 1, run.stderr.decode()
+    doc = json.loads(run.stdout)
+    (check,) = doc["payload"]["checks"]
+    assert doc["status"] == check["status"] == "violation"
+    assert "Smith normal form d = u C v" in check["details"]["error"]
+
+
+# stdout of the parent implementation for two commands, committed as bytes
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_COMMANDS = {
+    # acceptance criterion 11
+    "verify_p3n2e2_criterion11.json": [
+        "--p", "3", "--n", "2", "--e", "2",
+        "--which", "oracle,assoc,theorem-a,theorem-b,theorem-c,theorem-d",
+        "--field", "Q,F5",
+    ],
+    # F_q only: one field of characteristic p and three semisimplicity methods
+    "verify_p5n2e4_fq.json": [
+        "--p", "5", "--n", "2", "--e", "4",
+        "--which", "theorem-b,theorem-d,semisimple",
+        "--field", "F2,F5,F7",
+    ],
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_report_bytes(name, flags):
+    cmd = [sys.executable, *flags, "-m", "tsring", "verify", *GOLDEN_COMMANDS[name]]
+    run = subprocess.run(cmd, capture_output=True, check=False)
+    assert run.returncode == 0, run.stderr.decode()
+    assert run.stdout == (GOLDEN / name).read_bytes()

@@ -8,68 +8,93 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import det_over_field
 
-from tsring.errors import NotInvertible
+from tsring.errors import NotInvertible, NotPrime
 from tsring.exactarith import (
     GF,
     QQ,
     ZZ,
+    _inverse,
     det_int,
     field_mat_mul,
-    field_identity,
     identity_matrix,
     is_prime,
     mat_inverse_over_field,
-    mat_lift,
-    mat_mul,
     nullspace_over_field,
     rank_over_field,
     scalar_ring,
     snf,
 )
+from tsring.groupmodel import make_params
+from tsring.tring import ProjPair, tring
 
 
 # ----------------------------------------------------------------- scalars
 
 
 def test_prime_field_basics():
+    # values are residues: containers reduce sums and products mod 7
     F = GF(7)
-    assert F.add(5, 4) == 2
-    assert F.mul(3, 5) == 1
-    assert F.inv(3) == 5
-    assert F.from_fraction(Fraction(1, 2)) == 4
+    assert field_mat_mul([[5, 3]], [[1], [6]], F) == [[2]]  # 5 + 18 = 23
+    assert field_mat_mul([[-1]], [[1]], F) == [[6]]
+    assert _inverse(3, F) == 5
+    assert _inverse(2, F) == 4  # 1/2 in F_7
     with pytest.raises(NotInvertible):
-        F.inv(0)
+        _inverse(0, F)
     with pytest.raises(NotInvertible):
-        F.from_fraction(Fraction(1, 7))
+        _inverse(7, F)  # the denominator of 1/7 vanishes in F_7
+    ring = tring(make_params(3, 1, 1))
+    x = ring.element(F, {ProjPair(0, 0): 9, ring.one_elem: -7})
+    assert x.coeffs == {ProjPair(0, 0): 2}
 
 
 def test_integer_ring_rejects_fractions():
-    assert ZZ.from_fraction(Fraction(6, 3)) == 2
+    # Z inverts only its units; 1/2 would be a fraction
+    assert _inverse(1, ZZ) == 1
+    assert _inverse(-1, ZZ) == -1
+    for a in (0, 2, -3):
+        with pytest.raises(NotInvertible):
+            _inverse(a, ZZ)
+    assert _inverse(-2, QQ) == Fraction(-1, 2)
+    assert _inverse(Fraction(2, 3), QQ) == Fraction(3, 2)
     with pytest.raises(NotInvertible):
-        ZZ.from_fraction(Fraction(1, 2))
+        _inverse(0, QQ)
 
 
 def test_scalar_ring_parser():
     assert scalar_ring("Q") is QQ
-    assert scalar_ring("F5").q == 5
-    assert scalar_ring("Z") is ZZ
+    assert scalar_ring("F5") == GF(5)
+    assert scalar_ring("F5").characteristic == 5
+    assert scalar_ring("F5").name == "F5" and scalar_ring("F5").is_field
+    assert scalar_ring("Z") is ZZ and not ZZ.is_field
+    assert QQ.characteristic == ZZ.characteristic == 0 and QQ != ZZ
+    assert GF(5) != GF(7) and hash(GF(5)) == hash(GF(5))
     with pytest.raises(ValueError):
         scalar_ring("R")
+    with pytest.raises(NotPrime):
+        scalar_ring("F4")
 
 
 def test_rational_to_str():
-    assert QQ.to_str(Fraction(-4, 9)) == "-4/9"
-    assert QQ.to_str(Fraction(6, 3)) == "2"
+    # report coefficients are str() of the value: "num/den" over Q
+    assert str(Fraction(-4, 9)) == "-4/9"
+    assert str(Fraction(6, 3)) == "2"
+    ring = tring(make_params(3, 1, 1))
+    x = ring.element(QQ, {ProjPair(0, 0): Fraction(-4, 9), ring.one_elem: Fraction(6, 3)})
+    assert [t["coeff"] for t in x.to_json()] == ["-4/9", "2"]
+    assert repr(x) == "-4/9*P[0,0] + 2*M[1,1,0]"
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40))
 def test_prime_field_is_a_field(a, b):
     F = GF(13)
-    x, y = F.from_int(a), F.from_int(b)
-    assert F.add(x, y) == (a + b) % 13
-    assert F.mul(x, y) == (a * b) % 13
-    if x != 0:
-        assert F.mul(x, F.inv(x)) == 1
+    assert field_mat_mul([[a]], [[1]], F) == [[a % 13]]
+    assert field_mat_mul([[a, 1]], [[1], [b]], F) == [[(a + b) % 13]]
+    assert field_mat_mul([[a]], [[b]], F) == [[(a * b) % 13]]
+    if a % 13:
+        assert a * _inverse(a, F) % 13 == 1
+    else:
+        with pytest.raises(NotInvertible):
+            _inverse(a, F)
 
 
 # ----------------------------------------------------------------- the SNF
@@ -147,7 +172,7 @@ def test_inverse_of_special_shape_over_q():
 
 
 def test_inverse_identity():
-    assert mat_inverse_over_field(identity_matrix(3), QQ) == field_identity(3, QQ)
+    assert mat_inverse_over_field(identity_matrix(3), QQ) == identity_matrix(3)
 
 
 def _bruteforce_inverse_f2(mat):
@@ -155,9 +180,9 @@ def _bruteforce_inverse_f2(mat):
     F = GF(2)
     for bits in range(16):
         cand = [[(bits >> 0) & 1, (bits >> 1) & 1], [(bits >> 2) & 1, (bits >> 3) & 1]]
-        left = field_mat_mul(mat_lift(mat, F), cand, F)
-        right = field_mat_mul(cand, mat_lift(mat, F), F)
-        ident = field_identity(2, F)
+        left = field_mat_mul(mat, cand, F)
+        right = field_mat_mul(cand, mat, F)
+        ident = identity_matrix(2)
         if left == ident and right == ident:
             return cand
     return None
@@ -167,7 +192,7 @@ def test_inverse_over_f2_matches_bruteforce():
     mat = [[3, 2], [2, 3]]  # det 5, a unit mod 2
     inv = mat_inverse_over_field(mat, GF(2))
     assert inv == _bruteforce_inverse_f2(mat)
-    assert inv == field_identity(2, GF(2))
+    assert inv == identity_matrix(2)
 
 
 def test_inverse_not_invertible():
@@ -184,10 +209,9 @@ def test_two_sided_inverse_exact():
                 inv = mat_inverse_over_field(mat, K)
             except NotInvertible:
                 continue
-            lifted = mat_lift(mat, K)
-            ident = field_identity(3, K)
-            assert field_mat_mul(lifted, inv, K) == ident
-            assert field_mat_mul(inv, lifted, K) == ident
+            ident = identity_matrix(3)
+            assert field_mat_mul(mat, inv, K) == ident
+            assert field_mat_mul(inv, mat, K) == ident
 
 
 def test_rank_and_nullspace():
@@ -196,7 +220,7 @@ def test_rank_and_nullspace():
     kernel = nullspace_over_field(mat, QQ)
     assert len(kernel) == 1
     vec = kernel[0]
-    for row in mat_lift(mat, QQ):
+    for row in mat:
         assert sum(r * v for r, v in zip(row, vec)) == 0
 
 
@@ -212,4 +236,5 @@ def test_is_prime_small():
 
 
 def test_mat_mul_int():
-    assert mat_mul([[1, 2], [3, 4]], [[0, 1], [1, 0]]) == [[2, 1], [4, 3]]
+    assert field_mat_mul([[1, 2], [3, 4]], [[0, 1], [1, 0]], ZZ) == [[2, 1], [4, 3]]
+    assert field_mat_mul([[-7, 9]], [[5], [8]], ZZ) == [[37]]  # not reduced over Z

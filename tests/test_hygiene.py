@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no module-level function or class of the package goes unreferenced, no
-floating point enters the package, and every function the benchmark's
-per-layer metrics name exists."""
+floating point enters the package, no check is an `assert` statement, and
+every function the benchmark's per-layer metrics name exists."""
 
 import ast
 import importlib
@@ -200,6 +200,31 @@ def test_float_use_is_reported(tmp_path):
         "sample.py:8 float64",
         "sample.py:8 0.5",
     ]
+
+
+def assert_statements(path: Path) -> list[str]:
+    """Where `path` uses `assert`; `python -O` strips it, so a check there
+    would pass silently."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    asserts = [node for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    return [f"{path.name}:{node.lineno}" for node in asserts]
+
+
+def test_no_assert_statements():
+    assert [x for path in sorted(SRC.glob("*.py")) for x in assert_statements(path)] == []
+
+
+def test_assert_statement_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "def f(x):\n"
+        "    if x < 0:\n"
+        "        raise ValueError(x)\n"
+        "    assert x != 1, 'one'\n"
+        "    return AssertionError\n",
+        encoding="utf-8",
+    )
+    assert assert_statements(module) == ["sample.py:4"]
 
 
 # Per-layer metrics that perfbench/run.py derives from the traced functions

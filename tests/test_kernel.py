@@ -36,7 +36,7 @@ def random_element(ring, S, rng, size=None, big=False):
         if S is QQ:
             coeffs[b] = Fraction(num, rng.randint(1, 1 << 45 if big else 12))
         else:
-            coeffs[b] = S.from_int(num)
+            coeffs[b] = num
     return ring.element(S, coeffs)
 
 

@@ -6,7 +6,7 @@ import pytest
 from conftest import BEYOND_INSTANCES
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import det_over_field, trace_form_gram
+from reference import det_over_field
 
 from tsring.cli import _check_assoc
 from tsring.errors import BadLevel, ParamsMismatch, ScalarMismatch
@@ -283,12 +283,12 @@ def test_gram_symmetric(small_params):
 
 def test_gram_311_nondegenerate_over_q():
     ring = tring(make_params(3, 1, 1))
-    assert det_over_field(trace_form_gram(ring, QQ), QQ) != 0
+    assert det_over_field(ring.gram_int(), QQ) != 0
 
 
 def test_gram_322_degenerate_over_f3():
     ring = tring(make_params(3, 2, 2))
-    assert rank_over_field(trace_form_gram(ring, GF(3)), GF(3)) < 12
+    assert rank_over_field(ring.gram_int(), GF(3)) < 12
 
 
 # ------------------------------------------------------------ serialization
