@@ -67,7 +67,8 @@ class TwistedMatRing:
         return field_mat_mul(field_mat_mul(a, self.twist, K), b, K)
 
     def is_idempotent(self, a) -> bool:
-        return self.mult(a, a) == a
+        """a *_c a == a, with a reduced into the scalars first."""
+        return self.mult(a, a) == [_reduce_row(list(row), self.scalar) for row in a]
 
     def are_orthogonal(self, a, b) -> bool:
         zero = [[0] * self.size for _ in range(self.size)]

@@ -14,10 +14,13 @@ linear characters, double cosets, star products, and conjugation.
 
 A subgroup of G x G is a sorted int64 array of pair codes g*|G| + h
 (indices as in GroupTable) with an aligned int64 array of character
-values mod e; conjugation, star products and shape recognition are numpy
-gathers, joins and lookups on them.  Only the named constructors verify
-closure and characters, closure once per code array: star products and
-conjugates of subgroups are subgroups by construction.
+values mod e; construction, conjugation, star products and shape
+recognition are numpy index arithmetic, gathers, joins and lookups on
+them.  Only the named constructors certify a subgroup, from its closed-form
+generators S (at most two): 1 lies in H, H*s lies in H and the orbit of 1
+under right multiplication by S covers H, and the character satisfies
+chi(1) = 0 and chi(h*s) = chi(h) + chi(s); that is |S|*|H| lookups.  Star
+products and conjugates of subgroups are subgroups by construction.
 
 `star` takes a SubgroupStack, subgroups of one order as the rows of 2-D
 arrays, and joins every row with one right factor in a single pass; a
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -138,16 +140,6 @@ class ModelParams:
             raise BadOrder(f"{g} generates {len(members)} units, not e = {self.e}")
         return tuple(sorted(members))
 
-    @cached_property
-    def e_dlog(self) -> dict[int, int]:
-        """Discrete log on E with respect to its generator; values mod e."""
-        table = {}
-        cur = 1
-        for k in range(self.e):
-            table[cur] = k
-            cur = cur * self.e_generator % self.pn
-        return table
-
     def d_subgroup(self, i: int) -> tuple[int, ...]:
         """Elements of D_i, the subgroup of D of order p^i."""
         if not 0 <= i <= self.n:
@@ -155,37 +147,9 @@ class ModelParams:
         step = self.p ** (self.n - i)
         return tuple(range(0, self.pn, step))
 
-    def die_elements(self, i: int) -> tuple[GElement, ...]:
-        """Elements of D_i E in canonical (x, r) order; i = 0 gives E."""
-        return tuple(
-            (x, r) for x in self.d_subgroup(i) for r in self.subgroup_E
-        )
-
-    # --------------------------------------------------------- element ops
-
     @property
     def identity(self) -> GElement:
         return (0, 1)
-
-    def g_mul(self, a: GElement, b: GElement) -> GElement:
-        x, r = a
-        y, s = b
-        return ((x + r * y) % self.pn, r * s % self.pn)
-
-    def g_inv(self, a: GElement) -> GElement:
-        x, r = a
-        ri = pow(r, -1, self.pn)
-        return (-ri * x % self.pn, ri)
-
-    def g_conj(self, s: GElement, a: GElement) -> GElement:
-        return self.g_mul(self.g_mul(s, a), self.g_inv(s))
-
-    def g_elements(self) -> tuple[GElement, ...]:
-        return tuple((x, r) for x in range(self.pn) for r in self.subgroup_E)
-
-    def char_value(self, lam: int, r: int) -> int:
-        """Value (mod e) of the additive character lam on the unit r in E."""
-        return lam * self.e_dlog[r] % self.e if self.e > 1 else 0
 
 
 def make_params(p: int, n: int, e: int) -> ModelParams:
@@ -240,7 +204,7 @@ class SubgroupGG:
     """A subgroup of G x G with a shape tag and optional linear character.
 
     `codes` and `chars` are the arrays of the module docstring (`chars` is
-    None without a character); `from_pairs` checks the subgroup laws.
+    None without a character); the named constructors certify them.
     """
 
     def __init__(self, params, tag, codes, chars=None):
@@ -249,85 +213,14 @@ class SubgroupGG:
         self.codes = codes
         self.chars = chars
 
-    @classmethod
-    def from_pairs(cls, params, tag, elements, character=None) -> "SubgroupGG":
-        """Encode explicit (g, h) pairs, verifying closure and the character."""
-        sub = cls._encode(params, tag, elements, character)
-        sub._check_subgroup()
-        if sub.chars is not None:
-            sub._check_character()
-        return sub
-
-    @classmethod
-    def _encode(cls, params, tag, elements, character) -> "SubgroupGG":
-        """Codes and aligned characters of explicit pairs, unchecked."""
-        table = group_table(params)
-        pairs = list(elements)
-        codes = np.array(
-            [table.index[a] * len(table.elems) + table.index[b] for a, b in pairs],
-            dtype=np.int64,
-        )
-        codes, first = np.unique(codes, return_index=True)
-        chars = None
-        if character is not None:
-            if set(character) != set(pairs):
-                raise CharacterIllDefined("character not defined on every element")
-            values = np.array([character[pair] for pair in pairs], dtype=np.int64)
-            chars = values[first] % params.e
-        return cls(params, tag, codes, chars)
-
-    # ------------------------------------------------------------- checks
-
-    def _products(self) -> np.ndarray:
-        """Codes of all products a*b, as an |H| x |H| array."""
-        table = group_table(self.params)
-        g, h = np.divmod(self.codes, len(table.elems))
-        return _encode(table, table.mul[np.ix_(g, g)], table.mul[np.ix_(h, h)])
-
-    def _check_subgroup(self):
-        table = group_table(self.params)
-        if not len(self.codes) or self.codes[0] != 0:
-            raise ValueError("subgroup misses the identity")
-        g, h = np.divmod(self.codes, len(table.elems))
-        inverses = _encode(table, table.inv[g], table.inv[h])
-        if (_positions(self.codes, inverses) < 0).any():
-            raise ValueError("subgroup not closed under inverses")
-        if (_positions(self.codes, self._products()) < 0).any():
-            raise ValueError("subgroup not closed under products")
-
-    def _check_character(self):
-        chi = self.chars
-        products = chi[_positions(self.codes, self._products())]
-        bad = np.argwhere(products != (chi[:, None] + chi[None, :]) % self.params.e)
-        if len(bad):
-            a, b = (self._pairs()[k] for k in bad[0])
-            raise CharacterIllDefined(f"character is not a homomorphism at {a} * {b}")
-
-    # -------------------------------------------------------------- views
-
-    def _pairs(self) -> list:
-        """The elements as (g, h) pairs of G-elements, in code order."""
-        elems = group_table(self.params).elems
-        n = len(elems)
-        return [(elems[c // n], elems[c % n]) for c in self.codes.tolist()]
-
     def _char_at(self, a, b) -> int:
+        """The character at the pair (a, b) of G-elements."""
         table = group_table(self.params)
         code = table.index[a] * len(table.elems) + table.index[b]
         pos = int(self.codes.searchsorted(code))
         if pos == len(self.codes) or self.codes[pos] != code:
             raise KeyError((a, b))
         return int(self.chars[pos])
-
-    @cached_property
-    def elements(self) -> frozenset:
-        return frozenset(self._pairs())
-
-    @cached_property
-    def character(self):
-        if self.chars is None:
-            return None
-        return MappingProxyType(dict(zip(self._pairs(), self.chars.tolist())))
 
     def __len__(self):
         return len(self.codes)
@@ -350,85 +243,115 @@ def _positions(codes, queries) -> np.ndarray:
 # ----------------------------------------------------------- constructors
 
 
-def _shape(params, tag, elements, character) -> SubgroupGG:
-    """A constructor's subgroup, its closure checked once per code array.
+def _shape(table, tag, g, h, chars, gens) -> SubgroupGG:
+    """The subgroup of index pairs (g, h), certified to be generated by `gens`.
 
-    A plain shape has its closure checked here, and `_shape_tags` builds
-    each one once.  A shape with a character takes its closure from the
-    plain shape with the same codes, which `_shape_tags` holds, so only
-    its character is checked.
+    `gens` are (g, h) index pairs; `chars`, aligned with g and h, is
+    certified to be a homomorphism on the subgroup they generate.
     """
-    if character is None:
-        return SubgroupGG.from_pairs(params, tag, elements)
-    sub = SubgroupGG._encode(params, tag, elements, character)
-    if sub.codes.tobytes() not in _shape_tags(params):
-        sub._check_subgroup()
-    sub._check_character()
-    return sub
+    codes = _encode(table, g, h)
+    order = codes.argsort(kind="stable")
+    codes = codes[order]
+    if chars is not None:
+        chars = chars[order]
+    _certify(table, codes, chars, gens)
+    return SubgroupGG(table.params, tag, codes, chars)
 
 
-def _tilde(params, i, unit, g):
-    """The automorphism of D_i E extending multiplication by the unit."""
-    x, r = g
-    return (unit * x % params.pn, r)
+def _certify(table, codes, chars, gens):
+    """Raise unless the sorted codes are the subgroup the generators generate.
+
+    1 in H and H*s in H for each generator s put <S> inside H; the orbit of
+    1 under right multiplication by S, closed by pointer doubling on the
+    successor permutations h -> h*s, then covers H.  A character is a
+    homomorphism once chi(1) = 0 and chi(h*s) = chi(h) + chi(s), by
+    induction on the length of a word in S.
+    """
+    if not len(codes) or codes[0] != 0:
+        raise ValueError("subgroup misses the identity")
+    g, h = np.divmod(codes, len(table.elems))
+    steps = []
+    for s1, s2 in gens:
+        step = _positions(codes, _encode(table, table.mul[g, s1], table.mul[h, s2]))
+        if (step < 0).any():
+            raise ValueError("subgroup not closed under its generators")
+        steps.append(step)
+    reached = np.zeros(len(codes), dtype=bool)
+    reached[0] = True
+    for step in steps:
+        # after k rounds `reached` holds every x*s^j with j < 2^k
+        for _ in range(len(codes).bit_length()):
+            reached[step[reached]] = True
+            step = step[step]
+    if not reached.all():
+        raise ValueError("generators miss part of the subgroup")
+    if chars is None:
+        return
+    if chars[0] != 0:
+        raise CharacterIllDefined("character is not 0 at the identity")
+    elems, n = table.elems, len(table.elems)
+    for (s1, s2), step in zip(gens, steps):
+        wrong = np.flatnonzero(chars[step] != (chars + chars[step[0]]) % table.params.e)
+        if len(wrong):
+            g, h = divmod(int(codes[wrong[0]]), n)
+            raise CharacterIllDefined(
+                "character is not a homomorphism at "
+                f"{(elems[g], elems[h])} * {(elems[s1], elems[s2])}"
+            )
 
 
 def subgroup_exe(params, lam=None, mu=None) -> SubgroupGG:
     """E x E; with characters, carries (rho, sigma) -> lam(rho) - mu(sigma)."""
-    elements = [((0, r), (0, s)) for r in params.subgroup_E for s in params.subgroup_E]
-    character = None
+    table = group_table(params)
+    # (0, r) has index rank(r)
+    g, h = np.divmod(np.arange(params.e * params.e), params.e)
+    chars = None
     if lam is not None:
-        character = {
-            ((0, r), (0, s)): (params.char_value(lam, r) - params.char_value(mu, s))
-            % params.e
-            for r in params.subgroup_E
-            for s in params.subgroup_E
-        }
-    return _shape(params, (TAG_EXE,), elements, character)
+        chars = (lam * table.dlog[g] - mu * table.dlog[h]) % params.e
+    return _shape(table, (TAG_EXE,), g, h, chars, [(table.eps, 0), (0, table.eps)])
 
 
 def subgroup_exone(params, lam=None) -> SubgroupGG:
-    elements = [((0, r), params.identity) for r in params.subgroup_E]
-    character = None
-    if lam is not None:
-        character = {
-            ((0, r), params.identity): params.char_value(lam, r)
-            for r in params.subgroup_E
-        }
-    return _shape(params, (TAG_EXONE,), elements, character)
+    table = group_table(params)
+    g = np.arange(params.e)
+    chars = None if lam is None else lam * table.dlog % params.e
+    return _shape(table, (TAG_EXONE,), g, np.zeros_like(g), chars, [(table.eps, 0)])
 
 
 def subgroup_onexe(params, mu=None) -> SubgroupGG:
-    elements = [(params.identity, (0, s)) for s in params.subgroup_E]
-    character = None
-    if mu is not None:
-        character = {
-            (params.identity, (0, s)): params.char_value(mu, s)
-            for s in params.subgroup_E
-        }
-    return _shape(params, (TAG_ONEXE,), elements, character)
+    table = group_table(params)
+    h = np.arange(params.e)
+    chars = None if mu is None else mu * table.dlog % params.e
+    return _shape(table, (TAG_ONEXE,), np.zeros_like(h), h, chars, [(0, table.eps)])
 
 
 def subgroup_diag_p(params, i, unit) -> SubgroupGG:
     """Twisted diagonal of D_i: {(unit*y, y) : y in D_i}."""
-    if not 1 <= i <= params.n:
-        raise BadLevel(f"level {i} outside 1..{params.n}")
-    elements = [((unit * y % params.pn, 1), (y, 1)) for y in params.d_subgroup(i)]
-    return _shape(params, (TAG_DIAG_P, i, unit % params.p**i), elements, None)
+    return _diagonal(params, (TAG_DIAG_P, i, unit % params.p**i), unit, [0], None)
 
 
 def subgroup_diag_pe(params, i, unit, lam=None) -> SubgroupGG:
     """Twisted diagonal of D_i E; with a character it is lam on the E part."""
+    tag = (TAG_DIAG_PE, i, unit % params.p**i)
+    return _diagonal(params, tag, unit, np.arange(params.e), lam)
+
+
+def _diagonal(params, tag, unit, ranks, lam) -> SubgroupGG:
+    """{((unit*x, r), (x, r))} over x in D_i and r of the given ranks, generated
+    by the image of the generator p^(n-i) of D_i and, if r runs over E, by
+    (epsilon, epsilon)."""
+    i = tag[1]
     if not 1 <= i <= params.n:
         raise BadLevel(f"level {i} outside 1..{params.n}")
-    elements = []
-    character = {} if lam is not None else None
-    for g in params.die_elements(i):
-        pair = (_tilde(params, i, unit, g), g)
-        elements.append(pair)
-        if character is not None:
-            character[pair] = params.char_value(lam, g[1])
-    return _shape(params, (TAG_DIAG_PE, i, unit % params.p**i), elements, character)
+    table, e, step = group_table(params), params.e, params.p ** (params.n - i)
+    x = np.arange(0, params.pn, step)[:, None]
+    g = (unit * x % params.pn * e + ranks).ravel()
+    h = (x * e + ranks).ravel()
+    chars = None if lam is None else np.tile(lam * table.dlog % e, len(x))
+    gens = [(unit * step % params.pn * e, step * e)]
+    if len(ranks) == e:
+        gens.append((table.eps, table.eps))
+    return _shape(table, tag, g, h, chars, gens)
 
 
 # --------------------------------------------------------- shape recognition
@@ -557,22 +480,48 @@ def conj(s: GGPair, x: SubgroupGG) -> SubgroupGG:
 # --------------------------------------------------------------------------
 
 
+# int64 entries per block of rows while the table is built: the block's
+# temporaries stay at 64 KB whatever |G| is, never |G|^2 of them
+_TABLE_BLOCK = 1 << 13
+
+
 class GroupTable:
+    """Multiplication and inversion of G on indices x*e + rank(r) of (x, r).
+
+    rank(r) is the position of r in the sorted E and dlog[rank(r)] its
+    discrete log to the base epsilon, the generator of E.  The product
+    (x, r)*(y, s) = (x + r*y mod p^n, r*s) is computed on whole blocks of
+    rows and written into the int32 table.
+    """
+
     def __init__(self, params: ModelParams):
         self.params = params
-        self.elems = list(params.g_elements())
+        pn, e, units = params.pn, params.e, params.subgroup_E
+        self.elems = [(x, r) for x in range(pn) for r in units]
         self.index = {g: i for i, g in enumerate(self.elems)}
-        self.mul = np.array(
-            [[self.index[params.g_mul(a, b)] for b in self.elems] for a in self.elems],
-            dtype=np.int32,
-        )
-        self.inv = np.array(
-            [self.index[params.g_inv(a)] for a in self.elems], dtype=np.int32
-        )
+        self.rank = {r: k for k, r in enumerate(units)}
+        self.eps = self.rank[params.e_generator]  # the index of (0, epsilon)
+        rank_mul = np.array([[self.rank[r * s % pn] for s in units] for r in units])
+        rank_inv = np.array([self.rank[pow(r, -1, pn)] for r in units])
+        powers = [self.rank[pow(params.e_generator, j, pn)] for j in range(e)]
+        self.dlog = np.argsort(powers)  # inverts j -> rank(epsilon^j)
+        # r*y mod p^n by rank of r
+        scaled = np.array(units, dtype=np.int64)[:, None] * np.arange(pn) % pn
+        order = pn * e
+        x, k = np.divmod(np.arange(order), e)
+        self.mul = np.empty((order, order), dtype=np.int32)
+        rows = max(1, _TABLE_BLOCK // order)
+        for lo in range(0, order, rows):
+            xa, ka = x[lo : lo + rows, None], k[lo : lo + rows, None]
+            self.mul[lo : lo + rows] = (xa + scaled[ka, x]) % pn * e + rank_mul[ka, k]
+        ki = rank_inv[k]
+        self.inv = (-scaled[ki, x] % pn * e + ki).astype(np.int32)
 
     def subgroup_indices(self, level: int) -> np.ndarray:
-        members = self.params.die_elements(level)
-        return np.array(sorted(self.index[g] for g in members), dtype=np.int32)
+        """Indices of D_i E, sorted."""
+        x = np.array(self.params.d_subgroup(level), dtype=np.int32)
+        e = self.params.e
+        return (x[:, None] * e + np.arange(e, dtype=np.int32)).ravel()
 
 
 @lru_cache(maxsize=None)

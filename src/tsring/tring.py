@@ -26,13 +26,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
 from .errors import BadLevel, ParamsMismatch, ScalarMismatch
 from .exactarith import _sparse, nullspace_over_field
-from .groupmodel import ModelParams, canonical_coset
+from .groupmodel import AutCoset, ModelParams, canonical_coset
 
 
 @dataclass(frozen=True)
@@ -269,25 +268,74 @@ class TRing:
 
         e_a * e_b = sum_j V[a, b, j] e_{K[a, b, j]} over j < J, the largest
         number of terms of any basis product; unused slots hold K = V = 0.
-        Built once from `mult_basis`; the ring's only multiplication table.
+        Built once from the four rules of the module docstring by index
+        arithmetic, with the terms in `mult_basis` order: the ring's only
+        multiplication table.
         """
         if self._structure_arrays is None:
-            d = len(self.basis)
-            rows, slots, targets, coeffs = [], [], [], []
-            for row, (a, b) in enumerate(product(self.basis, repeat=2)):
-                for j, (c, v) in enumerate(self.mult_basis(a, b).items()):
-                    rows.append(row)
-                    slots.append(j)
-                    targets.append(self.index[c])
-                    coeffs.append(v)
-            width = max(slots) + 1
-            K = np.zeros((d * d, width), dtype=np.int64)
-            V = np.zeros((d * d, width), dtype=np.int64)
-            K[rows, slots] = targets
-            V[rows, slots] = coeffs
-            self._structure_arrays = (K.reshape(d, d, width), V.reshape(d, d, width))
+            self._structure_arrays = K, V = self._rule_arrays()
             self._vmax = int(np.abs(V).max())
         return self._structure_arrays
+
+    def _rule_arrays(self):
+        """(K, V) of the four rules, by index arithmetic one left factor at a time.
+
+        A product is t_lead + f * sum_nu t_nu over a family of e classes
+        t_nu = base + stride * nu.  Slot 0 holds t_lead with 1 + f, and
+        when f > 0 slots 1.. hold the other nu in increasing order with f,
+        as `mult_basis` lists them.  P * P is the one term m + [b == c].
+        Lookup tables do the arithmetic mod e and on levels, and a row's
+        temporaries are d long: freed d x d temporaries and the first use of
+        further numpy kernels both showed up in the peak RSS of small runs.
+        """
+        params = self.params
+        e, d, basis = params.e, len(self.basis), self.basis
+        P, M = slice(0, e * e), slice(e * e, d)
+        # (0, lam, mu) of P[lam, mu] and (level, alpha, lam) of M[level, alpha, lam]
+        rows = [(0, b.lam, b.mu) for b in basis[P]]
+        rows += [(b.level, b.alpha, b.lam) for b in basis[M]]
+        level, one, two = (np.array(col) for col in zip(*rows))
+        chars, levels = range(e), range(params.n + 1)
+        add = np.array([[(x + y) % e for y in chars] for x in chars])
+        sub = np.array([[(x - y) % e for y in chars] for x in chars])
+        pp = np.array([[params.multiplicity + (x == y) for y in chars] for x in chars])
+        # slot j > 0 holds nu = others[j, lead], the nu != lead in increasing order
+        others = np.array([[j - 1 + (j > x) for x in chars] for j in chars])
+        count = [params.nontrivial_coset_count(j) for j in levels]
+        high = np.array([[count[max(i, j)] for j in levels] for i in levels])
+        live = np.array([[int(count[max(i, j)] > 0) for j in levels] for i in levels])
+        low = np.array([[min(i, j) for j in levels] for i in levels])
+        modulus = np.array([params.p**i for i in levels])
+        # coset[i, u]: the index of M[i, coset of the unit u mod p^i, 0]
+        coset = np.zeros((params.n + 1, params.pn), dtype=np.int64)
+        for b in basis[e * e :: e]:  # M[i, alpha, 0], one per coset
+            coset[b.level, AutCoset(b.level, b.alpha).members(params)] = self.index[b]
+        width = e if any(count[1:]) else 1
+        K, V = (np.zeros((d, d, width), dtype=np.int64) for _ in range(2))
+
+        def put(a, cols, base, stride, lead, fam, alive):
+            K[a, cols, 0] = base + stride * lead
+            V[a, cols, 0] = fam + 1
+            for j in range(1, width):
+                K[a, cols, j] = (base + stride * others[j, lead]) * alive
+                V[a, cols, j] = fam
+
+        right = level[M]
+        for a, (i, x, c) in enumerate(rows):
+            if a < e * e:
+                # P[x,c] * P[y,z] = (m + [c == y]) P[x,z]
+                K[a, P, 0] = x * e + two[P]
+                V[a, P, 0] = pp[c, one[P]]
+                # P[x,c] * M[j,B,z] = P[x, c-z] + m_j sum_nu P[x, nu]
+                put(a, M, x * e, 1, sub[c, two[M]], high[0, right], live[0, right])
+            else:
+                # M[i,A,c] * P[y,z] = P[c+y, z] + m_i sum_nu P[nu, z]
+                put(a, P, two[P], e, add[c, one[P]], count[i], live[i, 0])
+                # M[i,A,c] * M[j,B,z] = M[k, AB, c+z] + m_max(i,j) sum_nu M[k, AB, nu]
+                k = low[i, right]
+                base = coset[k, x * one[M] % modulus[k]]
+                put(a, M, base, 1, add[c, two[M]], high[i, right], live[i, right])
+        return K, V
 
     def _numerators(self, x: RingElement):
         """(support indices, integer numerators, common denominator) of x.

@@ -21,6 +21,9 @@ INSTANCES = [
     (13, 1, 4),
 ]
 
+# small models at the edges: p = 2, e = 1 and e = p - 1
+EDGE_INSTANCES = [(2, 1, 1), (3, 1, 2), (7, 1, 2), (5, 2, 1)]
+
 SMALL_INSTANCES = [t for t in INSTANCES if t[0] ** t[1] * t[2] <= 24]
 
 # every admissible (p, n, e) with d = e^2 + p^n - 1 <= 60 outside INSTANCES

@@ -7,6 +7,7 @@ give the tests a shorter way to state an expectation.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -24,6 +25,11 @@ from tsring.exactarith import (
     nullspace_over_field,
 )
 from tsring.groupmodel import (
+    TAG_DIAG_P,
+    TAG_DIAG_PE,
+    TAG_EXE,
+    TAG_EXONE,
+    TAG_ONEXE,
     SubgroupGG,
     SubgroupStack,
     _encode,
@@ -37,9 +43,195 @@ from tsring.groupmodel import (
     star,
     subgroup_diag_pe,
 )
-from tsring.tring import ProjPair, RingElement, basis_label, tring
+from tsring.tring import ProjPair, RingElement, TRing, basis_label, tring
 
 # ------------------------------------------------------------ the group model
+#
+# Elements of G as (x, r) pairs, x in Z/p^n and r in E, multiplied by the
+# group law itself; the package works on the indices of GroupTable instead.
+
+
+def g_mul(params, a, b):
+    x, r = a
+    y, s = b
+    return ((x + r * y) % params.pn, r * s % params.pn)
+
+
+def g_inv(params, a):
+    x, r = a
+    ri = pow(r, -1, params.pn)
+    return (-ri * x % params.pn, ri)
+
+
+def g_conj(params, s, a):
+    return g_mul(params, g_mul(params, s, a), g_inv(params, s))
+
+
+def die_elements(params, i):
+    """Elements of D_i E in canonical (x, r) order; i = 0 gives E."""
+    return tuple((x, r) for x in params.d_subgroup(i) for r in params.subgroup_E)
+
+
+def char_value(params, lam, r):
+    """Value (mod e) of the additive character lam on the unit r in E."""
+    cur, k = 1, 0
+    while cur != r:
+        cur, k = cur * params.e_generator % params.pn, k + 1
+    return lam * k % params.e
+
+
+def mul_table_reference(params):
+    """The |G| x |G| multiplication table of GroupTable's indices, by g_mul."""
+    table = group_table(params)
+    return np.array(
+        [[table.index[g_mul(params, a, b)] for b in table.elems] for a in table.elems],
+        dtype=np.int32,
+    )
+
+
+def inv_table_reference(params):
+    table = group_table(params)
+    return np.array([table.index[g_inv(params, a)] for a in table.elems], dtype=np.int32)
+
+
+# --------------------------------------- subgroups from explicit (g, h) pairs
+
+
+def pairs_of(sub):
+    """The subgroup's elements as (g, h) pairs of G-elements, in code order."""
+    elems = group_table(sub.params).elems
+    n = len(elems)
+    return [(elems[c // n], elems[c % n]) for c in sub.codes.tolist()]
+
+
+def elements_of(sub):
+    return frozenset(pairs_of(sub))
+
+
+def character_of(sub):
+    """The character as a dict on (g, h) pairs, or None."""
+    if sub.chars is None:
+        return None
+    return dict(zip(pairs_of(sub), sub.chars.tolist()))
+
+
+def subgroup_from_pairs(params, tag, elements, character=None):
+    """Encode explicit (g, h) pairs, checking closure and the character on
+    the full |H| x |H| product table."""
+    table = group_table(params)
+    pairs = list(elements)
+    codes = np.array(
+        [table.index[a] * len(table.elems) + table.index[b] for a, b in pairs],
+        dtype=np.int64,
+    )
+    codes, first = np.unique(codes, return_index=True)
+    chars = None
+    if character is not None:
+        if set(character) != set(pairs):
+            raise CharacterIllDefined("character not defined on every element")
+        values = np.array([character[pair] for pair in pairs], dtype=np.int64)
+        chars = values[first] % params.e
+    sub = SubgroupGG(params, tag, codes, chars)
+    check_subgroup(sub)
+    if chars is not None:
+        check_character(sub)
+    return sub
+
+
+def product_codes(sub):
+    """Codes of all products a*b in the subgroup, as an |H| x |H| array."""
+    table = group_table(sub.params)
+    g, h = np.divmod(sub.codes, len(table.elems))
+    return _encode(table, table.mul[np.ix_(g, g)], table.mul[np.ix_(h, h)])
+
+
+def check_subgroup(sub):
+    table = group_table(sub.params)
+    if not len(sub.codes) or sub.codes[0] != 0:
+        raise ValueError("subgroup misses the identity")
+    g, h = np.divmod(sub.codes, len(table.elems))
+    inverses = _encode(table, table.inv[g], table.inv[h])
+    if (_positions(sub.codes, inverses) < 0).any():
+        raise ValueError("subgroup not closed under inverses")
+    if (_positions(sub.codes, product_codes(sub)) < 0).any():
+        raise ValueError("subgroup not closed under products")
+
+
+def check_character(sub):
+    chi = sub.chars
+    values = chi[_positions(sub.codes, product_codes(sub))]
+    bad = np.argwhere(values != (chi[:, None] + chi[None, :]) % sub.params.e)
+    if len(bad):
+        a, b = (pairs_of(sub)[k] for k in bad[0])
+        raise CharacterIllDefined(f"character is not a homomorphism at {a} * {b}")
+
+
+def _tilde(params, i, unit, g):
+    """The automorphism of D_i E extending multiplication by the unit."""
+    x, r = g
+    return (unit * x % params.pn, r)
+
+
+def exe_reference(params, lam=None, mu=None):
+    units = params.subgroup_E
+    elements = [((0, r), (0, s)) for r in units for s in units]
+    character = None
+    if lam is not None:
+        character = {
+            ((0, r), (0, s)): char_value(params, lam, r) - char_value(params, mu, s)
+            for r in units
+            for s in units
+        }
+    return subgroup_from_pairs(params, (TAG_EXE,), elements, character)
+
+
+def exone_reference(params, lam=None):
+    elements = [((0, r), params.identity) for r in params.subgroup_E]
+    character = None
+    if lam is not None:
+        character = {pair: char_value(params, lam, pair[0][1]) for pair in elements}
+    return subgroup_from_pairs(params, (TAG_EXONE,), elements, character)
+
+
+def onexe_reference(params, mu=None):
+    elements = [(params.identity, (0, s)) for s in params.subgroup_E]
+    character = None
+    if mu is not None:
+        character = {pair: char_value(params, mu, pair[1][1]) for pair in elements}
+    return subgroup_from_pairs(params, (TAG_ONEXE,), elements, character)
+
+
+def diag_p_reference(params, i, unit):
+    elements = [((unit * y % params.pn, 1), (y, 1)) for y in params.d_subgroup(i)]
+    return subgroup_from_pairs(params, (TAG_DIAG_P, i, unit % params.p**i), elements)
+
+
+def diag_pe_reference(params, i, unit, lam=None):
+    elements = [(_tilde(params, i, unit, g), g) for g in die_elements(params, i)]
+    character = None
+    if lam is not None:
+        character = {pair: char_value(params, lam, pair[1][1]) for pair in elements}
+    tag = (TAG_DIAG_PE, i, unit % params.p**i)
+    return subgroup_from_pairs(params, tag, elements, character)
+
+
+def shape_tags_reference(params):
+    """Code bytes -> tag of every shape, built from tuples with the |H|^2
+    checks; the first built wins at e = 1."""
+    shapes = [exe_reference(params), exone_reference(params), onexe_reference(params)]
+    for i in range(params.n, 0, -1):
+        for unit in range(1, params.p**i):
+            if unit % params.p:
+                shapes.append(diag_p_reference(params, i, unit))
+                shapes.append(diag_pe_reference(params, i, unit))
+    return {sub.codes.tobytes(): sub.tag for sub in reversed(shapes)}
+
+
+def basis_subgroup_reference(params, b):
+    """The oracle's inducing subgroup of a basis class, from tuples."""
+    if isinstance(b, ProjPair):
+        return exe_reference(params, b.lam, b.mu)
+    return diag_pe_reference(params, b.level, b.alpha, b.lam)
 
 
 def pi(params, i, unit):
@@ -77,19 +269,19 @@ def star_one(x, y):
 
 
 def first_projection(sub):
-    return frozenset(a for a, _ in sub.elements)
+    return frozenset(a for a, _ in elements_of(sub))
 
 
 def left_kernel(sub):
     """k_1: elements g of G with (g, 1) in the subgroup."""
     ident = sub.params.identity
-    return frozenset(a for a, b in sub.elements if b == ident)
+    return frozenset(a for a, b in elements_of(sub) if b == ident)
 
 
 def right_kernel(sub):
     """k_2: elements h of G with (1, h) in the subgroup."""
     ident = sub.params.identity
-    return frozenset(b for a, b in sub.elements if a == ident)
+    return frozenset(b for a, b in elements_of(sub) if a == ident)
 
 
 def gg_generators(params):
@@ -105,11 +297,11 @@ def normalizer_bruteforce(params, sub):
     table = group_table(params)
     order = len(table.elems)
     member = np.zeros((order, order), dtype=bool)
-    for a, b in sub.elements:
+    for a, b in elements_of(sub):
         member[table.index[a], table.index[b]] = True
     mask = np.ones((order, order), dtype=bool)
     all_idx = np.arange(order, dtype=np.int32)
-    for a, b in sub.elements:
+    for a, b in elements_of(sub):
         ga, gb = table.index[a], table.index[b]
         conj_a = table.mul[table.mul[all_idx, ga], table.inv[all_idx]]
         conj_b = table.mul[table.mul[all_idx, gb], table.inv[all_idx]]
@@ -124,14 +316,14 @@ def normalizer_bruteforce(params, sub):
 def conjugate_subgroup_orbit(params, sub):
     """Orbit of the subgroup under G x G conjugation (generator closure)."""
     gens = gg_generators(params)
-    start = frozenset(sub.elements)
+    start = frozenset(elements_of(sub))
     orbit = {start}
     frontier = [start]
     while frontier:
         cur = frontier.pop()
         for s1, s2 in gens:
             moved = frozenset(
-                (params.g_conj(s1, a), params.g_conj(s2, b)) for a, b in cur
+                (g_conj(params, s1, a), g_conj(params, s2, b)) for a, b in cur
             )
             if moved not in orbit:
                 orbit.add(moved)
@@ -142,7 +334,7 @@ def conjugate_subgroup_orbit(params, sub):
 def are_conjugate_bruteforce(params, sub_a, sub_b):
     if len(sub_a) != len(sub_b):
         return False
-    return frozenset(sub_b.elements) in conjugate_subgroup_orbit(params, sub_a)
+    return frozenset(elements_of(sub_b)) in conjugate_subgroup_orbit(params, sub_a)
 
 
 # ----------------------------------------------------------- linear algebra
@@ -214,6 +406,31 @@ def ga_add(S, x, y):
 
 
 # ------------------------------------------- the dict-loop ring products
+
+
+def structure_arrays_reference(ring):
+    """(K, V) from one `mult_basis` call per basis pair, terms in dict order."""
+    d = len(ring.basis)
+    rows, slots, targets, coeffs = [], [], [], []
+    for row, (a, b) in enumerate(product(ring.basis, repeat=2)):
+        for j, (c, v) in enumerate(ring.mult_basis(a, b).items()):
+            rows.append(row)
+            slots.append(j)
+            targets.append(ring.index[c])
+            coeffs.append(v)
+    width = max(slots) + 1
+    K = np.zeros((d * d, width), dtype=np.int64)
+    V = np.zeros((d * d, width), dtype=np.int64)
+    K[rows, slots] = targets
+    V[rows, slots] = coeffs
+    return K.reshape(d, d, width), V.reshape(d, d, width)
+
+
+def patch_mult_basis(monkeypatch, mult_basis):
+    """Replace `TRing.mult_basis` and build (K, V) from it, so that a
+    mutated basis product reaches every product of the ring."""
+    monkeypatch.setattr(TRing, "mult_basis", mult_basis)
+    monkeypatch.setattr(TRing, "_rule_arrays", structure_arrays_reference)
 
 
 def _basis_product(ring, ia, ib):

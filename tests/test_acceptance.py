@@ -24,6 +24,7 @@ import pytest
 
 from reference import (
     conjugate_subgroup_orbit,
+    elements_of,
     normalizer_bruteforce,
     oracle_table,
     projective_identity,
@@ -317,7 +318,7 @@ def test_criterion_10_group_model_laws():
                         params, i, v
                     )
                     conjugate = (
-                        frozenset(gm.subgroup_diag_p(params, i, v).elements) in orbit
+                        frozenset(elements_of(gm.subgroup_diag_p(params, i, v))) in orbit
                     )
                     assert conjugate == same_coset
         # double coset sizes and counts for all (i, j)

@@ -10,6 +10,7 @@ from conftest import BEYOND_INSTANCES, INSTANCES, SMALL_INSTANCES
 from reference import (
     ga_add,
     mult_reference,
+    patch_mult_basis,
     projective_primitive_decomposition,
 )
 
@@ -524,7 +525,7 @@ def test_raised_top_products_fail_level_block(fresh_rings, monkeypatch, triple, 
             prod = {c: v + 1 for c, v in prod.items()}
         return prod
 
-    monkeypatch.setattr(TRing, "mult_basis", mult_basis)
+    patch_mult_basis(monkeypatch, mult_basis)
     code, error = _theorem_d_error(params, field)
     assert code == 1
     assert error.startswith(f"block {params.n} multiplicativity")

@@ -69,6 +69,13 @@ def test_twisted_corner_is_square_scalar():
     assert ring.mult(ring.mult(e11, e11), e11) == [[4, 0], [0, 0]]
 
 
+def test_twisted_is_idempotent_reduces_its_input():
+    # 6 = 1 in F_5, and 1 * 1 * 1 = 1
+    assert cartan.TwistedMatRing(1, [[1]], GF(5)).is_idempotent([[6]])
+    assert not cartan.TwistedMatRing(1, [[1]], GF(5)).is_idempotent([[2]])
+    assert not cartan.TwistedMatRing(1, [[1]]).is_idempotent([[6]])
+
+
 def test_twisted_shape_mismatch():
     ring = cartan.TwistedMatRing(2, identity_matrix(2))
     with pytest.raises(ShapeMismatch):

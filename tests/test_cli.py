@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 from conftest import INSTANCES, SMALL_INSTANCES
+from reference import patch_mult_basis
 
 from tsring import blocks, cli
 from tsring.cli import _check_assoc, main
@@ -160,7 +161,7 @@ def _mutate_mult_basis(monkeypatch, a, b, c, delta):
             prod[c] = prod.get(c, 0) + delta
         return prod
 
-    monkeypatch.setattr(TRing, "mult_basis", mult_basis)
+    patch_mult_basis(monkeypatch, mult_basis)
 
 
 def test_verify_assoc_reports_first_failing_triple(fresh_rings, monkeypatch, capsys):

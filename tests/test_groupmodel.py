@@ -4,20 +4,31 @@ import random
 
 import numpy as np
 import pytest
+from conftest import EDGE_INSTANCES, INSTANCES
 from reference import (
     are_conjugate_bruteforce,
+    basis_subgroup_reference,
+    character_of,
+    check_character,
     conjugate_subgroup_orbit,
     coset_mul,
     delta_g,
+    die_elements,
     double_cosets,
+    elements_of,
     first_projection,
+    g_conj,
     gg_generators,
+    inv_table_reference,
     left_kernel,
+    mul_table_reference,
     normalizer_bruteforce,
     pi,
     right_kernel,
+    shape_tags_reference,
     star_one,
     star_reference,
+    subgroup_from_pairs,
 )
 
 from tsring import groupmodel as gm
@@ -171,7 +182,7 @@ def test_double_coset_reps_first_is_identity(any_params):
 def test_star_diagonal_idempotent():
     params = gm.make_params(3, 2, 2)
     dg = delta_g(params)
-    assert star_one(dg, dg).elements == dg.elements
+    assert elements_of(star_one(dg, dg)) == elements_of(dg)
 
 
 def test_star_twisted_diagonals_compose():
@@ -184,7 +195,7 @@ def test_star_twisted_diagonals_compose():
             k = min(i, j)
             expected_unit = alpha * beta % params.p**k
             expected = gm.subgroup_diag_pe(params, k, expected_unit)
-            assert prod.elements == expected.elements
+            assert elements_of(prod) == elements_of(expected)
             assert prod.tag[0] == gm.TAG_DIAG_PE
             assert gm.canonical_coset(params, k, prod.tag[2]) == gm.canonical_coset(
                 params, k, expected_unit
@@ -195,7 +206,7 @@ def test_star_exe_absorbs_diagonal():
     params = gm.make_params(3, 2, 2)
     exe = gm.subgroup_exe(params)
     diag = gm.subgroup_diag_pe(params, 2, 2)
-    assert star_one(exe, diag).elements == exe.elements
+    assert elements_of(star_one(exe, diag)) == elements_of(exe)
 
 
 def test_star_character_well_defined():
@@ -203,8 +214,8 @@ def test_star_character_well_defined():
     x = gm.subgroup_exe(params, lam=1, mu=0)
     y = gm.subgroup_diag_pe(params, 2, 1, lam=1)
     out = star_one(x, y)
-    assert out.character is not None
-    out._check_character()
+    assert character_of(out) is not None
+    check_character(out)
 
 
 def test_star_character_conflict_raises():
@@ -224,7 +235,7 @@ def test_conj_by_identity():
     params = gm.make_params(3, 2, 2)
     sub = gm.subgroup_diag_p(params, 1, 1)
     out = gm.conj((params.identity, params.identity), sub)
-    assert out.elements == sub.elements
+    assert elements_of(out) == elements_of(sub)
     assert out.tag == sub.tag
 
 
@@ -263,8 +274,8 @@ def _basis_subgroups(params):
 def _assert_encodes(sub, character):
     """The sorted, duplicate-free codes and aligned characters decode to `character`."""
     assert (np.diff(sub.codes) > 0).all()
-    assert sub.elements == frozenset(character)
-    assert dict(sub.character) == character
+    assert elements_of(sub) == frozenset(character)
+    assert dict(character_of(sub)) == character
 
 
 def test_conj_matches_group_law(small_params):
@@ -275,8 +286,8 @@ def test_conj_matches_group_law(small_params):
     for sub in _basis_subgroups(params):
         for s1, s2 in conjugators:
             expected = {
-                (params.g_conj(s1, a), params.g_conj(s2, b)): value
-                for (a, b), value in sub.character.items()
+                (g_conj(params, s1, a), g_conj(params, s2, b)): value
+                for (a, b), value in character_of(sub).items()
             }
             _assert_encodes(gm.conj((s1, s2), sub), expected)
 
@@ -285,8 +296,8 @@ def _compose(params, x, y):
     """{(g, k) : (g, h) in X, (h, k) in Y} with summed characters, or None
     when two connecting elements give one pair different values."""
     out = {}
-    for (g, h), u in x.character.items():
-        for (h2, k), v in y.character.items():
+    for (g, h), u in character_of(x).items():
+        for (h2, k), v in character_of(y).items():
             if h == h2:
                 value = (u + v) % params.e
                 if out.setdefault((g, k), value) != value:
@@ -349,7 +360,7 @@ def test_conjugacy_matches_coset_criterion(p, n, e):
                 expected = gm.canonical_coset(params, i, u) == gm.canonical_coset(
                     params, i, v
                 )
-                got = frozenset(gm.subgroup_diag_p(params, i, v).elements) in orbit
+                got = frozenset(elements_of(gm.subgroup_diag_p(params, i, v))) in orbit
                 assert got == expected
 
 
@@ -370,13 +381,13 @@ def test_subgroup_projections_and_kernels():
     assert right_kernel(exe) == frozenset((0, r) for r in params.subgroup_E)
     diag = gm.subgroup_diag_pe(params, 1, 1)
     assert left_kernel(diag) == frozenset({params.identity})
-    assert first_projection(diag) == frozenset(params.die_elements(1))
+    assert first_projection(diag) == frozenset(die_elements(params, 1))
 
 
 def test_subgroup_validation_rejects_non_subgroup():
     params = gm.make_params(3, 1, 1)
     with pytest.raises(ValueError):
-        gm.SubgroupGG.from_pairs(params, (gm.TAG_EXPLICIT,), {((1, 1), (0, 1))})
+        subgroup_from_pairs(params, (gm.TAG_EXPLICIT,), {((1, 1), (0, 1))})
 
 
 def test_star_requires_same_params():
@@ -425,22 +436,169 @@ def test_constructor_tags_match_recognition():
 
 
 def test_constructors_check_closure_once_per_code_array(monkeypatch):
-    # a constructor's code array that `_shape_tags` holds was closure-checked
-    # there; only codes outside it (here from the non-unit 3) are checked
+    # every constructor call certifies its own code array once, from its
+    # closed-form generators, whether or not `_shape_tags` holds the codes
     params = gm.make_params(3, 2, 2)
     gm._shape_tags(params)
+    certify = gm._certify
     checked = []
-    monkeypatch.setattr(gm.SubgroupGG, "_check_subgroup", lambda sub: checked.append(sub.tag))
+
+    def spy(table, codes, chars, gens):
+        checked.append((len(codes), len(gens)))
+        certify(table, codes, chars, gens)
+
+    monkeypatch.setattr(gm, "_certify", spy)
     gm.subgroup_diag_pe(params, 2, 4, lam=1)
     gm.subgroup_exe(params, lam=1, mu=0)
-    assert checked == []
-    gm.subgroup_diag_pe(params, 1, 3, lam=1)
-    assert checked == [(gm.TAG_DIAG_PE, 1, 0)]
+    gm.subgroup_diag_pe(params, 1, 3, lam=1)  # the non-unit 3: not a tag
+    gm.subgroup_diag_p(params, 1, 2)
+    assert checked == [(18, 2), (4, 2), (6, 2), (3, 1)]
+
+
+def _index_pairs(sub):
+    """The subgroup's elements as aligned arrays of G-indices (g, h)."""
+    return np.divmod(sub.codes, sub.params.group_order)
+
+
+def _generators(params, i, unit):
+    """The diagonal's closed-form generators: the twisted image of the
+    generator of D_i, and (epsilon, epsilon)."""
+    table = gm.group_table(params)
+    y = params.p ** (params.n - i)
+    eps = table.index[(0, params.e_generator)]
+    return [(table.index[(unit * y % params.pn, 1)], table.index[(y, 1)]), (eps, eps)]
 
 
 def test_constructors_still_check_the_character():
     params = gm.make_params(3, 2, 2)
-    elements = list(gm.subgroup_exe(params).elements)
-    constant = {pair: 1 for pair in elements}  # not a homomorphism
+    table = gm.group_table(params)
+    g, h = _index_pairs(gm.subgroup_exe(params))
+    eps = table.index[(0, params.e_generator)]
+    constant = np.ones(len(g), dtype=np.int64)  # not a homomorphism
     with pytest.raises(CharacterIllDefined):
-        gm._shape(params, (gm.TAG_EXE,), elements, constant)
+        gm._shape(table, (gm.TAG_EXE,), g, h, constant, [(eps, 0), (0, eps)])
+
+
+# ---------------------- index arithmetic against the tuple reference
+
+
+@pytest.mark.parametrize("pne", INSTANCES + EDGE_INSTANCES, ids=lambda t: "p{}n{}e{}".format(*t))
+def test_group_table_matches_group_law(pne):
+    params = gm.make_params(*pne)
+    table = gm.group_table(params)
+    assert table.mul.dtype == table.inv.dtype == np.int32
+    assert (table.mul == mul_table_reference(params)).all()
+    assert (table.inv == inv_table_reference(params)).all()
+
+
+def test_group_table_builds_in_row_blocks(monkeypatch):
+    # a block of one row at a time gives the same table
+    params = gm.make_params(7, 2, 3)
+    monkeypatch.setattr(gm, "_TABLE_BLOCK", 1)
+    assert (gm.GroupTable(params).mul == mul_table_reference(params)).all()
+
+
+@pytest.mark.parametrize("pne", INSTANCES + EDGE_INSTANCES, ids=lambda t: "p{}n{}e{}".format(*t))
+def test_shape_tags_match_tuple_constructors(pne):
+    # the same codes, tags and order, so the first built still wins at e = 1
+    params = gm.make_params(*pne)
+    built = gm._shape_tags(params)
+    reference = shape_tags_reference(params)
+    assert list(built.items()) == list(reference.items())
+
+
+@pytest.mark.parametrize("pne", INSTANCES + EDGE_INSTANCES, ids=lambda t: "p{}n{}e{}".format(*t))
+def test_basis_subgroups_match_tuple_constructors(pne):
+    params = gm.make_params(*pne)
+    orc = oracle(params)
+    for b in tring(params).basis:
+        sub, ref = orc.subgroup_of_basis(b), basis_subgroup_reference(params, b)
+        assert sub.tag == ref.tag
+        assert sub.codes.dtype == ref.codes.dtype and (sub.codes == ref.codes).all()
+        assert sub.chars.dtype == ref.chars.dtype and (sub.chars == ref.chars).all()
+
+
+# ------------------------------------ mutations: the generator certificate
+
+
+def _shapes(params):
+    """(tag, g, h, chars, generators) of one shape of each kind, with
+    characters where the shape carries one."""
+    table = gm.group_table(params)
+    eps = table.index[(0, params.e_generator)]
+    out = []
+    for sub, gens in (
+        (gm.subgroup_exe(params, lam=1, mu=0), [(eps, 0), (0, eps)]),
+        (gm.subgroup_exone(params, lam=1), [(eps, 0)]),
+        (gm.subgroup_onexe(params, mu=1), [(0, eps)]),
+        (gm.subgroup_diag_p(params, 2, 2), _generators(params, 2, 2)[:1]),
+        (gm.subgroup_diag_pe(params, 2, 2, lam=1), _generators(params, 2, 2)),
+        (gm.subgroup_diag_pe(params, 1, 4, lam=1), _generators(params, 1, 4)),
+    ):
+        out.append((sub.tag, *_index_pairs(sub), sub.chars, gens))
+    return out
+
+
+@pytest.mark.parametrize("pne", [(3, 2, 2), (7, 2, 3)], ids=lambda t: "p{}n{}e{}".format(*t))
+def test_certificate_accepts_every_shape(pne):
+    params = gm.make_params(*pne)
+    table = gm.group_table(params)
+    for tag, g, h, chars, gens in _shapes(params):
+        sub = gm._shape(table, tag, g, h, chars, gens)
+        # the |H|^2 checks agree
+        character = None if chars is None else dict(character_of(sub))
+        ref = subgroup_from_pairs(params, tag, elements_of(sub), character)
+        assert (ref.codes == sub.codes).all()
+
+
+@pytest.mark.parametrize("pne", [(3, 2, 2), (7, 2, 3)], ids=lambda t: "p{}n{}e{}".format(*t))
+def test_certificate_rejects_a_dropped_element(pne):
+    params = gm.make_params(*pne)
+    table = gm.group_table(params)
+    rng = random.Random(0)
+    for tag, g, h, chars, gens in _shapes(params):
+        for drop in {0, len(g) - 1, rng.randrange(len(g))}:
+            keep = np.arange(len(g)) != drop
+            with pytest.raises(ValueError):
+                mutant = None if chars is None else chars[keep]
+                gm._shape(table, tag, g[keep], h[keep], mutant, gens)
+
+
+def test_certificate_rejects_a_generator_outside_the_subgroup():
+    params = gm.make_params(3, 2, 2)
+    table = gm.group_table(params)
+    outside = (table.index[(1, 1)], 0)  # (d, 1), d of order p^n
+    for tag, g, h, chars, gens in _shapes(params):
+        with pytest.raises(ValueError, match="not closed"):
+            gm._shape(table, tag, g, h, chars, gens[:-1] + [outside])
+
+
+def test_certificate_rejects_generators_that_miss_part_of_the_subgroup():
+    params = gm.make_params(3, 2, 2)
+    table = gm.group_table(params)
+    for tag, g, h, chars, gens in _shapes(params):
+        if len(gens) == 2:
+            # a D_i E diagonal without (epsilon, epsilon), E x E without 1 x E
+            with pytest.raises(ValueError, match="miss part"):
+                gm._shape(table, tag, g, h, chars, gens[:1])
+    # the identity alone generates nothing more
+    g, h = _index_pairs(gm.subgroup_exone(params))
+    with pytest.raises(ValueError, match="miss part"):
+        gm._shape(table, (gm.TAG_EXONE,), g, h, None, [(0, 0)])
+
+
+@pytest.mark.parametrize("pne", [(3, 2, 2), (7, 2, 3)], ids=lambda t: "p{}n{}e{}".format(*t))
+def test_certificate_rejects_a_character_wrong_off_the_generators(pne):
+    params = gm.make_params(*pne)
+    table = gm.group_table(params)
+    order = params.group_order
+    for tag, g, h, chars, gens in _shapes(params):
+        if tag[0] == gm.TAG_DIAG_P:
+            continue
+        codes = g.astype(np.int64) * order + h
+        named = {0} | {s1 * order + s2 for s1, s2 in gens}
+        for at in np.flatnonzero(~np.isin(codes, list(named))):
+            wrong = chars.copy()
+            wrong[at] = (wrong[at] + 1) % params.e
+            with pytest.raises(CharacterIllDefined):
+                gm._shape(table, tag, g, h, wrong, gens)

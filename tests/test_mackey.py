@@ -6,14 +6,19 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import BEYOND_INSTANCES, SMALL_INSTANCES
+from conftest import BEYOND_INSTANCES, EDGE_INSTANCES, SMALL_INSTANCES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
+    character_of,
+    check_character,
     check_oracle_reference,
     delta_g,
+    elements_of,
     oracle_mult_reference,
     oracle_table,
+    patch_mult_basis,
+    subgroup_from_pairs,
 )
 
 from tsring import cli, mackey
@@ -23,9 +28,6 @@ from tsring.groupmodel import make_params
 from tsring.mackey import MackeyOracle, oracle
 from tsring.tring import NonProj, ProjPair, TRing, basis_label, tring
 
-EDGE_INSTANCES = [(2, 1, 1), (3, 1, 2), (7, 1, 2), (5, 2, 1)]
-
-
 # -------------------------------------------------------- inducing subgroups
 
 
@@ -33,23 +35,23 @@ def test_subgroup_of_projective_pair():
     params = make_params(3, 2, 2)
     sub = oracle(params).subgroup_of_basis(ProjPair(0, 0))
     assert sub.tag == (gm.TAG_EXE,)
-    assert all(v == 0 for v in sub.character.values())
-    sub._check_character()
+    assert all(v == 0 for v in character_of(sub).values())
+    check_character(sub)
 
 
 def test_subgroup_of_identity_class_is_full_diagonal():
     params = make_params(3, 2, 2)
     sub = oracle(params).subgroup_of_basis(NonProj(2, 1, 0))
     assert sub.tag == (gm.TAG_DIAG_PE, 2, 1)
-    assert sub.elements == delta_g(params).elements
-    assert all(v == 0 for v in sub.character.values())
+    assert elements_of(sub) == elements_of(delta_g(params))
+    assert all(v == 0 for v in character_of(sub).values())
 
 
 def test_subgroup_characters_are_homomorphisms(small_params):
     orc = oracle(small_params)
     ring = tring(small_params)
     for b in ring.basis:
-        orc.subgroup_of_basis(b)._check_character()
+        check_character(orc.subgroup_of_basis(b))
 
 
 # -------------------------------------------------------------- classifier
@@ -73,8 +75,8 @@ def test_classify_untwisted_level_one_diagonal():
     params = make_params(3, 2, 2)
     orc = oracle(params)
     sub = gm.subgroup_diag_p(params, 1, 1)
-    plain = gm.SubgroupGG.from_pairs(
-        params, sub.tag, sub.elements, {g: 0 for g in sub.elements}
+    plain = subgroup_from_pairs(
+        params, sub.tag, elements_of(sub), {g: 0 for g in elements_of(sub)}
     )
     assert orc.classify_induced(plain) == {NonProj(1, 1, 0): 1, NonProj(1, 1, 1): 1}
 
@@ -84,7 +86,7 @@ def test_classify_rejects_alien_subgroup():
     orc = oracle(params)
     # 1 x D_1 has no twisted-diagonal shape and no conjugate that does
     elements = {(params.identity, (y, 1)) for y in params.d_subgroup(1)}
-    alien = gm.SubgroupGG.from_pairs(
+    alien = subgroup_from_pairs(
         params, (gm.TAG_EXPLICIT,), elements, {g: 0 for g in elements}
     )
     with pytest.raises(UnrecognizedShape):
@@ -374,7 +376,7 @@ def test_raised_closed_form_coefficient_matches_reference(
             out[first] += 1
         return out
 
-    monkeypatch.setattr(TRing, "mult_basis", raised)
+    patch_mult_basis(monkeypatch, raised)
     block, reference = _both_reports(params)
     assert block == reference
     assert block == (

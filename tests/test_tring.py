@@ -1,12 +1,14 @@
 """The class ring: basis, multiplication rules, ideals, trace form."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from conftest import BEYOND_INSTANCES
+from conftest import BEYOND_INSTANCES, EDGE_INSTANCES, INSTANCES
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import det_over_field
+from reference import det_over_field, structure_arrays_reference
 
 from tsring.cli import _check_assoc
 from tsring.errors import BadLevel, ParamsMismatch, ScalarMismatch
@@ -15,6 +17,7 @@ from tsring.groupmodel import make_params
 from tsring.tring import (
     NonProj,
     ProjPair,
+    TRing,
     basis_from_json,
     basis_from_label,
     basis_label,
@@ -234,6 +237,42 @@ def test_structure_arrays_match_mult_basis(small_params):
                 if v:
                     terms[ring.basis[ic]] = v
             assert terms == ring.mult_basis(a, b)
+
+
+def _structure_mismatch(ring, K, V):
+    """The first (a, b, slot) where (K, V) differs from the arrays built
+    from `mult_basis`, or None."""
+    K0, V0 = structure_arrays_reference(ring)
+    if K.shape != K0.shape:
+        return "shape", K.shape, K0.shape
+    bad = np.argwhere((K != K0) | (V != V0))
+    return tuple(bad[0].tolist()) if len(bad) else None
+
+
+@pytest.mark.parametrize(
+    "pne",
+    INSTANCES + EDGE_INSTANCES + [(3, 5, 2), (13, 2, 12)],
+    ids=lambda t: "p{}n{}e{}".format(*t),
+)
+def test_structure_arrays_equal_mult_basis_slot_for_slot(pne):
+    ring = TRing(make_params(*pne))
+    K, V = ring.structure_arrays()
+    assert K.dtype == V.dtype == np.int64
+    assert _structure_mismatch(ring, K, V) is None
+
+
+def test_structure_arrays_check_sees_one_coefficient_off():
+    ring = TRing(make_params(7, 2, 3))
+    K, V = (x.copy() for x in ring.structure_arrays())
+    rng = random.Random(0)
+    for _ in range(20):
+        a, b = rng.randrange(len(ring.basis)), rng.randrange(len(ring.basis))
+        j = rng.randrange(K.shape[2])
+        V[a, b, j] += 1
+        assert _structure_mismatch(ring, K, V) == (a, b, j)
+        V[a, b, j] -= 1
+    K[3, 4, 0] += 1
+    assert _structure_mismatch(ring, K, V) == (3, 4, 0)
 
 
 @settings(max_examples=25, deadline=None)
