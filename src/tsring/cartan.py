@@ -13,6 +13,7 @@ ideal becomes a genuine matrix algebra with identity given by C^{-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import ShapeMismatch, TheoremViolation
 from .exactarith import (
@@ -26,7 +27,7 @@ from .exactarith import (
     rank_over_field,
     snf,
 )
-from .tring import ProjPair, RingElement, TRing
+from .tring import RingElement, TRing
 
 
 def cartan_matrix(params) -> list[list[int]]:
@@ -148,22 +149,22 @@ def orthogonal_projective_idempotents(c) -> list[IdempotentCertificate]:
 
 
 def matrix_to_projective_element(ring: TRing, S, mat) -> RingElement:
-    """Interpret a coefficient matrix as an element of the projective span."""
+    """The element whose first e^2 coefficients, the P[lam, mu], are `mat` row by row."""
     e = ring.params.e
     rows, cols = mat_shape(mat)
     if rows != e or cols != e:
         raise ShapeMismatch(f"expected {e}x{e} coefficients")
-    coeffs = {ProjPair(lam, mu): mat[lam][mu] for lam in range(e) for mu in range(e)}
-    return RingElement(ring, S, coeffs)
+    return ring.element(S, dict(zip(ring.basis, (v for row in mat for v in row))))
 
 
 def projective_element_to_matrix(x: RingElement):
+    """The first e^2 coefficients of x, the P[lam, mu], as an e x e matrix."""
     e = x.ring.params.e
-    mat = [[0] * e for _ in range(e)]
-    for b, val in x.coeffs.items():
-        if not isinstance(b, ProjPair):
-            raise ShapeMismatch("element is not supported on projectives")
-        mat[b.lam][b.mu] = val
+    if x.vec[e * e :].any():
+        raise ShapeMismatch("element is not supported on projectives")
+    mat = x.vec[: e * e].reshape(e, e).tolist()
+    if x.den != 1:
+        mat = [[Fraction(v, x.den) for v in row] for row in mat]
     return mat
 
 

@@ -25,7 +25,7 @@ from .errors import (
     TheoremViolation,
     TsringError,
 )
-from .exactarith import QQ, scalar_ring
+from .exactarith import scalar_ring
 from .groupmodel import make_params
 from .tring import basis_label, basis_to_json, sort_key, tring
 
@@ -67,19 +67,14 @@ def _write(text: str, out_path):
 
 
 def _parse_fields(spec: str):
-    fields = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token == "Q":
-            fields.append(QQ)
-        elif token.startswith("F") and token[1:].isdigit():
-            fields.append(scalar_ring(token))
-        else:
-            raise ValueError(f"bad field spec {token!r}")
+    """The fields of a comma list of "Q" and "F<q>": Z is no field, and a
+    list that names none is refused, as a report would certify nothing."""
+    fields = [scalar_ring(token.strip()) for token in spec.split(",") if token.strip()]
     if not fields:
-        raise ValueError("empty field list")
+        raise ValueError("--field names no field")
+    for K in fields:
+        if not K.is_field:
+            raise ValueError(f"{K.name} is not a field")
     return fields
 
 
@@ -340,7 +335,7 @@ def cmd_verify(args) -> int:
     for w in which:
         if w not in VERIFY_CHECKS:
             raise ValueError(f"unknown check {w!r}")
-    fields = _parse_fields(args.field) if args.field else [QQ]
+    fields = _parse_fields(args.field)
     checks = []
     overall = "ok"
     for w in which:

@@ -7,8 +7,10 @@ the package.
 A scalar ring is a record of its name, characteristic and whether it is
 a field; its values are plain Python numbers: ints over Z, residues in
 [0, q) over F_q, and ints or Fractions over Q.  Arithmetic is Python's
-operators, and reduction mod q happens once per container (a ring
-element, a matrix product, a row operation).
+operators, and reduction mod q happens once per matrix product or row
+operation.  Ring elements (`tsring.tring.RingElement`) keep no per-value
+scalars: one integer vector over a common denominator, reduced mod q as
+a whole.
 
 Matrices are plain lists of rows.  The Smith normal form routine
 returns transformation certificates (d, u, v) with d = u*c*v, u and v
@@ -72,14 +74,6 @@ def scalar_ring(spec: str):
 def field_of_characteristic(q: int):
     """Q for q = 0, F_q for prime q."""
     return QQ if q == 0 else GF(q)
-
-
-def _sparse(coeffs: dict, K) -> dict:
-    """coeffs with each value reduced into K and the zeros dropped."""
-    q = K.characteristic
-    if q:
-        return {k: r for k, v in coeffs.items() if (r := v % q)}
-    return {k: v for k, v in coeffs.items() if v}
 
 
 def _inverse(a, K):

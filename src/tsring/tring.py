@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadLevel, ParamsMismatch, ScalarMismatch
-from .exactarith import _sparse, nullspace_over_field
+from .exactarith import _inverse, nullspace_over_field
 from .groupmodel import AutCoset, ModelParams, canonical_coset
 
 
@@ -96,19 +96,36 @@ def basis_from_json(obj: dict):
 
 
 class RingElement:
-    """Sparse element: finite map from basis elements to scalars.
+    """Element of the ring: one exact integer vector over a denominator.
 
-    Values are ints over Z, residues in [0, q) over F_q and ints or
-    Fractions over Q, reduced once here; `TRing.mult` converts them to
-    exact integer arrays and back.
+    vec[k] / den is the coefficient of basis class k, in basis order, which
+    is also the report order.  vec is an int64 array, or an array of Python
+    ints when an operation's bound reaches 2^62 (`exact_dtype`); it returns
+    to int64 once its entries fit.  Over Q, den > 0 is coprime to the
+    entries (1 for zero), so equal elements have equal vec and den; over Z
+    and F_q den = 1, and F_q entries are residues in [0, q).  The
+    constructor normalises; a denominator over F_q is inverted mod q.
+    Fractions appear only at the edges: `coeff`, `repr` and `to_json`.
     """
 
-    __slots__ = ("ring", "scalar", "coeffs")
+    __slots__ = ("ring", "scalar", "vec", "den")
 
-    def __init__(self, ring, scalar, coeffs):
+    def __init__(self, ring, scalar, vec: np.ndarray, den=1):
+        q = scalar.characteristic
+        if q:
+            vec = vec % q
+            if den != 1:
+                vec = vec.astype(exact_dtype(q * q)) * _inverse(den, scalar) % q
+                den = 1
+        elif den != 1:
+            g = math.gcd(den, int(np.gcd.reduce(vec)))
+            vec, den = vec // g, den // g
+        if vec.dtype == object:
+            vec = vec.astype(exact_dtype(_max_abs(vec)))
         self.ring = ring
         self.scalar = scalar
-        self.coeffs = _sparse(coeffs, scalar)
+        self.vec = vec
+        self.den = den
 
     def _require_compatible(self, other):
         if self.ring.params != other.ring.params:
@@ -119,25 +136,36 @@ class RingElement:
             )
 
     def coeff(self, b):
-        return self.coeffs.get(b, 0)
+        v = int(self.vec[self.ring.index[b]])
+        return Fraction(v, self.den) if self.den != 1 else v
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.vec.any()
+
+    def restrict(self, positions: slice) -> RingElement:
+        """The element with every coefficient outside `positions` set to 0."""
+        vec = np.zeros_like(self.vec)
+        vec[positions] = self.vec[positions]
+        return RingElement(self.ring, self.scalar, vec, self.den)
 
     def __eq__(self, other):
         return (
             isinstance(other, RingElement)
             and self.ring.params == other.ring.params
             and self.scalar == other.scalar
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and bool((self.vec == other.vec).all())
         )
 
     def __add__(self, other):
         self._require_compatible(other)
-        out = dict(self.coeffs)
-        for b, v in other.coeffs.items():
-            out[b] = out.get(b, 0) + v
-        return RingElement(self.ring, self.scalar, out)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        # the multipliers a, b must fit the dtype too, also on a zero vector
+        bound = max(_max_abs(self.vec), 1) * a + max(_max_abs(other.vec), 1) * b
+        dtype = exact_dtype(bound)
+        vec = self.vec.astype(dtype) * a + other.vec.astype(dtype) * b
+        return RingElement(self.ring, self.scalar, vec, den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -146,28 +174,29 @@ class RingElement:
         return self.scale(-1)
 
     def scale(self, c):
-        return RingElement(
-            self.ring, self.scalar, {b: c * v for b, v in self.coeffs.items()}
-        )
+        """c * x for an int c, or a Fraction c over Q."""
+        dtype = exact_dtype(max(_max_abs(self.vec), 1) * abs(c.numerator))
+        vec = self.vec.astype(dtype) * c.numerator
+        return RingElement(self.ring, self.scalar, vec, self.den * c.denominator)
 
     def __mul__(self, other):
-        self._require_compatible(other)
         return self.ring.mult(self, other)
 
-    def to_json(self) -> list:
+    def _terms(self):
+        """(basis class, coefficient) of the nonzero coefficients, in basis order."""
+        live = np.flatnonzero(self.vec)
+        basis, den = self.ring.basis, self.den
         return [
-            {"basis": basis_to_json(b), "coeff": str(v)}
-            for b, v in sorted(self.coeffs.items(), key=lambda kv: sort_key(kv[0]))
+            (basis[k], Fraction(v, den) if den != 1 else v)
+            for k, v in zip(live.tolist(), self.vec[live].tolist())
         ]
 
+    def to_json(self) -> list:
+        return [{"basis": basis_to_json(b), "coeff": str(v)} for b, v in self._terms()]
+
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        terms = [
-            f"{v}*{basis_label(b)}"
-            for b, v in sorted(self.coeffs.items(), key=lambda kv: sort_key(kv[0]))
-        ]
-        return " + ".join(terms)
+        terms = [f"{v}*{basis_label(b)}" for b, v in self._terms()]
+        return " + ".join(terms) if terms else "0"
 
 
 class TRing:
@@ -176,8 +205,8 @@ class TRing:
     The structure arrays (K, V) are the only multiplication table: products,
     the actions of an element, the trace form and the center are exact
     integer contractions over them, in int64 under an up-front bound on the
-    sums and in Python ints past it.  Over Q an element enters as integer
-    numerators over one common denominator.
+    sums and in Python ints past it.  They read an element's integer vector
+    directly, and its denominator multiplies through.
     """
 
     def __init__(self, params: ModelParams):
@@ -337,42 +366,19 @@ class TRing:
                 put(a, M, base, 1, add[c, two[M]], high[i, right], live[i, right])
         return K, V
 
-    def _numerators(self, x: RingElement):
-        """(support indices, integer numerators, common denominator) of x.
-
-        The denominator is the lcm of those of the values: 1 unless some
-        value over Q is not an integer.
-        """
-        support = np.array([self.index[b] for b in x.coeffs], dtype=np.intp)
-        vals = x.coeffs.values()
-        den = math.lcm(*(v.denominator for v in vals))
-        return support, [v.numerator * (den // v.denominator) for v in vals], den
-
     def mult(self, x: RingElement, y: RingElement) -> RingElement:
         """x * y as one contraction of the two supports through (K, V)."""
-        if x.ring.params != y.ring.params:
-            raise ParamsMismatch("elements over different model parameters")
-        if x.scalar != y.scalar:
-            raise ScalarMismatch(f"scalars {x.scalar.name} and {y.scalar.name}")
-        S = x.scalar
-        ia, X, dx = self._numerators(x)
-        ib, Y, dy = self._numerators(y)
-        if not (X and Y):
-            return RingElement(self, S, {})
+        x._require_compatible(y)
+        ia, ib = np.flatnonzero(x.vec), np.flatnonzero(y.vec)
+        X, Y = x.vec[ia], y.vec[ib]
         K, V = self.structure_arrays()
         keys = K[ia[:, None], ib]
         dtype = exact_dtype(_max_abs(X) * _max_abs(Y) * self._vmax * keys.size)
-        weights = np.outer(np.array(X, dtype=dtype), np.array(Y, dtype=dtype))
+        weights = np.outer(X.astype(dtype), Y.astype(dtype))
         sums = _segment_sum(
             len(self.basis), keys, weights[..., None] * V[ia[:, None], ib].astype(dtype)
         )
-        sums = _residues(S, sums)
-        live = np.flatnonzero(sums)
-        vals = sums[live].tolist()
-        if dx * dy > 1:
-            vals = [Fraction(v, dx * dy) for v in vals]
-        basis = self.basis
-        return RingElement(self, S, {basis[i]: v for i, v in zip(live.tolist(), vals)})
+        return RingElement(self, x.scalar, sums, x.den * y.den)
 
     def actions(self, x: RingElement):
         """Left and right multiplication by x as d x d integer matrices.
@@ -383,11 +389,11 @@ class TRing:
         matrix is one contraction of the support of x through (K, V).
         """
         S = x.scalar
-        ia, X, den = self._numerators(x)
+        ia = np.flatnonzero(x.vec)
         K, V = self.structure_arrays()
         d, _, width = K.shape
-        dtype = exact_dtype(_max_abs(X) * self._vmax * len(X) * width)
-        X = np.array(X, dtype=dtype)
+        dtype = exact_dtype(_max_abs(x.vec) * self._vmax * len(ia) * width)
+        X = x.vec[ia].astype(dtype)
         cols = np.arange(d)
         # left[c, b] sums X_a V[a, b, j] over K[a, b, j] = c
         left = _segment_sum(
@@ -399,7 +405,8 @@ class TRing:
             K[:, ia] * d + cols[:, None, None],
             X[:, None] * V[:, ia].astype(dtype),
         )
-        return _residues(S, left).reshape(d, d), _residues(S, right).reshape(d, d), den
+        left, right = (_residues(S, m).reshape(d, d) for m in (left, right))
+        return left, right, x.den
 
     def noncommuting(self, x: RingElement) -> list:
         """The basis classes b with x * b != b * x, in basis order."""
@@ -407,32 +414,34 @@ class TRing:
         return [self.basis[j] for j in np.flatnonzero((left != right).any(axis=0))]
 
     def quotient_mult(self, i: int, x: RingElement, y: RingElement) -> RingElement:
-        """Product in the quotient by the vertex-order <= p^i ideal."""
-        if not 0 <= i <= self.params.n:
-            raise BadLevel(f"level {i} outside 0..{self.params.n}")
-        killed = set(self.ideal_le(i))
-        if any(b in killed for b in x.coeffs) or any(b in killed for b in y.coeffs):
+        """Product in the quotient by the vertex-order <= p^i ideal.
+
+        The ideal's classes come first in basis order, so the quotient
+        drops a prefix of the coefficients.
+        """
+        cut = len(self.ideal_le(i))
+        if x.vec[:cut].any() or y.vec[:cut].any():
             raise ValueError("operands must be supported outside the ideal")
-        prod = self.mult(x, y)
-        return RingElement(
-            self,
-            x.scalar,
-            {b: v for b, v in prod.coeffs.items() if b not in killed},
-        )
+        return self.mult(x, y).restrict(slice(cut, None))
 
     # ----------------------------------------------------------- elements
 
     def zero(self, S) -> RingElement:
-        return RingElement(self, S, {})
+        return RingElement(self, S, np.zeros(len(self.basis), dtype=np.int64))
 
     def from_basis(self, S, b, coeff=None) -> RingElement:
-        return RingElement(self, S, {b: 1 if coeff is None else coeff})
+        return self.element(S, {b: 1 if coeff is None else coeff})
 
     def one(self, S) -> RingElement:
         return self.from_basis(S, self.one_elem)
 
     def element(self, S, coeffs: dict) -> RingElement:
-        return RingElement(self, S, coeffs)
+        """The element with coefficients, ints or Fractions, on basis classes."""
+        den = math.lcm(*(v.denominator for v in coeffs.values()))
+        nums = [int(v.numerator) * (den // v.denominator) for v in coeffs.values()]
+        vec = np.zeros(len(self.basis), dtype=exact_dtype(_max_abs(nums)))
+        vec[[self.index[b] for b in coeffs]] = nums
+        return RingElement(self, S, vec, den)
 
     # ------------------------------------------------------ center and trace
 
@@ -468,7 +477,7 @@ class TRing:
         np.add.at(comm, (a * d + K, b), -V)
         rows = comm[comm.any(axis=1)].tolist() or [[0] * d]
         return [
-            RingElement(self, S, dict(zip(self.basis, vec)))
+            self.element(S, dict(zip(self.basis, vec)))
             for vec in nullspace_over_field(rows, S)
         ]
 
@@ -479,6 +488,11 @@ def exact_dtype(bound: int):
 
 
 def _max_abs(values) -> int:
+    """The largest magnitude in a list or an integer array, as a Python int."""
+    if isinstance(values, np.ndarray):
+        if values.dtype != object:
+            return max(int(values.max()), -int(values.min())) if values.size else 0
+        values = values.ravel().tolist()
     return max(map(abs, values), default=0)
 
 

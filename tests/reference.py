@@ -18,8 +18,8 @@ from tsring.errors import (
     ShapeMismatch,
     UnrecognizedShape,
 )
+from tsring.blocks import _mobius
 from tsring.exactarith import (
-    _sparse,
     mat_inverse_over_field,
     mat_shape,
     nullspace_over_field,
@@ -43,7 +43,7 @@ from tsring.groupmodel import (
     star,
     subgroup_diag_pe,
 )
-from tsring.tring import ProjPair, RingElement, TRing, basis_label, tring
+from tsring.tring import NonProj, ProjPair, TRing, basis_label, basis_to_json, tring
 
 # ------------------------------------------------------------ the group model
 #
@@ -389,20 +389,188 @@ def projective_primitive_decomposition(c, K):
 
 
 # ------------------------------------------------------------- ring elements
+#
+# The sparse element the package once used: a dict from basis classes to
+# the nonzero values of S, with Python's arithmetic on each value.  The
+# dense `RingElement` is tested equal to it.
+
+
+def _reduced(coeffs, S):
+    """coeffs with each value reduced into S and the zeros dropped; over
+    F_q a value num/den is num times the inverse of den mod q."""
+    q = S.characteristic
+    if q:
+        coeffs = {b: v.numerator * pow(v.denominator, -1, q) % q for b, v in coeffs.items()}
+    return {b: v for b, v in coeffs.items() if v}
+
+
+class DictElement:
+    """A ring element as a finite map from basis classes to scalars."""
+
+    def __init__(self, ring, scalar, coeffs):
+        self.ring = ring
+        self.scalar = scalar
+        self.coeffs = _reduced(coeffs, scalar)
+
+    def coeff(self, b):
+        return self.coeffs.get(b, 0)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, DictElement)
+            and self.ring.params == other.ring.params
+            and self.scalar == other.scalar
+            and self.coeffs == other.coeffs
+        )
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for b, v in other.coeffs.items():
+            out[b] = out.get(b, 0) + v
+        return DictElement(self.ring, self.scalar, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        return DictElement(self.ring, self.scalar, {b: c * v for b, v in self.coeffs.items()})
+
+    def __mul__(self, other):
+        ring = self.ring
+        acc = {}
+        for a, ca in self.coeffs.items():
+            for b, cb in other.coeffs.items():
+                for ic, k in _basis_product(ring, ring.index[a], ring.index[b]):
+                    c = ring.basis[ic]
+                    acc[c] = acc.get(c, 0) + ca * cb * k
+        return DictElement(ring, self.scalar, acc)
+
+    def _terms(self):
+        return sorted(self.coeffs.items(), key=lambda kv: self.ring.index[kv[0]])
+
+    def to_json(self):
+        return [{"basis": basis_to_json(b), "coeff": str(v)} for b, v in self._terms()]
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        return " + ".join(f"{v}*{basis_label(b)}" for b, v in self._terms())
+
+
+def as_dict(x):
+    """The dense element x as a `DictElement`, read through `coeff`."""
+    return DictElement(x.ring, x.scalar, {b: x.coeff(b) for b in x.ring.basis})
+
+
+def agrees(x, ref):
+    """Does the dense element x read exactly like the dict element ref?
+
+    Coefficients, zero test, report text, and equality with the dense
+    element built from ref's map: a second normal form of the same value
+    fails the last.
+    """
+    ring = ref.ring
+    return (
+        all(x.coeff(b) == ref.coeff(b) for b in ring.basis)
+        and x.is_zero() == ref.is_zero()
+        and repr(x) == repr(ref)
+        and x.to_json() == ref.to_json()
+        and x == ring.element(ref.scalar, ref.coeffs)
+    )
 
 
 def map_scalar(x, target):
     """Reduce the coefficients of x, ints or Fractions, into F_q exactly."""
     q = target.characteristic
-    coeffs = {b: v.numerator * pow(v.denominator, -1, q) for b, v in x.coeffs.items()}
-    return RingElement(x.ring, target, coeffs)
+    coeffs = {}
+    for b in x.ring.basis:
+        v = x.coeff(b)
+        coeffs[b] = v.numerator * pow(v.denominator, -1, q)
+    return x.ring.element(target, coeffs)
 
 
-def ga_add(S, x, y):
-    out = dict(x)
-    for g, v in y.items():
-        out[g] = out.get(g, 0) + v
-    return _sparse(out, S)
+# ------------------------------------------------------ the level label groups
+#
+# Elements of LevelGroup(i) as (alpha, lam) labels multiplied by the group
+# law itself; the package works on the indices of the level's classes.
+
+
+def level_labels(params, level):
+    """The label (alpha, lam) of each level class M[level, alpha, lam], in basis order."""
+    return [(b.alpha, b.lam) for b in tring(params).level_basis(level)]
+
+
+def level_mul(params, level, g, h):
+    """(alpha, lam) (beta, mu) = (canonical coset of alpha beta, lam + mu)."""
+    (a, lam), (b, mu) = g, h
+    rep = canonical_coset(params, level, a * b % params.p**level).rep
+    return (rep, (lam + mu) % params.e)
+
+
+def level_cyclic_subgroups(params, level):
+    """The distinct <g>, as frozensets of labels, by powers under the tuple law."""
+    out = set()
+    for g in level_labels(params, level):
+        powers = {(1, 0)}
+        cur = g
+        while cur != (1, 0):
+            powers.add(cur)
+            cur = level_mul(params, level, cur, g)
+        out.add(frozenset(powers))
+    return out
+
+
+def level_element(params, level, S, coeffs):
+    """The ring element of a label-keyed map: label g is the class M[level, *g]."""
+    return tring(params).element(S, {NonProj(level, *g): v for g, v in coeffs.items()})
+
+
+def ga_mul_reference(params, level, S, x, y):
+    """The product of two label-keyed maps in S[Gamma], by the tuple law."""
+    out = {}
+    for g, v in x.items():
+        for h, w in y.items():
+            key = level_mul(params, level, g, h)
+            out[key] = out.get(key, 0) + v * w
+    return _reduced(out, S)
+
+
+def level_primitive_idempotents(params, level):
+    """The label-keyed eps(Gamma, H) of `LevelGroup.primitive_rational_idempotents`.
+
+    Every subgroup by products of cyclic subgroups under the tuple law,
+    then the same Moebius sums of subgroup averages, in the same order.
+    """
+    labels = level_labels(params, level)
+    index = {g: k for k, g in enumerate(labels)}
+    cyclic = level_cyclic_subgroups(params, level)
+
+    def product(a, b):
+        return frozenset(level_mul(params, level, x, y) for x in a for y in b)
+
+    subgroups = set(cyclic)
+    frontier = subgroups
+    while frontier:
+        frontier = {product(a, c) for a in frontier for c in cyclic} - subgroups
+        subgroups |= frontier
+    everything = frozenset(labels)
+    out = []
+    for h in sorted(subgroups, key=lambda s: (-len(s), sorted(index[g] for g in s))):
+        if all(product(h, c) != everything for c in cyclic):
+            continue
+        coeffs = {}
+        for m in subgroups:
+            mu = _mobius(len(m) // len(h)) if h <= m else 0
+            for g in m if mu else ():
+                coeffs[g] = coeffs.get(g, 0) + Fraction(mu, len(m))
+        out.append({g: v for g, v in coeffs.items() if v})
+    return out
 
 
 # ------------------------------------------- the dict-loop ring products
@@ -441,13 +609,7 @@ def _basis_product(ring, ia, ib):
 
 def mult_reference(ring, x, y):
     """x * y by a loop over both supports, one basis product at a time."""
-    acc = {}
-    for a, ca in x.coeffs.items():
-        for b, cb in y.coeffs.items():
-            for ic, k in _basis_product(ring, ring.index[a], ring.index[b]):
-                c = ring.basis[ic]
-                acc[c] = acc.get(c, 0) + ca * cb * k
-    return RingElement(ring, x.scalar, acc)
+    return ring.element(x.scalar, (as_dict(x) * as_dict(y)).coeffs)
 
 
 def gram_int_reference(ring):
@@ -476,7 +638,7 @@ def center_basis_reference(ring, S):
                 comm[ic][i] -= v
         rows.extend(row for row in comm if any(row))
     kernel = nullspace_over_field(rows or [[0] * d], S)
-    return [RingElement(ring, S, dict(zip(ring.basis, vec))) for vec in kernel]
+    return [ring.element(S, dict(zip(ring.basis, vec))) for vec in kernel]
 
 
 # ------------------------------------------------------ the per-pair oracle

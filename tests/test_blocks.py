@@ -2,20 +2,26 @@
 
 import io
 import json
+import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 from conftest import BEYOND_INSTANCES, INSTANCES, SMALL_INSTANCES
 from reference import (
-    ga_add,
+    ga_mul_reference,
+    level_cyclic_subgroups,
+    level_element,
+    level_labels,
+    level_mul,
+    level_primitive_idempotents,
     mult_reference,
     patch_mult_basis,
     projective_primitive_decomposition,
 )
 
 from tsring import blocks
-from tsring.cartan import cartan_inverse
+from tsring.cartan import cartan_inverse, cartan_matrix
 from tsring.cli import main
 from tsring.errors import BadLevel, CharIsP, ScanTooLarge
 from tsring.exactarith import GF, QQ, ZZ, field_mat_mul, rank_over_field
@@ -32,9 +38,21 @@ def test_level_group_orders(any_params):
         gamma = blocks.level_group(params, i)
         assert gamma.order == params.p ** (i - 1) * (params.p - 1)
         # abelian
-        for a in gamma.elements[:6]:
-            for b in gamma.elements[:6]:
-                assert gamma.mul(a, b) == gamma.mul(b, a)
+        assert (gamma._table == gamma._table.T).all()
+
+
+def test_level_table_is_the_tuple_law(any_params):
+    # element k is the label of the k-th level class, and the index table
+    # multiplies labels as the group law does
+    params = any_params
+    for i in range(1, params.n + 1):
+        gamma = blocks.level_group(params, i)
+        labels = level_labels(params, i)
+        assert labels[0] == (1, 0)
+        assert [b.level for b in tring(params).basis[gamma.span]] == [i] * gamma.order
+        assert [
+            [labels[k] for k in row] for row in gamma._table.tolist()
+        ] == [[level_mul(params, i, g, h) for h in labels] for g in labels]
 
 
 def test_level_group_non_cyclic_two_power():
@@ -45,20 +63,11 @@ def test_level_group_non_cyclic_two_power():
     quarter = Fraction(1, 4)
     signs = [(1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1)]
     assert gamma.primitive_rational_idempotents() == [
-        {(u, 0): s * quarter for u, s in zip((1, 3, 5, 7), row)} for row in signs
+        level_element(
+            gamma.params, 3, QQ, {(u, 0): s * quarter for u, s in zip((1, 3, 5, 7), row)}
+        )
+        for row in signs
     ]
-
-
-def _distinct_cyclic_subgroups(gamma):
-    out = set()
-    for g in gamma.elements:
-        powers = {gamma.identity}
-        cur = g
-        while cur != gamma.identity:
-            powers.add(cur)
-            cur = gamma.mul(cur, g)
-        out.add(frozenset(powers))
-    return len(out)
 
 
 @pytest.mark.parametrize(
@@ -69,18 +78,45 @@ def test_level_group_primitive_idempotents(triple):
     for i in range(1, params.n + 1):
         gamma = blocks.level_group(params, i)
         idems = gamma.primitive_rational_idempotents()
+        # the tuple-law computation of the same sums, in the same order
+        assert idems == [
+            level_element(params, i, QQ, x) for x in level_primitive_idempotents(params, i)
+        ]
         # one per simple component of Q[Gamma], i.e. per cyclic subgroup
-        assert len(idems) == _distinct_cyclic_subgroups(gamma)
-        total = {}
+        assert len(idems) == len(level_cyclic_subgroups(params, i))
+        ring = tring(params)
+        total = ring.zero(QQ)
         for x in idems:
-            assert x
-            assert blocks.ga_mul(gamma, QQ, x, x) == x
-            total = ga_add(QQ, total, x)
+            assert not x.is_zero()
+            assert blocks.ga_mul(gamma, x, x) == x
+            total = total + x
         for a_idx, x in enumerate(idems):
             for b_idx, y in enumerate(idems):
                 if a_idx != b_idx:
-                    assert blocks.ga_mul(gamma, QQ, x, y) == {}
-        assert total == blocks.ga_one(gamma)
+                    assert blocks.ga_mul(gamma, x, y).is_zero()
+        assert total == ring.from_basis(QQ, NonProj(i, 1, 0))
+
+
+@pytest.mark.parametrize("S", [ZZ, QQ, GF(2), GF(5)], ids=lambda S: S.name)
+def test_ga_mul_is_the_tuple_law(small_params, S):
+    params = small_params
+    rng = random.Random(f"{params}-{S.name}")
+
+    def value():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 3))) if S is QQ else rng.randint(-9, 9)
+
+    for i in range(1, params.n + 1):
+        gamma = blocks.level_group(params, i)
+        labels = level_labels(params, i)
+        for _ in range(4):
+            x, y = (
+                {g: value() for g in rng.sample(labels, rng.randint(1, len(labels)))}
+                for _ in range(2)
+            )
+            product = blocks.ga_mul(
+                gamma, level_element(params, i, S, x), level_element(params, i, S, y)
+            )
+            assert product == level_element(params, i, S, ga_mul_reference(params, i, S, x, y))
 
 
 def test_level_group_idempotent_count_examples():
@@ -226,19 +262,26 @@ def test_level_block_twist_inverse(any_params):
         gamma = blocks.level_group(params, i)
         for S in (QQ, GF(11)):
             cd = blocks.ga_mul(
-                gamma, S, blocks.twist_unit(gamma, S), blocks.twist_unit_inverse(gamma, S)
+                gamma, blocks.twist_unit(gamma, S), blocks.twist_unit_inverse(gamma, S)
             )
-            assert cd == blocks.ga_one(gamma)
+            assert cd == tring(params).from_basis(S, NonProj(i, 1, 0))
+            # the same product by the tuple law
+            c, d = (
+                {g: x.coeff(NonProj(i, *g)) for g in level_labels(params, i)}
+                for x in (blocks.twist_unit(gamma, S), blocks.twist_unit_inverse(gamma, S))
+            )
+            assert ga_mul_reference(params, i, S, c, d) == {(1, 0): 1}
 
 
 def test_top_block_labeling_is_plain():
     # at the top level the twist unit is trivial and the map is labeling
     params = make_params(3, 2, 2)
     gamma = blocks.level_group(params, 2)
-    assert blocks.twist_unit(gamma, QQ) == blocks.ga_one(gamma)
     ring = tring(params)
+    assert blocks.twist_unit(gamma, QQ) == ring.from_basis(QQ, NonProj(2, 1, 0))
     x = ring.from_basis(QQ, NonProj(2, 4, 1))
-    assert blocks.to_plain_group_algebra(gamma, QQ, x) == {(4, 1): Fraction(1)}
+    iso = blocks.central_decomposition(params, QQ).isos[2]
+    assert iso.to_group_algebra(x) == level_element(params, 2, QQ, {(4, 1): Fraction(1)})
 
 
 def test_level_one_block_of_322_is_rank_two():
@@ -263,7 +306,8 @@ def test_integral_decomposition_322():
     decomp = blocks.integral_primitive_decomposition(params)
     assert len(decomp) == 2
     eps = decomp[0]
-    assert eps.coeffs == {ProjPair(0, 0): 1, ProjPair(1, 0): -1}
+    assert eps.den == 1
+    assert eps.vec.tolist() == [1, 0, -1, 0] + [0] * (ring.dimension() - 4)
     assert decomp[1] == ring.one(ZZ) - eps
 
 
@@ -271,9 +315,7 @@ def test_integral_decomposition_properties(any_params):
     params = any_params
     decomp = blocks.integral_primitive_decomposition(params)
     assert len(decomp) == params.e
-    outside = [
-        x for x in decomp if any(isinstance(b, NonProj) for b in x.coeffs)
-    ]
+    outside = [x for x in decomp if x.vec[params.e**2 :].any()]
     assert len(outside) == 1
 
 
@@ -296,7 +338,8 @@ def test_scan_bound():
 def test_bottom_projector_never_integral(any_params):
     params = any_params
     f0 = blocks.ideal_identity(params, QQ, 0)
-    assert any(Fraction(v).denominator > 1 for v in f0.coeffs.values())
+    assert f0.den > 1
+    assert any(Fraction(v, f0.den).denominator > 1 for v in f0.vec.tolist())
 
 
 def test_scan_small_instances(small_params):
@@ -414,7 +457,7 @@ def _brute_force_level_multiplicative(ring, S, iso):
     images = _block_images(ring, S, iso)
     return all(
         iso.to_group_algebra(ring.mult(x, y))
-        == blocks.ga_mul(iso.gamma, S, iso.to_group_algebra(x), iso.to_group_algebra(y))
+        == blocks.ga_mul(iso.gamma, iso.to_group_algebra(x), iso.to_group_algebra(y))
         for x in images
         for y in images
     )
@@ -506,6 +549,24 @@ def test_raised_cartan_entry_fails_matrix_block(fresh_rings, monkeypatch, triple
         cartan_inverse=cartan_inverse(params, field),
     )
     assert not _brute_force_matrix_multiplicative(ring, field, iso)
+
+
+@pytest.mark.parametrize("slot", ["V", "K"])
+def test_projective_products_are_read_from_the_structure_arrays(slot):
+    # (K, V), which every product reads, is checked, not `mult_basis`: one
+    # slot of P[0,1] * P[1,0] changed in (K, V) alone must fail the check
+    params = make_params(3, 2, 2)
+    c = cartan_matrix(params)
+    assert blocks._projective_products_match(TRing(params), c)
+    ring = TRing(params)  # a fresh ring, outside the cache
+    K, V = ring.structure_arrays()
+    a, b = ring.index[ProjPair(0, 1)], ring.index[ProjPair(1, 0)]
+    if slot == "V":
+        V[a, b, 0] += 3
+    else:
+        K[a, b, 0] = ring.index[ProjPair(0, 1)]
+    assert ring.mult_basis(ProjPair(0, 1), ProjPair(1, 0)) == {ProjPair(0, 0): c[1][1]}
+    assert not blocks._projective_products_match(ring, c)
 
 
 @pytest.mark.parametrize("triple,field", MUTATION_CASES, ids=MUTATION_IDS)

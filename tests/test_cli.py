@@ -403,6 +403,19 @@ def test_verify_empty_check_list_is_a_usage_error(capsys):
         assert (code, out) == (2, "")
 
 
+def test_verify_field_list_without_a_field_is_a_usage_error(capsys):
+    # "" and "," name no field, so a report would certify nothing; Z is a
+    # scalar ring but no field, and F4 and X name no scalar ring
+    args = ["verify", "--p", "3", "--n", "1", "--e", "1", "--which", "theorem-b"]
+    for field in ("", ",", " , ", "Z", "Q,Z", "F4", "F", "X"):
+        code, out = run_cli([*args, "--field", field], capsys)
+        assert (code, out) == (2, ""), field
+    code, out = run_cli([*args, "--field", " Q , F5 "], capsys)
+    assert code == 0
+    fields = json.loads(out)["payload"]["checks"][0]["details"]["fields"]
+    assert [f["field"] for f in fields] == ["Q", "F5"]
+
+
 def test_verify_negative_scan_bound_is_a_usage_error(capsys):
     args = ["verify", "--p", "3", "--n", "1", "--e", "1", "--which", "theorem-c"]
     for bound in ("-1", "x"):

@@ -1,8 +1,10 @@
-"""The exact product kernel on the structure arrays against the dict loops.
+"""Dense elements and the exact product kernel against the dict loops.
 
-`TRing.mult`, `TRing.actions`, `gram_int` and `center_basis` contract the
-structure arrays (K, V) in int64, or in Python ints past the overflow
-bound; `tests/reference.py` keeps the scalar-by-scalar loops they replace.
+A `RingElement` is one integer vector over a denominator; `TRing.mult`,
+`TRing.actions`, `gram_int` and `center_basis` contract the structure
+arrays (K, V) in int64, or in Python ints past the overflow bound.
+`tests/reference.py` keeps the dict elements and the scalar-by-scalar
+loops they replace.
 """
 
 import importlib
@@ -14,11 +16,18 @@ import pytest
 from conftest import BEYOND_INSTANCES, INSTANCES, SMALL_INSTANCES
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import center_basis_reference, gram_int_reference, mult_reference
+from reference import (
+    DictElement,
+    agrees,
+    as_dict,
+    center_basis_reference,
+    gram_int_reference,
+    mult_reference,
+)
 
 from tsring.exactarith import GF, QQ, ZZ
 from tsring.groupmodel import make_params
-from tsring.tring import tring
+from tsring.tring import RingElement, tring
 
 # the module; the package namespace binds `tsring.tring` to the ring cache
 tring_module = importlib.import_module("tsring.tring")
@@ -100,6 +109,51 @@ def dtypes(monkeypatch):
     return picked
 
 
+def random_scalar(S, rng, big=False):
+    top = 1 << 70 if big else 9
+    if S is QQ:
+        return Fraction(rng.randint(-top, top), rng.randint(1, 1 << 45 if big else 12))
+    return rng.randint(-top, top)
+
+
+def assert_arithmetic_agrees(x, y, c):
+    """Every element operation on dense x, y against the dict elements."""
+    rx, ry = as_dict(x), as_dict(y)
+    assert agrees(x, rx) and agrees(y, ry)
+    assert agrees(x + y, rx + ry)
+    assert agrees(x - y, rx - ry)
+    assert agrees(-x, -rx)
+    assert agrees(x.scale(c), rx.scale(c))
+    assert agrees(x * y, rx * ry)
+    assert agrees(x - x, rx - rx) and (x - x).is_zero()
+    assert (x == y) == (rx == ry)
+    assert x + y - y == x
+
+
+@pytest.mark.parametrize("S", SCALARS, ids=lambda S: S.name)
+def test_dense_elements_match_dict_elements(small_params, S):
+    ring = tring(small_params)
+    rng = random.Random(f"dense-{small_params}-{S.name}")
+    for big in (False, True):
+        for _ in range(3):
+            x = random_element(ring, S, rng, big=big)
+            y = random_element(ring, S, rng, big=big)
+            assert_arithmetic_agrees(x, y, random_scalar(S, rng, big))
+    # the dict map gives the same element, and a second normal form of it
+    # is told apart
+    last = Fraction(1, 2) if S is QQ else 4
+    ref = DictElement(ring, S, {ring.basis[0]: 3, ring.basis[-1]: last})
+    x = ring.element(S, ref.coeffs)
+    assert agrees(x, ref)
+    bad = object.__new__(RingElement)
+    bad.ring, bad.scalar = ring, S
+    if S.characteristic:
+        bad.vec, bad.den = x.vec + S.characteristic, 1  # a residue out of [0, q)
+    else:
+        bad.vec, bad.den = x.vec * 2, x.den * 2  # a denominator not in lowest terms
+    assert not agrees(bad, ref)
+
+
 @pytest.mark.parametrize("S", [ZZ, QQ], ids=lambda S: S.name)
 def test_large_values_take_the_python_int_path(dtypes, S):
     ring = tring(make_params(3, 2, 2))
@@ -107,15 +161,25 @@ def test_large_values_take_the_python_int_path(dtypes, S):
     for _ in range(3):
         x = random_element(ring, S, rng, size=5, big=True)
         y = random_element(ring, S, rng, size=5, big=True)
-        assert max(abs(Fraction(v).numerator) for v in x.coeffs.values()) > 1 << 31
-        dtypes.clear()
+        # numerators past 2^63 over one common denominator
+        assert max(map(abs, x.vec.tolist())) > 1 << 63
+        assert x.vec.dtype == object
         assert_kernel_agrees(ring, S, x, y)
-        assert dtypes[:2] == [object, object]  # mult, then actions
+        dtypes.clear()
+        ring.mult(x, y)
+        assert dtypes[0] is object  # the product's sums
+        dtypes.clear()
+        ring.actions(x)
+        assert dtypes[0] is object
+        dtypes.clear()
+        assert_arithmetic_agrees(x, y, random_scalar(S, rng, big=True))
+        assert object in dtypes
     small = ring.from_basis(S, ring.basis[0])
     dtypes.clear()
     ring.mult(small, small)
     ring.actions(small)
-    assert dtypes == [np.int64, np.int64]
+    assert set(dtypes) == {np.int64}
+    assert small.vec.dtype == np.int64
 
 
 def test_exact_dtype_bound():
