@@ -12,12 +12,6 @@ of the abelian label group
 once the twist unit c_i = 1 + m_i * sum over characters is divided out
 (its explicit inverse d_i exists whenever p is invertible).
 
-Element k of LevelGroup(i) is the k-th level-i class in basis order, so
-an element of k[LevelGroup(i)] is a ring element (`tsring.tring`)
-supported on the level's range of basis positions: labeling into and out
-of a level is a slice of the coefficient vector, and the twists work on
-that slice.
-
 This module also provides the integral primitive decomposition of 1, a
 scan certifying that 0 and 1 are the only integral central idempotents,
 and a certified semisimplicity decision procedure.
@@ -41,6 +35,7 @@ from .exactarith import (
     QQ,
     ZZ,
     _inverse,
+    exact_dtype,
     field_mat_mul,
     field_of_characteristic,
     identity_matrix,
@@ -54,8 +49,8 @@ from .tring import (
     RingElement,
     TRing,
     _max_abs,
+    _residues,
     _segment_sum,
-    exact_dtype,
     tring,
 )
 
@@ -84,15 +79,12 @@ class LevelGroup:
             raise BadLevel(f"level {level} outside 1..{params.n}")
         self.params = params
         self.level = level
-        ring = tring(params)
-        level_basis = ring.level_basis(level)
-        self.order = len(level_basis)
+        self.span = tring(params).level_range(level)
+        self.order = self.span.stop - self.span.start
         if self.order != params.p ** (level - 1) * (params.p - 1):
             raise TheoremViolation(
                 f"level {level} has {self.order} classes, not p^(i-1)(p-1)"
             )
-        start = ring.index[level_basis[0]]
-        self.span = slice(start, start + self.order)
 
     # ------------------------------------------------------------ group law
 
@@ -237,19 +229,24 @@ def ga_mul(gamma: LevelGroup, x: RingElement, y: RingElement) -> RingElement:
     return RingElement(x.ring, x.scalar, sums, x.den * y.den)
 
 
-def _times_twist(gamma: LevelGroup, y: RingElement, t) -> RingElement:
-    """The level-i part of y times 1 + t * s, s the sum of the M[i, 1, lam].
+def _twist(gamma: LevelGroup, Y: np.ndarray, t) -> np.ndarray:
+    """Y times 1 + t * s on its last axis, level-i coefficients; over t.denominator.
 
-    M[i, alpha, mu] * s is the sum of the e classes M[i, alpha, nu], so on
-    each run of e coefficients of one coset, times s puts their sum on
-    every one of them.
+    s is the sum of the M[i, 1, lam]: times s puts the sum of each run of e
+    coefficients of one coset on every one of them.  On the rows of a
+    matrix this is the product with the (symmetric) twist matrix.
     """
     e = gamma.params.e
-    Y = y.vec[gamma.span].reshape(-1, e)
     dtype = exact_dtype(max(_max_abs(Y), 1) * (t.denominator + e * abs(t.numerator)))
-    Y = Y.astype(dtype)
-    vec = np.zeros(len(y.vec), dtype=dtype)
-    vec[gamma.span] = (Y * t.denominator + Y.sum(axis=1, keepdims=True) * t.numerator).ravel()
+    runs = Y.reshape(*Y.shape[:-1], -1, e).astype(dtype)
+    return (runs * t.denominator + runs.sum(axis=-1, keepdims=True) * t.numerator).reshape(Y.shape)
+
+
+def _times_twist(gamma: LevelGroup, y: RingElement, t) -> RingElement:
+    """The level-i part of y times 1 + t * s (`_twist`)."""
+    twisted = _twist(gamma, y.vec[gamma.span], t)
+    vec = np.zeros(len(y.vec), dtype=twisted.dtype)
+    vec[gamma.span] = twisted
     return RingElement(y.ring, y.scalar, vec, y.den * t.denominator)
 
 
@@ -305,15 +302,14 @@ class LevelBlockIso:
 
     psi^-1 = `from_group_algebra` multiplies by the twist inverse d_i in
     the level span and then by f_i; psi = `to_group_algebra` projects to
-    the level span and multiplies by the twist c_i.  Both twists work on
-    the level's coefficients alone (`_times_twist`).  a -> a f_i is
-    certified injective on the level span, which makes it bijective onto
-    the block once `_decompose` has counted dimensions, and
-    psi(psi^-1(g)) = g on every group element g.  The u with
-    psi^-1(u v) = psi^-1(u) psi^-1(v) for all v form a subalgebra (the
-    ring is associative) containing 1 = psi(f_i), so multiplicativity is
-    checked on the pairs (s, g) of a certified generator s and a group
-    element g only.
+    the level span and multiplies by the twist c_i (`_twist`).  They are
+    certified on R, the right action of f_i: R[span, span] = den I makes
+    a -> a f_i injective on the level span, so bijective onto the block by
+    the dimension count of `_decompose`; the lifts psi^-1(g), the columns
+    of R[:, span] times the twist matrix of d_i, go back to the identity
+    under c_i.  The u with psi^-1(u v) = psi^-1(u) psi^-1(v) for all v form
+    a subalgebra containing 1 = psi(f_i), so for each certified generator
+    s only, its left action times the lifts must permute them by s.
     """
 
     ring: TRing
@@ -323,17 +319,13 @@ class LevelBlockIso:
     projector: RingElement  # f_i, central idempotent cutting out the block
     checks: dict = field(default_factory=dict)
 
-    def embed(self, x: RingElement) -> RingElement:
-        """The map a -> a * f_i from the level span onto the block."""
-        return self.ring.mult(x, self.projector)
-
     def to_group_algebra(self, y: RingElement) -> RingElement:
         c = self.ring.params.nontrivial_coset_count(self.level)
         return _times_twist(self.gamma, y, c)
 
     def from_group_algebra(self, z: RingElement) -> RingElement:
         d = _twist_inverse_coefficient(self.gamma, self.scalar)
-        return self.embed(_times_twist(self.gamma, z, d))
+        return self.ring.mult(_times_twist(self.gamma, z, d), self.projector)
 
 
 @dataclass
@@ -425,6 +417,7 @@ def _decompose(ring: TRing, S) -> BlockDecomposition:
         bad = np.flatnonzero(wrong.any(axis=0))
         if bad.size:
             _violation(f"e_{i} identity on ideal", ring.basis[bad[0]], None)
+        del left, right, unit, wrong  # d x d each, before the next actions() call
     for i, ei in enumerate(chain):
         outside = ring.noncommuting(ei)
         if outside:
@@ -437,12 +430,9 @@ def _decompose(ring: TRing, S) -> BlockDecomposition:
         _violation("e_n is the identity", chain[n], ring.one(S))
     # hence e_i e_j = e_min(i,j), and the f_i are orthogonal central
     # idempotents summing to 1 (see `central_decomposition`)
-    projectors = [chain[0]]
-    projectors += [chain[i] - chain[i - 1] for i in range(1, n + 1)]
-
+    projectors = [chain[0]] + [b - a for a, b in zip(chain, chain[1:])]
     isos = [_build_matrix_iso(ring, S, projectors[0])]
-    for i in range(1, n + 1):
-        isos.append(_build_level_iso(ring, S, i, projectors[i]))
+    isos += [_build_level_iso(ring, S, i, projectors[i]) for i in range(1, n + 1)]
 
     # R f_0 contains the level-0 span, x -> x f_i is injective on the
     # level-i span (certified in `_build_level_iso`), and the level sizes
@@ -508,44 +498,56 @@ def _build_matrix_iso(ring: TRing, S, f0: RingElement) -> MatrixBlockIso:
     return iso
 
 
+def _level_lifts(ring: TRing, S, gamma: LevelGroup, fi: RingElement):
+    """(L, D): column g of L over D is psi^-1(g) = (g d_i) f_i.
+
+    L is R[:, span] times the twist matrix of d_i, for R the right action
+    of f_i, after R[span, span] = den I shows a -> a f_i injective there.
+    """
+    right, den = ring.actions(fi)[1:]
+    span = gamma.span
+    unit = np.eye(gamma.order, dtype=exact_dtype(den)) * den
+    lost = np.flatnonzero((right[span, span] != unit).any(axis=0))
+    if lost.size:
+        g = span.start + lost[0]
+        y = RingElement(ring, S, right[:, g], den).restrict(span)
+        _violation(f"block {gamma.level} projection", y, ring.from_basis(S, ring.basis[g]))
+    t = _twist_inverse_coefficient(gamma, S)
+    return _residues(S, _twist(gamma, right[:, span], t)), den * t.denominator
+
+
 def _build_level_iso(ring: TRing, S, i: int, fi: RingElement) -> LevelBlockIso:
-    params = ring.params
-    gamma = level_group(params, i)
-    iso = LevelBlockIso(
-        ring=ring, scalar=S, level=i, gamma=gamma, projector=fi
-    )
+    gamma = level_group(ring.params, i)
+    iso = LevelBlockIso(ring=ring, scalar=S, level=i, gamma=gamma, projector=fi)
     # group element g is the level class of the same index
-    elements = [ring.from_basis(S, b) for b in ring.level_basis(i)]
-    one = elements[0]
+    one = ring.from_basis(S, ring.basis[gamma.span.start])
     # the twist unit and its closed-form inverse really are inverse
     cd = ga_mul(gamma, twist_unit(gamma, S), twist_unit_inverse(gamma, S))
     if cd != one:
         _violation(f"c_{i} d_{i}", cd, one)
-    # injectivity of x -> x f_i: projecting the image back to the level
-    # recovers the input; `_decompose` counts dimensions for the rest
-    for x in elements:
-        y = iso.embed(x).restrict(gamma.span)
-        if y != x:
-            _violation(f"block {i} projection", y, x)
+    # injectivity of x -> x f_i on the level span (`block i projection`);
+    # `_decompose` counts dimensions for the rest
+    lifts, lift_den = _level_lifts(ring, S, gamma, fi)
     gens = gamma.generators()
     reached = len(gamma.closure(gens))
     if reached != gamma.order:
         _violation(f"block {i} generators", reached, gamma.order)
-    lifts = [iso.from_group_algebra(g) for g in elements]
-    table = gamma._table.tolist()
-    mult_ok = all(
-        ring.mult(lifts[s], lifts[g]) == lifts[table[s][g]]
-        for s in gens
-        for g in range(gamma.order)
-    )
-    if not mult_ok:
-        _violation(f"block {i} multiplicativity", None, None)
+    for s in gens:
+        # column g of left . lifts is den_s * lift_den * psi^-1(s) psi^-1(g)
+        left, den_s = ring.actions(RingElement(ring, S, lifts[:, s], lift_den))[::2]
+        dtype = exact_dtype(_max_abs(lifts) * max(len(ring.basis) * _max_abs(left), den_s))
+        products = np.dot(left.astype(dtype, copy=False), lifts.astype(dtype, copy=False))
+        expected = lifts[:, gamma._table[s]].astype(dtype, copy=False) * den_s
+        if (_residues(S, products) != _residues(S, expected)).any():
+            _violation(f"block {i} multiplicativity", None, None)
+        del left, products, expected  # before the next actions() call
     if iso.to_group_algebra(fi) != one:
         _violation(f"block {i} unit image", iso.to_group_algebra(fi), one)
-    round_ok = all(iso.to_group_algebra(y) == g for g, y in zip(elements, lifts))
-    if not round_ok:
+    # row g of the twisted level rows is lift_den * psi(psi^-1(g))
+    back = _residues(S, _twist(gamma, lifts[gamma.span].T, ring.params.nontrivial_coset_count(i)))
+    if (back != np.eye(gamma.order, dtype=exact_dtype(lift_den)) * lift_den).any():
         _violation(f"block {i} round trip", None, None)
-    iso.checks.update({"multiplicative": mult_ok, "round_trip": round_ok})
+    iso.checks.update({"multiplicative": True, "round_trip": True})
     return iso
 
 
@@ -600,7 +602,7 @@ def corner_rank_is_one(ring: TRing, x: RingElement) -> bool:
     left, right, _ = ring.actions(x)
     dtype = exact_dtype(len(ring.basis) * int(abs(left).max()) * int(abs(right).max()))
     corner = right.astype(dtype) @ left.astype(dtype)
-    return rank_over_field(corner.T.tolist(), QQ) == 1
+    return rank_over_field(corner.T, QQ) == 1
 
 
 # --------------------------------------------------------------------------
@@ -767,9 +769,7 @@ def semisimplicity_decide(params: ModelParams, q: int) -> SemisimplicityDecision
                 continue
             gamma = level_group(params, i)
             fi = ideal_identity(params, S, i) - ideal_identity(params, S, i - 1)
-            iso = LevelBlockIso(
-                ring=ring, scalar=S, level=i, gamma=gamma, projector=fi
-            )
+            iso = LevelBlockIso(ring=ring, scalar=S, level=i, gamma=gamma, projector=fi)
             ones = ring.element(S, {b: 1 for b in ring.level_basis(i)})
             z = iso.from_group_algebra(ones)
             cert = _central_nilpotent_certificate(ring, z)
@@ -820,7 +820,7 @@ def _char_p_nilpotent(params, ring, S):
 
     # the top level comes last in basis order
     columns = [quotient_power(ring.from_basis(S, b), power).vec[-g:] for b in top]
-    kernel = nullspace_over_field(np.array(columns).T.tolist(), S)
+    kernel = nullspace_over_field(np.array(columns).T, S)
     if kernel:
         z = ring.element(S, dict(zip(top, kernel[0])))
         if not z.is_zero() and quotient_power(z, power).is_zero():

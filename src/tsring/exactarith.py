@@ -12,15 +12,18 @@ operation.  Ring elements (`tsring.tring.RingElement`) keep no per-value
 scalars: one integer vector over a common denominator, reduced mod q as
 a whole.
 
-Matrices are plain lists of rows.  The Smith normal form routine
-returns transformation certificates (d, u, v) with d = u*c*v, u and v
-unimodular, and the diagonal of d a nonnegative divisibility chain.
+Matrices are lists of rows or integer arrays; rank, kernel and inverse
+over a field share one elimination on an array.  The Smith normal form
+routine returns transformation certificates (d, u, v) with d = u*c*v, u
+and v unimodular, and the diagonal of d a nonnegative divisibility chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import NotInvertible, NotPrime, ShapeMismatch
 
@@ -76,6 +79,11 @@ def field_of_characteristic(q: int):
     return QQ if q == 0 else GF(q)
 
 
+def exact_dtype(bound: int):
+    """int64 for sums bounded in magnitude by `bound` < 2^62, else Python ints."""
+    return np.int64 if bound < 1 << 62 else object
+
+
 def _inverse(a, K):
     """1/a in K; raises NotInvertible for zero, and over Z for non-units."""
     q = K.characteristic
@@ -98,6 +106,8 @@ def identity_matrix(n: int):
 
 
 def mat_shape(a):
+    if isinstance(a, np.ndarray):
+        return a.shape
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if any(len(r) != cols for r in a):
@@ -293,26 +303,38 @@ def snf(c) -> SnfResult:
 
 
 def _rref(a, K):
-    """Row-reduce `a` over K; returns (reduced matrix, pivot columns)."""
+    """Row-reduce `a` over K; returns (reduced array, pivot columns).
+
+    Gauss-Jordan, clearing each pivot column with one outer product: over
+    F_q on residues in the dtype of `exact_dtype(q * q)`, over Q on ints
+    and Fractions in an object array.
+    """
     rows, cols = mat_shape(a)
-    m = [_reduce_row(list(row), K) for row in a]
+    q = K.characteristic
+    m = a if q and getattr(a, "dtype", None) == np.int64 else np.array(a, dtype=object)
+    if q:
+        m = (m % q).astype(exact_dtype(q * q), copy=False)
+    m = m.reshape(rows, cols)
     pivots = []
-    r = 0
     for col in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][col]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = _inverse(m[r][col], K)
-        m[r] = _reduce_row([inv * x for x in m[r]], K)
-        for i in range(rows):
-            factor = m[i][col]
-            if i != r and factor:
-                m[i] = _reduce_row([x - factor * y for x, y in zip(m[i], m[r])], K)
-        pivots.append(col)
-        r += 1
+        r = len(pivots)
         if r == rows:
             break
+        below = np.flatnonzero(m[r:, col])
+        if not below.size:
+            continue
+        m[[r, r + below[0]]] = m[[r + below[0], r]]
+        m[r] *= _inverse(int(m[r, col]) if q else m[r, col], K)
+        if q:
+            m[r] %= q
+        factor = m[:, col].copy()
+        factor[r] = 0
+        # row r is 0 left of col; whole rows avoid slice temporaries; over Q only rows that change
+        live = slice(None) if q else np.flatnonzero(factor)
+        m[live] -= np.dot(factor[live, None], m[r : r + 1])
+        if q:
+            m %= q
+        pivots.append(col)
     return m, pivots
 
 
@@ -323,27 +345,19 @@ def rank_over_field(a, K) -> int:
 
 def mat_inverse_over_field(c, K):
     """Exact two-sided inverse over the field K; raises NotInvertible."""
-    rows, cols = mat_shape(c)
-    if rows != cols:
+    n, cols = mat_shape(c)
+    if n != cols:
         raise ShapeMismatch("inverse of a non-square matrix")
-    n = rows
-    m = [list(row) + ident for row, ident in zip(c, identity_matrix(n))]
-    red, pivots = _rref(m, K)
+    red, pivots = _rref([list(row) + ident for row, ident in zip(c, identity_matrix(n))], K)
     if pivots != list(range(n)):
         raise NotInvertible("matrix is singular over " + K.name)
-    return [row[n:] for row in red]
+    return red[:, n:].tolist()
 
 
 def nullspace_over_field(a, K):
     """Canonical basis of the right kernel (rref back-substitution)."""
-    rows, cols = mat_shape(a)
     red, pivots = _rref(a, K)
-    free = [j for j in range(cols) if j not in pivots]
-    basis = []
-    for j in free:
-        vec = [0] * cols
-        vec[j] = 1
-        for r, pcol in enumerate(pivots):
-            vec[pcol] = -red[r][j]
-        basis.append(_reduce_row(vec, K))
-    return basis
+    free = [j for j in range(red.shape[1]) if j not in pivots]
+    basis = np.eye(red.shape[1], dtype=red.dtype)[free]
+    basis[:, pivots] = -red[: len(pivots), free].T
+    return (basis % K.characteristic if K.characteristic else basis).tolist()

@@ -23,6 +23,7 @@ closed-form counts only; enumeration lives in the independent oracle
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadLevel, ParamsMismatch, ScalarMismatch
-from .exactarith import _inverse, nullspace_over_field
+from .exactarith import _inverse, exact_dtype, nullspace_over_field
 from .groupmodel import AutCoset, ModelParams, canonical_coset
 
 
@@ -214,6 +215,8 @@ class TRing:
         self.basis = self._build_basis()
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.one_elem = NonProj(params.n, 1, 0)
+        levels = [b.level if isinstance(b, NonProj) else 0 for b in self.basis]
+        self._bounds = [bisect_left(levels, i) for i in range(params.n + 2)]
         self._structure_arrays = None
         self._int_gram = None
         # certified block data, built once per ring by tsring.blocks
@@ -239,22 +242,18 @@ class TRing:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def level_basis(self, i: int):
+    def level_range(self, i: int) -> slice:
+        """Positions of the level-i classes (0: the projective pairs), in order."""
         if not 0 <= i <= self.params.n:
             raise BadLevel(f"level {i} outside 0..{self.params.n}")
-        if i == 0:
-            return [b for b in self.basis if isinstance(b, ProjPair)]
-        return [b for b in self.basis if isinstance(b, NonProj) and b.level == i]
+        return slice(self._bounds[i], self._bounds[i + 1])
+
+    def level_basis(self, i: int):
+        return self.basis[self.level_range(i)]
 
     def ideal_le(self, i: int):
         """Basis of the ideal spanned by classes with vertex order <= p^i."""
-        if not 0 <= i <= self.params.n:
-            raise BadLevel(f"level {i} outside 0..{self.params.n}")
-        return [
-            b
-            for b in self.basis
-            if isinstance(b, ProjPair) or b.level <= i
-        ]
+        return self.basis[: self.level_range(i).stop]
 
     # ------------------------------------------------------- multiplication
 
@@ -419,7 +418,7 @@ class TRing:
         The ideal's classes come first in basis order, so the quotient
         drops a prefix of the coefficients.
         """
-        cut = len(self.ideal_le(i))
+        cut = self.level_range(i).stop
         if x.vec[:cut].any() or y.vec[:cut].any():
             raise ValueError("operands must be supported outside the ideal")
         return self.mult(x, y).restrict(slice(cut, None))
@@ -445,22 +444,17 @@ class TRing:
 
     # ------------------------------------------------------ center and trace
 
-    def regular_trace_int(self) -> list[int]:
-        """tr of left multiplication by each basis element, over Z."""
-        K, V = self.structure_arrays()
-        d, _, width = K.shape
-        diagonal = K == np.arange(d)[:, None]  # K[a, x, j] = x: a term on e_x
-        V = V.astype(exact_dtype(d * width * self._vmax))
-        return (V * diagonal).sum(axis=(1, 2)).tolist()
-
-    def gram_int(self) -> list[list[int]]:
-        """Integer Gram matrix of the regular trace form on the basis."""
+    def gram_int(self) -> np.ndarray:
+        """Gram matrix tr(L_a L_b) of the regular trace form, a read-only array."""
         if self._int_gram is None:
             K, V = self.structure_arrays()
-            traces = self.regular_trace_int()
-            dtype = exact_dtype(_max_abs(traces) * self._vmax * K.shape[2])
-            traces = np.array(traces, dtype=dtype)
-            self._int_gram = (traces[K] * V.astype(dtype)).sum(axis=2).tolist()
+            d, _, width = K.shape
+            # tr L_a sums the V[a, x, j] of the terms with K[a, x, j] = x
+            diagonal = K == np.arange(d)[:, None]
+            traces = (V.astype(exact_dtype(d * width * self._vmax)) * diagonal).sum(axis=(1, 2))
+            dtype = exact_dtype(_max_abs(traces) * self._vmax * width)
+            self._int_gram = (traces.astype(dtype)[K] * V.astype(dtype)).sum(axis=2)
+            self._int_gram.setflags(write=False)
         return self._int_gram
 
     def center_basis(self, S) -> list[RingElement]:
@@ -475,16 +469,8 @@ class TRing:
         comm = np.zeros((d * d, d), dtype=exact_dtype(2 * width * self._vmax))
         np.add.at(comm, (b * d + K, a), V)
         np.add.at(comm, (a * d + K, b), -V)
-        rows = comm[comm.any(axis=1)].tolist() or [[0] * d]
-        return [
-            self.element(S, dict(zip(self.basis, vec)))
-            for vec in nullspace_over_field(rows, S)
-        ]
-
-
-def exact_dtype(bound: int):
-    """int64 for sums bounded in magnitude by `bound` < 2^62, else Python ints."""
-    return np.int64 if bound < 1 << 62 else object
+        kernel = nullspace_over_field(comm[comm.any(axis=1)], S)
+        return [self.element(S, dict(zip(self.basis, vec))) for vec in kernel]
 
 
 def _max_abs(values) -> int:

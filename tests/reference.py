@@ -20,6 +20,8 @@ from tsring.errors import (
 )
 from tsring.blocks import _mobius
 from tsring.exactarith import (
+    _inverse,
+    _reduce_row,
     mat_inverse_over_field,
     mat_shape,
     nullspace_over_field,
@@ -338,6 +340,34 @@ def are_conjugate_bruteforce(params, sub_a, sub_b):
 
 
 # ----------------------------------------------------------- linear algebra
+
+
+def rref_reference(a, K):
+    """Row-reduce `a` over K on a list of rows, one row at a time.
+
+    Returns (reduced matrix, pivot columns), as `exactarith._rref` does
+    with an array and one outer product per pivot.
+    """
+    rows, cols = mat_shape(a)
+    m = [_reduce_row(list(row), K) for row in a]
+    pivots = []
+    r = 0
+    for col in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = _inverse(m[r][col], K)
+        m[r] = _reduce_row([inv * x for x in m[r]], K)
+        for i in range(rows):
+            factor = m[i][col]
+            if i != r and factor:
+                m[i] = _reduce_row([x - factor * y for x, y in zip(m[i], m[r])], K)
+        pivots.append(col)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
 
 
 def det_over_field(a, K):

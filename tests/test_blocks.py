@@ -449,7 +449,7 @@ def _brute_force_matrix_multiplicative(ring, S, iso):
 
 
 def _block_images(ring, S, iso):
-    return [iso.embed(ring.from_basis(S, b)) for b in ring.level_basis(iso.level)]
+    return [ring.mult(ring.from_basis(S, b), iso.projector) for b in ring.level_basis(iso.level)]
 
 
 def _brute_force_level_multiplicative(ring, S, iso):
@@ -743,18 +743,59 @@ def test_chain_element_outside_its_ideal_is_refused(fresh_rings, monkeypatch, fi
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=lambda S: S.name)
 def test_lost_level_class_fails_projection(fresh_rings, monkeypatch, field):
     # the dimension count rests on x -> x f_i being injective on the level
-    # span; an embedding that sends the last class of a level to 0 is not
+    # span; a right action of f_1 that sends the last level-1 class to 0
+    # says it is not
     params = make_params(3, 2, 2)
     ring = tring(params)
-    original = blocks.LevelBlockIso.embed
+    f1 = blocks.ideal_identity(params, field, 1) - blocks.ideal_identity(params, field, 0)
+    last = ring.level_range(1).stop - 1
+    original = TRing.actions
 
-    def embed(self, x):
-        last = self.ring.from_basis(self.scalar, self.ring.level_basis(self.level)[-1])
-        return self.ring.zero(self.scalar) if x == last else original(self, x)
+    def actions(self, x):
+        left, right, den = original(self, x)
+        if x == f1:
+            right = right.copy()
+            right[:, last] = 0
+        return left, right, den
 
-    monkeypatch.setattr(blocks.LevelBlockIso, "embed", embed)
-    last = ring.from_basis(field, ring.level_basis(1)[-1])
-    assert _theorem_d_error(params, field) == (1, f"block 1 projection: 0 != {last!r}")
+    monkeypatch.setattr(TRing, "actions", actions)
+    lost = ring.from_basis(field, ring.basis[last])
+    assert _theorem_d_error(params, field) == (1, f"block 1 projection: 0 != {lost!r}")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=lambda S: S.name)
+def test_scaled_lifts_fail_multiplicativity(fresh_rings, monkeypatch, field):
+    # 2 psi^-1 is injective with the same image, but (2a)(2b) = 4ab != 2ab
+    params = make_params(3, 2, 2)
+    original = blocks._level_lifts
+
+    def level_lifts(ring, S, gamma, fi):
+        lifts, lift_den = original(ring, S, gamma, fi)
+        return 2 * lifts, lift_den
+
+    monkeypatch.setattr(blocks, "_level_lifts", level_lifts)
+    assert _theorem_d_error(params, field) == (1, "block 1 multiplicativity: None != None")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=lambda S: S.name)
+def test_relabeled_lifts_fail_round_trip(fresh_rings, monkeypatch, field):
+    # g -> psi^-1(g^-1) is still multiplicative, inversion being an
+    # automorphism of the abelian level group, and it has the same image;
+    # only psi(psi^-1(g)) = g tells the labels apart.  Inversion is the
+    # identity on Gamma_1 (order 2) and not on Gamma_2 (cyclic of order 6)
+    params = make_params(3, 2, 2)
+    original = blocks._level_lifts
+    inverses = {}
+
+    def level_lifts(ring, S, gamma, fi):
+        lifts, lift_den = original(ring, S, gamma, fi)
+        inverses[gamma.level] = inverse = (gamma._table == 0).argmax(axis=1)
+        return lifts[:, inverse], lift_den
+
+    monkeypatch.setattr(blocks, "_level_lifts", level_lifts)
+    assert _theorem_d_error(params, field) == (1, "block 2 round trip: None != None")
+    assert inverses[1].tolist() == [0, 1]
+    assert inverses[2].tolist() != list(range(6))
 
 
 def test_noncentral_primitive_names_the_class(fresh_rings, monkeypatch):

@@ -513,7 +513,7 @@ def test_theorem_a_rejects_a_broken_snf_certificate(flags):
     assert "Smith normal form d = u C v" in check["details"]["error"]
 
 
-# stdout of the parent implementation for two commands, committed as bytes
+# stdout of an earlier implementation for each command, committed as bytes
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_COMMANDS = {
     # acceptance criterion 11
@@ -527,6 +527,13 @@ GOLDEN_COMMANDS = {
         "--p", "5", "--n", "2", "--e", "4",
         "--which", "theorem-b,theorem-d,semisimple",
         "--field", "F2,F5,F7",
+    ],
+    # the largest ladder rung, d = 312: level blocks, the trace-form rank and
+    # a central nilpotent block over F2, the char-p quotient over F13
+    "verify_p13n2e12_semisimple_fq.json": [
+        "--p", "13", "--n", "2", "--e", "12",
+        "--which", "theorem-d,semisimple",
+        "--field", "F2,F13",
     ],
 }
 

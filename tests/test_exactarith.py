@@ -3,10 +3,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import det_over_field
+from reference import det_over_field, rref_reference
 
 from tsring.errors import NotInvertible, NotPrime
 from tsring.exactarith import (
@@ -14,6 +15,7 @@ from tsring.exactarith import (
     QQ,
     ZZ,
     _inverse,
+    _rref,
     det_int,
     field_mat_mul,
     identity_matrix,
@@ -222,6 +224,45 @@ def test_rank_and_nullspace():
     vec = kernel[0]
     for row in mat:
         assert sum(r * v for r, v in zip(row, vec)) == 0
+
+
+# F2147483659 is the least prime above 2^31: products of two of its
+# residues overflow int64, so its elimination runs on Python ints
+RREF_FIELDS = [GF(2), GF(3), GF(13), GF(2147483659), QQ]
+
+
+def matrices(K):
+    """Lists of rows: empty, zero, wide, tall and square, small and huge entries."""
+    if K is QQ:
+        entry = st.one_of(st.integers(-3, 3), st.fractions(-9, 9, max_denominator=7))
+    else:
+        entry = st.one_of(st.integers(-3, 3), st.integers(-(1 << 70), 1 << 70))
+    shape = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    zero = shape.map(lambda rc: [[0] * rc[1] for _ in range(rc[0])])
+    full = shape.flatmap(
+        lambda rc: st.lists(
+            st.lists(entry, min_size=rc[1], max_size=rc[1]), min_size=rc[0], max_size=rc[0]
+        )
+    )
+    # a repeated row makes a rank drop likely over every field
+    repeated = full.filter(bool).map(lambda rows: rows + rows[-1:])
+    return st.one_of(zero, full, repeated)
+
+
+@pytest.mark.parametrize("K", RREF_FIELDS, ids=lambda K: K.name)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_array_elimination_matches_row_reference(K, data):
+    a = data.draw(matrices(K))
+    red, pivots = _rref(a, K)
+    assert (red.tolist(), pivots) == rref_reference(a, K)
+    q = K.characteristic
+    assert red.dtype == (object if q in (0, 2147483659) else np.int64)
+
+
+def test_array_elimination_keeps_the_columns_of_an_empty_array():
+    assert nullspace_over_field(np.zeros((0, 3), dtype=np.int64), GF(5)) == identity_matrix(3)
+    assert rank_over_field(np.zeros((2, 0), dtype=np.int64), QQ) == 0
 
 
 def test_det_int_matches_field_det():

@@ -150,6 +150,22 @@ def test_ideal_le_extremes(any_params):
         ring.ideal_le(params.n + 1)
 
 
+def test_level_ranges_match_the_class_scan(any_params):
+    # levels, ideals and the quotient cut are read off the level boundaries
+    ring = tring(any_params)
+    n = any_params.n
+    level = {b: b.level if isinstance(b, NonProj) else 0 for b in ring.basis}
+    for i in range(n + 1):
+        assert ring.level_basis(i) == [b for b in ring.basis if level[b] == i]
+        assert ring.ideal_le(i) == [b for b in ring.basis if level[b] <= i]
+    top = ring.one(ZZ)
+    for i in (-1, n + 1):
+        with pytest.raises(BadLevel):
+            ring.level_range(i)
+        with pytest.raises(BadLevel):
+            ring.quotient_mult(i, top, top)
+
+
 def test_ideal_le_322_level_one():
     ring = tring(make_params(3, 2, 2))
     assert len(ring.ideal_le(1)) == 6
