@@ -4,10 +4,18 @@ The projective classes P[i, j] multiply through the Cartan matrix C:
 identifying P[i, j] with the matrix unit E_ij turns the projective ideal
 into Mat_l(Z) with the twisted product a *_C b = a C b.  Pulling the
 matrix units back through a Smith-normal-form change of basis produces
-integer idempotents, one for each elementary divisor equal to 1, each
-certified primitive by a rank-one-corner witness.  Over a field whose
-characteristic does not divide det(C), the twist is invertible and the
-ideal becomes a genuine matrix algebra with identity given by C^{-1}.
+integer idempotents, one for each elementary divisor equal to 1.
+
+Each is certified primitive by a rank-one corner.  The corner element
+X *_C E_ij *_C X = (X C e_i)(e_j^T C X) is column i of XC times row j of
+CX, so the Q-span of the corner is col(XC) (x) row(CX), of rank
+rank(XC) * rank(CX).  The corner has rank one exactly when
+rank_Q(XC) = rank_Q(CX) = 1: an e x e test (`_rank_one_corner`) that
+theorem-a and theorem-c (`blocks.corner_rank_is_one`) share.
+
+Over a field whose characteristic does not divide det(C), the twist is
+invertible and the ideal becomes a genuine matrix algebra with identity
+given by C^{-1}.
 """
 
 from __future__ import annotations
@@ -15,101 +23,91 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ShapeMismatch, TheoremViolation
 from .exactarith import (
     QQ,
     ZZ,
     _inverse,
-    _reduce_row,
+    as_matrix,
+    exact_dtype,
     field_mat_mul,
-    identity_matrix,
-    mat_shape,
     rank_over_field,
+    residues,
     snf,
 )
 from .tring import RingElement, TRing
 
 
-def cartan_matrix(params) -> list[list[int]]:
+def cartan_matrix(params) -> np.ndarray:
     """The model's Cartan matrix: m+1 on the diagonal, m elsewhere."""
-    m = params.multiplicity
-    e = params.e
-    return [[m + 1 if i == j else m for j in range(e)] for i in range(e)]
+    m, e = params.multiplicity, params.e
+    dtype = exact_dtype(m + 1)
+    return np.full((e, e), m, dtype=dtype) + np.eye(e, dtype=dtype)
 
 
-def cartan_inverse(params, K) -> list[list]:
+def cartan_inverse(params, K) -> np.ndarray:
     """C^{-1} = I - (m/p^n) J over a field K of characteristic != p.
 
     C = I + m J with J the all-ones matrix, J^2 = e J and 1 + m e = p^n.
     """
     shift = -params.multiplicity * _inverse(params.pn, K)
-    e = params.e
-    return [_reduce_row([int(i == j) + shift for j in range(e)], K) for i in range(e)]
+    return as_matrix(residues(K, np.eye(params.e, dtype=object) + shift))
 
 
 class TwistedMatRing:
     """Square matrices with the product a *_c b = a c b."""
 
     def __init__(self, size: int, twist, scalar=ZZ):
-        rows, cols = mat_shape(twist)
-        if rows != size or cols != size:
+        self.twist = as_matrix(twist)
+        if self.twist.shape != (size, size):
             raise ShapeMismatch(f"twist must be {size}x{size}")
         self.size = size
-        self.twist = [list(r) for r in twist]
         self.scalar = scalar
 
     def mult(self, a, b):
-        if mat_shape(a) != (self.size, self.size) or mat_shape(b) != (
-            self.size,
-            self.size,
-        ):
+        a, b = as_matrix(a), as_matrix(b)
+        if a.shape != self.twist.shape or b.shape != self.twist.shape:
             raise ShapeMismatch("operands must match the ring size")
         K = self.scalar
         return field_mat_mul(field_mat_mul(a, self.twist, K), b, K)
 
     def is_idempotent(self, a) -> bool:
         """a *_c a == a, with a reduced into the scalars first."""
-        return self.mult(a, a) == [_reduce_row(list(row), self.scalar) for row in a]
+        return np.array_equal(self.mult(a, a), residues(self.scalar, as_matrix(a)))
 
     def are_orthogonal(self, a, b) -> bool:
-        zero = [[0] * self.size for _ in range(self.size)]
-        return self.mult(a, b) == zero and self.mult(b, a) == zero
-
-
-def matrix_units(l: int):
-    out = []
-    for i in range(l):
-        for j in range(l):
-            m = [[0] * l for _ in range(l)]
-            m[i][j] = 1
-            out.append(m)
-    return out
+        return not (self.mult(a, b).any() or self.mult(b, a).any())
 
 
 @dataclass
 class IdempotentCertificate:
     """An element together with recomputable primitivity evidence."""
 
-    element: list
+    element: np.ndarray
     checks: dict = field(default_factory=dict)
 
 
-def _rank_one_corner(ring: TwistedMatRing, e) -> bool:
-    """Z-rank of {e *_C X *_C e : X a matrix unit} equals 1."""
-    vectors = []
-    for x in matrix_units(ring.size):
-        corner = ring.mult(ring.mult(e, x), e)
-        vectors.append([entry for row in corner for entry in row])
-    return rank_over_field(vectors, QQ) == 1
+def _rank_one_corner(c, x) -> bool:
+    """The corner {x *_c E_ij *_c x} has Q-rank 1: rank(xc) = rank(cx) = 1.
+
+    The corner spans col(xc) (x) row(cx) (module docstring), for any x.
+    """
+    return (
+        rank_over_field(field_mat_mul(x, c, ZZ), QQ)
+        == rank_over_field(field_mat_mul(c, x, ZZ), QQ)
+        == 1
+    )
 
 
 def certify_projective_idempotent(c, element) -> IdempotentCertificate:
     """Recompute idempotency and the rank-one-corner witness from scratch."""
-    size = mat_shape(c)[0]
-    ring = TwistedMatRing(size, c)
-    cert = IdempotentCertificate(element=[list(r) for r in element])
-    cert.checks["idempotent"] = ring.is_idempotent(element)
-    cert.checks["rank_one_corner"] = _rank_one_corner(ring, element)
+    c = as_matrix(c)
+    ring = TwistedMatRing(len(c), c)
+    cert = IdempotentCertificate(element=as_matrix(element))
+    cert.checks["idempotent"] = ring.is_idempotent(cert.element)
+    cert.checks["rank_one_corner"] = _rank_one_corner(c, cert.element)
     return cert
 
 
@@ -117,25 +115,21 @@ def orthogonal_projective_idempotents(c) -> list[IdempotentCertificate]:
     """A maximal family of orthogonal primitive idempotents over Z.
 
     One idempotent per elementary divisor equal to 1: pull the matrix
-    units E_ii back through the Smith-normal-form change of basis.  Each
+    units E_ii back through the Smith-normal-form change of basis, so
+    idempotent i is v E_ii u, column i of v times row i of u.  Each
     certificate records idempotency, pairwise orthogonality, and the
     rank-one-corner primitivity witness.
     """
-    size = mat_shape(c)[0]
+    c = as_matrix(c)
     result = snf(c)
     if not result.check(c):
         raise TheoremViolation(
             "Smith normal form d = u C v with u, v unimodular and d a diagonal"
             " divisibility chain"
         )
-    diag = result.diagonal()
-    r = sum(1 for x in diag if x == 1)
-    ring = TwistedMatRing(size, c)
-    elements = []
-    for i in range(r):
-        unit = [[0] * size for _ in range(size)]
-        unit[i][i] = 1
-        elements.append(field_mat_mul(field_mat_mul(result.v, unit, ZZ), result.u, ZZ))
+    r = result.diagonal().count(1)
+    ring = TwistedMatRing(len(c), c)
+    elements = [field_mat_mul(result.v[:, i : i + 1], result.u[i : i + 1], ZZ) for i in range(r)]
     certs = []
     for i, elem in enumerate(elements):
         cert = certify_projective_idempotent(c, elem)
@@ -151,21 +145,19 @@ def orthogonal_projective_idempotents(c) -> list[IdempotentCertificate]:
 def matrix_to_projective_element(ring: TRing, S, mat) -> RingElement:
     """The element whose first e^2 coefficients, the P[lam, mu], are `mat` row by row."""
     e = ring.params.e
-    rows, cols = mat_shape(mat)
-    if rows != e or cols != e:
+    mat = as_matrix(mat)
+    if mat.shape != (e, e):
         raise ShapeMismatch(f"expected {e}x{e} coefficients")
-    return ring.element(S, dict(zip(ring.basis, (v for row in mat for v in row))))
+    return ring.element(S, dict(zip(ring.basis, mat.ravel().tolist())))
 
 
-def projective_element_to_matrix(x: RingElement):
+def projective_element_to_matrix(x: RingElement) -> np.ndarray:
     """The first e^2 coefficients of x, the P[lam, mu], as an e x e matrix."""
     e = x.ring.params.e
     if x.vec[e * e :].any():
         raise ShapeMismatch("element is not supported on projectives")
-    mat = x.vec[: e * e].reshape(e, e).tolist()
-    if x.den != 1:
-        mat = [[Fraction(v, x.den) for v in row] for row in mat]
-    return mat
+    mat = x.vec[: e * e].reshape(e, e).copy()
+    return mat if x.den == 1 else mat.astype(object) * Fraction(1, x.den)
 
 
 def projective_identity_element(ring: TRing, K) -> RingElement:
@@ -178,7 +170,7 @@ def projective_identity_element(ring: TRing, K) -> RingElement:
     if key not in ring.block_memo:
         c = cartan_matrix(ring.params)
         inverse = cartan_inverse(ring.params, K)
-        if field_mat_mul(c, inverse, K) != identity_matrix(len(c)):
+        if not np.array_equal(field_mat_mul(c, inverse, K), np.eye(len(c), dtype=np.int64)):
             raise TheoremViolation(f"C C^-1 = I over {K.name}")
         ring.block_memo[key] = matrix_to_projective_element(ring, K, inverse)
     return ring.block_memo[key]

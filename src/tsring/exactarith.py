@@ -12,14 +12,20 @@ operation.  Ring elements (`tsring.tring.RingElement`) keep no per-value
 scalars: one integer vector over a common denominator, reduced mod q as
 a whole.
 
-Matrices are lists of rows or integer arrays; rank, kernel and inverse
-over a field share one elimination on an array.  The Smith normal form
-routine returns transformation certificates (d, u, v) with d = u*c*v, u
-and v unimodular, and the diagonal of d a nonnegative divisibility chain.
+Matrices follow the rule of ring elements: a matrix is an exact 2-D
+numpy array, int64 while an up-front `exact_dtype` bound holds and
+otherwise an object array of Python ints (and Fractions over Q).  Lists
+of rows enter through `as_matrix`, one Python int at a time; a ragged
+list raises ShapeMismatch.  `field_mat_mul` is the package's one matrix
+product and `residues` its one reduction mod q.  Rank, kernel and inverse
+over a field share one elimination.  The Smith normal form routine
+returns transformation certificates (d, u, v) with d = u*c*v, u and v
+unimodular, and the diagonal of d a nonnegative divisibility chain.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,94 +107,118 @@ def _inverse(a, K):
 # --------------------------------------------------------------------------
 
 
-def identity_matrix(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _max_abs(values) -> int:
+    """The largest magnitude in a list or an integer array, as a Python int."""
+    if isinstance(values, np.ndarray):
+        if values.dtype != object:
+            return max(int(values.max()), -int(values.min())) if values.size else 0
+        values = values.ravel().tolist()
+    return max(map(abs, values), default=0)
 
 
-def mat_shape(a):
+def _exact(x):
+    """x as an exact scalar: a Python int, or a Fraction that is not one."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    return operator.index(x)
+
+
+def as_matrix(a) -> np.ndarray:
+    """a as an exact 2-D array: int64 when its entries are ints below 2^62.
+
+    An int64 array passes through.  Other arrays and lists of rows are read
+    entry by entry as Python ints and Fractions, so no value passes through
+    numpy's uint64 or float64 guess; a float raises TypeError, a ragged
+    list ShapeMismatch.
+    """
     if isinstance(a, np.ndarray):
-        return a.shape
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if any(len(r) != cols for r in a):
-        raise ShapeMismatch("matrix is not rectangular")
-    return rows, cols
+        if a.ndim != 2:
+            raise ShapeMismatch(f"a matrix has 2 axes, not {a.ndim}")
+        if a.dtype == np.int64:
+            return a
+        shape, values = a.shape, a.ravel().tolist()
+    else:
+        rows = [list(row) for row in a]
+        shape = (len(rows), len(rows[0]) if rows else 0)
+        if any(len(row) != shape[1] for row in rows):
+            raise ShapeMismatch("matrix is not rectangular")
+        values = [x for row in rows for x in row]
+    values = [_exact(x) for x in values]
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    if not any(isinstance(x, Fraction) for x in values):
+        out = out.astype(exact_dtype(_max_abs(values)))
+    return out.reshape(shape)
+
+
+def residues(K, m):
+    """Integer values as values of K: residues mod q over F_q, else unchanged."""
+    return m % K.characteristic if K.characteristic else m
 
 
 def field_mat_mul(a, b, K):
-    """a * b over K, reduced into K; the entries may be any ints or Fractions."""
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
+    """a * b over K, reduced into K; the entries may be any ints or Fractions.
+
+    The one matrix product: np.dot in int64 when max|a| * max|b| times the
+    inner dimension stays below 2^62, on Python numbers otherwise, then one
+    reduction mod q.
+    """
+    a, b = as_matrix(a), as_matrix(b)
+    (ra, ca), (rb, cb) = a.shape, b.shape
     if ca != rb:
         raise ShapeMismatch(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    cols = list(zip(*b))
-    return [
-        _reduce_row([sum(x * y for x, y in zip(row, col)) for col in cols], K)
-        for row in a
-    ]
-
-
-def _reduce_row(row: list, K) -> list:
-    q = K.characteristic
-    return [x % q for x in row] if q else row
+    if object in (a.dtype, b.dtype):
+        dtype = object
+    else:
+        dtype = exact_dtype(_max_abs(a) * _max_abs(b) * ca)
+    return residues(K, np.dot(a.astype(dtype, copy=False), b.astype(dtype, copy=False)))
 
 
 def det_int(a) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    rows, cols = mat_shape(a)
-    if rows != cols:
+    """Determinant of a square integer matrix (fraction-free Bareiss); 1 if 0 x 0."""
+    m = as_matrix(a).astype(object)
+    n, cols = m.shape
+    if n != cols:
         raise ShapeMismatch("determinant of a non-square matrix")
-    n = rows
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    sign = prev = 1
+    for k in range(n):
+        below = np.flatnonzero(m[k:, k])
+        if not below.size:
+            return 0
+        if below[0]:
+            m[[k, k + below[0]]] = m[[k + below[0], k]]
+            sign = -sign
+        rest = slice(k + 1, n)
+        m[rest, rest] = (m[rest, rest] * m[k, k] - m[rest, k, None] * m[k, rest]) // prev
+        prev = m[k, k]
+    return sign * prev
 
 
 def is_unimodular(a) -> bool:
     return abs(det_int(a)) == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnfResult:
     """Smith normal form certificate: d = u * c * v with u, v unimodular."""
 
-    d: tuple
-    u: tuple
-    v: tuple
+    d: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
 
-    def diagonal(self):
-        rows = len(self.d)
-        cols = len(self.d[0]) if rows else 0
-        return [self.d[i][i] for i in range(min(rows, cols))]
+    def diagonal(self) -> list:
+        return np.diagonal(as_matrix(self.d)).tolist()
 
     def check(self, c) -> bool:
         """Recompute every SnfResult invariant against the input matrix."""
-        d = [list(r) for r in self.d]
-        if d != field_mat_mul(field_mat_mul(self.u, c, ZZ), self.v, ZZ):
+        d = as_matrix(self.d)
+        if not np.array_equal(d, field_mat_mul(field_mat_mul(self.u, c, ZZ), self.v, ZZ)):
             return False
         if not (is_unimodular(self.u) and is_unimodular(self.v)):
             return False
-        rows, cols = mat_shape(d)
-        for i in range(rows):
-            for j in range(cols):
-                if i != j and d[i][j] != 0:
-                    return False
         diag = self.diagonal()
+        if np.count_nonzero(d) != np.count_nonzero(diag):  # an off-diagonal entry
+            return False
         if any(x < 0 for x in diag):
             return False
         for x, y in zip(diag, diag[1:]):
@@ -199,100 +229,48 @@ class SnfResult:
         return True
 
 
-def _freeze(m):
-    return tuple(tuple(row) for row in m)
-
-
 def snf(c) -> SnfResult:
     """Smith normal form with accumulated unimodular transformations.
 
     Pivoting picks the nonzero entry of minimal absolute value in the
     remaining block, ties broken in row-major order; this keeps the
-    computation deterministic and bounds intermediate growth.
+    computation deterministic and bounds intermediate growth.  The work
+    runs on Python ints; d, u and v are returned as `as_matrix` arrays.
     """
-    rows, cols = mat_shape(c)
-    m = [list(row) for row in c]
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
-
-    def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_addmul(i, j, k):
-        # row_i += k * row_j
-        mi, mj = m[i], m[j]
-        for t in range(cols):
-            mi[t] += k * mj[t]
-        ui, uj = u[i], u[j]
-        for t in range(rows):
-            ui[t] += k * uj[t]
-
-    def col_addmul(i, j, k):
-        # col_i += k * col_j
-        for row in m:
-            row[i] += k * row[j]
-        for row in v:
-            row[i] += k * row[j]
-
-    def row_negate(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
+    m = as_matrix(c).astype(object)
+    rows, cols = m.shape
+    u, v = np.eye(rows, dtype=object), np.eye(cols, dtype=object)
     t = 0
-    bound = min(rows, cols)
-    while t < bound:
-        best = None
-        best_abs = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                a = m[i][j]
-                if a != 0 and (best is None or abs(a) < best_abs):
-                    best = (i, j)
-                    best_abs = abs(a)
-        if best is None:
+    while t < min(rows, cols):
+        size = np.abs(m[t:, t:]).ravel()
+        live = np.flatnonzero(size)
+        if not live.size:
             break
-        bi, bj = best
-        if bi != t:
-            row_swap(t, bi)
-        if bj != t:
-            col_swap(t, bj)
-        if m[t][t] < 0:
-            row_negate(t)
-        piv = m[t][t]
-        dirty = False
-        for i in range(t + 1, rows):
-            if m[i][t] != 0:
-                row_addmul(i, t, -(m[i][t] // piv))
-                if m[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if m[t][j] != 0:
-                col_addmul(j, t, -(m[t][j] // piv))
-                if m[t][j] != 0:
-                    dirty = True
-        if dirty:
+        bi, bj = (t + k for k in divmod(int(live[np.argmin(size[live])]), cols - t))
+        m[[t, bi]], u[[t, bi]] = m[[bi, t]], u[[bi, t]]
+        m[:, [t, bj]], v[:, [t, bj]] = m[:, [bj, t]], v[:, [bj, t]]
+        if m[t, t] < 0:
+            m[t], u[t] = -m[t], -u[t]
+        piv = m[t, t]
+        # reduce column t below the pivot by row operations, then row t by
+        # column operations; a remainder left becomes a smaller pivot
+        quot = m[t + 1 :, t, None] // piv
+        m[t + 1 :] -= quot * m[t]
+        u[t + 1 :] -= quot * u[t]
+        quot = m[t, t + 1 :] // piv
+        m[:, t + 1 :] -= m[:, t, None] * quot
+        v[:, t + 1 :] -= v[:, t, None] * quot
+        if m[t + 1 :, t].any() or m[t, t + 1 :].any():
             continue
-        viol = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % piv != 0:
-                    viol = i
-                    break
-            if viol is not None:
-                break
-        if viol is not None:
-            row_addmul(t, viol, 1)
+        # the pivot must divide the rest: else add the first row that it
+        # does not divide to row t
+        bad = np.flatnonzero((m[t + 1 :, t + 1 :] % piv != 0).any(axis=1))
+        if bad.size:
+            m[t] += m[t + 1 + bad[0]]
+            u[t] += u[t + 1 + bad[0]]
             continue
         t += 1
-
-    return SnfResult(d=_freeze(m), u=_freeze(u), v=_freeze(v))
+    return SnfResult(d=as_matrix(m), u=as_matrix(u), v=as_matrix(v))
 
 
 # --------------------------------------------------------------------------
@@ -309,12 +287,12 @@ def _rref(a, K):
     F_q on residues in the dtype of `exact_dtype(q * q)`, over Q on ints
     and Fractions in an object array.
     """
-    rows, cols = mat_shape(a)
+    a = as_matrix(a)
+    rows, cols = a.shape
     q = K.characteristic
-    m = a if q and getattr(a, "dtype", None) == np.int64 else np.array(a, dtype=object)
+    m = a if q and a.dtype == np.int64 else a.astype(object)
     if q:
         m = (m % q).astype(exact_dtype(q * q), copy=False)
-    m = m.reshape(rows, cols)
     pivots = []
     for col in range(cols):
         r = len(pivots)
@@ -331,7 +309,7 @@ def _rref(a, K):
         factor[r] = 0
         # row r is 0 left of col; whole rows avoid slice temporaries; over Q only rows that change
         live = slice(None) if q else np.flatnonzero(factor)
-        m[live] -= np.dot(factor[live, None], m[r : r + 1])
+        m[live] -= factor[live, None] * m[r]
         if q:
             m %= q
         pivots.append(col)
@@ -345,19 +323,20 @@ def rank_over_field(a, K) -> int:
 
 def mat_inverse_over_field(c, K):
     """Exact two-sided inverse over the field K; raises NotInvertible."""
-    n, cols = mat_shape(c)
+    c = as_matrix(c)
+    n, cols = c.shape
     if n != cols:
         raise ShapeMismatch("inverse of a non-square matrix")
-    red, pivots = _rref([list(row) + ident for row, ident in zip(c, identity_matrix(n))], K)
+    red, pivots = _rref(np.hstack((c, np.eye(n, dtype=c.dtype))), K)
     if pivots != list(range(n)):
         raise NotInvertible("matrix is singular over " + K.name)
-    return red[:, n:].tolist()
+    return as_matrix(red[:, n:])
 
 
 def nullspace_over_field(a, K):
-    """Canonical basis of the right kernel (rref back-substitution)."""
+    """Canonical basis of the right kernel, as rows (rref back-substitution)."""
     red, pivots = _rref(a, K)
     free = [j for j in range(red.shape[1]) if j not in pivots]
     basis = np.eye(red.shape[1], dtype=red.dtype)[free]
     basis[:, pivots] = -red[: len(pivots), free].T
-    return (basis % K.characteristic if K.characteristic else basis).tolist()
+    return residues(K, basis)

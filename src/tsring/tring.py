@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadLevel, ParamsMismatch, ScalarMismatch
-from .exactarith import _inverse, exact_dtype, nullspace_over_field
+from .exactarith import _inverse, _max_abs, exact_dtype, nullspace_over_field, residues
 from .groupmodel import AutCoset, ModelParams, canonical_coset
 
 
@@ -404,7 +404,7 @@ class TRing:
             K[:, ia] * d + cols[:, None, None],
             X[:, None] * V[:, ia].astype(dtype),
         )
-        left, right = (_residues(S, m).reshape(d, d) for m in (left, right))
+        left, right = (residues(S, m).reshape(d, d) for m in (left, right))
         return left, right, x.den
 
     def noncommuting(self, x: RingElement) -> list:
@@ -470,21 +470,7 @@ class TRing:
         np.add.at(comm, (b * d + K, a), V)
         np.add.at(comm, (a * d + K, b), -V)
         kernel = nullspace_over_field(comm[comm.any(axis=1)], S)
-        return [self.element(S, dict(zip(self.basis, vec))) for vec in kernel]
-
-
-def _max_abs(values) -> int:
-    """The largest magnitude in a list or an integer array, as a Python int."""
-    if isinstance(values, np.ndarray):
-        if values.dtype != object:
-            return max(int(values.max()), -int(values.min())) if values.size else 0
-        values = values.ravel().tolist()
-    return max(map(abs, values), default=0)
-
-
-def _residues(S, sums):
-    """Integer sums as values of S: residues over F_q, else unchanged."""
-    return sums % S.characteristic if S.characteristic else sums
+        return [self.element(S, dict(zip(self.basis, vec))) for vec in kernel.tolist()]
 
 
 def _segment_sum(size: int, keys: np.ndarray, vals: np.ndarray) -> np.ndarray:

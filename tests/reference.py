@@ -20,11 +20,11 @@ from tsring.errors import (
 )
 from tsring.blocks import _mobius
 from tsring.exactarith import (
+    QQ,
     _inverse,
-    _reduce_row,
     mat_inverse_over_field,
-    mat_shape,
     nullspace_over_field,
+    rank_over_field,
 )
 from tsring.groupmodel import (
     TAG_DIAG_P,
@@ -340,6 +340,68 @@ def are_conjugate_bruteforce(params, sub_a, sub_b):
 
 
 # ----------------------------------------------------------- linear algebra
+#
+# Matrices as lists of rows, the form the package once used; the package
+# works on exact arrays (`tsring.exactarith.as_matrix`).
+
+
+def mat_shape(a):
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    if any(len(r) != cols for r in a):
+        raise ShapeMismatch("matrix is not rectangular")
+    return rows, cols
+
+
+def _reduce_row(row: list, K) -> list:
+    q = K.characteristic
+    return [x % q for x in row] if q else row
+
+
+def field_mat_mul_reference(a, b, K):
+    """a * b over K on lists of rows, one Python sum per entry."""
+    ra, ca = mat_shape(a)
+    rb, cb = mat_shape(b)
+    if ca != rb:
+        raise ShapeMismatch(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
+    cols = list(zip(*b))
+    return [
+        _reduce_row([sum(x * y for x, y in zip(row, col)) for col in cols], K)
+        for row in a
+    ]
+
+
+def matrix_units(l: int):
+    """The l x l matrix units E_ij as lists of rows, E_ij at position i * l + j."""
+    out = []
+    for i in range(l):
+        for j in range(l):
+            m = [[0] * l for _ in range(l)]
+            m[i][j] = 1
+            out.append(m)
+    return out
+
+
+def rank_one_corner_reference(c, x) -> bool:
+    """Q-rank of {x *_c E_ij *_c x : E_ij a matrix unit} equals 1, by the e^2 products."""
+    c, x = (np.array(m, dtype=object).tolist() for m in (c, x))
+    xc = field_mat_mul_reference(x, c, QQ)
+    vectors = []
+    for unit in matrix_units(len(c)):
+        corner = field_mat_mul_reference(
+            field_mat_mul_reference(field_mat_mul_reference(xc, unit, QQ), c, QQ), x, QQ
+        )
+        vectors.append([entry for row in corner for entry in row])
+    return len(rref_reference(vectors, QQ)[1]) == 1
+
+
+def corner_rank_reference(ring, x) -> bool:
+    """Q-rank of {x * b * x : b basis} equals 1: the rank of R_x L_x.
+
+    x * e_b * x is column b of R_x L_x, with L_x, R_x the d x d actions of x.
+    """
+    left, right, _ = ring.actions(x)
+    return rank_over_field((right.astype(object) @ left.astype(object)).T, QQ) == 1
 
 
 def rref_reference(a, K):
@@ -408,12 +470,11 @@ def projective_identity(c, K):
 
 def projective_primitive_decomposition(c, K):
     """Row slices of C^{-1}: l orthogonal idempotents summing to C^{-1}."""
-    size = mat_shape(c)[0]
     inverse = mat_inverse_over_field(c, K)
     out = []
-    for i in range(size):
-        piece = [[0] * size for _ in range(size)]
-        piece[i] = list(inverse[i])
+    for i in range(len(inverse)):
+        piece = np.zeros_like(inverse)
+        piece[i] = inverse[i]
         out.append(piece)
     return out
 

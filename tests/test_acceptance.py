@@ -20,6 +20,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from reference import (
@@ -189,7 +190,7 @@ def test_criterion_06_projective_block_over_fields():
                         field_mat_mul(mats[b], c, K),
                         K,
                     )
-                    assert lhs == rhs
+                    assert np.array_equal(lhs, rhs)
             # the inverse map recovers every matrix unit exactly
             inv_c = projective_identity(c, K)
             for a, b in pairs:
@@ -198,7 +199,7 @@ def test_criterion_06_projective_block_over_fields():
                 image = field_mat_mul(
                     cartan.projective_element_to_matrix(elem), c, K
                 )
-                assert image == mats[(a, b)]
+                assert image.tolist() == mats[(a, b)]
     _report(6, "projective block identification", True)
 
 

@@ -6,6 +6,7 @@ import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from conftest import BEYOND_INSTANCES, INSTANCES, SMALL_INSTANCES
 from reference import (
@@ -14,6 +15,7 @@ from reference import (
     level_element,
     level_labels,
     level_mul,
+    corner_rank_reference,
     level_primitive_idempotents,
     mult_reference,
     patch_mult_basis,
@@ -23,7 +25,7 @@ from reference import (
 from tsring import blocks
 from tsring.cartan import cartan_inverse, cartan_matrix
 from tsring.cli import main
-from tsring.errors import BadLevel, CharIsP, ScanTooLarge
+from tsring.errors import BadLevel, CharIsP, ScanTooLarge, TheoremViolation
 from tsring.exactarith import GF, QQ, ZZ, field_mat_mul, rank_over_field
 from tsring.groupmodel import make_params
 from tsring.tring import NonProj, ProjPair, TRing, tring
@@ -236,7 +238,7 @@ def test_matrix_block_311():
     params = make_params(3, 1, 1)
     decomp = blocks.central_decomposition(params, QQ)
     iso = decomp.isos[0]
-    assert iso.to_matrix(decomp.projectors[0]) == [[Fraction(1)]]
+    assert iso.to_matrix(decomp.projectors[0]).tolist() == [[Fraction(1)]]
 
 
 def test_matrix_block_images_of_primitives_are_rank_one():
@@ -253,7 +255,7 @@ def test_matrix_block_images_of_primitives_are_rank_one():
         assert rank_over_field(image, QQ) == 1
         from tsring.exactarith import field_mat_mul
 
-        assert field_mat_mul(image, image, QQ) == image
+        assert np.array_equal(field_mat_mul(image, image, QQ), image)
 
 
 def test_level_block_twist_inverse(any_params):
@@ -317,6 +319,55 @@ def test_integral_decomposition_properties(any_params):
     assert len(decomp) == params.e
     outside = [x for x in decomp if x.vec[params.e**2 :].any()]
     assert len(outside) == 1
+
+
+def test_corner_test_agrees_with_the_d_by_d_corner(any_params):
+    # the e x e test against the rank of R_x L_x, on every projective member
+    params = any_params
+    ring = tring(params)
+    decomp = blocks.integral_primitive_decomposition(params)
+    members = [x for x in decomp if not x.vec[params.e**2 :].any()]
+    assert len(members) == params.e - 1
+    for x in members:
+        assert blocks.corner_rank_is_one(ring, x) == corner_rank_reference(ring, x)
+        assert blocks.corner_rank_is_one(ring, x)
+
+
+def test_corner_test_agrees_with_the_d_by_d_corner_over_q():
+    # a rank-one idempotent with Fraction coefficients, and the projective
+    # identity, whose corner is the whole e x e matrix algebra
+    params = make_params(3, 2, 2)
+    ring = tring(params)
+    eps = _noncentral_idempotent(ring, QQ)
+    f0 = blocks.ideal_identity(params, QQ, 0)
+    assert blocks.corner_rank_is_one(ring, eps) and corner_rank_reference(ring, eps)
+    assert not blocks.corner_rank_is_one(ring, f0) and not corner_rank_reference(ring, f0)
+
+
+def test_corner_test_refuses_what_is_not_a_projective_idempotent():
+    ring = tring(make_params(3, 2, 2))
+    with pytest.raises(ValueError):
+        blocks.corner_rank_is_one(ring, ring.one(ZZ))  # idempotent, not projective
+    with pytest.raises(ValueError):
+        blocks.corner_rank_is_one(ring, ring.from_basis(ZZ, ProjPair(0, 0)))  # P00^2 = 5 P00
+
+
+def test_projective_span_leaving_its_right_ideal_is_refused():
+    # one P x M product sent to a non-projective class in K: the P x P block
+    # and every idempotent check still pass, so only the ideal check sees it
+    params = make_params(3, 2, 2)
+    eps = {ProjPair(0, 0): 1, ProjPair(1, 0): -1}
+    intact = TRing(params)  # fresh rings, outside the cache
+    assert blocks.corner_rank_is_one(intact, intact.element(ZZ, eps))
+    ring = TRing(params)
+    x = ring.element(ZZ, eps)
+    K, _ = ring.structure_arrays()
+    b = ring.level_range(1).start
+    K[ring.index[ProjPair(0, 1)], b, 0] = b
+    assert blocks._projective_products_match(ring, cartan_matrix(params))
+    assert ring.mult(x, x) == x
+    with pytest.raises(TheoremViolation, match="projective span is a right ideal"):
+        blocks.corner_rank_is_one(ring, x)
 
 
 # ----------------------------------------------------------------- the scan
@@ -408,7 +459,7 @@ def test_stated_criterion_values():
 def test_block_iso_dispatcher():
     params = make_params(3, 1, 1)
     bottom = blocks.central_decomposition(params, QQ).isos[0]
-    assert bottom.to_matrix(bottom.projector) == [[Fraction(1)]]
+    assert bottom.to_matrix(bottom.projector).tolist() == [[Fraction(1)]]
     top = blocks.central_decomposition(params, QQ).isos[1]
     assert top.gamma.order == 2
     assert top.checks["multiplicative"] and top.checks["round_trip"]
@@ -441,8 +492,10 @@ def _brute_force_matrix_multiplicative(ring, S, iso):
     e = ring.params.e
     p_basis = [ring.from_basis(S, ProjPair(a, b)) for a in range(e) for b in range(e)]
     return all(
-        iso.to_matrix(ring.mult(x, y))
-        == field_mat_mul(iso.to_matrix(x), iso.to_matrix(y), S)
+        np.array_equal(
+            iso.to_matrix(ring.mult(x, y)),
+            field_mat_mul(iso.to_matrix(x), iso.to_matrix(y), S),
+        )
         for x in p_basis
         for y in p_basis
     )
@@ -650,6 +703,28 @@ def test_decomposition_built_once_per_ring(fresh_rings, monkeypatch):
     with redirect_stdout(io.StringIO()):
         assert main(args) == 0
     assert builds == ["Q", "Q"]
+
+
+@pytest.mark.parametrize("triple,field", MUTATION_CASES, ids=MUTATION_IDS)
+def test_decomposition_builds_one_action_pair_per_chain_element(
+    fresh_rings, monkeypatch, triple, field
+):
+    # the identity and the centrality check of e_i read one pair of actions;
+    # then one pair per level for the lifts and one per level generator
+    params = make_params(*triple)
+    original = TRing.actions
+    calls = []
+
+    def actions(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(TRing, "actions", actions)
+    decomp = blocks.central_decomposition(params, field)
+    n = params.n
+    gens = sum(len(iso.gamma.generators()) for iso in decomp.isos[1:])
+    assert len(calls) == (n + 1) + n + gens
+    assert calls[: n + 1] == decomp.chain
 
 
 def _noncentral_idempotent(ring, S):

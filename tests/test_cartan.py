@@ -2,8 +2,16 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from reference import projective_identity, projective_primitive_decomposition
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import (
+    matrix_units,
+    projective_identity,
+    projective_primitive_decomposition,
+    rank_one_corner_reference,
+)
 
 from tsring import cartan
 from tsring.errors import NotInvertible, ShapeMismatch
@@ -12,13 +20,16 @@ from tsring.exactarith import (
     QQ,
     ZZ,
     field_mat_mul,
-    identity_matrix,
     mat_inverse_over_field,
     rank_over_field,
     snf,
 )
 from tsring.groupmodel import make_params
 from tsring.tring import ProjPair, tring
+
+
+def identity_matrix(n):
+    return np.eye(n, dtype=np.int64)
 
 
 def _int_inverse(mat):
@@ -31,8 +42,8 @@ def _int_inverse(mat):
 
 
 def test_cartan_matrix_shapes():
-    assert cartan.cartan_matrix(make_params(3, 2, 2)) == [[5, 4], [4, 5]]
-    assert cartan.cartan_matrix(make_params(3, 1, 1)) == [[3]]
+    assert cartan.cartan_matrix(make_params(3, 2, 2)).tolist() == [[5, 4], [4, 5]]
+    assert cartan.cartan_matrix(make_params(3, 1, 1)).tolist() == [[3]]
     mat = cartan.cartan_matrix(make_params(5, 1, 4))
     assert all(mat[i][i] == 2 for i in range(4))
     assert all(mat[i][j] == 1 for i in range(4) for j in range(4) if i != j)
@@ -51,12 +62,12 @@ def test_cartan_snf_is_elementary_divisor_chain(any_params):
 def test_twisted_mult_identity_twist_is_ordinary():
     ring = cartan.TwistedMatRing(2, identity_matrix(2))
     a, b = [[1, 2], [3, 4]], [[0, 1], [1, 1]]
-    assert ring.mult(a, b) == field_mat_mul(a, b, ZZ)
+    assert np.array_equal(ring.mult(a, b), field_mat_mul(a, b, ZZ))
 
 
 def test_twisted_rank_one_idempotents_only_zero():
     ring = cartan.TwistedMatRing(1, [[3]])
-    sols = [a for a in range(-30, 31) if ring.mult([[a]], [[a]]) == [[a]]]
+    sols = [a for a in range(-30, 31) if ring.mult([[a]], [[a]]).tolist() == [[a]]]
     assert sols == [0]
 
 
@@ -64,9 +75,9 @@ def test_twisted_corner_is_square_scalar():
     diag = [[2, 0], [0, 6]]
     ring = cartan.TwistedMatRing(2, diag)
     e11 = [[1, 0], [0, 0]]
-    assert ring.mult(e11, e11) == [[2, 0], [0, 0]]
+    assert ring.mult(e11, e11).tolist() == [[2, 0], [0, 0]]
     # the corner e *_D x *_D e picks up the square of the diagonal entry
-    assert ring.mult(ring.mult(e11, e11), e11) == [[4, 0], [0, 0]]
+    assert ring.mult(ring.mult(e11, e11), e11).tolist() == [[4, 0], [0, 0]]
 
 
 def test_twisted_is_idempotent_reduces_its_input():
@@ -100,9 +111,9 @@ def test_known_difference_form_certifies():
 def test_orthogonal_idempotents_identity_cartan():
     certs = cartan.orthogonal_projective_idempotents(identity_matrix(3))
     assert len(certs) == 3
-    units = cartan.matrix_units(3)
+    units = matrix_units(3)
     for i, cert in enumerate(certs):
-        assert cert.element == units[i * 3 + i]
+        assert cert.element.tolist() == units[i * 3 + i]
         assert cert.checks["orthogonal_to"] == [j for j in range(3) if j != i]
 
 
@@ -122,7 +133,7 @@ def test_idempotent_images_under_snf_iso_are_units(any_params):
         image = field_mat_mul(field_mat_mul(v_inv, cert.element, ZZ), u_inv, ZZ)
         expected = [[0] * params.e for _ in range(params.e)]
         expected[i][i] = 1
-        assert image == expected
+        assert image.tolist() == expected
 
 
 def test_maximality_rank_witness(any_params):
@@ -155,6 +166,57 @@ def test_random_spd_idempotent_families():
                 assert ring.are_orthogonal(cert.element, certs[j].element)
 
 
+# ------------------------------------------------------ rank-one corners
+
+
+def _square(e):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=e, max_size=e), min_size=e, max_size=e)
+
+
+def _outer(e):
+    vec = st.lists(st.integers(-3, 3), min_size=e, max_size=e)
+    return st.tuples(vec, vec).map(lambda uv: [[a * b for b in uv[1]] for a in uv[0]])
+
+
+def _corner_operands(e):
+    """X: zero, arbitrary (mostly not idempotent), rank one, a sum of two
+    rank-one matrices (rank two when e >= 2), or with a repeated row."""
+    return st.one_of(
+        st.just([[0] * e for _ in range(e)]),
+        _square(e),
+        _outer(e),
+        st.tuples(_outer(e), _outer(e)).map(
+            lambda xy: [[a + b for a, b in zip(*rows)] for rows in zip(*xy)]
+        ),
+        _square(e).map(lambda m: m[:-1] + m[:1]),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rank_one_corner_matches_the_e2_products(data):
+    e = data.draw(st.integers(1, 4))
+    c = data.draw(st.one_of(_square(e), _outer(e)))
+    x = data.draw(_corner_operands(e))
+    assert cartan._rank_one_corner(c, x) == rank_one_corner_reference(c, x)
+
+
+def test_identity_corner_has_rank_four():
+    # X = C = I_2: the corner is every E_ij, of rank 4
+    ident = [[1, 0], [0, 1]]
+    assert not rank_one_corner_reference(ident, ident)
+    assert not cartan._rank_one_corner(ident, ident)
+    assert not cartan.certify_projective_idempotent(ident, ident).checks["rank_one_corner"]
+
+
+def test_theorem_a_corners_match_the_e2_products(any_params):
+    params = any_params
+    c = cartan.cartan_matrix(params)
+    for cert in cartan.orthogonal_projective_idempotents(c):
+        assert cert.checks["rank_one_corner"] == rank_one_corner_reference(c, cert.element)
+        assert cert.checks["rank_one_corner"]
+
+
 # -------------------------------------------------- identities over fields
 
 
@@ -170,16 +232,16 @@ def test_projective_identity_special_shape():
         ]
         for i in range(size)
     ]
-    assert ident == [[Fraction(x) for x in row] for row in expected]
+    assert ident.tolist() == [[Fraction(x) for x in row] for row in expected]
 
 
 def test_projective_identity_311():
     c = cartan.cartan_matrix(make_params(3, 1, 1))
-    assert projective_identity(c, QQ) == [[Fraction(1, 3)]]
+    assert projective_identity(c, QQ).tolist() == [[Fraction(1, 3)]]
 
 
 def test_projective_identity_identity_cartan():
-    assert projective_identity(identity_matrix(2), QQ) == identity_matrix(2)
+    assert np.array_equal(projective_identity(identity_matrix(2), QQ), identity_matrix(2))
 
 
 def test_projective_identity_char_p_fails():
@@ -194,10 +256,10 @@ def test_projective_identity_is_idempotent_and_unit():
     for K in (QQ, GF(2), GF(5)):
         ident = projective_identity(c, K)
         ring = cartan.TwistedMatRing(params.e, c, scalar=K)
-        assert ring.mult(ident, ident) == ident
-        for unit in cartan.matrix_units(params.e):
-            assert ring.mult(ident, unit) == unit
-            assert ring.mult(unit, ident) == unit
+        assert np.array_equal(ring.mult(ident, ident), ident)
+        for unit in matrix_units(params.e):
+            assert ring.mult(ident, unit).tolist() == unit
+            assert ring.mult(unit, ident).tolist() == unit
 
 
 def test_primitive_decomposition_over_q():
@@ -205,10 +267,10 @@ def test_primitive_decomposition_over_q():
     c = cartan.cartan_matrix(params)
     pieces = projective_primitive_decomposition(c, QQ)
     assert len(pieces) == 2
-    assert pieces[0][0] == [Fraction(5, 9), Fraction(-4, 9)]
+    assert pieces[0][0].tolist() == [Fraction(5, 9), Fraction(-4, 9)]
     ring = cartan.TwistedMatRing(2, c, scalar=QQ)
     for i, x in enumerate(pieces):
-        assert ring.mult(x, x) == x
+        assert np.array_equal(ring.mult(x, x), x)
         for j, y in enumerate(pieces):
             if i != j:
                 assert ring.are_orthogonal(x, y)
@@ -218,14 +280,14 @@ def test_primitive_decomposition_over_q():
     total = [
         [sum(p[i][j] for p in pieces) for j in range(2)] for i in range(2)
     ]
-    assert total == projective_identity(c, QQ)
+    assert total == projective_identity(c, QQ).tolist()
 
 
 def test_primitive_decomposition_identity_cartan():
     pieces = projective_primitive_decomposition(identity_matrix(2), QQ)
-    units = cartan.matrix_units(2)
-    assert pieces[0] == units[0]
-    assert pieces[1] == units[3]
+    units = matrix_units(2)
+    assert pieces[0].tolist() == units[0]
+    assert pieces[1].tolist() == units[3]
 
 
 def test_integrality_criterion():
@@ -260,4 +322,4 @@ def test_projective_element_conversion_roundtrip():
     mat = [[Fraction(5, 9), Fraction(-4, 9)], [Fraction(0), Fraction(1)]]
     elem = cartan.matrix_to_projective_element(ring, QQ, mat)
     assert elem.coeff(ProjPair(0, 0)) == Fraction(5, 9)
-    assert cartan.projective_element_to_matrix(elem) == mat
+    assert cartan.projective_element_to_matrix(elem).tolist() == mat

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import det_over_field, rref_reference
+from reference import det_over_field, field_mat_mul_reference, rref_reference
 
-from tsring.errors import NotInvertible, NotPrime
+from tsring.errors import NotInvertible, NotPrime, ShapeMismatch
 from tsring.exactarith import (
     GF,
     QQ,
@@ -18,7 +18,6 @@ from tsring.exactarith import (
     _rref,
     det_int,
     field_mat_mul,
-    identity_matrix,
     is_prime,
     mat_inverse_over_field,
     nullspace_over_field,
@@ -36,8 +35,8 @@ from tsring.tring import ProjPair, tring
 def test_prime_field_basics():
     # values are residues: containers reduce sums and products mod 7
     F = GF(7)
-    assert field_mat_mul([[5, 3]], [[1], [6]], F) == [[2]]  # 5 + 18 = 23
-    assert field_mat_mul([[-1]], [[1]], F) == [[6]]
+    assert field_mat_mul([[5, 3]], [[1], [6]], F).tolist() == [[2]]  # 5 + 18 = 23
+    assert field_mat_mul([[-1]], [[1]], F).tolist() == [[6]]
     assert _inverse(3, F) == 5
     assert _inverse(2, F) == 4  # 1/2 in F_7
     with pytest.raises(NotInvertible):
@@ -89,9 +88,9 @@ def test_rational_to_str():
 @given(st.integers(-40, 40), st.integers(-40, 40))
 def test_prime_field_is_a_field(a, b):
     F = GF(13)
-    assert field_mat_mul([[a]], [[1]], F) == [[a % 13]]
-    assert field_mat_mul([[a, 1]], [[1], [b]], F) == [[(a + b) % 13]]
-    assert field_mat_mul([[a]], [[b]], F) == [[(a * b) % 13]]
+    assert field_mat_mul([[a]], [[1]], F).tolist() == [[a % 13]]
+    assert field_mat_mul([[a, 1]], [[1], [b]], F).tolist() == [[(a + b) % 13]]
+    assert field_mat_mul([[a]], [[b]], F).tolist() == [[(a * b) % 13]]
     if a % 13:
         assert a * _inverse(a, F) % 13 == 1
     else:
@@ -109,7 +108,7 @@ def test_snf_symmetric_example():
 
 
 def test_snf_identity_stays_identity():
-    ident = identity_matrix(4)
+    ident = np.eye(4, dtype=np.int64)
     result = snf(ident)
     assert result.diagonal() == [1, 1, 1, 1]
     assert result.check(ident)
@@ -127,7 +126,8 @@ def test_snf_deterministic():
     mat = [[6, 4, 2], [4, 8, 0], [2, 0, 10]]
     first = snf(mat)
     second = snf(mat)
-    assert first == second
+    for x, y in ((first.d, second.d), (first.u, second.u), (first.v, second.v)):
+        assert np.array_equal(x, y)
 
 
 def test_snf_handles_zero_and_rectangular():
@@ -135,6 +135,13 @@ def test_snf_handles_zero_and_rectangular():
     rect = [[2, 4, 6], [4, 6, 8]]
     result = snf(rect)
     assert result.check(rect)
+    # no entries at all: the 0 x 0 transformation has determinant 1
+    assert det_int([]) == 1
+    for empty in ([], np.zeros((0, 3), dtype=np.int64), [[], [], []]):
+        result = snf(empty)
+        assert result.check(empty)
+        assert result.diagonal() == []
+    assert snf([[], [], []]).u.shape == (3, 3) and snf([[], [], []]).v.shape == (0, 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -170,11 +177,12 @@ def test_inverse_of_special_shape_over_q():
         [Fraction(1) - scale if i == j else -scale for j in range(l)]
         for i in range(l)
     ]
-    assert inv == expected
+    assert inv.tolist() == expected
 
 
 def test_inverse_identity():
-    assert mat_inverse_over_field(identity_matrix(3), QQ) == identity_matrix(3)
+    ident = np.eye(3, dtype=np.int64)
+    assert np.array_equal(mat_inverse_over_field(ident, QQ), ident)
 
 
 def _bruteforce_inverse_f2(mat):
@@ -182,9 +190,9 @@ def _bruteforce_inverse_f2(mat):
     F = GF(2)
     for bits in range(16):
         cand = [[(bits >> 0) & 1, (bits >> 1) & 1], [(bits >> 2) & 1, (bits >> 3) & 1]]
-        left = field_mat_mul(mat, cand, F)
-        right = field_mat_mul(cand, mat, F)
-        ident = identity_matrix(2)
+        left = field_mat_mul(mat, cand, F).tolist()
+        right = field_mat_mul(cand, mat, F).tolist()
+        ident = [[1, 0], [0, 1]]
         if left == ident and right == ident:
             return cand
     return None
@@ -193,8 +201,8 @@ def _bruteforce_inverse_f2(mat):
 def test_inverse_over_f2_matches_bruteforce():
     mat = [[3, 2], [2, 3]]  # det 5, a unit mod 2
     inv = mat_inverse_over_field(mat, GF(2))
-    assert inv == _bruteforce_inverse_f2(mat)
-    assert inv == identity_matrix(2)
+    assert inv.tolist() == _bruteforce_inverse_f2(mat)
+    assert inv.tolist() == [[1, 0], [0, 1]]
 
 
 def test_inverse_not_invertible():
@@ -211,9 +219,9 @@ def test_two_sided_inverse_exact():
                 inv = mat_inverse_over_field(mat, K)
             except NotInvertible:
                 continue
-            ident = identity_matrix(3)
-            assert field_mat_mul(mat, inv, K) == ident
-            assert field_mat_mul(inv, mat, K) == ident
+            ident = np.eye(3, dtype=np.int64)
+            assert np.array_equal(field_mat_mul(mat, inv, K), ident)
+            assert np.array_equal(field_mat_mul(inv, mat, K), ident)
 
 
 def test_rank_and_nullspace():
@@ -261,7 +269,11 @@ def test_array_elimination_matches_row_reference(K, data):
 
 
 def test_array_elimination_keeps_the_columns_of_an_empty_array():
-    assert nullspace_over_field(np.zeros((0, 3), dtype=np.int64), GF(5)) == identity_matrix(3)
+    assert nullspace_over_field(np.zeros((0, 3), dtype=np.int64), GF(5)).tolist() == [
+        [1, 0, 0],
+        [0, 1, 0],
+        [0, 0, 1],
+    ]
     assert rank_over_field(np.zeros((2, 0), dtype=np.int64), QQ) == 0
 
 
@@ -277,5 +289,60 @@ def test_is_prime_small():
 
 
 def test_mat_mul_int():
-    assert field_mat_mul([[1, 2], [3, 4]], [[0, 1], [1, 0]], ZZ) == [[2, 1], [4, 3]]
-    assert field_mat_mul([[-7, 9]], [[5], [8]], ZZ) == [[37]]  # not reduced over Z
+    assert field_mat_mul([[1, 2], [3, 4]], [[0, 1], [1, 0]], ZZ).tolist() == [[2, 1], [4, 3]]
+    assert field_mat_mul([[-7, 9]], [[5], [8]], ZZ).tolist() == [[37]]  # not reduced over Z
+
+
+MUL_RINGS = [ZZ, QQ, GF(13), GF(2147483659)]
+
+
+def factor_pairs(K):
+    """(a, b), lists of rows with a's columns as b's rows; small entries,
+    entries past 2^62 and entries in [2^63, 2^64), which numpy would read
+    as uint64; Fractions over Q."""
+    entry = st.one_of(
+        st.integers(-3, 3),
+        st.integers(-(1 << 70), 1 << 70),
+        st.integers(1 << 63, (1 << 64) - 1),
+    )
+    if K is QQ:
+        entry = st.one_of(entry, st.fractions(-9, 9, max_denominator=7))
+
+    def rows(r, c):
+        return st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r)
+
+    # a list with no rows has no columns either
+    dims = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).map(
+        lambda d: (d[0], d[1] * bool(d[0]), d[2] * bool(d[0] and d[1]))
+    )
+    return dims.flatmap(lambda d: st.tuples(rows(d[0], d[1]), rows(d[1], d[2])))
+
+
+@pytest.mark.parametrize("K", MUL_RINGS, ids=lambda K: K.name)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_field_mat_mul_matches_list_reference(K, data):
+    a, b = data.draw(factor_pairs(K))
+    product = field_mat_mul(a, b, K)
+    assert product.tolist() == field_mat_mul_reference(a, b, K)
+    # int64 exactly while both factors are int64 (integral entries below
+    # 2^62) and max|a| max|b| times the inner dimension is below 2^62
+    entries = [x for m in (a, b) for row in m for x in row]
+    if all(Fraction(x).denominator == 1 and abs(x) < 1 << 62 for x in entries):
+        size = max((abs(x) for row in a for x in row), default=0)
+        size *= max((abs(x) for row in b for x in row), default=0) * len(b)
+        assert product.dtype == (np.int64 if size < 1 << 62 else object)
+    else:
+        assert product.dtype == object
+
+
+@pytest.mark.parametrize("K", MUL_RINGS, ids=lambda K: K.name)
+def test_field_mat_mul_refuses_mismatched_and_ragged_lists(K):
+    with pytest.raises(ShapeMismatch):
+        field_mat_mul([[1, 2]], [[1, 2]], K)
+    with pytest.raises(ShapeMismatch):
+        field_mat_mul([[1, 2], [3]], [[1], [2]], K)
+    with pytest.raises(ShapeMismatch):
+        field_mat_mul([[1]], [[1, 2], [3]], K)
+    with pytest.raises(ShapeMismatch):
+        field_mat_mul(np.zeros(3, dtype=np.int64), [[1]], K)

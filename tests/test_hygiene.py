@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no module-level function or class of the package goes unreferenced, no
-floating point enters the package, no check is an `assert` statement, and
-every function the benchmark's per-layer metrics name exists."""
+floating point enters the package, no check is an `assert` statement, no
+matrix product bypasses `exactarith.field_mat_mul`, and every function
+the benchmark's per-layer metrics name exists."""
 
 import ast
 import importlib
@@ -225,6 +226,56 @@ def test_assert_statement_is_reported(tmp_path):
         encoding="utf-8",
     )
     assert assert_statements(module) == ["sample.py:4"]
+
+
+# Callables that multiply matrices; the package's one matrix product is
+# `exactarith.field_mat_mul`, so they may appear only in exactarith.
+MATRIX_PRODUCTS = {"dot", "matmul"}
+
+
+def matrix_products(path: Path) -> list[str]:
+    """Where `path` multiplies matrices: `@`, `@=`, or a call of `.dot` or
+    `matmul`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        what = None
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            what = "@"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if callee in MATRIX_PRODUCTS:
+                what = callee
+        if what is not None:
+            found.append((node.lineno, node.col_offset, f"{path.name}:{node.lineno} {what}"))
+    return [text for *_, text in sorted(found)]
+
+
+def test_one_matrix_product():
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "exactarith.py"]
+    assert [x for path in paths for x in matrix_products(path)] == []
+
+
+def test_matrix_product_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "import numpy as np\n"
+        "from numpy import matmul\n"
+        "a = np.eye(2, dtype=np.int64)\n"
+        "b = a @ a\n"
+        "b @= a\n"
+        "c = np.dot(a, a) + a.dot(a)\n"
+        "d = matmul(a, a) * np.multiply(a, a)\n",
+        encoding="utf-8",
+    )
+    assert matrix_products(module) == [
+        "sample.py:4 @",
+        "sample.py:5 @",
+        "sample.py:6 dot",
+        "sample.py:6 dot",
+        "sample.py:7 matmul",
+    ]
 
 
 # Per-layer metrics that perfbench/run.py derives from the traced functions
