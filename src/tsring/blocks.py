@@ -511,7 +511,7 @@ def _level_lifts(ring: TRing, S, gamma: LevelGroup, fi: RingElement):
     L is R[:, span] times the twist matrix of d_i, for R the right action
     of f_i, after R[span, span] = den I shows a -> a f_i injective there.
     """
-    right, den = ring.actions(fi)[1:]
+    right, den = ring.actions(fi, side="right")
     span = gamma.span
     unit = np.eye(gamma.order, dtype=exact_dtype(den)) * den
     lost = np.flatnonzero((right[span, span] != unit).any(axis=0))
@@ -541,7 +541,7 @@ def _build_level_iso(ring: TRing, S, i: int, fi: RingElement) -> LevelBlockIso:
         _violation(f"block {i} generators", reached, gamma.order)
     for s in gens:
         # column g of left . lifts is den_s * lift_den * psi^-1(s) psi^-1(g)
-        left, den_s = ring.actions(RingElement(ring, S, lifts[:, s], lift_den))[::2]
+        left, den_s = ring.actions(RingElement(ring, S, lifts[:, s], lift_den), side="left")
         products = field_mat_mul(left, lifts, S)
         expected = lifts[:, gamma._table[s]].astype(exact_dtype(_max_abs(lifts) * den_s)) * den_s
         if (products != residues(S, expected)).any():
@@ -843,7 +843,7 @@ def _char_p_nilpotent(params, ring, S):
     columns = [quotient_power(ring.from_basis(S, b), power).vec[-g:] for b in top]
     kernel = nullspace_over_field(np.array(columns).T, S)
     if len(kernel):
-        z = ring.element(S, dict(zip(top, kernel[0].tolist())))
+        z = ring.from_vector(S, kernel[0], ring.level_range(params.n))
         if not z.is_zero() and quotient_power(z, power).is_zero():
             return SemisimplicityDecision(
                 params=params,

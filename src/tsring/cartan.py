@@ -148,7 +148,7 @@ def matrix_to_projective_element(ring: TRing, S, mat) -> RingElement:
     mat = as_matrix(mat)
     if mat.shape != (e, e):
         raise ShapeMismatch(f"expected {e}x{e} coefficients")
-    return ring.element(S, dict(zip(ring.basis, mat.ravel().tolist())))
+    return ring.from_vector(S, mat.ravel(), slice(0, e * e))
 
 
 def projective_element_to_matrix(x: RingElement) -> np.ndarray:

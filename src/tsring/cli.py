@@ -25,7 +25,7 @@ from .errors import (
     TheoremViolation,
     TsringError,
 )
-from .exactarith import scalar_ring
+from .exactarith import ZZ, field_mat_mul, scalar_ring
 from .groupmodel import make_params
 from .tring import basis_label, basis_to_json, sort_key, tring
 
@@ -165,54 +165,107 @@ def _check_oracle(params, ring):
 
 def _first_nonzero_sum(keys, vals):
     """The least key whose values sum to nonzero, or None."""
-    live = np.flatnonzero(vals)
-    live = live[np.argsort(keys[live])]
-    keys = keys[live]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    bad = np.flatnonzero(np.add.reduceat(vals[live], starts))
-    return int(keys[starts[bad[0]]]) if bad.size else None
+    order = keys.argsort(kind="stable")
+    keys, vals = keys[order], vals[order]
+    del order
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    bad = np.flatnonzero(np.add.reduceat(vals, starts)) if len(keys) else ()
+    return int(keys[starts[bad[0]]]) if len(bad) else None
 
 
-# (key, value) pairs per side of one chunk of the associativity check; a
-# chunk's temporaries then stay near 1 MB, so peak RSS stays where the
-# dict-based loop had it
+# live (key, value) pairs of one chunk of the associativity check, both
+# sides together; a chunk's temporaries then stay under 0.5 MB, below the
+# oracle check's
 ASSOC_CHUNK_ENTRIES = 1 << 13
 
 
-def _first_nonassociative(K, V, ab):
+def _live_terms(K, V):
+    """The nonzero slots of (K, V), pair by pair.
+
+    Pair x * d + y owns the slots start[x * d + y] to start[x * d + y + 1]
+    of cls and val, its classes and coefficients; key[s] = y * d + cls[s].
+    """
+    d, _, width = K.shape
+    pair, slot = np.nonzero(V.reshape(d * d, width))
+    start = np.zeros(d * d + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pair, minlength=d * d), out=start[1:])
+    cls = K.reshape(d * d, width)[pair, slot]
+    return start, cls, V.reshape(d * d, width)[pair, slot], pair % d * d + cls
+
+
+def _ranges(lo, hi):
+    """Every position of the ranges lo[i] to hi[i], and the range lengths."""
+    n = hi - lo
+    return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n), n
+
+
+def _first_nonassociative(terms, d, ab):
     """First failing triple among (a, b, c), ab = a * d + b, or None.
 
-    The triple of row r of ab and basis index c is numbered r * d + c.
-    Both sides of each triple expand into (key, value) pairs with key =
-    number * d + basis index, the right side negated; a nonzero sum over
-    equal keys is a failure.
+    The triple (a, b, c) is numbered ab * d + c.  Both sides of each
+    triple expand, over the live terms of `_live_terms` only, into (key,
+    value) pairs with key = number * d + basis index, the right side
+    negated; a nonzero sum over equal keys is a failure.
     """
-    d = K.shape[0]
+    start, cls, val, key = terms
     a, b = np.divmod(ab, d)
-    base = (np.arange(len(ab))[:, None, None, None] * d + np.arange(d)[:, None]) * d
-    # (e_a e_b) e_c: term j of e_a e_b times e_c, term k; laid out (r, j, c, k)
-    left = K[a, b]
-    # e_a (e_b e_c): e_a times term j of e_b e_c, term k; laid out (r, c, j, k)
-    right = K[b]
-    a3 = a[:, None, None]
-    keys = np.concatenate(
-        ((base + K[left]).ravel(), (base.swapaxes(1, 2) + K[a3, right]).ravel())
+    base = (ab - ab[0]) * d * d
+    # (e_a e_b) e_c: each term v e_m of e_a e_b times e_c for every c, the
+    # pairs m * d to m * d + d - 1, whose slots carry their c in key
+    left, left_n = _ranges(start[ab], start[ab + 1])
+    m = cls[left] * d
+    # e_a (e_b e_c): e_a times each term v e_m of e_b e_c for every c, the
+    # pair a * d + m
+    right, right_n = _ranges(start[b * d], start[b * d + d])
+    m_right = np.repeat(a, right_n) * d + cls[right]
+    at, size = _ranges(
+        np.concatenate((start[m], start[m_right])),
+        np.concatenate((start[m + d], start[m_right + 1])),
     )
-    vals = np.concatenate(
-        (
-            (V[a, b][..., None, None] * V[left]).ravel(),
-            (-V[b][..., None] * V[a3, right]).ravel(),
-        )
+    split = int(size[: len(left)].sum())
+    keys = np.concatenate((key[at[:split]], cls[at[split:]]))
+    keys += np.repeat(
+        np.concatenate(
+            (np.repeat(base, left_n), np.repeat(base, right_n) + key[right] - cls[right])
+        ),
+        size,
     )
+    vals = val[at]
+    del at
+    vals *= np.repeat(np.concatenate((val[left], -val[right])), size)
     first = _first_nonzero_sum(keys, vals)
-    return None if first is None else first // d
+    return None if first is None else ab[0] * d + first // d
+
+
+def _assoc_chunks(start, cls, d):
+    """Cuts of the (a, b) rows into chunks of about ASSOC_CHUNK_ENTRIES entries.
+
+    (a, b) expands on the left into the slots of e_m e_c over the terms e_m
+    of e_a e_b and all c, and on the right into the slots of e_a e_m as
+    often as e_m is a term of some e_b e_c.  A chunk starts with each row
+    that begins past a multiple of the bound.
+    """
+    size = (start[1:] - start[:-1]).reshape(d, d)
+    left = np.zeros(len(cls) + 1, dtype=np.int64)
+    np.cumsum(size.sum(axis=1)[cls], out=left[1:])
+    owner = np.repeat(np.arange(d), size.sum(axis=1))
+    as_term = np.bincount(owner * d + cls, minlength=d * d).reshape(d, d)
+    entries = left[start[1:]] - left[start[:-1]]
+    entries += field_mat_mul(size, as_term.T, ZZ).ravel()
+    chunk = (np.cumsum(entries) - entries) // ASSOC_CHUNK_ENTRIES
+    cuts = (np.flatnonzero(np.diff(chunk)) + 1).tolist()
+    return zip([0, *cuts], [*cuts, d * d])
 
 
 def _check_assoc(params, ring):
     """(e_a e_b) e_c = e_a (e_b e_c) for all d^3 basis triples, exactly.
 
-    Chunks of (a, b) rows run in order, so `checked`, the number of
-    triples before the first failure in lexicographic order, is exact.
+    Zero slots of (K, V) are never expanded.  Chunks of (a, b) rows run in
+    order, so `checked`, the number of triples before the first failure in
+    lexicographic order, is exact.
     """
     K, V = ring.structure_arrays()
     d, _, width = K.shape
@@ -222,12 +275,11 @@ def _check_assoc(params, ring):
         raise ArithmeticBound(
             f"{width} terms of coefficients up to {vmax} may overflow int64 sums"
         )
-    rows = max(1, ASSOC_CHUNK_ENTRIES // (d * width * width))
-    for start in range(0, d * d, rows):
-        ab = np.arange(start, min(start + rows, d * d))
-        first = _first_nonassociative(K, V, ab)
+    terms = _live_terms(K, V)
+    for lo, hi in _assoc_chunks(*terms[:2], d):
+        first = _first_nonassociative(terms, d, np.arange(lo, hi))
         if first is not None:
-            return "violation", {"checked": str(start * d + first)}
+            return "violation", {"checked": str(first)}
     return "ok", {"checked": str(d**3)}
 
 

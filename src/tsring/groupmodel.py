@@ -22,10 +22,10 @@ under right multiplication by S covers H, and the character satisfies
 chi(1) = 0 and chi(h*s) = chi(h) + chi(s); that is |S|*|H| lookups.  Star
 products and conjugates of subgroups are subgroups by construction.
 
-`star` takes a SubgroupStack, subgroups of one order as the rows of 2-D
-arrays, and joins every row with one right factor in a single pass; a
-row whose connecting elements disagree gets its CharacterIllDefined in
-place of a subgroup.
+`star` takes two SubgroupStacks, subgroups of one order as the rows of
+2-D arrays, and joins every row of one with every row of the other in a
+single pass; a product whose connecting elements disagree gets its
+CharacterIllDefined in place of a subgroup.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import (
     TheoremViolation,
     TwoBlocked,
 )
-from .exactarith import is_prime
+from .exactarith import as_matrix, is_prime
 
 GElement = tuple  # (x, r) with x in Z/p^n and r a unit lying in E
 GGPair = tuple  # (g, h) with g, h GElements
@@ -396,77 +396,155 @@ class SubgroupStack:
             chars = np.stack([x.chars for x in subgroups])
         return cls(subgroups[0].params, np.stack([x.codes for x in subgroups]), chars)
 
+    def fibre(self) -> int:
+        """The common size of every fibre of every row over its first coordinate.
+
+        A subgroup's fibre over g is a coset of its kernel {(1, k)}, so all
+        have one size; this is checked, not assumed, on the sorted rows.
+        """
+        order = self.params.group_order
+        first = self.codes // order
+        f = int((first[0] == 0).sum())
+        heads = first[:, ::f]
+        width = self.codes.shape[1]
+        if (
+            width % f
+            or (first != np.repeat(heads, f, axis=1)).any()
+            or (heads[:, 1:] <= heads[:, :-1]).any()
+        ):
+            raise ValueError("fibres over the first coordinate differ in size")
+        return f
+
     def __len__(self):
         return len(self.codes)
 
 
-def star(xs: SubgroupStack, y: SubgroupGG) -> list:
-    """The composition subgroups {(g, k) : (g, h) in X, (h, k) in Y}, X a row of xs.
+class StarProducts:
+    """The star products of every row x of one stack with every row y of another.
 
-    One join over all rows.  When both sides carry characters a row's
-    result carries the sum through any connecting element; a row where
-    two connecting elements disagree gets a CharacterIllDefined in place
-    of its subgroup.
+    Product q = x * len(ys) + y has the sorted codes codes[bounds[q]:bounds[q
+    + 1]] and the aligned chars (None without characters); `clashes` maps a
+    product whose connecting elements disagree to its CharacterIllDefined.
     """
-    if xs.params != y.params:
+
+    def __init__(self, params, codes, chars, bounds, clashes):
+        self.params = params
+        self.codes = codes
+        self.chars = chars
+        self.bounds = bounds
+        self.clashes = clashes
+
+    def __len__(self):
+        return len(self.bounds) - 1
+
+    def __getitem__(self, q):
+        """Product q as a SubgroupGG, or its CharacterIllDefined."""
+        if q in self.clashes:
+            return self.clashes[q]
+        span = slice(self.bounds[q], self.bounds[q + 1])
+        codes = self.codes[span]
+        chars = None if self.chars is None else self.chars[span]
+        return SubgroupGG(self.params, recognize_shape(self.params, codes), codes, chars)
+
+
+def star(xs: SubgroupStack, ys: SubgroupStack, wanted=None) -> StarProducts:
+    """The composition subgroups {(g, k) : (g, h) in X, (h, k) in Y}, X a row
+    of xs and Y a row of ys, in one join.  A boolean (len(xs), len(ys))
+    `wanted` leaves the products it marks False empty.
+
+    Every fibre of a row Y over its first coordinate h has the same size f
+    (`SubgroupStack.fibre`), so a table indexed by h holds where each row's
+    fibre starts, and each element (g, h) of X meets its f partners in every
+    row Y through one gather.  The matches come out grouped by (X, Y) and,
+    within that, in the order of g; when X's fibres are single points too
+    and f = 1 each g meets one k, so they are sorted and free of repeats,
+    otherwise one stable sort orders them.  When both sides carry
+    characters a product carries the sum through any connecting element; a
+    product where two connecting elements disagree is a clash.
+    """
+    if xs.params != ys.params:
         raise ParamsMismatch("star of subgroups over different params")
-    params = y.params
+    params = ys.params
     table = group_table(params)
     order = len(table.elems)
-    x = xs.codes.ravel()
-    xh, yh = x % order, y.codes // order
-    # y is sorted by code, hence by its first coordinate: join on h
-    lo = yh.searchsorted(xh, "left")
-    counts = yh.searchsorted(xh, "right") - lo
-    xi = np.repeat(np.arange(len(x)), counts)
-    yi = np.arange(len(xi)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    # one sort by (row, code): row r's codes are offset by r * |G x G|
-    row_g = xi // xs.codes.shape[1] * order + x[xi] // order
-    keys = row_g * order + y.codes[yi] % order
-    sort = keys.argsort(kind="stable")
-    keys = keys[sort]
-    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    f = ys.fibre()
+    rows, width = ys.codes.shape
+    count, size = xs.codes.shape
+    # starts[h, y]: where the fibre of row y over h begins in ys, else -1
+    starts = np.full((order, rows), -1, dtype=np.int64)
+    heads = np.arange(0, rows * width, f).reshape(rows, -1)
+    starts[ys.codes[:, ::f] // order, np.arange(rows)[:, None]] = heads
+    xg, xh = np.divmod(xs.codes, order)
+    # laid out (x row, y row, x element)
+    hit = starts[xh].transpose(0, 2, 1)
+    found = hit >= 0
+    if wanted is not None:
+        found &= wanted[:, :, None]
+    yi = hit[found]
+    xi = np.broadcast_to(np.arange(count * size).reshape(count, 1, size), hit.shape)[found]
+    counts = found.sum(axis=2).ravel() * f
+    del hit, found
+    if f > 1:
+        yi = (yi[:, None] + np.arange(f)).ravel()
+        xi = np.repeat(xi, f)
     chars = None
-    if xs.chars is not None and y.chars is not None:
-        chars = ((xs.chars.ravel()[xi] + y.chars[yi]) % params.e)[sort]
-        clash = keys[np.flatnonzero(~first[1:] & (chars[1:] != chars[:-1]))]
-        chars = chars[first]
-    square = order * order
-    row_of, codes = np.divmod(keys[first], square)
-    bounds = row_of.searchsorted(np.arange(len(xs) + 1)).tolist()
-    out = [
-        SubgroupGG(
-            params,
-            recognize_shape(params, codes[start:stop]),
-            codes[start:stop],
-            None if chars is None else chars[start:stop],
-        )
-        for start, stop in zip(bounds[:-1], bounds[1:])
-    ]
-    if chars is not None:
-        # the first clash of each row, in code order
-        for key in clash[::-1].tolist():
-            row, code = divmod(key, square)
-            g, k = divmod(code, order)
-            out[row] = CharacterIllDefined(
+    if xs.chars is not None and ys.chars is not None:
+        chars = xs.chars.ravel()[xi]
+        chars += ys.chars.ravel()[yi]
+        chars %= params.e
+    codes = xg.ravel()[xi]
+    del xi
+    codes *= order
+    codes += (ys.codes % order).ravel()[yi]
+    del yi
+    clashes = {}
+    if f > 1 or (xs.codes < order).sum(axis=1).max() > 1:
+        # one key (product, code, char) per match, sorted: repeats of a
+        # (product, code) are then adjacent, and a clash differs in char
+        square, e = order * order, params.e if chars is not None else 1
+        keys = np.repeat(np.arange(len(counts)) * (square * e), counts)
+        codes *= e
+        keys += codes
+        del codes
+        if chars is not None:
+            keys += chars
+        keys = keys[keys.argsort(kind="stable")]
+        code_keys = keys // e
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(code_keys[1:], code_keys[:-1], out=first[1:])
+        clash = code_keys[1:][~first[1:] & (keys[1:] != keys[:-1])]
+        # the first clash of each product, in code order
+        for key in clash[np.flatnonzero(np.diff(clash // square, prepend=-1))].tolist():
+            g, k = divmod(key % square, order)
+            clashes[key // square] = CharacterIllDefined(
                 f"connecting elements disagree at {(table.elems[g], table.elems[k])}"
             )
-    return out
+        del code_keys
+        keys = keys[first]
+        if chars is not None:
+            chars = keys % e
+        keys //= e
+        codes = keys % square
+        counts = np.bincount(keys // square, minlength=len(counts))
+    bounds = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    return StarProducts(params, codes, chars, bounds, clashes)
 
 
-def conj(s: GGPair, x: SubgroupGG) -> SubgroupGG:
-    """Conjugate a subgroup of G x G by the pair s, transporting characters."""
+def conj(s: GGPair, x):
+    """Conjugate a subgroup of G x G, or every row of a SubgroupStack, by the
+    pair s, transporting characters."""
     table = group_table(x.params)
-    s1, s2 = table.index[s[0]], table.index[s[1]]
+    # g -> s g s^-1 as one gather over G
+    inner = lambda s: table.mul[table.mul[table.index[s]], table.inv[table.index[s]]]
     g, h = np.divmod(x.codes, len(table.elems))
-    codes = _encode(
-        table,
-        table.mul[table.mul[s1, g], table.inv[s1]],
-        table.mul[table.mul[s2, h], table.inv[s2]],
-    )
-    order = codes.argsort()
-    codes = codes[order]
-    chars = x.chars[order] if x.chars is not None else None
+    codes = _encode(table, inner(s[0])[g], inner(s[1])[h])
+    order = codes.argsort(axis=-1)
+    codes = np.take_along_axis(codes, order, -1)
+    chars = None if x.chars is None else np.take_along_axis(x.chars, order, -1)
+    if isinstance(x, SubgroupStack):
+        return SubgroupStack(x.params, codes, chars)
     return SubgroupGG(x.params, recognize_shape(x.params, codes), codes, chars)
 
 
@@ -501,7 +579,7 @@ class GroupTable:
         self.index = {g: i for i, g in enumerate(self.elems)}
         self.rank = {r: k for k, r in enumerate(units)}
         self.eps = self.rank[params.e_generator]  # the index of (0, epsilon)
-        rank_mul = np.array([[self.rank[r * s % pn] for s in units] for r in units])
+        rank_mul = as_matrix([[self.rank[r * s % pn] for s in units] for r in units])
         rank_inv = np.array([self.rank[pow(r, -1, pn)] for r in units])
         powers = [self.rank[pow(params.e_generator, j, pn)] for j in range(e)]
         self.dlog = np.argsort(powers)  # inverts j -> rank(epsilon^j)

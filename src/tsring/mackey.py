@@ -12,15 +12,18 @@ Subgroups are the pair-code arrays of tsring.groupmodel: the kernel
 intersection, conjugation, star products and character lookups below are
 numpy searches and gathers, and only the named constructors check laws.
 
-There is one path, batched by level block.  `products` takes left factors
-a at one level and right factors b at one level; for each double-coset
-representative t and each b it conjugates y_b by (t, 1) once, then runs
-the connecting-character test and the star join for all a in one pass
-over their stacked codes.  Each resulting summand is still zero-tested,
+There is one path, stacked in both factors.  `products` takes left
+factors a at one level and right factors b at one level, and runs the
+(double-coset representative t, b) pairs in blocks: each y_b of a block
+is conjugated by its (t, 1), one gather per t, and the connecting-
+character test and the star join of all a with the whole block are one
+`star_module` call.  The join rests on the equal-fibre fact of
+`groupmodel.star`.  Each resulting summand is still zero-tested,
 clash-checked, recognized literally, canonicalized when Explicit and
-classified (memoised per shape tag and character).  `sweep` runs every
-pair in chunks of left rows, in basis order; `oracle_mult` is a one-row
-call.  Products leave as flat int arrays, never per-pair dicts.
+classified (memoised per shape tag and character), once per distinct
+(codes, chars) summand of a block.  `sweep` runs every pair in chunks of
+left rows, in basis order; `oracle_mult` is a one-row call.  Products
+leave as flat int arrays, never per-pair dicts.
 
 The subgroups met along the way all canonicalize into five shapes:
 E x E, E x 1, 1 x E, and the twisted diagonals of D_k and of D_k E.
@@ -42,7 +45,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import CharacterIllDefined, UnrecognizedShape
+from .errors import UnrecognizedShape
 from .groupmodel import (
     TAG_DIAG_P,
     TAG_DIAG_PE,
@@ -63,10 +66,15 @@ from .groupmodel import (
 )
 from .tring import NonProj, ProjPair, tring
 
-# stacked left-factor codes per block of `MackeyOracle.sweep`: a block's
-# temporaries stay near 0.7 MB, and (3,4,2)'s largest level, 54 rows of
-# 162 codes, takes two blocks
-ORACLE_CHUNK_ENTRIES = 4608
+# stacked left-factor codes per chunk of `MackeyOracle.sweep`; (3,4,2)'s
+# largest level, 54 rows of 162 codes, takes four chunks
+ORACLE_CHUNK_ENTRIES = 2304
+
+# matches of one join in `products`: a rows x (t, b) pairs x a codes x the
+# fibre of a b subgroup over its first coordinate.  Each int64 temporary
+# then stays under 128 KB, glibc's default mmap threshold, so it reuses
+# freed heap and leaves the peak RSS of the check where it was.
+ORACLE_JOIN_ENTRIES = 6 * ORACLE_CHUNK_ENTRIES
 
 
 class MackeyOracle:
@@ -99,30 +107,33 @@ class MackeyOracle:
 
     # -------------------------------------------------------- star modules
 
-    def star_module(self, xs: SubgroupStack, y: SubgroupGG):
-        """Star product of each row of xs with y, with the tensor-product character.
+    def star_module(self, xs: SubgroupStack, ys: SubgroupStack):
+        """Star product of each row of xs with each row of ys, with the
+        tensor-product character.
 
         The middle subgroup k(X, Y) acts on the left factor through its
         second coordinate (inverted) and on the right factor through its
         first coordinate; the tensor product over it vanishes unless the
-        two scalar actions agree.  Returns None when every row's module is
-        zero, else (row, what `star` gives the row) for the other rows.
+        two scalar actions agree.  Returns None when every module is zero,
+        else (live, products): the products q = x * len(ys) + y whose
+        module is not zero, and `star` of the two stacks for those.
         """
         params = self.params
         order = params.group_order
         # (h, 1) in Y are the multiples of |G|; (1, h) in X has code h
-        y_left = np.flatnonzero(y.codes % order == 0)
+        y_row, y_at = np.nonzero(ys.codes % order == 0)
         offsets = np.arange(len(xs))[:, None] * (order * order)
-        h = y.codes[y_left] // order
+        h = ys.codes[y_row, y_at] // order
         ix = _positions((xs.codes + offsets).ravel(), h + offsets)
         left_action = (-xs.chars.ravel()[ix]) % params.e
-        zero = ((ix >= 0) & (left_action != y.chars[y_left])).any(axis=1)
-        live = np.flatnonzero(~zero)
+        disagree = (ix >= 0) & (left_action != ys.chars[y_row, y_at])
+        # every row of Y holds (1, 1), so each row owns a run of columns
+        runs = np.flatnonzero(np.diff(y_row, prepend=-1))
+        wanted = ~np.logical_or.reduceat(disagree, runs, axis=1)
+        live = np.flatnonzero(wanted)
         if not live.size:
             return None
-        if live.size < len(xs):
-            xs = SubgroupStack(params, xs.codes[live], xs.chars[live])
-        return list(zip(live.tolist(), star(xs, y)))
+        return live, star(xs, ys, wanted)
 
     # ----------------------------------------------------- canonicalization
 
@@ -194,17 +205,68 @@ class MackeyOracle:
             self._classified[key] = terms
         return terms
 
+    def _block_terms(self, xs, ys):
+        """Terms of the nonzero star modules of xs and ys, or None if there
+        are none: (live, row, cls, coeff) arrays and {row: error}.
+
+        Rows index `live`, the products q = x * len(ys) + y with a nonzero
+        module.  Each distinct (codes, chars) summand is recognized,
+        canonicalized and classified once; a clash or an UnrecognizedShape
+        makes the row an error with no terms.
+        """
+        module = self.star_module(xs, ys)
+        if module is None:
+            return None
+        live, summands = module
+        codes, chars = summands.codes.tobytes(), summands.chars.tobytes()
+        width = summands.codes.itemsize // summands.chars.itemsize
+        bounds = summands.bounds * summands.chars.itemsize
+        ids: dict = {}
+        which = np.array(
+            [
+                ids.setdefault((codes[lo * width : hi * width], chars[lo:hi]), len(ids))
+                for lo, hi in zip(bounds[live].tolist(), bounds[live + 1].tolist())
+            ]
+        )
+        clash = np.zeros(len(live), dtype=bool)
+        if summands.clashes:
+            clash[:] = [q in summands.clashes for q in live.tolist()]
+        # the first row of each distinct summand that is no clash
+        first = np.full(len(ids), -1)
+        rows = np.flatnonzero(~clash)[::-1]
+        first[which[rows]] = rows
+        found = []
+        for row in first.tolist():
+            try:
+                found.append([] if row < 0 else self._terms(summands[live[row]]))
+            except UnrecognizedShape as exc:
+                found.append(exc)
+        errors = {row: summands.clashes[live[row]] for row in np.flatnonzero(clash).tolist()}
+        for row in np.flatnonzero(~clash).tolist():
+            if isinstance(found[which[row]], UnrecognizedShape):
+                errors[row] = found[which[row]]
+        # distinct summand u owns the terms flat[offset[u]:offset[u] + size[u]]
+        terms = [[] if isinstance(t, Exception) else t for t in found]
+        size = np.array([len(t) for t in terms])
+        offset = np.cumsum(size) - size
+        flat = np.array([term for t in terms for term in t], dtype=np.int64).reshape(-1, 2)
+        n = np.where(clash, 0, size[which])
+        rows = np.repeat(np.arange(len(which)), n)
+        at = np.repeat(offset[which] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        return live, rows, flat[at, 0], flat[at, 1], errors
+
     def products(self, left, right, reps=None):
         """Products e_a * e_b by coset enumeration, a in `left`, b in `right`.
 
         `left` and `right` are basis indices, each list inside one level;
-        `reps` defaults to `double_cosets_in_d` of the two levels.  For each
-        representative t and each b, y_b is conjugated by (t, 1) once and
-        joined with the stacked subgroups of all a in one pass.  Returns
-        (pair, cls, coeff, errors): one entry per term of one summand, with
-        pair = a * d + b and cls a basis index, unsummed; errors maps a pair
-        to the UnrecognizedShape or CharacterIllDefined of its first
-        failing representative.
+        `reps` defaults to `double_cosets_in_d` of the two levels.  The
+        (representative t, b) pairs run in blocks, t by t; each y_b of a
+        block is conjugated by its (t, 1), one gather per t, and the block
+        is joined with the stacked subgroups of all a in one `star` call.
+        Returns (pair, cls, coeff, errors): one entry per term of one
+        summand, with pair = a * d + b and cls a basis index, unsummed;
+        errors maps a pair to the UnrecognizedShape or CharacterIllDefined
+        of its first failing representative.
         """
         params = self.params
         basis = self._ring.basis
@@ -214,26 +276,40 @@ class MackeyOracle:
                 params, self._level_of(basis[left[0]]), self._level_of(basis[right[0]])
             )
         xs = SubgroupStack.of([self.subgroup_of_basis(basis[a]) for a in left])
-        pairs, classes, coeffs, errors = [], [], [], {}
-        for t in reps:
-            for b in right:
-                y_t = conj((t, params.identity), self.subgroup_of_basis(basis[b]))
-                for row, z in self.star_module(xs, y_t) or ():
-                    pair = left[row] * d + b
-                    if isinstance(z, CharacterIllDefined):
-                        errors.setdefault(pair, z)
-                        continue
-                    try:
-                        terms = self._terms(z)
-                    except UnrecognizedShape as exc:
-                        errors.setdefault(pair, exc)
-                        continue
-                    for c, m in terms:
-                        pairs.append(pair)
-                        classes.append(c)
-                        coeffs.append(m)
-        as_array = lambda v: np.array(v, dtype=np.int64)
-        return as_array(pairs), as_array(classes), as_array(coeffs), errors
+        ys = [self.subgroup_of_basis(basis[b]) for b in right]
+        n = len(right)
+        # the join's (a row, b row, a code, fibre) matches stay under the bound
+        fibre = SubgroupStack.of(ys[:1]).fibre()
+        step = max(1, ORACLE_JOIN_ENTRIES // (xs.codes.size * fibre))
+        left, right = np.asarray(left), np.asarray(right)
+        parts, errors = [], {}
+        for lo in range(0, len(reps) * n, step):
+            hi = min(lo + step, len(reps) * n)
+            cols = right[np.arange(lo, hi) % n]
+            stacks = []
+            for t in range(lo // n, (hi - 1) // n + 1):
+                # pairs t * n + k of the block, k from first to last
+                first, last = max(lo - t * n, 0), min(hi - t * n, n)
+                stacks.append(
+                    conj((reps[t], params.identity), SubgroupStack.of(ys[first:last]))
+                )
+            block = SubgroupStack(
+                params,
+                np.concatenate([y.codes for y in stacks]),
+                np.concatenate([y.chars for y in stacks]),
+            )
+            part = self._block_terms(xs, block)
+            if part is None:
+                continue
+            live, rows, cls, coeff, failed = part
+            pair = left[live // len(cols)] * d + cols[live % len(cols)]
+            # rows run representative by representative for each pair
+            for row, exc in failed.items():
+                errors.setdefault(int(pair[row]), exc)
+            parts.append((pair[rows], cls, coeff))
+        if not parts:
+            return (*(np.zeros(0, dtype=np.int64) for _ in range(3)), errors)
+        return (*(np.concatenate(arrays) for arrays in zip(*parts)), errors)
 
     def sweep(self):
         """All d^2 products, one chunk of left factors at a time, in basis order.

@@ -31,7 +31,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadLevel, ParamsMismatch, ScalarMismatch
-from .exactarith import _inverse, _max_abs, exact_dtype, nullspace_over_field, residues
+from .exactarith import (
+    _inverse,
+    _max_abs,
+    as_matrix,
+    exact_dtype,
+    nullspace_over_field,
+    residues,
+)
 from .groupmodel import AutCoset, ModelParams, canonical_coset
 
 
@@ -324,15 +331,15 @@ class TRing:
         rows += [(b.level, b.alpha, b.lam) for b in basis[M]]
         level, one, two = (np.array(col) for col in zip(*rows))
         chars, levels = range(e), range(params.n + 1)
-        add = np.array([[(x + y) % e for y in chars] for x in chars])
-        sub = np.array([[(x - y) % e for y in chars] for x in chars])
-        pp = np.array([[params.multiplicity + (x == y) for y in chars] for x in chars])
+        add = as_matrix([[(x + y) % e for y in chars] for x in chars])
+        sub = as_matrix([[(x - y) % e for y in chars] for x in chars])
+        pp = as_matrix([[params.multiplicity + (x == y) for y in chars] for x in chars])
         # slot j > 0 holds nu = others[j, lead], the nu != lead in increasing order
-        others = np.array([[j - 1 + (j > x) for x in chars] for j in chars])
+        others = as_matrix([[j - 1 + (j > x) for x in chars] for j in chars])
         count = [params.nontrivial_coset_count(j) for j in levels]
-        high = np.array([[count[max(i, j)] for j in levels] for i in levels])
-        live = np.array([[int(count[max(i, j)] > 0) for j in levels] for i in levels])
-        low = np.array([[min(i, j) for j in levels] for i in levels])
+        high = as_matrix([[count[max(i, j)] for j in levels] for i in levels])
+        live = as_matrix([[int(count[max(i, j)] > 0) for j in levels] for i in levels])
+        low = as_matrix([[min(i, j) for j in levels] for i in levels])
         modulus = np.array([params.p**i for i in levels])
         # coset[i, u]: the index of M[i, coset of the unit u mod p^i, 0]
         coset = np.zeros((params.n + 1, params.pn), dtype=np.int64)
@@ -379,13 +386,14 @@ class TRing:
         )
         return RingElement(self, x.scalar, sums, x.den * y.den)
 
-    def actions(self, x: RingElement):
+    def actions(self, x: RingElement, side: str = "both"):
         """Left and right multiplication by x as d x d integer matrices.
 
         Returns (left, right, den): column b of `left` is den * (x * e_b)
         and column b of `right` is den * (e_b * x), with den the common
-        denominator of x over Q and 1 otherwise (residues over F_q).  Each
-        matrix is one contraction of the support of x through (K, V).
+        denominator of x over Q and 1 otherwise (residues over F_q).  With
+        side "left" or "right" only that matrix is built: (matrix, den).
+        Each matrix is one contraction of the support of x through (K, V).
         """
         S = x.scalar
         ia = np.flatnonzero(x.vec)
@@ -394,18 +402,18 @@ class TRing:
         dtype = exact_dtype(_max_abs(x.vec) * self._vmax * len(ia) * width)
         X = x.vec[ia].astype(dtype)
         cols = np.arange(d)
-        # left[c, b] sums X_a V[a, b, j] over K[a, b, j] = c
-        left = _segment_sum(
-            d * d, K[ia] * d + cols[:, None], X[:, None, None] * V[ia].astype(dtype)
-        )
-        # right[c, b] sums X_a V[b, a, j] over K[b, a, j] = c
-        right = _segment_sum(
-            d * d,
-            K[:, ia] * d + cols[:, None, None],
-            X[:, None] * V[:, ia].astype(dtype),
-        )
-        left, right = (residues(S, m).reshape(d, d) for m in (left, right))
-        return left, right, x.den
+        out = []
+        if side in ("both", "left"):
+            # left[c, b] sums X_a V[a, b, j] over K[a, b, j] = c
+            keys, vals = K[ia] * d + cols[:, None], X[:, None, None] * V[ia].astype(dtype)
+            out.append(_segment_sum(d * d, keys, vals))
+        if side in ("both", "right"):
+            # right[c, b] sums X_a V[b, a, j] over K[b, a, j] = c
+            keys = K[:, ia] * d + cols[:, None, None]
+            out.append(_segment_sum(d * d, keys, X[:, None] * V[:, ia].astype(dtype)))
+        if not out:
+            raise ValueError(f"side {side!r} is not left, right or both")
+        return (*(residues(S, m).reshape(d, d) for m in out), x.den)
 
     def noncommuting(self, x: RingElement) -> list:
         """The basis classes b with x * b != b * x, in basis order."""
@@ -436,10 +444,17 @@ class TRing:
 
     def element(self, S, coeffs: dict) -> RingElement:
         """The element with coefficients, ints or Fractions, on basis classes."""
-        den = math.lcm(*(v.denominator for v in coeffs.values()))
-        nums = [int(v.numerator) * (den // v.denominator) for v in coeffs.values()]
+        return self.from_vector(S, list(coeffs.values()), [self.index[b] for b in coeffs])
+
+    def from_vector(self, S, values, positions=slice(None)) -> RingElement:
+        """The element with the coefficients `values`, ints or Fractions, at
+        the basis positions `positions` (all of them by default), else 0."""
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        den = math.lcm(*(v.denominator for v in values))
+        nums = [int(v.numerator) * (den // v.denominator) for v in values]
         vec = np.zeros(len(self.basis), dtype=exact_dtype(_max_abs(nums)))
-        vec[[self.index[b] for b in coeffs]] = nums
+        vec[positions] = nums
         return RingElement(self, S, vec, den)
 
     # ------------------------------------------------------ center and trace
@@ -470,7 +485,7 @@ class TRing:
         np.add.at(comm, (b * d + K, a), V)
         np.add.at(comm, (a * d + K, b), -V)
         kernel = nullspace_over_field(comm[comm.any(axis=1)], S)
-        return [self.element(S, dict(zip(self.basis, vec))) for vec in kernel.tolist()]
+        return [self.from_vector(S, vec) for vec in kernel]
 
 
 def _segment_sum(size: int, keys: np.ndarray, vals: np.ndarray) -> np.ndarray:

@@ -264,7 +264,7 @@ def double_cosets(params, i, j):
 
 def star_one(x, y):
     """The star product of two subgroups, as a one-row call of `star`."""
-    (out,) = star(SubgroupStack.of([x]), y)
+    out = star(SubgroupStack.of([x]), SubgroupStack.of([y]))[0]
     if isinstance(out, Exception):
         raise out
     return out
@@ -842,3 +842,41 @@ def oracle_table(orc, reps_of=None):
             prod = out.setdefault((basis[a], basis[b]), {})
             prod[basis[c]] = prod.get(basis[c], 0) + m
     return out
+
+
+# ------------------------------------------- the fully expanded assoc check
+
+
+def _first_nonzero_sum_reference(keys, vals):
+    """The least key whose values sum to nonzero, or None."""
+    live = np.flatnonzero(vals)
+    live = live[np.argsort(keys[live])]
+    keys = keys[live]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    bad = np.flatnonzero(np.add.reduceat(vals[live], starts)) if len(keys) else ()
+    return int(keys[starts[bad[0]]]) if len(bad) else None
+
+
+def check_assoc_reference(K, V):
+    """Status and payload of the assoc check with every slot of (K, V)
+    expanded at both levels, zero or not, ten (a, b) rows at a time."""
+    d, _, width = K.shape
+    for start in range(0, d * d, 10):
+        ab = np.arange(start, min(start + 10, d * d))
+        a, b = np.divmod(ab, d)
+        base = (np.arange(len(ab))[:, None, None, None] * d + np.arange(d)[:, None]) * d
+        # (e_a e_b) e_c laid out (r, j, c, k); e_a (e_b e_c) laid out (r, c, j, k)
+        left, right, a3 = K[a, b], K[b], a[:, None, None]
+        keys = np.concatenate(
+            ((base + K[left]).ravel(), (base.swapaxes(1, 2) + K[a3, right]).ravel())
+        )
+        vals = np.concatenate(
+            (
+                (V[a, b][..., None, None] * V[left]).ravel(),
+                (-V[b][..., None] * V[a3, right]).ravel(),
+            )
+        )
+        first = _first_nonzero_sum_reference(keys, vals)
+        if first is not None:
+            return "violation", {"checked": str(start * d + first // d)}
+    return "ok", {"checked": str(d**3)}

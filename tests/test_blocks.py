@@ -715,9 +715,9 @@ def test_decomposition_builds_one_action_pair_per_chain_element(
     original = TRing.actions
     calls = []
 
-    def actions(self, x):
+    def actions(self, x, side="both"):
         calls.append(x)
-        return original(self, x)
+        return original(self, x, side)
 
     monkeypatch.setattr(TRing, "actions", actions)
     decomp = blocks.central_decomposition(params, field)
@@ -725,6 +725,27 @@ def test_decomposition_builds_one_action_pair_per_chain_element(
     gens = sum(len(iso.gamma.generators()) for iso in decomp.isos[1:])
     assert len(calls) == (n + 1) + n + gens
     assert calls[: n + 1] == decomp.chain
+
+
+@pytest.mark.parametrize("triple,field", MUTATION_CASES, ids=MUTATION_IDS)
+def test_level_certificate_builds_one_side_per_action(fresh_rings, monkeypatch, triple, field):
+    # the chain elements need both sides; the lifts read the right action
+    # of f_i and the generators' lifts their left action
+    params = make_params(*triple)
+    original = TRing.actions
+    sides = []
+
+    def actions(self, x, side="both"):
+        sides.append(side)
+        return original(self, x, side)
+
+    monkeypatch.setattr(TRing, "actions", actions)
+    decomp = blocks.central_decomposition(params, field)
+    n = params.n
+    expected = ["both"] * (n + 1)
+    for iso in decomp.isos[1:]:
+        expected += ["right"] + ["left"] * len(iso.gamma.generators())
+    assert sides == expected
 
 
 def _noncentral_idempotent(ring, S):
@@ -826,12 +847,12 @@ def test_lost_level_class_fails_projection(fresh_rings, monkeypatch, field):
     last = ring.level_range(1).stop - 1
     original = TRing.actions
 
-    def actions(self, x):
-        left, right, den = original(self, x)
-        if x == f1:
-            right = right.copy()
-            right[:, last] = 0
-        return left, right, den
+    def actions(self, x, side="both"):
+        *matrices, den = original(self, x, side)
+        if x == f1 and side != "left":
+            matrices[-1] = matrices[-1].copy()
+            matrices[-1][:, last] = 0
+        return (*matrices, den)
 
     monkeypatch.setattr(TRing, "actions", actions)
     lost = ring.from_basis(field, ring.basis[last])

@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import INSTANCES, SMALL_INSTANCES
-from reference import patch_mult_basis
+from reference import check_assoc_reference, patch_mult_basis
 
 from tsring import blocks, cli
 from tsring.cli import _check_assoc, main
@@ -210,6 +211,55 @@ def test_assoc_check_all_instances(pne):
     params = make_params(*pne)
     ring = tring(params)
     assert _check_assoc(params, ring) == ("ok", {"checked": str(ring.dimension() ** 3)})
+
+
+def _mutate_structure(monkeypatch, mutate):
+    """Build (K, V) by the closed form, then let mutate(K, V) edit them."""
+    rule_arrays = TRing._rule_arrays
+
+    def mutated(self):
+        K, V = (m.copy() for m in rule_arrays(self))
+        mutate(K, V)
+        return K, V
+
+    monkeypatch.setattr(TRing, "_rule_arrays", mutated)
+
+
+ASSOC_MUTATIONS = ("zeroed slot", "class under a zero", "coefficient + 1", "coefficient - 1")
+
+
+@pytest.mark.parametrize("chunk", [None, 1], ids=["chunked", "row_by_row"])
+@pytest.mark.parametrize("seed", range(16))
+def test_assoc_over_live_terms_matches_full_expansion(fresh_rings, monkeypatch, seed, chunk):
+    # the check expands only nonzero slots; the reference expands every
+    # slot at both levels, as the check did before, and must agree on the
+    # verdict and on `checked`
+    rng = random.Random(seed)
+    kind = ASSOC_MUTATIONS[seed % len(ASSOC_MUTATIONS)]
+    # (5,1,4) and (7,1,6) have one term per product, so no zero slot
+    instances = [(3, 2, 2), (5, 2, 4), (7, 2, 3)]
+    if kind != "class under a zero":
+        instances += [(5, 1, 4), (7, 1, 6)]
+    params = make_params(*rng.choice(instances))
+
+    def mutate(K, V):
+        slots = np.argwhere(V == 0 if kind == "class under a zero" else V != 0)
+        a, b, j = slots[rng.randrange(len(slots))]
+        if kind == "zeroed slot":
+            V[a, b, j] = 0
+        elif kind == "class under a zero":
+            K[a, b, j] = rng.randrange(1, K.shape[0])
+        else:
+            V[a, b, j] += 1 if kind == "coefficient + 1" else -1
+
+    _mutate_structure(monkeypatch, mutate)
+    ring = tring(params)
+    expected = check_assoc_reference(*ring.structure_arrays())
+    if kind == "class under a zero":
+        assert expected == ("ok", {"checked": str(ring.dimension() ** 3)})
+    if chunk is not None:
+        monkeypatch.setattr(cli, "ASSOC_CHUNK_ENTRIES", chunk)
+    assert _check_assoc(params, ring) == expected
 
 
 def test_assoc_check_refuses_int64_overflow(fresh_rings, monkeypatch):

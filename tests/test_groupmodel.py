@@ -313,7 +313,8 @@ def test_star_matches_group_law(small_params):
     for i in range(params.n + 1):
         xs = [orc.subgroup_of_basis(b) for b in ring.level_basis(i)]
         for y in _basis_subgroups(params):
-            for x, out in zip(xs, gm.star(gm.SubgroupStack.of(xs), y), strict=True):
+            products = gm.star(gm.SubgroupStack.of(xs), gm.SubgroupStack.of([y]))
+            for x, out in zip(xs, (products[q] for q in range(len(products))), strict=True):
                 expected = _compose(params, x, y)
                 if expected is None:
                     # the row names its first clash, as the one-subgroup join does
@@ -323,6 +324,54 @@ def test_star_matches_group_law(small_params):
                     assert str(out) == str(clash.value)
                 else:
                     _assert_encodes(out, expected)
+
+
+def _one_row_star(x, y):
+    """star_reference of two subgroups, or the CharacterIllDefined it raises."""
+    try:
+        return star_reference(x, y)
+    except CharacterIllDefined as exc:
+        return exc
+
+
+def test_stacked_star_matches_one_row_joins(small_params):
+    # every left level against every right level conjugated by (t, 1), one
+    # join per pair of levels and representative, product by product
+    params = small_params
+    ring = tring(params)
+    orc = oracle(params)
+    levels = [
+        [orc.subgroup_of_basis(b) for b in ring.level_basis(i)] for i in range(params.n + 1)
+    ]
+    for i, xs in enumerate(levels):
+        for j, ys in enumerate(levels):
+            for t in gm.double_cosets_in_d(params, i, j):
+                conjugated = [gm.conj((t, params.identity), y) for y in ys]
+                stacked = gm.conj((t, params.identity), gm.SubgroupStack.of(ys))
+                assert np.array_equal(stacked.codes, np.stack([y.codes for y in conjugated]))
+                products = gm.star(gm.SubgroupStack.of(xs), stacked)
+                assert len(products) == len(xs) * len(ys)
+                for q, (x, y) in enumerate((x, y) for x in xs for y in conjugated):
+                    out, expected = products[q], _one_row_star(x, y)
+                    if isinstance(expected, CharacterIllDefined):
+                        assert str(out) == str(expected)
+                    else:
+                        assert np.array_equal(out.codes, expected.codes)
+                        assert np.array_equal(out.chars, expected.chars)
+                        assert out.tag == expected.tag
+
+
+def test_fibre_is_checked_not_assumed():
+    # E x E has fibres of size e over its first coordinate; dropping one
+    # element leaves a fibre of size 1, which is no subgroup's
+    params = gm.make_params(5, 1, 4)
+    exe = gm.subgroup_exe(params, lam=0, mu=0)
+    assert gm.SubgroupStack.of([exe]).fibre() == params.e
+    torn = gm.SubgroupStack(params, exe.codes[None, 1:], exe.chars[None, 1:])
+    with pytest.raises(ValueError, match="fibres"):
+        torn.fibre()
+    with pytest.raises(ValueError, match="fibres"):
+        gm.star(gm.SubgroupStack.of([exe]), torn)
 
 
 # ----------------------------------------------- normalizers and conjugacy

@@ -193,3 +193,38 @@ def test_gram_and_center_match_dict_loops(pne):
     assert ring.gram_int().tolist() == gram_int_reference(ring)
     S = QQ if pne in SMALL_INSTANCES else GF(5 if pne[0] != 5 else 7)
     assert ring.center_basis(S) == center_basis_reference(ring, S)
+
+
+@pytest.mark.parametrize("S", SCALARS, ids=lambda S: S.name)
+def test_one_sided_actions_are_the_sides_of_both(small_params, S):
+    ring = tring(small_params)
+    rng = random.Random(7)
+    for _ in range(3):
+        x = random_element(ring, S, rng)
+        left, right, den = ring.actions(x)
+        for side, matrix in (("left", left), ("right", right)):
+            one, one_den = ring.actions(x, side=side)
+            assert one_den == den
+            assert np.array_equal(one, matrix)
+    with pytest.raises(ValueError, match="side"):
+        ring.actions(x, side="middle")
+
+
+@pytest.mark.parametrize("S", SCALARS, ids=lambda S: S.name)
+def test_vector_constructor_matches_the_dict_constructor(small_params, S):
+    # ints, Fractions over Q, lists and arrays, all classes or a slice of them
+    ring = tring(small_params)
+    d = len(ring.basis)
+    rng = random.Random(11)
+    for _ in range(4):
+        lo = rng.randrange(d)
+        hi = rng.randrange(lo, d) + 1
+        values = [rng.randint(-9, 9) for _ in range(hi - lo)]
+        if S is QQ:
+            values = [Fraction(v, rng.randint(1, 12)) for v in values]
+        expected = ring.element(S, dict(zip(ring.basis[lo:hi], values)))
+        assert ring.from_vector(S, values, slice(lo, hi)) == expected
+        as_array = np.array(values, dtype=object if S is QQ else np.int64)
+        assert ring.from_vector(S, as_array, slice(lo, hi)) == expected
+    values = list(range(1, d + 1))
+    assert ring.from_vector(S, values) == ring.element(S, dict(zip(ring.basis, values)))

@@ -3,10 +3,11 @@
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from conftest import BEYOND_INSTANCES, EDGE_INSTANCES, SMALL_INSTANCES
+from conftest import BEYOND_INSTANCES, EDGE_INSTANCES, INSTANCES, SMALL_INSTANCES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
@@ -256,14 +257,88 @@ def test_oracle_mult_is_a_one_row_block():
             assert orc.oracle_mult(a, b) == oracle_mult_reference(orc, a, b)
 
 
+# ---------------------------------------- the stacked sweep at every block size
+
+
+@lru_cache(maxsize=None)
+def _reference_table(params):
+    orc, ring = oracle(params), tring(params)
+    return {(a, b): oracle_mult_reference(orc, a, b) for a in ring.basis for b in ring.basis}
+
+
+@pytest.mark.parametrize("entries", [1, None, 1 << 40], ids=["one_right_row", "default", "whole_level"])
+@pytest.mark.parametrize(
+    "pne", INSTANCES + EDGE_INSTANCES + [(3, 4, 2)], ids=lambda t: "p{}n{}e{}".format(*t)
+)
+def test_sweep_matches_reference_at_every_block_bound(pne, entries, monkeypatch):
+    # blocks of one right row, the default blocks, and a whole level per
+    # block give the per-pair loop's products, so no block edge moves one
+    if entries is not None:
+        monkeypatch.setattr(mackey, "ORACLE_JOIN_ENTRIES", entries)
+    params = make_params(*pne)
+    expected = _reference_table(params)
+    table = oracle_table(oracle(params))
+    assert set(table) <= set(expected)
+    for pair, product in expected.items():
+        assert table.get(pair, {}) == product, pair
+
+
+def _star_calls(params, monkeypatch):
+    """(left rows, right rows) of each `star` call of one oracle check."""
+    calls = []
+    join = gm.star
+
+    def star(xs, ys, wanted=None):
+        calls.append((xs.codes.shape, len(ys)))
+        return join(xs, ys, wanted)
+
+    monkeypatch.setattr(mackey, "star", star)
+    ring = tring(params)
+    assert cli._check_oracle(params, ring) == ("ok", {"compared": str(ring.dimension() ** 2)})
+    return calls
+
+
+def test_star_runs_once_per_left_chunk_and_block(monkeypatch):
+    # (3,4,2) made 948 star calls, one per left chunk, representative and
+    # right factor; now one call joins a left chunk with a block of
+    # (representative, right factor) pairs, as many as the bound allows
+    params = make_params(3, 4, 2)
+    calls = _star_calls(params, monkeypatch)
+    assert len(calls) < 400
+    for (rows, size), right in calls:
+        assert right == 1 or rows * size * right <= mackey.ORACLE_JOIN_ENTRIES
+    ring, orc = tring(params), oracle(params)
+    levels = [ring.level_basis(i) for i in range(params.n + 1)]
+    first = [gm.SubgroupStack.of([orc.subgroup_of_basis(level[0])]) for level in levels]
+    expected = 0
+    for i, level in enumerate(levels):
+        size = first[i].codes.shape[1]
+        chunk = max(1, mackey.ORACLE_CHUNK_ENTRIES // size)
+        for lo in range(0, len(level), chunk):
+            rows = min(chunk, len(level) - lo)
+            for j, right in enumerate(levels):
+                step = max(1, mackey.ORACLE_JOIN_ENTRIES // (rows * size * first[j].fibre()))
+                pairs = len(gm.double_cosets_in_d(params, i, j)) * len(right)
+                expected += -(-pairs // step)
+    assert len(calls) == expected
+
+
+def test_crosscheck_star_calls_stay_under_500(monkeypatch):
+    calls = _star_calls(make_params(7, 2, 3), monkeypatch)
+    calls += _star_calls(make_params(3, 4, 2), monkeypatch)
+    assert len(calls) < 500
+
+
 # ------------------------------------- mutations: the check against the loop
 
 
-@pytest.fixture(params=[None, 1], ids=["chunked", "row_by_row"])
+@pytest.fixture(params=[None, 1, 1 << 40], ids=["chunked", "row_by_row", "whole_levels"])
 def chunk_entries(request, monkeypatch):
-    """The default sweep chunks, and one row per chunk."""
+    """The default sweep chunks and blocks; one left row per chunk and one
+    right row per block; and each level in one chunk and one block."""
     if request.param is not None:
         monkeypatch.setattr(mackey, "ORACLE_CHUNK_ENTRIES", request.param)
+        monkeypatch.setattr(mackey, "ORACLE_JOIN_ENTRIES", request.param)
 
 
 def _both_reports(params):
@@ -394,7 +469,8 @@ def test_raised_closed_form_coefficient_matches_reference(
 # the ring's structure arrays built beforehand (the assoc check shares them).
 # The per-pair loop it replaced measured 2_186_626 bytes (about 2.19 MB) on
 # Python 3.11.7 and numpy 2.4.6; the sweep may add at most 0.25 MB.  The
-# sweep reads about 1.49 MB, and 1.71 MB with the arrays built inside.
+# sweep stacked in both factors reads about 1.40 MB, and 1.63 MB with the
+# arrays built inside.
 ORACLE_PEAK_BOUND = 2_186_626 + 250_000
 
 _PEAK_SCRIPT = """
