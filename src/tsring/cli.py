@@ -25,7 +25,7 @@ from .errors import (
     TheoremViolation,
     TsringError,
 )
-from .exactarith import ZZ, field_mat_mul, scalar_ring
+from .exactarith import scalar_ring
 from .groupmodel import make_params
 from .tring import basis_label, basis_to_json, sort_key, tring
 
@@ -177,9 +177,8 @@ def _first_nonzero_sum(keys, vals):
 
 
 # live (key, value) pairs of one chunk of the associativity check, both
-# sides together; a chunk's temporaries then stay under 0.5 MB, below the
-# oracle check's
-ASSOC_CHUNK_ENTRIES = 1 << 13
+# sides together; a chunk's temporaries then stay near 0.25 MB
+ASSOC_CHUNK_ENTRIES = 1 << 12
 
 
 def _live_terms(K, V):
@@ -244,17 +243,17 @@ def _assoc_chunks(start, cls, d):
     """Cuts of the (a, b) rows into chunks of about ASSOC_CHUNK_ENTRIES entries.
 
     (a, b) expands on the left into the slots of e_m e_c over the terms e_m
-    of e_a e_b and all c, and on the right into the slots of e_a e_m as
-    often as e_m is a term of some e_b e_c.  A chunk starts with each row
-    that begins past a multiple of the bound.
+    of e_a e_b and all c, counted exactly, and on the right into no more
+    than the slots of e_b e_c over all c times the most terms of any e_a
+    e_m.  A chunk starts with each row that begins past a multiple of the
+    bound.
     """
     size = (start[1:] - start[:-1]).reshape(d, d)
+    per_row = size.sum(axis=1)
     left = np.zeros(len(cls) + 1, dtype=np.int64)
-    np.cumsum(size.sum(axis=1)[cls], out=left[1:])
-    owner = np.repeat(np.arange(d), size.sum(axis=1))
-    as_term = np.bincount(owner * d + cls, minlength=d * d).reshape(d, d)
+    np.cumsum(per_row[cls], out=left[1:])
     entries = left[start[1:]] - left[start[:-1]]
-    entries += field_mat_mul(size, as_term.T, ZZ).ravel()
+    entries += (size.max(axis=1)[:, None] * per_row).ravel()
     chunk = (np.cumsum(entries) - entries) // ASSOC_CHUNK_ENTRIES
     cuts = (np.flatnonzero(np.diff(chunk)) + 1).tolist()
     return zip([0, *cuts], [*cuts, d * d])

@@ -498,7 +498,7 @@ def star(xs: SubgroupStack, ys: SubgroupStack, wanted=None) -> StarProducts:
     codes += (ys.codes % order).ravel()[yi]
     del yi
     clashes = {}
-    if f > 1 or (xs.codes < order).sum(axis=1).max() > 1:
+    if f > 1 or xs.fibre() > 1:
         # one key (product, code, char) per match, sorted: repeats of a
         # (product, code) are then adjacent, and a clash differs in char
         square, e = order * order, params.e if chars is not None else 1
@@ -536,8 +536,8 @@ def conj(s: GGPair, x):
     """Conjugate a subgroup of G x G, or every row of a SubgroupStack, by the
     pair s, transporting characters."""
     table = group_table(x.params)
-    # g -> s g s^-1 as one gather over G
-    inner = lambda s: table.mul[table.mul[table.index[s]], table.inv[table.index[s]]]
+    # g -> u g u^-1 as one gather over G
+    inner = lambda u: table.mul[table.mul[table.index[u]], table.inv[table.index[u]]]
     g, h = np.divmod(x.codes, len(table.elems))
     codes = _encode(table, inner(s[0])[g], inner(s[1])[h])
     order = codes.argsort(axis=-1)

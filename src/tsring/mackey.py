@@ -45,7 +45,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import UnrecognizedShape
+from .errors import CharacterIllDefined, UnrecognizedShape
 from .groupmodel import (
     TAG_DIAG_P,
     TAG_DIAG_PE,
@@ -218,39 +218,35 @@ class MackeyOracle:
         if module is None:
             return None
         live, summands = module
+        # codes and chars are both int64, so one byte span serves both
+        width = summands.codes.itemsize
         codes, chars = summands.codes.tobytes(), summands.chars.tobytes()
-        width = summands.codes.itemsize // summands.chars.itemsize
-        bounds = summands.bounds * summands.chars.itemsize
-        ids: dict = {}
-        which = np.array(
-            [
-                ids.setdefault((codes[lo * width : hi * width], chars[lo:hi]), len(ids))
-                for lo, hi in zip(bounds[live].tolist(), bounds[live + 1].tolist())
-            ]
-        )
-        clash = np.zeros(len(live), dtype=bool)
+        lo, hi = (summands.bounds[live + k] * width for k in (0, 1))
+        keys = [(codes[a:b], chars[a:b]) for a, b in zip(lo.tolist(), hi.tolist())]
         if summands.clashes:
-            clash[:] = [q in summands.clashes for q in live.tolist()]
-        # the first row of each distinct summand that is no clash
-        first = np.full(len(ids), -1)
-        rows = np.flatnonzero(~clash)[::-1]
-        first[which[rows]] = rows
+            # a clash is its own summand
+            keys = [summands.clashes.get(q, key) for q, key in zip(live.tolist(), keys)]
+        ids: dict = {}
+        which = np.array([ids.setdefault(key, len(ids)) for key in keys])
+        # the first row of each distinct summand
+        first = np.empty(len(ids), dtype=np.int64)
+        first[which[::-1]] = np.arange(len(which))[::-1]
         found = []
-        for row in first.tolist():
+        for q in live[first].tolist():
+            z = summands[q]
             try:
-                found.append([] if row < 0 else self._terms(summands[live[row]]))
+                found.append(z if isinstance(z, CharacterIllDefined) else self._terms(z))
             except UnrecognizedShape as exc:
                 found.append(exc)
-        errors = {row: summands.clashes[live[row]] for row in np.flatnonzero(clash).tolist()}
-        for row in np.flatnonzero(~clash).tolist():
-            if isinstance(found[which[row]], UnrecognizedShape):
-                errors[row] = found[which[row]]
+        failed = np.array([isinstance(t, Exception) for t in found])
+        errors = {row: found[which[row]] for row in np.flatnonzero(failed[which]).tolist()}
         # distinct summand u owns the terms flat[offset[u]:offset[u] + size[u]]
-        terms = [[] if isinstance(t, Exception) else t for t in found]
-        size = np.array([len(t) for t in terms])
+        size = np.array([0 if bad else len(t) for t, bad in zip(found, failed)])
         offset = np.cumsum(size) - size
-        flat = np.array([term for t in terms for term in t], dtype=np.int64).reshape(-1, 2)
-        n = np.where(clash, 0, size[which])
+        flat = np.array(
+            [term for t, bad in zip(found, failed) if not bad for term in t], dtype=np.int64
+        ).reshape(-1, 2)
+        n = size[which]
         rows = np.repeat(np.arange(len(which)), n)
         at = np.repeat(offset[which] - (np.cumsum(n) - n), n) + np.arange(n.sum())
         return live, rows, flat[at, 0], flat[at, 1], errors

@@ -395,6 +395,8 @@ class TRing:
         side "left" or "right" only that matrix is built: (matrix, den).
         Each matrix is one contraction of the support of x through (K, V).
         """
+        if side not in ("both", "left", "right"):
+            raise ValueError(f"side {side!r} is not left, right or both")
         S = x.scalar
         ia = np.flatnonzero(x.vec)
         K, V = self.structure_arrays()
@@ -403,16 +405,14 @@ class TRing:
         X = x.vec[ia].astype(dtype)
         cols = np.arange(d)
         out = []
-        if side in ("both", "left"):
+        if side != "right":
             # left[c, b] sums X_a V[a, b, j] over K[a, b, j] = c
-            keys, vals = K[ia] * d + cols[:, None], X[:, None, None] * V[ia].astype(dtype)
-            out.append(_segment_sum(d * d, keys, vals))
-        if side in ("both", "right"):
+            keys = K[ia] * d + cols[:, None]
+            out.append(_segment_sum(d * d, keys, X[:, None, None] * V[ia].astype(dtype)))
+        if side != "left":
             # right[c, b] sums X_a V[b, a, j] over K[b, a, j] = c
             keys = K[:, ia] * d + cols[:, None, None]
             out.append(_segment_sum(d * d, keys, X[:, None] * V[:, ia].astype(dtype)))
-        if not out:
-            raise ValueError(f"side {side!r} is not left, right or both")
         return (*(residues(S, m).reshape(d, d) for m in out), x.den)
 
     def noncommuting(self, x: RingElement) -> list:

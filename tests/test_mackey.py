@@ -266,7 +266,9 @@ def _reference_table(params):
     return {(a, b): oracle_mult_reference(orc, a, b) for a in ring.basis for b in ring.basis}
 
 
-@pytest.mark.parametrize("entries", [1, None, 1 << 40], ids=["one_right_row", "default", "whole_level"])
+@pytest.mark.parametrize(
+    "entries", [1, None, 1 << 40], ids=["one_right_row", "default", "whole_level"]
+)
 @pytest.mark.parametrize(
     "pne", INSTANCES + EDGE_INSTANCES + [(3, 4, 2)], ids=lambda t: "p{}n{}e{}".format(*t)
 )
