@@ -422,15 +422,16 @@ class SubgroupStack:
 class StarProducts:
     """The star products of every row x of one stack with every row y of another.
 
-    Product q = x * len(ys) + y has the sorted codes codes[bounds[q]:bounds[q
-    + 1]] and the aligned chars (None without characters); `clashes` maps a
-    product whose connecting elements disagree to its CharacterIllDefined.
+    Product q = x * len(ys) + y holds values[bounds[q]:bounds[q + 1]], one
+    code * e + char per element in code order, or the codes alone when e is
+    None, for factors without characters; `clashes` maps a product whose
+    connecting elements disagree to its CharacterIllDefined.
     """
 
-    def __init__(self, params, codes, chars, bounds, clashes):
+    def __init__(self, params, values, e, bounds, clashes):
         self.params = params
-        self.codes = codes
-        self.chars = chars
+        self.values = values
+        self.e = e
         self.bounds = bounds
         self.clashes = clashes
 
@@ -441,13 +442,13 @@ class StarProducts:
         """Product q as a SubgroupGG, or its CharacterIllDefined."""
         if q in self.clashes:
             return self.clashes[q]
-        span = slice(self.bounds[q], self.bounds[q + 1])
-        codes = self.codes[span]
-        chars = None if self.chars is None else self.chars[span]
+        codes, chars = self.values[self.bounds[q] : self.bounds[q + 1]], None
+        if self.e is not None:
+            codes, chars = np.divmod(codes, self.e)
         return SubgroupGG(self.params, recognize_shape(self.params, codes), codes, chars)
 
 
-def star(xs: SubgroupStack, ys: SubgroupStack, wanted=None) -> StarProducts:
+def star(xs: SubgroupStack, ys: SubgroupStack, wanted=None, most=None) -> StarProducts:
     """The composition subgroups {(g, k) : (g, h) in X, (h, k) in Y}, X a row
     of xs and Y a row of ys, in one join.  A boolean (len(xs), len(ys))
     `wanted` leaves the products it marks False empty.
@@ -458,15 +459,15 @@ def star(xs: SubgroupStack, ys: SubgroupStack, wanted=None) -> StarProducts:
     row Y through one gather.  The matches come out grouped by (X, Y) and,
     within that, in the order of g; when X's fibres are single points too
     and f = 1 each g meets one k, so they are sorted and free of repeats,
-    otherwise one stable sort orders them.  When both sides carry
-    characters a product carries the sum through any connecting element; a
-    product where two connecting elements disagree is a clash.
+    otherwise a sort orders them, a run of whole products of at most
+    `most` matches at a time.  When both sides carry characters a product
+    carries the sum through any connecting element; a product where two
+    connecting elements disagree is a clash.
     """
     if xs.params != ys.params:
         raise ParamsMismatch("star of subgroups over different params")
     params = ys.params
-    table = group_table(params)
-    order = len(table.elems)
+    order = params.group_order
     f = ys.fibre()
     rows, width = ys.codes.shape
     count, size = xs.codes.shape
@@ -474,62 +475,86 @@ def star(xs: SubgroupStack, ys: SubgroupStack, wanted=None) -> StarProducts:
     starts = np.full((order, rows), -1, dtype=np.int64)
     heads = np.arange(0, rows * width, f).reshape(rows, -1)
     starts[ys.codes[:, ::f] // order, np.arange(rows)[:, None]] = heads
-    xg, xh = np.divmod(xs.codes, order)
     # laid out (x row, y row, x element)
-    hit = starts[xh].transpose(0, 2, 1)
+    hit = starts[xs.codes % order].transpose(0, 2, 1)
     found = hit >= 0
     if wanted is not None:
         found &= wanted[:, :, None]
     yi = hit[found]
-    xi = np.broadcast_to(np.arange(count * size).reshape(count, 1, size), hit.shape)[found]
-    counts = found.sum(axis=2).ravel() * f
-    del hit, found
-    if f > 1:
-        yi = (yi[:, None] + np.arange(f)).ravel()
-        xi = np.repeat(xi, f)
-    chars = None
-    if xs.chars is not None and ys.chars is not None:
-        chars = xs.chars.ravel()[xi]
-        chars += ys.chars.ravel()[yi]
-        chars %= params.e
-    codes = xg.ravel()[xi]
-    del xi
-    codes *= order
-    codes += (ys.codes % order).ravel()[yi]
-    del yi
-    clashes = {}
-    if f > 1 or xs.fibre() > 1:
-        # one key (product, code, char) per match, sorted: repeats of a
-        # (product, code) are then adjacent, and a clash differs in char
-        square, e = order * order, params.e if chars is not None else 1
-        keys = np.repeat(np.arange(len(counts)) * (square * e), counts)
-        codes *= e
-        keys += codes
-        del codes
-        if chars is not None:
-            keys += chars
-        keys = keys[keys.argsort(kind="stable")]
-        code_keys = keys // e
-        first = np.empty(len(keys), dtype=bool)
-        first[:1] = True
-        np.not_equal(code_keys[1:], code_keys[:-1], out=first[1:])
-        clash = code_keys[1:][~first[1:] & (keys[1:] != keys[:-1])]
-        # the first clash of each product, in code order
-        for key in clash[np.flatnonzero(np.diff(clash // square, prepend=-1))].tolist():
-            g, k = divmod(key % square, order)
-            clashes[key // square] = CharacterIllDefined(
-                f"connecting elements disagree at {(table.elems[g], table.elems[k])}"
-            )
-        del code_keys
-        keys = keys[first]
-        if chars is not None:
-            chars = keys % e
-        keys //= e
-        codes = keys % square
-        counts = np.bincount(keys // square, minlength=len(counts))
+    del hit
+    xi = np.broadcast_to(np.arange(count * size).reshape(count, 1, size), found.shape)[found]
+    hits = found.sum(axis=2).ravel()
+    del found
+    e = params.e if xs.chars is not None and ys.chars is not None else None
+    if f == 1 and xs.fibre() == 1:
+        return StarProducts(params, _compose(xs, ys, xi, yi, e), e, _bounds(hits), {})
+    # runs of whole products, each of at most `most` matches or one product
+    matches = hits * f
+    run = (np.cumsum(matches) - matches) // (most or max(1, matches.sum()))
+    cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(hits)]
+    at = _bounds(hits)
+    values, counts, clashes = [], [], {}
+    for q0, q1 in zip(cuts[:-1], cuts[1:]):
+        span = slice(at[q0], at[q1])
+        keys = _compose(xs, ys, np.repeat(xi[span], f), (yi[span, None] + np.arange(f)).ravel(), e)
+        run_values, run_counts, run_clashes = _sorted_products(params, keys, hits[q0:q1] * f, e)
+        values.append(run_values)
+        counts.append(run_counts)
+        clashes.update((q0 + q, exc) for q, exc in run_clashes.items())
+    return StarProducts(params, np.concatenate(values), e, _bounds(np.concatenate(counts)), clashes)
+
+
+def _bounds(counts):
+    """Where each of the consecutive runs of the given lengths starts, and the end."""
     bounds = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=bounds[1:])
-    return StarProducts(params, codes, chars, bounds, clashes)
+    return bounds
+
+
+def _compose(xs, ys, xi, yi, e):
+    """code * e + char of (g, k), char the summed characters mod e, or the
+    code when e is None, for the matches (g, h) = xs[xi] and (h, k) = ys[yi]."""
+    order = xs.params.group_order
+    if e is None:
+        e, values = 1, xs.codes.ravel()[xi] // order * order
+    else:
+        values = xs.chars.ravel()[xi]
+        values += ys.chars.ravel()[yi]
+        values %= e
+        values += (xs.codes // order * (order * e)).ravel()[xi]
+    values += (ys.codes % order * e).ravel()[yi]
+    return values
+
+
+def _sorted_products(params, values, counts, e):
+    """(values, counts, clashes) of consecutive products with the given
+    numbers of matches, each sorted and free of repeats.
+
+    One key (product, code, char) per match, sorted: repeats of a (product,
+    code) are then adjacent, and a clash differs in char.
+    """
+    table = group_table(params)
+    order = len(table.elems)
+    square, e = order * order, e or 1
+    keys = np.repeat(np.arange(len(counts)) * (square * e), counts)
+    keys += values
+    del values
+    keys = keys[keys.argsort(kind="stable")]
+    code_keys = keys // e
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(code_keys[1:], code_keys[:-1], out=first[1:])
+    clash = code_keys[1:][~first[1:] & (keys[1:] != keys[:-1])]
+    clashes = {}
+    # the first clash of each product, in code order
+    for key in clash[np.flatnonzero(np.diff(clash // square, prepend=-1))].tolist():
+        g, k = divmod(key % square, order)
+        clashes[key // square] = CharacterIllDefined(
+            f"connecting elements disagree at {(table.elems[g], table.elems[k])}"
+        )
+    del code_keys
+    keys = keys[first]
+    return keys % (square * e), np.bincount(keys // (square * e), minlength=len(counts)), clashes
 
 
 def conj(s: GGPair, x):

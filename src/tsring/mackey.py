@@ -66,14 +66,15 @@ from .groupmodel import (
 )
 from .tring import NonProj, ProjPair, tring
 
-# stacked left-factor codes per chunk of `MackeyOracle.sweep`; (3,4,2)'s
-# largest level, 54 rows of 162 codes, takes four chunks
+# stacked left-factor codes per chunk of `MackeyOracle.sweep`, and matches
+# sorted at a time where `groupmodel.star` sorts; (3,4,2)'s largest level,
+# 54 rows of 162 codes, takes four chunks
 ORACLE_CHUNK_ENTRIES = 2304
 
-# matches of one join in `products`: a rows x (t, b) pairs x a codes x the
-# fibre of a b subgroup over its first coordinate.  Each int64 temporary
-# then stays under 128 KB, glibc's default mmap threshold, so it reuses
-# freed heap and leaves the peak RSS of the check where it was.
+# entries of the (a row, (t, b) pair, a code) table of one join in
+# `products`.  Each int64 temporary then stays under 128 KB, glibc's
+# default mmap threshold, so it reuses freed heap and leaves the peak RSS
+# of the check where it was.
 ORACLE_JOIN_ENTRIES = 6 * ORACLE_CHUNK_ENTRIES
 
 
@@ -133,7 +134,7 @@ class MackeyOracle:
         live = np.flatnonzero(wanted)
         if not live.size:
             return None
-        return live, star(xs, ys, wanted)
+        return live, star(xs, ys, wanted, ORACLE_CHUNK_ENTRIES)
 
     # ----------------------------------------------------- canonicalization
 
@@ -218,16 +219,16 @@ class MackeyOracle:
         if module is None:
             return None
         live, summands = module
-        # codes and chars are both int64, so one byte span serves both
-        width = summands.codes.itemsize
-        codes, chars = summands.codes.tobytes(), summands.chars.tobytes()
-        lo, hi = (summands.bounds[live + k] * width for k in (0, 1))
-        keys = [(codes[a:b], chars[a:b]) for a, b in zip(lo.tolist(), hi.tolist())]
-        if summands.clashes:
-            # a clash is its own summand
-            keys = [summands.clashes.get(q, key) for q, key in zip(live.tolist(), keys)]
+        clashes, data = summands.clashes, summands.values.tobytes()
+        lo, hi = (summands.bounds[live + k] * summands.values.itemsize for k in (0, 1))
+        # the bytes of its code * e + char name a summand; a clash is its own
         ids: dict = {}
-        which = np.array([ids.setdefault(key, len(ids)) for key in keys])
+        which = np.array(
+            [
+                ids.setdefault(clashes.get(q) or data[a:b], len(ids))
+                for q, a, b in zip(live.tolist(), lo.tolist(), hi.tolist())
+            ]
+        )
         # the first row of each distinct summand
         first = np.empty(len(ids), dtype=np.int64)
         first[which[::-1]] = np.arange(len(which))[::-1]
@@ -274,9 +275,8 @@ class MackeyOracle:
         xs = SubgroupStack.of([self.subgroup_of_basis(basis[a]) for a in left])
         ys = [self.subgroup_of_basis(basis[b]) for b in right]
         n = len(right)
-        # the join's (a row, b row, a code, fibre) matches stay under the bound
-        fibre = SubgroupStack.of(ys[:1]).fibre()
-        step = max(1, ORACLE_JOIN_ENTRIES // (xs.codes.size * fibre))
+        # the join's (a row, (t, b) pair, a code) table stays under the bound
+        step = max(1, ORACLE_JOIN_ENTRIES // xs.codes.size)
         left, right = np.asarray(left), np.asarray(right)
         parts, errors = [], {}
         for lo in range(0, len(reps) * n, step):

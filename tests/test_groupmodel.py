@@ -350,15 +350,18 @@ def test_stacked_star_matches_one_row_joins(small_params):
                 stacked = gm.conj((t, params.identity), gm.SubgroupStack.of(ys))
                 assert np.array_equal(stacked.codes, np.stack([y.codes for y in conjugated]))
                 products = gm.star(gm.SubgroupStack.of(xs), stacked)
+                # sorting one product at a time changes nothing
+                one_by_one = gm.star(gm.SubgroupStack.of(xs), stacked, None, 1)
                 assert len(products) == len(xs) * len(ys)
                 for q, (x, y) in enumerate((x, y) for x in xs for y in conjugated):
-                    out, expected = products[q], _one_row_star(x, y)
-                    if isinstance(expected, CharacterIllDefined):
-                        assert str(out) == str(expected)
-                    else:
-                        assert np.array_equal(out.codes, expected.codes)
-                        assert np.array_equal(out.chars, expected.chars)
-                        assert out.tag == expected.tag
+                    expected = _one_row_star(x, y)
+                    for out in products[q], one_by_one[q]:
+                        if isinstance(expected, CharacterIllDefined):
+                            assert str(out) == str(expected)
+                        else:
+                            assert np.array_equal(out.codes, expected.codes)
+                            assert np.array_equal(out.chars, expected.chars)
+                            assert out.tag == expected.tag
 
 
 def test_fibre_is_checked_not_assumed():
