@@ -496,12 +496,15 @@ def star(xs: SubgroupStack, ys: SubgroupStack, wanted=None, most=None) -> StarPr
     values, counts, clashes = [], [], {}
     for q0, q1 in zip(cuts[:-1], cuts[1:]):
         span = slice(at[q0], at[q1])
-        keys = _compose(xs, ys, np.repeat(xi[span], f), (yi[span, None] + np.arange(f)).ravel(), e)
-        run_values, run_counts, run_clashes = _sorted_products(params, keys, hits[q0:q1] * f, e)
+        # each hit meets the f elements of its fibre
+        partners = (yi[span, None] + np.arange(f)).ravel()
+        keys = _compose(xs, ys, np.repeat(xi[span], f), partners, e)
+        run_values, run_counts, run_clashes = _sorted_products(params, keys, matches[q0:q1], e)
         values.append(run_values)
         counts.append(run_counts)
         clashes.update((q0 + q, exc) for q, exc in run_clashes.items())
-    return StarProducts(params, np.concatenate(values), e, _bounds(np.concatenate(counts)), clashes)
+    values, counts = np.concatenate(values), np.concatenate(counts)
+    return StarProducts(params, values, e, _bounds(counts), clashes)
 
 
 def _bounds(counts):
