@@ -469,7 +469,7 @@ def test_raised_closed_form_coefficient_matches_reference(
 # the ring's structure arrays built beforehand (the assoc check shares them).
 # The per-pair loop it replaced measured 2_186_626 bytes (about 2.19 MB) on
 # Python 3.11.7 and numpy 2.4.6; the sweep may add at most 0.25 MB.  The
-# sweep stacked in both factors reads about 1.40 MB, and 1.63 MB with the
+# sweep stacked in both factors reads about 1.32 MB, and 1.55 MB with the
 # arrays built inside.
 ORACLE_PEAK_BOUND = 2_186_626 + 250_000
 
