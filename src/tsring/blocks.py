@@ -818,30 +818,58 @@ def semisimplicity_decide(params: ModelParams, q: int) -> SemisimplicityDecision
     )
 
 
+def _power(mult, x, k: int):
+    """x^k for k >= 1 by square and multiply, with the product `mult`."""
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else mult(out, x)
+        k >>= 1
+        if k:
+            x = mult(x, x)
+    return out
+
+
+def _top_powers(ring, S, power: int) -> np.ndarray:
+    """Row k: the power-th power of the k-th top-level class in the quotient
+    by the lower levels, over F_q.
+
+    All g top-level classes are raised together: each step of square and
+    multiply is one pass over the top block of (K, V), row by row, where a
+    term at a lower level vanishes.
+    """
+    q = S.characteristic
+    top = ring.level_range(ring.params.n)
+    K, V = ring.structure_arrays()
+    K, V = K[top, top] - top.start, V[top, top]
+    live = K >= 0
+    K, V = K * live, V * live % q
+    g, _, width = K.shape
+    dtype = exact_dtype(q**3 * g * g * width)
+
+    def mult(x, y):
+        # row k: the sum of x[k, a] y[k, b] V[a, b, j] over K[a, b, j] = c
+        k, a = np.nonzero(x)
+        keys = k[:, None, None] * g + K[a]
+        vals = (x[k, a][:, None] * y[k]).astype(dtype)[:, :, None] * V[a]
+        return _segment_sum(g * g, keys, vals).reshape(g, g) % q
+
+    return _power(mult, np.eye(g, dtype=np.int64), power)
+
+
 def _char_p_nilpotent(params, ring, S):
     p = params.p
     # commutative quotient by the vertex-order < p^n ideal
-    top = ring.level_basis(params.n)
-    g = len(top)
+    g = len(ring.level_basis(params.n))
     s = 1
     while p**s < g:
         s += 1
     power = p**s
 
     def quotient_power(x: RingElement, k: int) -> RingElement:
-        out = None
-        cur = x
-        while k:
-            if k & 1:
-                out = cur if out is None else ring.quotient_mult(params.n - 1, out, cur)
-            k >>= 1
-            if k:
-                cur = ring.quotient_mult(params.n - 1, cur, cur)
-        return out
+        return _power(lambda u, v: ring.quotient_mult(params.n - 1, u, v), x, k)
 
-    # the top level comes last in basis order
-    columns = [quotient_power(ring.from_basis(S, b), power).vec[-g:] for b in top]
-    kernel = nullspace_over_field(np.array(columns).T, S)
+    kernel = nullspace_over_field(_top_powers(ring, S, power).T, S)
     if len(kernel):
         z = ring.from_vector(S, kernel[0], ring.level_range(params.n))
         if not z.is_zero() and quotient_power(z, power).is_zero():

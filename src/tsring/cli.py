@@ -10,24 +10,29 @@ could not decide, or was skipped at every requested field).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import time
 
 import numpy as np
 
-from . import blocks, cartan, mackey
 from .errors import (
     ArithmeticBound,
     ScanTooLarge,
     TheoremViolation,
     TsringError,
 )
-from .exactarith import scalar_ring
+from .exactarith import GF, _rref, field_mat_mul, scalar_ring
 from .groupmodel import make_params
-from .tring import basis_label, basis_to_json, sort_key, tring
+from .tring import (
+    NonProj,
+    ProjPair,
+    _segment_sum,
+    basis_label,
+    basis_to_json,
+    sort_key,
+    tring,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -93,6 +98,9 @@ def cmd_basis(args) -> int:
 
 
 def cmd_table(args) -> int:
+    import csv
+    import io
+
     params = make_params(args.p, args.n, args.e)
     ring = tring(params)
     rows = []
@@ -139,6 +147,8 @@ def _check_oracle(params, ring):
     number of pairs before the first failure in lexicographic order, is
     exact; a pair whose enumeration raised is inconclusive.
     """
+    from . import mackey
+
     K, V = ring.structure_arrays()
     d, _, width = K.shape
     K, V = K.reshape(d * d, width), V.reshape(d * d, width)
@@ -239,8 +249,9 @@ def _first_nonassociative(terms, d, ab):
     return None if first is None else ab[0] * d + first // d
 
 
-def _assoc_chunks(start, cls, d):
-    """Cuts of the (a, b) rows into chunks of about ASSOC_CHUNK_ENTRIES entries.
+def _assoc_chunks(start, cls, d, rows):
+    """The ascending (a, b) rows `rows` cut into chunks of about
+    ASSOC_CHUNK_ENTRIES entries.
 
     (a, b) expands on the left into the slots of e_m e_c over the terms e_m
     of e_a e_b and all c, counted exactly, and on the right into no more
@@ -252,19 +263,132 @@ def _assoc_chunks(start, cls, d):
     per_row = size.sum(axis=1)
     left = np.zeros(len(cls) + 1, dtype=np.int64)
     np.cumsum(per_row[cls], out=left[1:])
-    entries = left[start[1:]] - left[start[:-1]]
-    entries += (size.max(axis=1)[:, None] * per_row).ravel()
+    a, b = np.divmod(rows, d)
+    entries = left[start[rows + 1]] - left[start[rows]]
+    entries += size.max(axis=1)[a] * per_row[b]
     chunk = (np.cumsum(entries) - entries) // ASSOC_CHUNK_ENTRIES
-    cuts = (np.flatnonzero(np.diff(chunk)) + 1).tolist()
-    return zip([0, *cuts], [*cuts, d * d])
+    return np.split(rows, np.flatnonzero(np.diff(chunk)) + 1)
+
+
+def _first_failure(terms, d, rows):
+    """The number of the first failing triple (a, b, c) over the ascending
+    (a, b) rows `rows` and all c, or None; chunk by chunk, in order."""
+    for chunk in _assoc_chunks(*terms[:2], d, rows):
+        first = _first_nonassociative(terms, d, chunk)
+        if first is not None:
+            return first
+    return None
+
+
+# a prime near 10^6: residues, and sums of d * width products of two of
+# them, stay int64 while d * width is below 4 * 10^6
+SPAN_PRIME = 1000003
+
+
+def _spanning_generators(K, V, candidates):
+    """The candidates, in order, that lie outside the closure of those kept
+    before them, if the closure reaches dimension d mod SPAN_PRIME; else None.
+
+    The closure of span(S) under w -> e_g w for g in S is kept as a reduced
+    echelon basis over F_SPAN_PRIME and grows incrementally: new vectors are
+    reduced against it, only the rows that extend it are multiplied by the
+    generators on the next pass, and a generator kept late is applied once
+    to the whole basis so far.  A generator acts through the slots of its
+    row of (K, V), one generator at a time.
+    """
+    d = K.shape[0]
+    F = GF(SPAN_PRIME)
+    echelon = np.zeros((0, d), dtype=np.int64)
+    pivots = np.zeros(0, dtype=np.int64)
+
+    def extend(rows):
+        """Add the span of `rows` to the echelon basis; returns the new rows."""
+        nonlocal echelon, pivots
+        # the pivot coordinates of the rows, through the echelon rows they hit
+        coords = rows[:, pivots]
+        hit = np.flatnonzero(coords.any(axis=0))
+        rows = (rows - field_mat_mul(coords[:, hit], echelon[hit], F)) % SPAN_PRIME
+        rows = rows[rows.any(axis=1)]
+        if not len(rows):
+            return rows
+        cols = np.flatnonzero(rows.any(axis=0))
+        reduced, new = _rref(rows[:, cols], F)
+        fresh = np.zeros((len(new), d), dtype=np.int64)
+        fresh[:, cols] = reduced[: len(new)]
+        new = cols[new]
+        hit = np.flatnonzero(echelon[:, new].any(axis=1))
+        echelon[hit] -= field_mat_mul(echelon[hit][:, new], fresh, F)
+        echelon[hit] %= SPAN_PRIME
+        echelon = np.concatenate((echelon, fresh))
+        pivots = np.concatenate((pivots, new))
+        return fresh
+
+    def act(g, rows):
+        """e_g w for each row w: w_b V[g, b, j] summed into class K[g, b, j]."""
+        keys = np.arange(len(rows))[:, None, None] * d + K[g]
+        vals = rows[:, :, None] * (V[g] % SPAN_PRIME)
+        return _segment_sum(len(rows) * d, keys, vals).reshape(len(rows), d) % SPAN_PRIME
+
+    gens = []
+    for c in candidates:
+        if len(pivots) == d:
+            break
+        fresh = extend(np.eye(1, d, c, dtype=np.int64))
+        if not len(fresh):
+            continue
+        gens.append(c)
+        fresh = np.concatenate((fresh, extend(act(c, echelon))))
+        while len(fresh):
+            fresh = extend(np.concatenate([act(g, fresh) for g in gens]))
+    return gens if len(pivots) == d else None
+
+
+def _generator_candidates(ring):
+    """The identity M[n,1,0], P[0,0], M[i,1,0] for i < n, then the other
+    level-n classes, which generate Γ_n × Z/e: basis indices, in order."""
+    n, one = ring.params.n, ring.index[ring.one_elem]
+    top = ring.level_range(n)
+    return [
+        one,
+        ring.index[ProjPair(0, 0)],
+        *(ring.index[NonProj(i, 1, 0)] for i in range(1, n)),
+        *(c for c in range(top.start, top.stop) if c != one),
+    ]
+
+
+def _left_nucleus_generators(ring, terms):
+    """Basis classes S in the left nucleus whose right-nested words span the
+    ring, or None.
+
+    S is `_spanning_generators` of `_generator_candidates`.  It lies in the
+    left nucleus when no triple (g, a, b) with g in S fails: |S| d^2
+    triples, rows g * d + a of the scan.
+    """
+    K, V = ring.structure_arrays()
+    d = len(ring.basis)
+    gens = _spanning_generators(K, V, _generator_candidates(ring))
+    if gens is None:
+        return None
+    rows = (np.sort(gens)[:, None] * d + np.arange(d)).ravel()
+    return gens if _first_failure(terms, d, rows) is None else None
 
 
 def _check_assoc(params, ring):
     """(e_a e_b) e_c = e_a (e_b e_c) for all d^3 basis triples, exactly.
 
-    Zero slots of (K, V) are never expanded.  Chunks of (a, b) rows run in
-    order, so `checked`, the number of triples before the first failure in
-    lexicographic order, is exact.
+    First a certificate.  The Teichmüller identity
+    (wx,y,z) - (w,xy,z) + (w,x,yz) = w(x,y,z) + (w,x,y)z holds in any
+    algebra, so the left nucleus N = {x : (x,a,b) = 0 for all a, b} is
+    closed under products.  If basis classes S lie in N and the
+    right-nested words g_1(g_2(...g_k)) over S span the ring, N is the
+    whole ring, and every triple holds (`_left_nucleus_generators`).  The
+    span is computed mod a prime: rank d mod SPAN_PRIME gives rank d over
+    Q, and an integer table associative over Q is associative over Z.
+
+    Failing that, every triple is scanned, zero slots of (K, V) never
+    expanded.  Chunks of (a, b) rows run in order, so `checked`, the
+    number of triples before the first failure in lexicographic order, is
+    exact.
     """
     K, V = ring.structure_arrays()
     d, _, width = K.shape
@@ -275,14 +399,16 @@ def _check_assoc(params, ring):
             f"{width} terms of coefficients up to {vmax} may overflow int64 sums"
         )
     terms = _live_terms(K, V)
-    for lo, hi in _assoc_chunks(*terms[:2], d):
-        first = _first_nonassociative(terms, d, np.arange(lo, hi))
+    if _left_nucleus_generators(ring, terms) is None:
+        first = _first_failure(terms, d, np.arange(d * d))
         if first is not None:
             return "violation", {"checked": str(first)}
     return "ok", {"checked": str(d**3)}
 
 
 def _check_theorem_a(params, ring):
+    from . import cartan
+
     c = cartan.cartan_matrix(params)
     certs = cartan.orthogonal_projective_idempotents(c)
     ok = len(certs) == params.e - 1 and all(
@@ -302,6 +428,8 @@ def _skipped_unless_certified(status, results):
 
 
 def _check_theorem_b(params, ring, fields):
+    from . import cartan
+
     results = []
     status = "ok"
     for K in fields:
@@ -319,6 +447,8 @@ def _check_theorem_b(params, ring, fields):
 
 
 def _check_theorem_c(params, ring, scan_bound):
+    from . import blocks
+
     decomposition = blocks.integral_primitive_decomposition(params)
     report = blocks.rational_central_idempotent_scan(params, bound=scan_bound)
     ok = report.only_zero_and_one and len(decomposition) == params.e
@@ -336,6 +466,8 @@ def _check_theorem_c(params, ring, scan_bound):
 
 
 def _check_theorem_d(params, ring, fields):
+    from . import blocks
+
     results = []
     status = "ok"
     for K in fields:
@@ -351,6 +483,8 @@ _DECISIONS = {"semisimple": "Yes", "inconclusive": "Inconclusive"}
 
 
 def _check_semisimple(params, ring, fields):
+    from . import blocks
+
     results = []
     status = "ok"
     for K in fields:

@@ -432,6 +432,46 @@ def test_semisimplicity_certificates():
     assert d3.method == "quotient_nilpotent"
 
 
+@pytest.mark.parametrize(
+    "pne", INSTANCES + [(2, 1, 1), (3, 4, 2)], ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}"
+)
+def test_top_powers_match_one_class_at_a_time(pne):
+    # all top-level classes raised together equal each class raised alone
+    # by quotient_mult, at characteristic p and off it
+    params = make_params(*pne)
+    ring = tring(params)
+    top = ring.level_range(params.n)
+
+    def quotient(u, v):
+        return ring.quotient_mult(params.n - 1, u, v)
+
+    for q in sorted({params.p, 5 if params.p != 5 else 7}):
+        S = GF(q)
+        for power in (1, 2, 3, q, q * q):
+            one_by_one = [
+                blocks._power(quotient, ring.from_basis(S, b), power).vec[top]
+                for b in ring.basis[top]
+            ]
+            assert (blocks._top_powers(ring, S, power) == np.array(one_by_one)).all()
+
+
+def test_char_p_decision_multiplies_one_element_in_the_quotient(monkeypatch):
+    # (3,4,2) at 3: 54 top classes to the 81st power; only the kernel
+    # element goes through quotient_mult, at most two products per bit
+    calls = []
+    quotient_mult = TRing.quotient_mult
+
+    def counted(self, i, x, y):
+        calls.append(i)
+        return quotient_mult(self, i, x, y)
+
+    monkeypatch.setattr(TRing, "quotient_mult", counted)
+    decision = blocks.semisimplicity_decide(make_params(3, 4, 2), 3)
+    assert decision.method == "quotient_nilpotent"
+    assert decision.certificate["power"] == 81
+    assert 0 < len(calls) <= 2 * (81).bit_length()
+
+
 def test_semisimplicity_char_p_defect_one():
     # n = 1 and q = p: the stated invertibility criterion says semisimple,
     # but the projective-class sum is a nonzero central square-zero element

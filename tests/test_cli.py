@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import INSTANCES, SMALL_INSTANCES
+from conftest import BEYOND_INSTANCES, EDGE_INSTANCES, INSTANCES, SMALL_INSTANCES
 from reference import check_assoc_reference, patch_mult_basis
 
 from tsring import blocks, cli
@@ -19,6 +19,7 @@ from tsring.groupmodel import make_params
 from tsring.mackey import MackeyOracle
 from tsring.tring import (
     NonProj,
+    ProjPair,
     TRing,
     basis_from_json,
     basis_from_label,
@@ -268,6 +269,197 @@ def test_assoc_check_refuses_int64_overflow(fresh_rings, monkeypatch):
     params = make_params(3, 1, 1)
     with pytest.raises(ArithmeticBound):
         _check_assoc(params, tring(params))
+
+
+# ------------------------------------------- the left-nucleus certificate
+
+CERTIFIED = INSTANCES + EDGE_INSTANCES + BEYOND_INSTANCES + [(3, 4, 2), (5, 3, 2)]
+
+
+@pytest.mark.parametrize("pne", CERTIFIED, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}")
+def test_certificate_decides_every_instance(pne):
+    # the closed form is certified from a few generators, and the verdict
+    # is the full expansion's
+    params = make_params(*pne)
+    ring = tring(params)
+    K, V = ring.structure_arrays()
+    gens = cli._left_nucleus_generators(ring, cli._live_terms(K, V))
+    assert gens is not None
+    assert gens[:2] == [ring.index[ring.one_elem], ring.index[ProjPair(0, 0)]]
+    assert set(gens) <= set(cli._generator_candidates(ring))
+    assert _check_assoc(params, ring) == check_assoc_reference(K, V)
+
+
+def test_certificate_expands_at_most_seven_rows_of_triples(monkeypatch):
+    # (3,4,2): the identity, P[0,0], M[1..3,1,0] and two generators of
+    # Γ_4 × Z/2, so at most 7 d^2 of the d^3 triples are expanded
+    params = make_params(3, 4, 2)
+    ring = tring(params)
+    d = ring.dimension()
+    expanded = []
+    first_nonassociative = cli._first_nonassociative
+
+    def counted(terms, d, ab):
+        expanded.append(len(ab) * d)
+        return first_nonassociative(terms, d, ab)
+
+    monkeypatch.setattr(cli, "_first_nonassociative", counted)
+    assert _check_assoc(params, ring) == ("ok", {"checked": str(d**3)})
+    assert 0 < sum(expanded) <= 7 * d * d
+
+
+def _assoc_tensor(K, V):
+    """(e_a e_b) e_c - e_a (e_b e_c) as a d x d x d x d integer array."""
+    d, _, width = K.shape
+    T = np.zeros((d, d, d), dtype=np.int64)
+    np.add.at(T, (*np.indices((d, d, width))[:2], K), V)
+    return np.einsum("abm,mcn->abcn", T, T) - np.einsum("bcm,amn->abcn", T, T)
+
+
+def test_certificate_refuses_the_middle_nucleus(fresh_rings, monkeypatch):
+    # the one nonzero product e_0 e_1 = e_0: a e_0 = 0 and a (e_0 b) lies in
+    # a span(e_0) = 0, so e_0 is in the middle nucleus, but (e_0 e_1) e_1 =
+    # e_0 while e_0 (e_1 e_1) = 0, so it is not in the left nucleus.  The
+    # middle nucleus is a subalgebra too, so generators in it whose words
+    # span would make the table associative: here the words of e_0 do not
+    # span, and the rows the certificate reads are the left nucleus's
+    def mutate(K, V):
+        K[:], V[:] = 0, 0
+        V[0, 1, 0] = 1
+
+    _mutate_structure(monkeypatch, mutate)
+    params = make_params(3, 1, 1)
+    ring = tring(params)
+    K, V = ring.structure_arrays()
+    d = ring.dimension()
+    assoc = _assoc_tensor(K, V)
+    assert not assoc[:, 0].any() and assoc[0].any()
+    terms = cli._live_terms(K, V)
+    # rows g * d + a hold the triples (g, a, b), rows a * d + g (a, g, b)
+    assert cli._first_failure(terms, d, np.arange(d)) is not None
+    assert cli._first_failure(terms, d, np.arange(d) * d) is None
+    assert cli._left_nucleus_generators(ring, terms) is None
+    expected = check_assoc_reference(K, V)
+    assert expected == ("violation", {"checked": str((0 * d + 1) * d + 1)})
+    assert _check_assoc(params, ring) == expected
+
+
+@pytest.mark.parametrize("kind", ["zero algebra", "P[0,0] row zeroed"])
+def test_certificate_refuses_words_that_do_not_span(fresh_rings, monkeypatch, kind):
+    # words that miss a class certify nothing, associative or not: the
+    # zero algebra is associative, and with P[0,0] e_b = 0 no left product
+    # reaches P[lam, mu] for mu != 0, while (e_a P[0,0]) e_b != 0 breaks
+    # associativity; the scan decides both
+    params = make_params(3, 2, 2)
+    ring = tring(params)
+    one = ring.index[ring.one_elem]
+    assert cli._spanning_generators(*ring.structure_arrays(), [one]) is None
+    tring.cache_clear()
+
+    def mutate(K, V):
+        if kind == "zero algebra":
+            V[:] = 0
+        else:
+            V[0] = 0
+
+    _mutate_structure(monkeypatch, mutate)
+    ring = tring(params)
+    K, V = ring.structure_arrays()
+    assert cli._spanning_generators(K, V, cli._generator_candidates(ring)) is None
+    assert cli._left_nucleus_generators(ring, cli._live_terms(K, V)) is None
+    expected = check_assoc_reference(K, V)
+    assert (expected[0] == "ok") == (kind == "zero algebra")
+    assert _check_assoc(params, ring) == expected
+
+
+# (3,1,2), whose candidates are M[1,1,0], P[0,0] and M[1,1,1]: u = M[1,1,0]
+# is the identity, s = P[0,0] and t = M[1,1,1] generate the commutative
+# associative W = span(u, s, t, t^2, ts) with s^2 = t^3 = t^2 s = 0, and the
+# last class x has x t = x and x y = y x = 0 for the other y != u, so
+# (x, t, t) = x; u, s and t are in the left nucleus (t W and s W carry no
+# u, and s x = t x = 0) and their words span only W
+ONE_SHORT = {"u": 4, "s": 0, "t": 5, "tt": 1, "ts": 2, "x": 3}
+ONE_SHORT_PRODUCTS = [("s", "t", "ts"), ("t", "s", "ts"), ("t", "t", "tt"), ("x", "t", "x")]
+
+
+def test_certificate_refuses_words_one_class_short(fresh_rings, monkeypatch):
+    def mutate(K, V):
+        K[:], V[:] = 0, 0
+        u = ONE_SHORT["u"]
+        for y in range(K.shape[0]):
+            K[u, y, 0] = K[y, u, 0] = y
+            V[u, y, 0] = V[y, u, 0] = 1
+        for a, b, c in ONE_SHORT_PRODUCTS:
+            K[ONE_SHORT[a], ONE_SHORT[b], 0] = ONE_SHORT[c]
+            V[ONE_SHORT[a], ONE_SHORT[b], 0] = 1
+
+    _mutate_structure(monkeypatch, mutate)
+    params = make_params(3, 1, 2)
+    ring = tring(params)
+    K, V = ring.structure_arrays()
+    d = ring.dimension()
+    gens = [ONE_SHORT[g] for g in "ust"]
+    assert cli._generator_candidates(ring) == gens
+    assert not _assoc_tensor(K, V)[gens].any()
+    terms = cli._live_terms(K, V)
+    assert cli._first_failure(terms, d, (np.sort(gens)[:, None] * d + np.arange(d)).ravel()) is None
+    assert cli._spanning_generators(K, V, gens) is None
+    assert cli._left_nucleus_generators(ring, terms) is None
+    expected = check_assoc_reference(K, V)
+    assert expected[0] == "violation"
+    assert _check_assoc(params, ring) == expected
+
+
+SEMIGROUPS = {
+    "max": lambda a, b, d: max(a, b),
+    "min": lambda a, b, d: min(a, b),
+    "left zero": lambda a, b, d: a,
+    "right zero": lambda a, b, d: b,
+    "cyclic group": lambda a, b, d: (a + b) % d,
+}
+
+
+@pytest.mark.parametrize("pne", [(3, 1, 1), (2, 2, 1), (5, 1, 1)], ids=["d3", "d4", "d5"])
+def test_certificate_never_certifies_a_nonassociative_table(monkeypatch, pne):
+    # random integer tables of one term per product, d = 3, 4 and 5: the
+    # algebra of a relabelled associative semigroup, with no, one or two
+    # slots changed, or a table drawn at random; whatever the certificate
+    # certifies, the full expansion must find associative
+    params = make_params(*pne)
+    rng = random.Random(pne[0] * 100 + pne[1])
+    certified = refused = 0
+    for _ in range(120):
+        d = TRing(params).dimension()
+        name = rng.choice([*SEMIGROUPS, "random"])
+
+        def mutate(K, V):
+            if name == "random":
+                K[...] = np.array([rng.randrange(d) for _ in range(K.size)]).reshape(K.shape)
+                V[...] = np.array([rng.randint(-2, 2) for _ in range(V.size)]).reshape(V.shape)
+                return
+            perm = rng.sample(range(d), d)
+            for a in range(d):
+                for b in range(d):
+                    K[perm[a], perm[b]] = perm[SEMIGROUPS[name](a, b, d)]
+            V[...] = 1
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                a, b = rng.randrange(d), rng.randrange(d)
+                K[a, b, 0], V[a, b, 0] = rng.randrange(d), rng.randint(-1, 2)
+
+        _mutate_structure(monkeypatch, mutate)
+        ring = TRing(params)  # uncached: each table builds its own arrays
+        K, V = ring.structure_arrays()
+        expected = check_assoc_reference(K, V)
+        gens = cli._left_nucleus_generators(ring, cli._live_terms(K, V))
+        if gens is not None:
+            assert expected[0] == "ok", (name, K.tolist(), V.tolist(), gens)
+            certified += len(gens) < d
+        else:
+            refused += expected[0] == "violation"
+        assert _check_assoc(params, ring) == expected
+    # the lemma was used, on fewer generators than classes, and tables
+    # were refused
+    assert certified and refused
 
 
 def test_verify_theorem_d(capsys):
