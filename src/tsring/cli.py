@@ -338,7 +338,7 @@ def _spanning_generators(K, V, candidates):
             continue
         gens.append(c)
         fresh = np.concatenate((fresh, extend(act(c, echelon))))
-        while len(fresh):
+        while len(fresh) and len(pivots) < d:
             fresh = extend(np.concatenate([act(g, fresh) for g in gens]))
     return gens if len(pivots) == d else None
 

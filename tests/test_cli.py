@@ -207,11 +207,23 @@ def test_assoc_check_agrees_with_loop_under_mutation(fresh_rings, monkeypatch, s
     assert _check_assoc(params, ring) == expected
 
 
-@pytest.mark.parametrize("pne", INSTANCES, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}")
+CERTIFIED = list(
+    dict.fromkeys(INSTANCES + EDGE_INSTANCES + BEYOND_INSTANCES + [(3, 4, 2), (5, 3, 2)])
+)
+
+
+@pytest.mark.parametrize("pne", CERTIFIED, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}")
 def test_assoc_check_all_instances(pne):
+    # the closed form is certified from a few generators in the left
+    # nucleus, and the verdict is the full expansion's
     params = make_params(*pne)
     ring = tring(params)
-    assert _check_assoc(params, ring) == ("ok", {"checked": str(ring.dimension() ** 3)})
+    K, V = ring.structure_arrays()
+    gens = cli._left_nucleus_generators(ring, cli._live_terms(K, V))
+    assert gens is not None and gens[:2] == [ring.index[ring.one_elem], ring.index[ProjPair(0, 0)]]
+    assert set(gens) <= set(cli._generator_candidates(ring))
+    expected = ("ok", {"checked": str(ring.dimension() ** 3)})
+    assert _check_assoc(params, ring) == check_assoc_reference(K, V) == expected
 
 
 def _mutate_structure(monkeypatch, mutate):
@@ -272,22 +284,6 @@ def test_assoc_check_refuses_int64_overflow(fresh_rings, monkeypatch):
 
 
 # ------------------------------------------- the left-nucleus certificate
-
-CERTIFIED = INSTANCES + EDGE_INSTANCES + BEYOND_INSTANCES + [(3, 4, 2), (5, 3, 2)]
-
-
-@pytest.mark.parametrize("pne", CERTIFIED, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}")
-def test_certificate_decides_every_instance(pne):
-    # the closed form is certified from a few generators, and the verdict
-    # is the full expansion's
-    params = make_params(*pne)
-    ring = tring(params)
-    K, V = ring.structure_arrays()
-    gens = cli._left_nucleus_generators(ring, cli._live_terms(K, V))
-    assert gens is not None
-    assert gens[:2] == [ring.index[ring.one_elem], ring.index[ProjPair(0, 0)]]
-    assert set(gens) <= set(cli._generator_candidates(ring))
-    assert _check_assoc(params, ring) == check_assoc_reference(K, V)
 
 
 def test_certificate_expands_at_most_seven_rows_of_triples(monkeypatch):
