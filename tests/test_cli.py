@@ -220,7 +220,8 @@ def test_assoc_check_all_instances(pne):
     ring = tring(params)
     K, V = ring.structure_arrays()
     gens = cli._left_nucleus_generators(ring, cli._live_terms(K, V))
-    assert gens is not None and gens[:2] == [ring.index[ring.one_elem], ring.index[ProjPair(0, 0)]]
+    assert gens is not None
+    assert gens[:2] == [ring.index[ring.one_elem], ring.index[ProjPair(0, 0)]]
     assert set(gens) <= set(cli._generator_candidates(ring))
     expected = ("ok", {"checked": str(ring.dimension() ** 3)})
     assert _check_assoc(params, ring) == check_assoc_reference(K, V) == expected
@@ -398,7 +399,8 @@ def test_certificate_refuses_words_one_class_short(fresh_rings, monkeypatch):
     assert cli._generator_candidates(ring) == gens
     assert not _assoc_tensor(K, V)[gens].any()
     terms = cli._live_terms(K, V)
-    assert cli._first_failure(terms, d, (np.sort(gens)[:, None] * d + np.arange(d)).ravel()) is None
+    rows = (np.sort(gens)[:, None] * d + np.arange(d)).ravel()
+    assert cli._first_failure(terms, d, rows) is None
     assert cli._spanning_generators(K, V, gens) is None
     assert cli._left_nucleus_generators(ring, terms) is None
     expected = check_assoc_reference(K, V)
@@ -430,8 +432,8 @@ def test_certificate_never_certifies_a_nonassociative_table(monkeypatch, pne):
 
         def mutate(K, V):
             if name == "random":
-                K[...] = np.array([rng.randrange(d) for _ in range(K.size)]).reshape(K.shape)
-                V[...] = np.array([rng.randint(-2, 2) for _ in range(V.size)]).reshape(V.shape)
+                K.flat = [rng.randrange(d) for _ in range(K.size)]
+                V.flat = [rng.randint(-2, 2) for _ in range(V.size)]
                 return
             perm = rng.sample(range(d), d)
             for a in range(d):
