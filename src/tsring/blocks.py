@@ -25,6 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .cartan import (
+    TwistedMatRing,
     _rank_one_corner,
     cartan_matrix,
     matrix_to_projective_element,
@@ -41,6 +42,7 @@ from .exactarith import (
     field_mat_mul,
     field_of_characteristic,
     nullspace_over_field,
+    prime_factors,
     rank_over_field,
     residues,
 )
@@ -189,16 +191,8 @@ class LevelGroup:
 
 def _mobius(d: int) -> int:
     """mu(d): 0 unless d is squarefree, else (-1)^(number of prime factors)."""
-    mu = 1
-    q = 2
-    while d > 1:
-        if d % q == 0:
-            d //= q
-            if d % q == 0:
-                return 0
-            mu = -mu
-        q += 1
-    return mu
+    primes = prime_factors(d)
+    return 0 if len(set(primes)) < len(primes) else (-1) ** len(primes)
 
 
 @lru_cache(maxsize=None)
@@ -565,39 +559,42 @@ def _build_level_iso(ring: TRing, S, i: int, fi: RingElement) -> LevelBlockIso:
 def integral_primitive_decomposition(params: ModelParams) -> list[RingElement]:
     """e orthogonal idempotents over Z summing to 1; all but one projective.
 
-    The projective members carry a rank-one-corner primitivity witness;
-    the residual's primitivity has no finite certificate and is not
-    claimed here.
+    The e - 1 projective members P[i,i] - P[e-1,i] are certified on their
+    e x e coefficient matrices by theorem-a's twisted product
+    (`cartan.TwistedMatRing`).  The P x P block of (K, V) is that product
+    (`_projective_products_match`), so they are orthogonal idempotents of
+    the ring; `corner_rank_is_one` adds the rank-one-corner primitivity
+    witness.  The residual 1 - sum of the members sums the family to 1 by
+    construction and is checked with 2e - 1 ring products against them.
+    Its primitivity has no finite certificate and is not claimed here.
     """
     ring = tring(params)
     e = params.e
-    eps = []
-    for i in range(e - 1):
-        coeffs = {ProjPair(i, i): 1, ProjPair(e - 1, i): -1}
-        eps.append(ring.element(ZZ, coeffs))
-    residual = ring.one(ZZ)
-    for x in eps:
-        residual = residual - x
-    decomposition = eps + [residual]
-    for x in decomposition:
-        if ring.mult(x, x) != x:
-            _violation("integral idempotent", ring.mult(x, x), x)
-    for a_idx, x in enumerate(decomposition):
-        for b_idx, y in enumerate(decomposition):
-            if a_idx != b_idx and not ring.mult(x, y).is_zero():
-                _violation("orthogonality", ring.mult(x, y), 0)
-    total = ring.zero(ZZ)
-    for x in decomposition:
-        total = total + x
-    if total != ring.one(ZZ):
-        _violation("decomposition sum", total, ring.one(ZZ))
+    c = cartan_matrix(params)
+    eps = [ring.element(ZZ, {ProjPair(i, i): 1, ProjPair(e - 1, i): -1}) for i in range(e - 1)]
+    # decided before the corner test, which refuses a non-idempotent
+    if not _projective_products_match(ring, c):
+        _violation("projective products", None, None)
+    twisted = TwistedMatRing(e, c)
+    mats = [projective_element_to_matrix(x) for x in eps]
+    for a, x in enumerate(mats):
+        if not twisted.is_idempotent(x):
+            _violation("integral idempotent", twisted.mult(x, x).tolist(), x.tolist())
+        for y in mats[a + 1 :]:
+            if not twisted.are_orthogonal(x, y):
+                _violation("orthogonality", x.tolist(), y.tolist())
     for x in eps:
         if not corner_rank_is_one(ring, x):
             _violation("rank-one corner", x, None)
-    outside = [x for x in decomposition if x.vec[e * e :].any()]
-    if len(outside) > 1:
-        _violation("members outside the projective span", len(outside), 1)
-    return decomposition
+    residual = ring.one(ZZ)
+    for x in eps:
+        residual = residual - x
+    if ring.mult(residual, residual) != residual:
+        _violation("integral idempotent", ring.mult(residual, residual), residual)
+    for x in eps:
+        if not (ring.mult(x, residual).is_zero() and ring.mult(residual, x).is_zero()):
+            _violation("orthogonality", x, residual)
+    return eps + [residual]
 
 
 def corner_rank_is_one(ring: TRing, x: RingElement) -> bool:
@@ -633,7 +630,6 @@ def corner_rank_is_one(ring: TRing, x: RingElement) -> bool:
 
 @dataclass
 class ScanReport:
-    params: ModelParams
     primitive_count: int
     sums_checked: int
     integral_masks: list  # bitmask per integral sum, ascending
@@ -643,39 +639,47 @@ class ScanReport:
 def primitive_central_idempotents_q(params: ModelParams) -> list[RingElement]:
     """All primitive central idempotents of the ring over Q, verified.
 
-    The ring over Q is a matrix algebra times the Q[Gamma_i], and Q[Gamma_i]
-    has one simple component per cyclic subgroup of Gamma_i (Perlis-Walker).
-    A complete family of nonzero orthogonal central idempotents that large
-    is therefore primitive; count, nonzeroness, idempotency, centrality,
-    orthogonality and the sum are all checked.
+    Theorem D (`central_decomposition`) certifies R as the direct sum of
+    the blocks R f_i: f_0 .. f_n are orthogonal central idempotents summing
+    to 1, R f_0 is a matrix algebra and psi^-1 maps Q[Gamma_i] onto R f_i
+    isomorphically.  So f_0 is primitive, and each level's family is
+    checked in Q[Gamma_i] at size |Gamma_i| (`ga_mul`): nonzero,
+    idempotent, pairwise orthogonal, summing to 1 = M[i, 1, 0], and central
+    because the table of Gamma_i is symmetric.  Through psi^-1 the members
+    are orthogonal idempotents of R f_i, central in R as the f_i are, and
+    all families together sum to 1.  Q[Gamma_i] has one simple component
+    per cyclic subgroup of Gamma_i (Perlis-Walker), so a family that large
+    is primitive.  Centrality in R is re-checked on the f_i only.
     """
     ring = tring(params)
     decomp = central_decomposition(params, QQ)
+    for f in decomp.projectors:
+        outside = ring.noncommuting(f)
+        if outside:
+            _violation("centrality of primitive idempotent", f, outside[0])
     prims = [decomp.projectors[0]]
-    for i in range(1, params.n + 1):
-        iso = decomp.isos[i]
-        idems = iso.gamma.primitive_rational_idempotents()
-        cyclic = len(iso.gamma.cyclic_subgroups)
+    for iso in decomp.isos[1:]:
+        gamma, i = iso.gamma, iso.level
+        if not (gamma._table == gamma._table.T).all():
+            _violation(f"Gamma_{i} is abelian", None, None)
+        idems = gamma.primitive_rational_idempotents()
+        cyclic = len(gamma.cyclic_subgroups)
         if len(idems) != cyclic:
             _violation(f"simple components of Q[Gamma_{i}]", len(idems), cyclic)
-        prims.extend(iso.from_group_algebra(idem) for idem in idems)
-    for x in prims:
-        if x.is_zero():
-            _violation("primitive central idempotent is nonzero", x, None)
-        if ring.mult(x, x) != x:
-            _violation("primitive central idempotent", ring.mult(x, x), x)
-        outside = ring.noncommuting(x)
-        if outside:
-            _violation("centrality of primitive idempotent", x, outside[0])
-    for a_idx, x in enumerate(prims):
-        for b_idx, y in enumerate(prims):
-            if a_idx != b_idx and not ring.mult(x, y).is_zero():
-                _violation("orthogonality of primitive idempotents", x, y)
-    total = ring.zero(QQ)
-    for x in prims:
-        total = total + x
-    if total != ring.one(QQ):
-        _violation("primitive idempotent sum", total, ring.one(QQ))
+        total = ring.zero(QQ)
+        for a, x in enumerate(idems):
+            if x.is_zero():
+                _violation("primitive central idempotent is nonzero", x, None)
+            if ga_mul(gamma, x, x) != x:
+                _violation("primitive central idempotent", ga_mul(gamma, x, x), x)
+            for y in idems[a + 1 :]:
+                if not ga_mul(gamma, x, y).is_zero():
+                    _violation("orthogonality of primitive idempotents", x, y)
+            total = total + x
+        one = ring.from_basis(QQ, ring.basis[gamma.span.start])
+        if total != one:
+            _violation("primitive idempotent sum", total, one)
+        prims.extend(iso.from_group_algebra(x) for x in idems)
     return prims
 
 
@@ -713,7 +717,6 @@ def rational_central_idempotent_scan(
         and integral[1][1] == ring.one(QQ)
     )
     return ScanReport(
-        params=params,
         primitive_count=k,
         sums_checked=1 << k,
         integral_masks=masks,
@@ -728,8 +731,6 @@ def rational_central_idempotent_scan(
 
 @dataclass
 class SemisimplicityDecision:
-    params: ModelParams
-    field_char: int
     verdict: str  # "semisimple" | "not_semisimple" | "inconclusive"
     method: str
     certificate: dict = field(default_factory=dict)
@@ -777,8 +778,6 @@ def semisimplicity_decide(params: ModelParams, q: int) -> SemisimplicityDecision
     rank = rank_over_field(gram, S)
     if rank == d:
         return SemisimplicityDecision(
-            params=params,
-            field_char=q,
             verdict="semisimple",
             method="trace_form_nondegenerate",
             certificate={"gram_rank": rank, "dimension": d},
@@ -798,8 +797,6 @@ def semisimplicity_decide(params: ModelParams, q: int) -> SemisimplicityDecision
                 cert["block_level"] = i
                 cert["block_order"] = block_order
                 return SemisimplicityDecision(
-                    params=params,
-                    field_char=q,
                     verdict="not_semisimple",
                     method="central_nilpotent_block",
                     certificate=cert,
@@ -807,11 +804,8 @@ def semisimplicity_decide(params: ModelParams, q: int) -> SemisimplicityDecision
     if q == params.p:
         decision = _char_p_nilpotent(params, ring, S)
         if decision is not None:
-            decision.field_char = q
             return decision
     return SemisimplicityDecision(
-        params=params,
-        field_char=q,
         verdict="inconclusive",
         method="none",
         certificate={"gram_rank": rank, "dimension": d},
@@ -874,8 +868,6 @@ def _char_p_nilpotent(params, ring, S):
         z = ring.from_vector(S, kernel[0], ring.level_range(params.n))
         if not z.is_zero() and quotient_power(z, power).is_zero():
             return SemisimplicityDecision(
-                params=params,
-                field_char=p,
                 verdict="not_semisimple",
                 method="quotient_nilpotent",
                 certificate={
@@ -889,8 +881,6 @@ def _char_p_nilpotent(params, ring, S):
     cert = _central_nilpotent_certificate(ring, z)
     if cert is not None:
         return SemisimplicityDecision(
-            params=params,
-            field_char=p,
             verdict="not_semisimple",
             method="projective_sum_nilpotent",
             certificate=cert,

@@ -30,7 +30,6 @@ from .tring import (
     _segment_sum,
     basis_label,
     basis_to_json,
-    sort_key,
     tring,
 )
 
@@ -103,17 +102,14 @@ def cmd_table(args) -> int:
 
     params = make_params(args.p, args.n, args.e)
     ring = tring(params)
-    rows = []
-    for a in ring.basis:
-        for b in ring.basis:
-            prod = ring.mult_basis(a, b)
-            rows.append(
-                (
-                    a,
-                    b,
-                    sorted(prod.items(), key=lambda kv: sort_key(kv[0])),
-                )
-            )
+    K, V = ring.structure_arrays()
+    basis = ring.basis
+    # the live slots of (K, V), terms in basis order, the report order
+    rows = [
+        (basis[a], basis[b], [(basis[c], v) for c, v in sorted(zip(ks, vs)) if v])
+        for a, (Ka, Va) in enumerate(zip(K.tolist(), V.tolist()))
+        for b, (ks, vs) in enumerate(zip(Ka, Va))
+    ]
     if args.format == "json":
         payload = {
             "rows": [
@@ -469,14 +465,13 @@ def _check_theorem_d(params, ring, fields):
     from . import blocks
 
     results = []
-    status = "ok"
     for K in fields:
         if K.characteristic == params.p:
             results.append({"field": K.name, "status": "skipped (char p)"})
             continue
         decomp = blocks.central_decomposition(params, K)
         results.append({"field": K.name, "dims": [str(d) for d in decomp.dims]})
-    return _skipped_unless_certified(status, results), {"fields": results}
+    return _skipped_unless_certified("ok", results), {"fields": results}
 
 
 _DECISIONS = {"semisimple": "Yes", "inconclusive": "Inconclusive"}

@@ -34,15 +34,19 @@ import numpy as np
 from .errors import NotInvertible, NotPrime, ShapeMismatch
 
 
+def prime_factors(n: int) -> list:
+    """The prime factors of n >= 1 with multiplicity, ascending, by trial division."""
+    out, q = [], 2
+    while q * q <= n:
+        while n % q == 0:
+            out.append(q)
+            n //= q
+        q += 1
+    return out + [n] if n > 1 else out
+
+
 def is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
+    return q >= 2 and prime_factors(q) == [q]
 
 
 # --------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .errors import (
     TheoremViolation,
     TwoBlocked,
 )
-from .exactarith import as_matrix, is_prime
+from .exactarith import as_matrix, is_prime, prime_factors
 
 GElement = tuple  # (x, r) with x in Z/p^n and r a unit lying in E
 GGPair = tuple  # (g, h) with g, h GElements
@@ -105,19 +105,11 @@ class ModelParams:
                 return 3
             raise BadOrder("the unit group mod 2^n is not cyclic for n >= 3")
         order = self.unit_group_order
-        prime_factors = set()
-        t, d = order, 2
-        while d * d <= t:
-            while t % d == 0:
-                prime_factors.add(d)
-                t //= d
-            d += 1
-        if t > 1:
-            prime_factors.add(t)
+        primes = set(prime_factors(order))
         for g in range(2, self.pn):
             if g % self.p == 0:
                 continue
-            if all(pow(g, order // q, self.pn) != 1 for q in prime_factors):
+            if all(pow(g, order // q, self.pn) != 1 for q in primes):
                 return g
         raise AssertionError("no primitive root found")
 

@@ -62,12 +62,6 @@ class NonProj:
 BasisElement = object  # ProjPair | NonProj
 
 
-def sort_key(b):
-    if isinstance(b, ProjPair):
-        return (0, b.lam, b.mu)
-    return (1, b.level, b.alpha, b.lam)
-
-
 def basis_label(b) -> str:
     if isinstance(b, ProjPair):
         return f"P[{b.lam},{b.mu}]"
@@ -265,7 +259,8 @@ class TRing:
     # ------------------------------------------------------- multiplication
 
     def mult_basis(self, a, b) -> dict:
-        """Structure constants of a * b as a basis-to-int map."""
+        """Structure constants of a * b as a basis-to-int map, from the four
+        rules one pair at a time: the reference (K, V) is checked against."""
         params = self.params
         e = params.e
         out: dict = {}

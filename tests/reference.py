@@ -685,6 +685,13 @@ def structure_arrays_reference(ring):
     return K.reshape(d, d, width), V.reshape(d, d, width)
 
 
+def sort_key(b):
+    """The order of the basis: projective pairs, then levels, cosets, characters."""
+    if isinstance(b, ProjPair):
+        return (0, b.lam, b.mu)
+    return (1, b.level, b.alpha, b.lam)
+
+
 def patch_mult_basis(monkeypatch, mult_basis):
     """Replace `TRing.mult_basis` and build (K, V) from it, so that a
     mutated basis product reaches every product of the ring."""

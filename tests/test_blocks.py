@@ -24,7 +24,7 @@ from reference import (
 
 from tsring import blocks
 from tsring.cartan import cartan_inverse, cartan_matrix
-from tsring.cli import main
+from tsring.cli import _check_theorem_c, main
 from tsring.errors import BadLevel, CharIsP, ScanTooLarge, TheoremViolation
 from tsring.exactarith import GF, QQ, ZZ, field_mat_mul, rank_over_field
 from tsring.groupmodel import make_params
@@ -119,6 +119,12 @@ def test_ga_mul_is_the_tuple_law(small_params, S):
                 gamma, level_element(params, i, S, x), level_element(params, i, S, y)
             )
             assert product == level_element(params, i, S, ga_mul_reference(params, i, S, x, y))
+
+
+def test_mobius_is_the_inverse_of_the_constant_function():
+    # mu is the one function with sum over k | n of mu(k) = [n == 1]
+    for n in range(1, 501):
+        assert sum(blocks._mobius(k) for k in range(1, n + 1) if n % k == 0) == (n == 1)
 
 
 def test_level_group_idempotent_count_examples():
@@ -958,3 +964,74 @@ def test_noncentral_primitive_names_the_class(fresh_rings, monkeypatch):
         1,
         f"centrality of primitive idempotent: {eps!r} != {first!r}",
     )
+
+
+def test_theorem_c_certificates_stay_small(fresh_rings, monkeypatch):
+    # theorem-c multiplies only the residual against the e - 1 projective
+    # members, the corner members and the lifts of the level primitives,
+    # and reads actions only for the centrality of f_0 .. f_n; theorem D's
+    # own certificate, built once per ring, is counted elsewhere
+    params = make_params(5, 2, 4)
+    ring = tring(params)
+    blocks.central_decomposition(params, QQ)
+    mult, actions = TRing.mult, TRing.actions
+    calls = {"mult": 0, "actions": 0}
+
+    def counted_mult(self, x, y):
+        calls["mult"] += 1
+        return mult(self, x, y)
+
+    def counted_actions(self, x, side="both"):
+        calls["actions"] += 1
+        return actions(self, x, side)
+
+    monkeypatch.setattr(TRing, "mult", counted_mult)
+    monkeypatch.setattr(TRing, "actions", counted_actions)
+    status, payload = _check_theorem_c(params, ring, 20)
+    k = int(payload["scan_primitives"])
+    assert (status, k, payload["integral_masks"]) == ("ok", 10, ["0", str((1 << k) - 1)])
+    assert calls["mult"] <= 3 * params.e + k
+    assert calls["actions"] <= params.n + 1
+
+
+def _doubled(idems):
+    return [idems[0].scale(2)] + idems[1:]
+
+
+def _merged(idems):
+    return [idems[0] + idems[1]] + idems[1:]
+
+
+@pytest.mark.parametrize("forge", [_doubled, _merged], ids=["doubled", "merged"])
+def test_forged_level_primitives_fail_theorem_c(fresh_rings, monkeypatch, forge):
+    # a doubled member is no idempotent; the sum of two is one, but it is
+    # not orthogonal to either summand
+    params = make_params(3, 2, 2)
+    original = blocks.LevelGroup.primitive_rational_idempotents
+    monkeypatch.setattr(
+        blocks.LevelGroup,
+        "primitive_rational_idempotents",
+        lambda self: forge(original(self)),
+    )
+    code, error = _theorem_d_error(params, QQ, "theorem-c")
+    assert code == 1
+    name = "primitive central idempotent" if forge is _doubled else "orthogonality"
+    assert error.startswith(name)
+
+
+def test_broken_projective_product_fails_theorem_c(fresh_rings, monkeypatch):
+    # P[0,0] * P[0,0] off by one: the twisted e x e certificate no longer
+    # describes the ring, which must be a violation, not a refused corner
+    params = make_params(3, 2, 2)
+    original = TRing.mult_basis
+
+    def mult_basis(self, x, y):
+        prod = original(self, x, y)
+        if x == y == ProjPair(0, 0):
+            prod = {c: v + 1 for c, v in prod.items()}
+        return prod
+
+    patch_mult_basis(monkeypatch, mult_basis)
+    code, error = _theorem_d_error(params, QQ, "theorem-c")
+    assert code == 1
+    assert error == "projective products: None != None"

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import BEYOND_INSTANCES, EDGE_INSTANCES, INSTANCES, SMALL_INSTANCES
-from reference import check_assoc_reference, patch_mult_basis
+from reference import check_assoc_reference, patch_mult_basis, sort_key
 
 from tsring import blocks, cli
 from tsring.cli import _check_assoc, main
@@ -99,6 +99,23 @@ def test_table_csv_agrees_with_json(capsys):
             prod[basis_from_label(label)] = int(coeff)
         csv_rows[(basis_from_label(a_txt), basis_from_label(b_txt))] = prod
     assert json_rows == csv_rows
+
+
+@pytest.mark.parametrize("triple", [(3, 2, 2), (5, 1, 4)], ids=["p3n2e2", "p5n1e4"])
+def test_table_rows_are_the_basis_products(capsys, triple):
+    # the table reads (K, V): row by row it must be `mult_basis`, terms in
+    # `sort_key` order, pairs in basis order
+    args = ["--p", str(triple[0]), "--n", str(triple[1]), "--e", str(triple[2])]
+    code, out = run_cli(["table", *args, "--format", "json"], capsys)
+    assert code == 0
+    ring = tring(make_params(*triple))
+    rows = json.loads(out)["payload"]["rows"]
+    pairs = [(a, b) for a in ring.basis for b in ring.basis]
+    assert len(rows) == len(pairs)
+    for row, (a, b) in zip(rows, pairs):
+        assert (basis_from_json(row["a"]), basis_from_json(row["b"])) == (a, b)
+        product = [(basis_from_json(t["basis"]), int(t["coeff"])) for t in row["product"]]
+        assert product == sorted(ring.mult_basis(a, b).items(), key=lambda kv: sort_key(kv[0]))
 
 
 def test_verify_oracle(capsys):
@@ -537,7 +554,7 @@ def test_verify_semisimple_violation_at_char_p(monkeypatch, capsys):
     # a decision of "semisimple" at characteristic p contradicts the
     # expected verdict even where p - 1 is invertible
     def decide(params, q):
-        return blocks.SemisimplicityDecision(params, q, "semisimple", "injected")
+        return blocks.SemisimplicityDecision("semisimple", "injected")
 
     monkeypatch.setattr(blocks, "semisimplicity_decide", decide)
     args = ["--p", "3", "--n", "1", "--e", "1", "--which", "semisimple", "--field", "F3"]
@@ -554,7 +571,7 @@ def test_verify_semisimple_violation_outranks_inconclusive(monkeypatch, capsys):
     # a violation at F3 stands even when a later field is inconclusive
     def decide(params, q):
         verdict = "semisimple" if q == 3 else "inconclusive"
-        return blocks.SemisimplicityDecision(params, q, verdict, "injected")
+        return blocks.SemisimplicityDecision(verdict, "injected")
 
     monkeypatch.setattr(blocks, "semisimplicity_decide", decide)
     args = ["--p", "3", "--n", "1", "--e", "1", "--which", "semisimple", "--field", "F3,F5"]

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic and Smith normal form."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from tsring.exactarith import (
     is_prime,
     mat_inverse_over_field,
     nullspace_over_field,
+    prime_factors,
     rank_over_field,
     scalar_ring,
     snf,
@@ -286,6 +288,14 @@ def test_det_int_matches_field_det():
 
 def test_is_prime_small():
     assert [q for q in range(2, 20) if is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_prime_factors_multiply_back():
+    for n in range(1, 2001):
+        factors = prime_factors(n)
+        assert factors == sorted(factors)
+        assert all(q > 1 and all(q % r for r in range(2, math.isqrt(q) + 1)) for q in factors)
+        assert math.prod(factors) == n
 
 
 def test_mat_mul_int():

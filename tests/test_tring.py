@@ -8,7 +8,7 @@ import pytest
 from conftest import BEYOND_INSTANCES, EDGE_INSTANCES, INSTANCES
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import det_over_field, structure_arrays_reference
+from reference import det_over_field, sort_key, structure_arrays_reference
 
 from tsring.cli import _check_assoc
 from tsring.errors import BadLevel, ParamsMismatch, ScalarMismatch
@@ -22,7 +22,6 @@ from tsring.tring import (
     basis_from_label,
     basis_label,
     basis_to_json,
-    sort_key,
     tring,
 )
 
