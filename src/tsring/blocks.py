@@ -13,12 +13,13 @@ once the twist unit c_i = 1 + m_i * sum over characters is divided out
 (its explicit inverse d_i exists whenever p is invertible).
 
 This module also provides the integral primitive decomposition of 1, a
-scan certifying that 0 and 1 are the only integral central idempotents,
+certificate that 0 and 1 are the only integral central idempotents,
 and a certified semisimplicity decision procedure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -42,6 +43,7 @@ from .exactarith import (
     field_mat_mul,
     field_of_characteristic,
     nullspace_over_field,
+    order_components,
     prime_factors,
     rank_over_field,
     residues,
@@ -424,14 +426,9 @@ def _decompose(ring: TRing, S) -> BlockDecomposition:
 
     # R f_0 contains the level-0 span, x -> x f_i is injective on the
     # level-i span (certified in `_build_level_iso`), and the level sizes
-    # add up to d: each block has exactly the dimension of its level
-    dims = []
-    for i in range(n + 1):
-        dim = len(ring.level_basis(i))
-        expected = params.e**2 if i == 0 else params.p ** (i - 1) * (params.p - 1)
-        if dim != expected:
-            _violation(f"dim of block {i}", dim, expected)
-        dims.append(dim)
+    # add up to d: each block has exactly the dimension of its level, e^2
+    # projective classes and p^(i-1)(p-1) at level i (`LevelGroup`)
+    dims = [len(ring.level_basis(i)) for i in range(n + 1)]
 
     return BlockDecomposition(
         params=params,
@@ -586,9 +583,7 @@ def integral_primitive_decomposition(params: ModelParams) -> list[RingElement]:
     for x in eps:
         if not corner_rank_is_one(ring, x):
             _violation("rank-one corner", x, None)
-    residual = ring.one(ZZ)
-    for x in eps:
-        residual = residual - x
+    residual = ring.one(ZZ) - sum(eps, ring.zero(ZZ))
     if ring.mult(residual, residual) != residual:
         _violation("integral idempotent", ring.mult(residual, residual), residual)
     for x in eps:
@@ -624,7 +619,7 @@ def corner_rank_is_one(ring: TRing, x: RingElement) -> bool:
 
 
 # --------------------------------------------------------------------------
-# the rational central idempotent scan
+# the integral central idempotents
 # --------------------------------------------------------------------------
 
 
@@ -644,12 +639,12 @@ def primitive_central_idempotents_q(params: ModelParams) -> list[RingElement]:
     to 1, R f_0 is a matrix algebra and psi^-1 maps Q[Gamma_i] onto R f_i
     isomorphically.  So f_0 is primitive, and each level's family is
     checked in Q[Gamma_i] at size |Gamma_i| (`ga_mul`): nonzero,
-    idempotent, pairwise orthogonal, summing to 1 = M[i, 1, 0], and central
-    because the table of Gamma_i is symmetric.  Through psi^-1 the members
-    are orthogonal idempotents of R f_i, central in R as the f_i are, and
-    all families together sum to 1.  Q[Gamma_i] has one simple component
-    per cyclic subgroup of Gamma_i (Perlis-Walker), so a family that large
-    is primitive.  Centrality in R is re-checked on the f_i only.
+    idempotent, pairwise orthogonal, and central because the table of
+    Gamma_i is symmetric.  Q[Gamma_i] is a product of one field per cyclic
+    subgroup of Gamma_i (Perlis-Walker), so a family that large is its
+    primitive idempotents, summing to 1.  Through psi^-1 the members are
+    orthogonal idempotents of R f_i, central in R as the f_i are.
+    Centrality in R is re-checked on the f_i only.
     """
     ring = tring(params)
     decomp = central_decomposition(params, QQ)
@@ -666,7 +661,6 @@ def primitive_central_idempotents_q(params: ModelParams) -> list[RingElement]:
         cyclic = len(gamma.cyclic_subgroups)
         if len(idems) != cyclic:
             _violation(f"simple components of Q[Gamma_{i}]", len(idems), cyclic)
-        total = ring.zero(QQ)
         for a, x in enumerate(idems):
             if x.is_zero():
                 _violation("primitive central idempotent is nonzero", x, None)
@@ -675,10 +669,6 @@ def primitive_central_idempotents_q(params: ModelParams) -> list[RingElement]:
             for y in idems[a + 1 :]:
                 if not ga_mul(gamma, x, y).is_zero():
                     _violation("orthogonality of primitive idempotents", x, y)
-            total = total + x
-        one = ring.from_basis(QQ, ring.basis[gamma.span.start])
-        if total != one:
-            _violation("primitive idempotent sum", total, one)
         prims.extend(iso.from_group_algebra(x) for x in idems)
     return prims
 
@@ -686,42 +676,24 @@ def primitive_central_idempotents_q(params: ModelParams) -> list[RingElement]:
 def rational_central_idempotent_scan(
     params: ModelParams, bound: int = 20
 ) -> ScanReport:
-    """Enumerate all central idempotents over Q; certify which are integral.
-
-    Every central idempotent is a subset sum of the primitive central
-    idempotents, so 2^k sums are checked; the expected outcome is that
-    exactly 0 (empty sum) and 1 (full sum) have integer coordinates.
-    """
+    """Which central idempotents over Q, the subset sums of the k primitive
+    f_j (checked to sum to 1), are integral; expected, 0 and 1.  With D their
+    common denominator, the sum over S is integral iff 1_S lies in the order
+    {x : D F x = 0 mod D} of F = (f_j), so the integral sums are the unions
+    of its components (`order_components`); over `bound` of them are refused."""
     ring = tring(params)
     prims = primitive_central_idempotents_q(params)
-    k = len(prims)
-    if k > bound:
-        raise ScanTooLarge(f"{k} primitive idempotents exceed the bound {bound}")
-    integral = []
-
-    def dfs(idx, acc, mask):
-        if idx == k:
-            if acc.den == 1:
-                integral.append((mask, acc))
-            return
-        dfs(idx + 1, acc, mask)
-        dfs(idx + 1, acc + prims[idx], mask | (1 << idx))
-
-    dfs(0, ring.zero(QQ), 0)
-    integral.sort(key=lambda t: t[0])
-    masks = [m for m, _ in integral]
-    full = (1 << k) - 1
-    only = (
-        masks == [0, full]
-        and integral[0][1].is_zero()
-        and integral[1][1] == ring.one(QQ)
-    )
-    return ScanReport(
-        primitive_count=k,
-        sums_checked=1 << k,
-        integral_masks=masks,
-        only_zero_and_one=only,
-    )
+    total = sum(prims, ring.zero(QQ))
+    if total != ring.one(QQ):
+        _violation("primitive central idempotents sum to 1", total, ring.one(QQ))
+    den = math.lcm(*(f.den for f in prims))
+    cols = [f.vec.astype(object) * (den // f.den) for f in prims]
+    comps = order_components(np.stack(cols, axis=1), den)
+    if len(comps) > bound:
+        raise ScanTooLarge(f"component count {len(comps)} exceeds the bound {bound}")
+    k, c = len(prims), len(comps)
+    masks = sorted(sum(comps[j] for j in range(c) if t >> j & 1) for t in range(1 << c))
+    return ScanReport(k, 1 << k, masks, masks == [0, (1 << k) - 1])
 
 
 # --------------------------------------------------------------------------
@@ -753,9 +725,7 @@ def stated_criterion(params: ModelParams, q: int) -> bool:
 
 
 def _central_nilpotent_certificate(ring, z: RingElement):
-    if z.is_zero():
-        return None
-    if not ring.mult(z, z).is_zero() or ring.noncommuting(z):
+    if z.is_zero() or not ring.mult(z, z).is_zero() or ring.noncommuting(z):
         return None
     return {"support": [repr(z)], "square_is_zero": True, "central": True}
 
@@ -859,14 +829,11 @@ def _char_p_nilpotent(params, ring, S):
     while p**s < g:
         s += 1
     power = p**s
-
-    def quotient_power(x: RingElement, k: int) -> RingElement:
-        return _power(lambda u, v: ring.quotient_mult(params.n - 1, u, v), x, k)
-
     kernel = nullspace_over_field(_top_powers(ring, S, power).T, S)
     if len(kernel):
         z = ring.from_vector(S, kernel[0], ring.level_range(params.n))
-        if not z.is_zero() and quotient_power(z, power).is_zero():
+        zp = _power(lambda u, v: ring.quotient_mult(params.n - 1, u, v), z, power)
+        if not z.is_zero() and zp.is_zero():
             return SemisimplicityDecision(
                 verdict="not_semisimple",
                 method="quotient_nilpotent",

@@ -601,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_nonnegative_int,
         default=20,
         dest="scan_bound",
-        help="cap on primitive central idempotents in the scan",
+        help="cap on the connected components theorem-c lists the unions of",
     )
     return parser
 

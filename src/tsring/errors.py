@@ -54,7 +54,7 @@ class ArithmeticBound(TsringError):
 
 
 class ScanTooLarge(TsringError):
-    """Central idempotent scan would exceed the configured bound."""
+    """The integral central idempotents would exceed the configured bound."""
 
 
 class TheoremViolation(TsringError):

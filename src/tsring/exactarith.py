@@ -20,18 +20,20 @@ list raises ShapeMismatch.  `field_mat_mul` is the package's one matrix
 product and `residues` its one reduction mod q.  Rank, kernel and inverse
 over a field share one elimination.  The Smith normal form routine
 returns transformation certificates (d, u, v) with d = u*c*v, u and v
-unimodular, and the diagonal of d a nonnegative divisibility chain.
+unimodular, and the diagonal of d a nonnegative divisibility chain; the
+components of an order in Z^k are read off a basis it gives.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotInvertible, NotPrime, ShapeMismatch
+from .errors import NotInvertible, NotPrime, ShapeMismatch, TheoremViolation
 
 
 def prime_factors(n: int) -> list:
@@ -275,6 +277,38 @@ def snf(c) -> SnfResult:
             continue
         t += 1
     return SnfResult(d=as_matrix(m), u=as_matrix(u), v=as_matrix(v))
+
+
+def order_components(a, den: int) -> list[int]:
+    """Components of O = {x in Z^k : a x = 0 mod den} as column bitmasks,
+    each checked to lie in O: the 0/1 vectors of O are exactly their unions.
+
+    Only the distinct nonzero rows A of a mod den matter.  With u A v =
+    diag(s) (`snf`, re-checked), B = v diag(den / gcd(den, s_i)) spans O (a
+    zero or missing s_i gives 1); A B = 0 mod den is re-checked.  i ~ j when
+    rows i and j of B agree mod a prime l | den.  Only unions lie in O: for
+    1_S = B z and i ~ j over l, (1_S)_i = (1_S)_j mod l, both 0 or 1.  Each
+    component does (for a ring O, as the components of Spec O).
+    """
+    k = a.shape[1]
+    rows = sorted({tuple(row) for row in (a % den).tolist() if any(row)})
+    residue = np.array(rows, dtype=object).reshape(len(rows), k)
+    result = snf(residue)
+    s = result.diagonal()
+    basis = result.v.astype(object) * ([den // math.gcd(den, x) for x in s] + [1] * (k - len(s)))
+    if not result.check(residue) or (field_mat_mul(residue, basis, ZZ) % den).any():
+        raise TheoremViolation(f"order basis of the residue rows {residue.tolist()}")
+    label = list(range(k))
+    for ell in set(prime_factors(den)):
+        first = {}
+        for i, row in enumerate((basis % ell).tolist()):
+            old, new = label[i], label[first.setdefault(tuple(row), i)]
+            label = [new if x == old else x for x in label]
+    comps = [sum(1 << i for i, x in enumerate(label) if x == c) for c in set(label)]
+    for mask in comps:
+        if (a[:, [j for j in range(k) if mask >> j & 1]].sum(axis=1) % den).any():
+            raise TheoremViolation(f"component {mask} outside the order")
+    return comps
 
 
 # --------------------------------------------------------------------------

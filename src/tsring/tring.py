@@ -59,9 +59,6 @@ class NonProj:
     lam: int
 
 
-BasisElement = object  # ProjPair | NonProj
-
-
 def basis_label(b) -> str:
     if isinstance(b, ProjPair):
         return f"P[{b.lam},{b.mu}]"

@@ -18,7 +18,7 @@ from tsring.errors import (
     ShapeMismatch,
     UnrecognizedShape,
 )
-from tsring.blocks import _mobius
+from tsring.blocks import _mobius, primitive_central_idempotents_q
 from tsring.exactarith import (
     QQ,
     _inverse,
@@ -662,6 +662,27 @@ def level_primitive_idempotents(params, level):
                 coeffs[g] = coeffs.get(g, 0) + Fraction(mu, len(m))
         out.append({g: v for g, v in coeffs.items() if v})
     return out
+
+
+def central_idempotent_scan_reference(params):
+    """Bitmasks of the integral subset sums of the primitive central
+    idempotents over Q, ascending, by enumerating all 2^k sums (k <= 20)."""
+    prims = primitive_central_idempotents_q(params)
+    k = len(prims)
+    if k > 20:
+        raise ValueError(f"2^{k} subset sums")
+    integral = []
+
+    def dfs(idx, acc, mask):
+        if idx == k:
+            if acc.den == 1:
+                integral.append(mask)
+            return
+        dfs(idx + 1, acc, mask)
+        dfs(idx + 1, acc + prims[idx], mask | (1 << idx))
+
+    dfs(0, tring(params).zero(QQ), 0)
+    return sorted(integral)
 
 
 # ------------------------------------------- the dict-loop ring products

@@ -2,14 +2,16 @@
 
 import io
 import json
+import math
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import BEYOND_INSTANCES, INSTANCES, SMALL_INSTANCES
+from conftest import BEYOND_INSTANCES, EDGE_INSTANCES, INSTANCES, SMALL_INSTANCES
 from reference import (
+    central_idempotent_scan_reference,
     ga_mul_reference,
     level_cyclic_subgroups,
     level_element,
@@ -22,13 +24,13 @@ from reference import (
     projective_primitive_decomposition,
 )
 
-from tsring import blocks
+from tsring import blocks, exactarith
 from tsring.cartan import cartan_inverse, cartan_matrix
 from tsring.cli import _check_theorem_c, main
 from tsring.errors import BadLevel, CharIsP, ScanTooLarge, TheoremViolation
-from tsring.exactarith import GF, QQ, ZZ, field_mat_mul, rank_over_field
+from tsring.exactarith import GF, QQ, ZZ, field_mat_mul, prime_factors, rank_over_field
 from tsring.groupmodel import make_params
-from tsring.tring import NonProj, ProjPair, TRing, tring
+from tsring.tring import NonProj, ProjPair, RingElement, TRing, tring
 
 
 # ------------------------------------------------------------- label groups
@@ -388,8 +390,79 @@ def test_scan_311():
 
 
 def test_scan_bound():
-    with pytest.raises(ScanTooLarge):
-        blocks.rational_central_idempotent_scan(make_params(3, 2, 2), bound=3)
+    # the bound caps the components of the order, one on (3,2,2), not its
+    # seven primitives
+    params = make_params(3, 2, 2)
+    assert blocks.rational_central_idempotent_scan(params, bound=1).primitive_count == 7
+    with pytest.raises(ScanTooLarge, match="component count 1 exceeds the bound 0"):
+        blocks.rational_central_idempotent_scan(params, bound=0)
+
+
+@pytest.mark.parametrize(
+    "pne", INSTANCES + EDGE_INSTANCES, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}"
+)
+def test_scan_matches_subset_sum_reference(pne):
+    params = make_params(*pne)
+    report = blocks.rational_central_idempotent_scan(params)
+    assert report.integral_masks == central_idempotent_scan_reference(params)
+    assert report.sums_checked == 1 << report.primitive_count
+
+
+def test_split_order_lists_the_unions_of_its_components(monkeypatch):
+    # in (3,1,1), with one = M[1,1,0] at position 1, f_0 = f_1 = M[1,1,0]/2
+    # and f_2 = -f_3 = M[1,2,0]/2 sum to 1; x_0 + x_1 and x_2 - x_3 even
+    # split k = 4 into {0, 1} and {2, 3}, and exactly their unions are integral
+    params = make_params(3, 1, 1)
+    ring = tring(params)
+    rows = [[0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1]]
+    prims = [ring.from_vector(QQ, [Fraction(v, 2) for v in row]) for row in rows]
+    monkeypatch.setattr(blocks, "primitive_central_idempotents_q", lambda params: prims)
+    report = blocks.rational_central_idempotent_scan(params)
+    assert report.integral_masks == [0, 3, 12, 15]
+    assert not report.only_zero_and_one
+    with pytest.raises(ScanTooLarge, match="component count 2 exceeds the bound 1"):
+        blocks.rational_central_idempotent_scan(params, bound=1)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["verify", "--p", "3", "--n", "1", "--e", "1", "--which", "theorem-c"])
+    (check,) = json.loads(out.getvalue())["payload"]["checks"]
+    assert (code, check["status"]) == (1, "violation")
+    assert check["details"]["integral_masks"] == ["0", "3", "12", "15"]
+
+
+@pytest.mark.parametrize("pne", [(3, 2, 2), (7, 1, 6)], ids=["p3n2e2", "p7n1e6"])
+def test_dropping_a_prime_from_the_graph_is_a_violation(monkeypatch, pne):
+    # each prime of D joins coordinates no other prime joins; without it a
+    # component's sum has a denominator, which the certificate refuses
+    prims = blocks.primitive_central_idempotents_q(make_params(*pne))
+    den = math.lcm(*(f.den for f in prims))
+    a = np.stack([f.vec.astype(object) * (den // f.den) for f in prims], axis=1)
+    assert len(exactarith.order_components(a, den)) == 1
+    for dropped in sorted(set(prime_factors(den))):
+        monkeypatch.setattr(
+            exactarith, "prime_factors", lambda n: [q for q in prime_factors(n) if q != dropped]
+        )
+        with pytest.raises(TheoremViolation, match="component .* outside the order"):
+            exactarith.order_components(a, den)
+
+
+def test_perturbed_primitive_is_a_violation(fresh_rings, monkeypatch):
+    # one coordinate of one f_j moved by 1/D: the full sum is no longer 1
+    params = make_params(3, 2, 2)
+    original = blocks.primitive_central_idempotents_q
+
+    def perturbed(params):
+        prims = original(params)
+        f = prims[2]
+        vec = f.vec.copy()
+        vec[-1] += 1
+        return prims[:2] + [RingElement(f.ring, QQ, vec, f.den)] + prims[3:]
+
+    monkeypatch.setattr(blocks, "primitive_central_idempotents_q", perturbed)
+    with pytest.raises(TheoremViolation, match="primitive central idempotents sum to 1"):
+        blocks.rational_central_idempotent_scan(params)
+    code, error = _theorem_d_error(params, QQ, "theorem-c")
+    assert code == 1 and error.startswith("primitive central idempotents sum to 1")
 
 
 def test_bottom_projector_never_integral(any_params):

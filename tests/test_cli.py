@@ -639,16 +639,28 @@ def test_verify_violation_outranks_skipped(monkeypatch, capsys):
 
 
 def test_verify_scan_bound_is_inconclusive(capsys):
-    # (3,2,2) has 7 primitive central idempotents over Q, past a bound of 3
+    # the order of (3,2,2) has one component, past a bound of 0
     args = ["--p", "3", "--n", "2", "--e", "2", "--which", "theorem-c,theorem-a"]
-    code, out = run_cli(["verify", *args, "--scan-bound", "3"], capsys)
+    code, out = run_cli(["verify", *args, "--scan-bound", "0"], capsys)
     assert code == 3
     doc = json.loads(out)
     assert doc["status"] == "inconclusive"
     scan, other = doc["payload"]["checks"]
     assert scan["name"] == "theorem-c" and scan["status"] == "inconclusive"
-    assert scan["details"] == {"error": "7 primitive idempotents exceed the bound 3"}
+    assert scan["details"] == {"error": "component count 1 exceeds the bound 0"}
     assert other["name"] == "theorem-a" and other["status"] == "ok"
+
+
+def test_verify_theorem_c_is_conclusive_past_20_primitives(capsys):
+    # (3,4,2) has 21 primitive central idempotents, once refused by the
+    # default bound of 20; its order has one component
+    args = ["--p", "3", "--n", "4", "--e", "2", "--which", "theorem-c"]
+    code, out = run_cli(["verify", *args], capsys)
+    assert code == 0
+    details = json.loads(out)["payload"]["checks"][0]["details"]
+    assert details["scan_primitives"] == "21"
+    assert details["scan_sums"] == "2097152"
+    assert details["integral_masks"] == ["0", "2097151"]
 
 
 def test_verify_empty_check_list_is_a_usage_error(capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import det_over_field, field_mat_mul_reference, rref_reference
 
-from tsring.errors import NotInvertible, NotPrime, ShapeMismatch
+from tsring.errors import NotInvertible, NotPrime, ShapeMismatch, TheoremViolation
 from tsring.exactarith import (
     GF,
     QQ,
@@ -22,6 +22,7 @@ from tsring.exactarith import (
     is_prime,
     mat_inverse_over_field,
     nullspace_over_field,
+    order_components,
     prime_factors,
     rank_over_field,
     scalar_ring,
@@ -114,6 +115,17 @@ def test_snf_identity_stays_identity():
     result = snf(ident)
     assert result.diagonal() == [1, 1, 1, 1]
     assert result.check(ident)
+
+
+def test_order_components():
+    # x_0 + x_1 and x_2 + x_3 even: components {0, 1} and {2, 3}; x_0 = x_1
+    # mod 3 and x_1 = x_2 mod 2 chain three columns across two primes
+    assert sorted(order_components(np.array([[1, 1, 0, 0], [0, 0, 1, 1]]), 2)) == [3, 12]
+    assert order_components(np.array([[2, 4, 0], [0, 3, 3]]), 6) == [7]
+    # x_0 + x_1 + x_2 = 0 mod 3 holds no single column and is no ring: its
+    # components are not in the order, which is refused, not assumed
+    with pytest.raises(TheoremViolation, match="component 1 outside the order"):
+        order_components(np.array([[1, 1, 1]]), 3)
 
 
 def test_snf_special_cartan_shape():

@@ -1,13 +1,16 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no module-level function or class of the package goes unreferenced, no
 floating point enters the package, no check is an `assert` statement, no
-matrix product bypasses `exactarith.field_mat_mul`, and every function
-the benchmark's per-layer metrics name exists."""
+matrix product bypasses `exactarith.field_mat_mul`, every function the
+benchmark's per-layer metrics name exists, and `verify` never imports
+numpy.ma."""
 
 import ast
 import importlib
 import inspect
 import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -367,3 +370,21 @@ def test_unresolved_per_layer_name_is_reported():
         "nomodule.f.s: no such public function",
         "tring.TRing.mult.median: unknown statistic",
     ]
+
+
+# importing numpy.ma costs about 17 ms and 1.3 MB of resident memory, which
+# peak_rss_mb sees; np.unique(..., axis=0) pulls it in, tuple or bytes keys
+# do not (groupmodel.double_coset_partition, exactarith.order_components)
+def _imports_numpy_ma(code: str) -> bool:
+    code += "\nimport sys\nprint('numpy.ma' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return run.stdout.splitlines()[-1] == "True"
+
+
+def test_verify_does_not_import_numpy_ma():
+    args = "'--p', '3', '--n', '2', '--e', '2', '--field', 'Q,F2,F3,F5'"
+    assert not _imports_numpy_ma(f"from tsring.cli import main\nmain(['verify', {args}])")
+
+
+def test_numpy_ma_import_is_seen():
+    assert _imports_numpy_ma("import numpy as np\nnp.unique(np.eye(2, dtype=np.int64), axis=0)")
