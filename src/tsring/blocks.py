@@ -441,36 +441,37 @@ def _decompose(ring: TRing, S) -> BlockDecomposition:
 
 
 def _projective_products_match(ring: TRing, c) -> bool:
-    """P[a,b] * P[c,d] = C_bc P[a,d] over Z in (K, V), for all e^4 products.
+    """P[a,b] * P[c,d] = C_bc P[a,d] over Z in the table, for all e^4 products.
 
-    One comparison of the P x P block of the structure arrays, the table
-    every product reads.  Checked once per ring; the answer holds over
-    every field.
+    One comparison of the terms of the P x P products, read from the table
+    every product reads: one term each, as no entry of C is 0.  Checked
+    once per ring; the answer holds over every field.
     """
     key = "projective products"
     if key not in ring.block_memo:
-        e = ring.params.e
-        K, V = ring.structure_arrays()
-        # row P[a,b] and column P[x,d] of the block: a, b = divmod(row, e)
+        e, d = ring.params.e, ring.dimension()
+        # left factor P[a,b] and right factor P[x,y]: a, b = divmod(index, e)
         a, b = np.divmod(np.arange(e * e), e)
+        owner, cls, val = ring.terms((np.arange(e * e)[:, None] * d + np.arange(e * e)).ravel())
         ring.block_memo[key] = bool(
-            (K[: e * e, : e * e, 0] == a[:, None] * e + b).all()
-            and (V[: e * e, : e * e, 0] == c[b[:, None], a]).all()
-            and not V[: e * e, : e * e, 1:].any()
+            np.array_equal(owner, np.arange(e**4))
+            and np.array_equal(cls, (a[:, None] * e + b).ravel())
+            and np.array_equal(val, c[b[:, None], a].ravel())
         )
     return ring.block_memo[key]
 
 
 def _projective_span_is_right_ideal(ring: TRing) -> bool:
-    """P[a,b] * x lies in the projective span for every class x, in (K, V).
+    """P[a,b] * x lies in the projective span for every class x, in the table.
 
-    Every slot of a P row of K, used or not (unused slots hold 0), names
-    one of the first e^2 classes.  Checked once per ring.
+    Every term of a product P[a,b] * x names one of the first e^2 classes.
+    Checked once per ring.
     """
     key = "projective right ideal"
     if key not in ring.block_memo:
         e2 = ring.params.e ** 2
-        ring.block_memo[key] = bool((ring.structure_arrays()[0][:e2] < e2).all())
+        _, cls, _ = ring.terms(np.arange(e2 * ring.dimension()))
+        ring.block_memo[key] = bool((cls < e2).all())
     return ring.block_memo[key]
 
 
@@ -558,7 +559,7 @@ def integral_primitive_decomposition(params: ModelParams) -> list[RingElement]:
 
     The e - 1 projective members P[i,i] - P[e-1,i] are certified on their
     e x e coefficient matrices by theorem-a's twisted product
-    (`cartan.TwistedMatRing`).  The P x P block of (K, V) is that product
+    (`cartan.TwistedMatRing`).  The P x P block of the table is that product
     (`_projective_products_match`), so they are orthogonal idempotents of
     the ring; `corner_rank_is_one` adds the rank-one-corner primitivity
     witness.  The residual 1 - sum of the members sums the family to 1 by
@@ -600,9 +601,9 @@ def corner_rank_is_one(ring: TRing, x: RingElement) -> bool:
     the corner's under three conditions:
     - x is an idempotent supported on the projective span P, so that
       x b x = x (x b x) x; any other x is refused with ValueError;
-    - P is a right ideal in (K, V) (`_projective_span_is_right_ideal`), so
+    - P is a right ideal in the table (`_projective_span_is_right_ideal`), so
       x b x lies in P and the corner is {x y x : y in P};
-    - the P x P block of (K, V) is the twisted product
+    - the P x P block of the table is the twisted product
       (`_projective_products_match`), so x y x is X C Y C X, and the
       corner is the one theorem-a tests.
     The last two are certified once per ring; a failure is a violation.
@@ -799,24 +800,22 @@ def _top_powers(ring, S, power: int) -> np.ndarray:
     by the lower levels, over F_q.
 
     All g top-level classes are raised together: each step of square and
-    multiply is one pass over the top block of (K, V), row by row, where a
-    term at a lower level vanishes.
+    multiply is one pass over the terms of the top-level products e_a e_b
+    with x[k, a] != 0, where a term at a lower level vanishes.
     """
     q = S.characteristic
     top = ring.level_range(ring.params.n)
-    K, V = ring.structure_arrays()
-    K, V = K[top, top] - top.start, V[top, top]
-    live = K >= 0
-    K, V = K * live, V * live % q
-    g, _, width = K.shape
-    dtype = exact_dtype(q**3 * g * g * width)
+    d, g = ring.dimension(), top.stop - top.start
 
     def mult(x, y):
-        # row k: the sum of x[k, a] y[k, b] V[a, b, j] over K[a, b, j] = c
+        # row k, column c: x[k, a] y[k, b] v over the terms v e_c of e_a e_b
         k, a = np.nonzero(x)
-        keys = k[:, None, None] * g + K[a]
-        vals = (x[k, a][:, None] * y[k]).astype(dtype)[:, :, None] * V[a]
-        return _segment_sum(g * g, keys, vals).reshape(g, g) % q
+        pairs = (a + top.start)[:, None] * d + np.arange(top.start, top.stop)
+        owner, cls, val = ring.terms(pairs.ravel())
+        i, b = np.divmod(owner, g)
+        k, a = k[i], a[i]
+        vals = (x[k, a] * y[k, b] % q).astype(exact_dtype(q * q * len(i))) * (val % q)
+        return _segment_sum(g * d, k * d + cls, vals).reshape(g, d)[:, top] % q
 
     return _power(mult, np.eye(g, dtype=np.int64), power)
 

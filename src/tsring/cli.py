@@ -22,7 +22,7 @@ from .errors import (
     TheoremViolation,
     TsringError,
 )
-from .exactarith import GF, _rref, field_mat_mul, scalar_ring
+from .exactarith import GF, _max_abs, _rref, field_mat_mul, scalar_ring
 from .groupmodel import make_params
 from .tring import (
     NonProj,
@@ -102,14 +102,14 @@ def cmd_table(args) -> int:
 
     params = make_params(args.p, args.n, args.e)
     ring = tring(params)
-    K, V = ring.structure_arrays()
-    basis = ring.basis
-    # the live slots of (K, V), terms in basis order, the report order
-    rows = [
-        (basis[a], basis[b], [(basis[c], v) for c, v in sorted(zip(ks, vs)) if v])
-        for a, (Ka, Va) in enumerate(zip(K.tolist(), V.tolist()))
-        for b, (ks, vs) in enumerate(zip(Ka, Va))
-    ]
+    basis, d = ring.basis, ring.dimension()
+    # the terms of each product in basis order, the report order
+    owner, cls, val = ring.terms(np.arange(d * d))
+    order = np.lexsort((cls, owner))
+    products = [[] for _ in range(d * d)]
+    for pair, c, v in zip(owner[order].tolist(), cls[order].tolist(), val[order].tolist()):
+        products[pair].append((basis[c], v))
+    rows = [(basis[a], basis[b], products[a * d + b]) for a in range(d) for b in range(d)]
     if args.format == "json":
         payload = {
             "rows": [
@@ -137,7 +137,7 @@ def cmd_table(args) -> int:
 
 
 def _check_oracle(params, ring):
-    """Every product e_a e_b by coset enumeration against (K, V), exactly.
+    """Every product e_a e_b by coset enumeration against the table, exactly.
 
     The oracle's chunks of a rows come in basis order, so `compared`, the
     number of pairs before the first failure in lexicographic order, is
@@ -145,14 +145,12 @@ def _check_oracle(params, ring):
     """
     from . import mackey
 
-    K, V = ring.structure_arrays()
-    d, _, width = K.shape
-    K, V = K.reshape(d * d, width), V.reshape(d * d, width)
+    d = ring.dimension()
     for start, stop, (pair, cls, coeff, errors) in mackey.oracle(params).sweep():
-        rows = np.arange(start * d, stop * d)
+        owner, table_cls, val = ring.terms(np.arange(start * d, stop * d))
         # closed form minus oracle, keyed by pair * d + class
-        keys = np.concatenate(((rows[:, None] * d + K[rows]).ravel(), pair * d + cls))
-        bad = _first_nonzero_sum(keys, np.concatenate((V[rows].ravel(), -coeff)))
+        keys = np.concatenate(((start * d + owner) * d + table_cls, pair * d + cls))
+        bad = _first_nonzero_sum(keys, np.concatenate((val, -coeff)))
         bad = None if bad is None else bad // d
         error = min(errors, default=None)
         if error is not None and (bad is None or error <= bad):
@@ -182,106 +180,82 @@ def _first_nonzero_sum(keys, vals):
     return int(keys[starts[bad[0]]]) if len(bad) else None
 
 
-# live (key, value) pairs of one chunk of the associativity check, both
-# sides together; a chunk's temporaries then stay near 0.25 MB
+# (key, value) pairs of one chunk of the associativity check, both sides
+# together; a chunk's temporaries then stay near 0.25 MB
 ASSOC_CHUNK_ENTRIES = 1 << 12
 
 
-def _live_terms(K, V):
-    """The nonzero slots of (K, V), pair by pair.
-
-    Pair x * d + y owns the slots start[x * d + y] to start[x * d + y + 1]
-    of cls and val, its classes and coefficients; key[s] = y * d + cls[s].
-    """
-    d, _, width = K.shape
-    pair, slot = np.nonzero(V.reshape(d * d, width))
-    start = np.zeros(d * d + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pair, minlength=d * d), out=start[1:])
-    cls = K.reshape(d * d, width)[pair, slot]
-    return start, cls, V.reshape(d * d, width)[pair, slot], pair % d * d + cls
-
-
-def _ranges(lo, hi):
-    """Every position of the ranges lo[i] to hi[i], and the range lengths."""
-    n = hi - lo
-    return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n), n
-
-
-def _first_nonassociative(terms, d, ab):
+def _first_nonassociative(ring, ab):
     """First failing triple among (a, b, c), ab = a * d + b, or None.
 
     The triple (a, b, c) is numbered ab * d + c.  Both sides of each
-    triple expand, over the live terms of `_live_terms` only, into (key,
-    value) pairs with key = number * d + basis index, the right side
-    negated; a nonzero sum over equal keys is a failure.
+    triple expand, over the live terms of the table, into (key, value)
+    pairs with key = number * d + basis index, the right side negated; a
+    nonzero sum over equal keys is a failure.
     """
-    start, cls, val, key = terms
+    d = ring.dimension()
     a, b = np.divmod(ab, d)
-    base = (ab - ab[0]) * d * d
+    cols = np.arange(d)
+    # the triple (ab[r], c) is number ab[0] * d + triple[r, c]
+    triple = (ab - ab[0])[:, None] * d + cols
     # (e_a e_b) e_c: each term v e_m of e_a e_b times e_c for every c, the
-    # pairs m * d to m * d + d - 1, whose slots carry their c in key
-    left, left_n = _ranges(start[ab], start[ab + 1])
-    m = cls[left] * d
-    # e_a (e_b e_c): e_a times each term v e_m of e_b e_c for every c, the
-    # pair a * d + m
-    right, right_n = _ranges(start[b * d], start[b * d + d])
-    m_right = np.repeat(a, right_n) * d + cls[right]
-    at, size = _ranges(
-        np.concatenate((start[m], start[m_right])),
-        np.concatenate((start[m + d], start[m_right + 1])),
-    )
-    split = int(size[: len(left)].sum())
-    keys = np.concatenate((key[at[:split]], cls[at[split:]]))
-    keys += np.repeat(
-        np.concatenate(
-            (np.repeat(base, left_n), np.repeat(base, right_n) + key[right] - cls[right])
-        ),
-        size,
-    )
-    vals = val[at]
-    del at
-    vals *= np.repeat(np.concatenate((val[left], -val[right])), size)
-    first = _first_nonzero_sum(keys, vals)
+    # pairs m * d + c
+    r, m, v = ring.terms(ab)
+    left = (m[:, None] * d + cols).ravel()
+    left_triple, left_v = triple[r].ravel(), np.repeat(v, d)
+    # e_a (e_b e_c): e_a times each term v e_m of e_b e_c, the pair a * d + m
+    rc, m, right_v = ring.terms((b[:, None] * d + cols).ravel())
+    right = a[rc // d] * d + m
+    owner, cls, val = ring.terms(np.concatenate((left, right)))
+    keys = np.concatenate((left_triple, triple.ravel()[rc]))[owner] * d + cls
+    val *= np.concatenate((left_v, -right_v))[owner]
+    first = _first_nonzero_sum(keys, val)
     return None if first is None else ab[0] * d + first // d
 
 
-def _assoc_chunks(start, cls, d, rows):
+def _assoc_chunks(ring, rows):
     """The ascending (a, b) rows `rows` cut into chunks of about
     ASSOC_CHUNK_ENTRIES entries.
 
-    (a, b) expands on the left into the slots of e_m e_c over the terms e_m
-    of e_a e_b and all c, counted exactly, and on the right into no more
-    than the slots of e_b e_c over all c times the most terms of any e_a
-    e_m.  A chunk starts with each row that begins past a multiple of the
-    bound.
+    (a, b) expands on the left into the terms of e_m e_c over the terms
+    e_m of e_a e_b and all c, counted exactly, and on the right into no
+    more than the terms of e_b e_c over all c times the most terms of any
+    e_a e_m.  A chunk starts with each row that begins past a multiple of
+    the bound.
     """
-    size = (start[1:] - start[:-1]).reshape(d, d)
+    d = ring.dimension()
+    size = _term_counts(ring)
     per_row = size.sum(axis=1)
-    left = np.zeros(len(cls) + 1, dtype=np.int64)
-    np.cumsum(per_row[cls], out=left[1:])
+    owner, m, _ = ring.terms(rows)
+    entries = _segment_sum(len(rows), owner, per_row[m])
     a, b = np.divmod(rows, d)
-    entries = left[start[rows + 1]] - left[start[rows]]
     entries += size.max(axis=1)[a] * per_row[b]
     chunk = (np.cumsum(entries) - entries) // ASSOC_CHUNK_ENTRIES
     return np.split(rows, np.flatnonzero(np.diff(chunk)) + 1)
 
 
-def _first_failure(terms, d, rows):
+def _term_counts(ring):
+    """size[a, b]: the number of live terms of e_a e_b."""
+    d = ring.dimension()
+    return np.bincount(ring.terms(np.arange(d * d))[0], minlength=d * d).reshape(d, d)
+
+
+def _first_failure(ring, rows):
     """The number of the first failing triple (a, b, c) over the ascending
     (a, b) rows `rows` and all c, or None; chunk by chunk, in order."""
-    for chunk in _assoc_chunks(*terms[:2], d, rows):
-        first = _first_nonassociative(terms, d, chunk)
+    for chunk in _assoc_chunks(ring, rows):
+        first = _first_nonassociative(ring, chunk)
         if first is not None:
             return first
     return None
 
 
-# a prime near 10^6: residues, and sums of d * width products of two of
-# them, stay int64 while d * width is below 4 * 10^6
+# a prime near 10^6: residues, and sums of fewer than 4 * 10^6 products of
+# two of them, stay int64; e_g w sums one product per term of the row of g
 SPAN_PRIME = 1000003
 
 
-def _spanning_generators(K, V, candidates):
+def _spanning_generators(ring, candidates):
     """The candidates, in order, that lie outside the closure of those kept
     before them, if the closure reaches dimension d mod SPAN_PRIME; else None.
 
@@ -289,10 +263,10 @@ def _spanning_generators(K, V, candidates):
     echelon basis over F_SPAN_PRIME and grows incrementally: new vectors are
     reduced against it, only the rows that extend it are multiplied by the
     generators on the next pass, and a generator kept late is applied once
-    to the whole basis so far.  A generator acts through the slots of its
-    row of (K, V), one generator at a time.
+    to the whole basis so far.  A generator acts through the terms of its
+    row of the table, one generator at a time.
     """
-    d = K.shape[0]
+    d = ring.dimension()
     F = GF(SPAN_PRIME)
     echelon = np.zeros((0, d), dtype=np.int64)
     pivots = np.zeros(0, dtype=np.int64)
@@ -320,9 +294,11 @@ def _spanning_generators(K, V, candidates):
         return fresh
 
     def act(g, rows):
-        """e_g w for each row w: w_b V[g, b, j] summed into class K[g, b, j]."""
-        keys = np.arange(len(rows))[:, None, None] * d + K[g]
-        vals = rows[:, :, None] * (V[g] % SPAN_PRIME)
+        """e_g w for each row w: w_b v summed into class c over the terms
+        v e_c of e_g e_b."""
+        b, cls, val = ring.terms(g * d + np.arange(d))
+        keys = np.arange(len(rows))[:, None] * d + cls
+        vals = rows[:, b] * (val % SPAN_PRIME)
         return _segment_sum(len(rows) * d, keys, vals).reshape(len(rows), d) % SPAN_PRIME
 
     gens = []
@@ -352,7 +328,7 @@ def _generator_candidates(ring):
     ]
 
 
-def _left_nucleus_generators(ring, terms):
+def _left_nucleus_generators(ring):
     """Basis classes S in the left nucleus whose right-nested words span the
     ring, or None.
 
@@ -360,13 +336,12 @@ def _left_nucleus_generators(ring, terms):
     left nucleus when no triple (g, a, b) with g in S fails: |S| d^2
     triples, rows g * d + a of the scan.
     """
-    K, V = ring.structure_arrays()
-    d = len(ring.basis)
-    gens = _spanning_generators(K, V, _generator_candidates(ring))
+    d = ring.dimension()
+    gens = _spanning_generators(ring, _generator_candidates(ring))
     if gens is None:
         return None
     rows = (np.sort(gens)[:, None] * d + np.arange(d)).ravel()
-    return gens if _first_failure(terms, d, rows) is None else None
+    return gens if _first_failure(ring, rows) is None else None
 
 
 def _check_assoc(params, ring):
@@ -381,22 +356,19 @@ def _check_assoc(params, ring):
     span is computed mod a prime: rank d mod SPAN_PRIME gives rank d over
     Q, and an integer table associative over Q is associative over Z.
 
-    Failing that, every triple is scanned, zero slots of (K, V) never
-    expanded.  Chunks of (a, b) rows run in order, so `checked`, the
-    number of triples before the first failure in lexicographic order, is
-    exact.
+    Failing that, every triple is scanned over the live terms of the
+    table.  Chunks of (a, b) rows run in order, so `checked`, the number
+    of triples before the first failure in lexicographic order, is exact.
     """
-    K, V = ring.structure_arrays()
-    d, _, width = K.shape
-    vmax = int(np.abs(V).max())
-    # a key sums at most 2 * width^2 products of two coefficients
-    if width * width * vmax * vmax >= 1 << 62:
+    d = ring.dimension()
+    most, vmax = _max_abs(_term_counts(ring)), _max_abs(ring.terms(np.arange(d * d))[2])
+    # a key sums at most 2 * most^2 products of two coefficients
+    if most * most * vmax * vmax >= 1 << 62:
         raise ArithmeticBound(
-            f"{width} terms of coefficients up to {vmax} may overflow int64 sums"
+            f"{most} terms of coefficients up to {vmax} may overflow int64 sums"
         )
-    terms = _live_terms(K, V)
-    if _left_nucleus_generators(ring, terms) is None:
-        first = _first_failure(terms, d, np.arange(d * d))
+    if _left_nucleus_generators(ring) is None:
+        first = _first_failure(ring, np.arange(d * d))
         if first is not None:
             return "violation", {"checked": str(first)}
     return "ok", {"checked": str(d**3)}

@@ -201,11 +201,12 @@ class RingElement:
 class TRing:
     """Basis, multiplication table and derived structure for one model.
 
-    The structure arrays (K, V) are the only multiplication table: products,
-    the actions of an element, the trace form and the center are exact
-    integer contractions over them, in int64 under an up-front bound on the
-    sums and in Python ints past it.  They read an element's integer vector
-    directly, and its denominator multiplies through.
+    The table of live terms (`structure_table`) is the only multiplication
+    table: products, the actions of an element, the trace form and the
+    center are exact integer contractions over its terms, in int64 under an
+    up-front bound on the sums and in Python ints past it.  They read an
+    element's integer vector directly, and its denominator multiplies
+    through.
     """
 
     def __init__(self, params: ModelParams):
@@ -215,7 +216,7 @@ class TRing:
         self.one_elem = NonProj(params.n, 1, 0)
         levels = [b.level if isinstance(b, NonProj) else 0 for b in self.basis]
         self._bounds = [bisect_left(levels, i) for i in range(params.n + 2)]
-        self._structure_arrays = None
+        self._structure_table = None
         self._int_gram = None
         # certified block data, built once per ring by tsring.blocks
         self.block_memo: dict = {}
@@ -257,7 +258,7 @@ class TRing:
 
     def mult_basis(self, a, b) -> dict:
         """Structure constants of a * b as a basis-to-int map, from the four
-        rules one pair at a time: the reference (K, V) is checked against."""
+        rules one pair at a time: the reference the table is checked against."""
         params = self.params
         e = params.e
         out: dict = {}
@@ -290,30 +291,45 @@ class TRing:
                     out[key] = out.get(key, 0) + ml
         return {key: v for key, v in out.items() if v}
 
-    def structure_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """All structure constants as two zero-padded int64 arrays K, V.
+    def structure_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All structure constants as one table of live terms (start, cls, val).
 
-        e_a * e_b = sum_j V[a, b, j] e_{K[a, b, j]} over j < J, the largest
-        number of terms of any basis product; unused slots hold K = V = 0.
-        Built once from the four rules of the module docstring by index
-        arithmetic, with the terms in `mult_basis` order: the ring's only
-        multiplication table.
+        e_a * e_b = sum_s val[s] e_{cls[s]} over start[a * d + b] <= s <
+        start[a * d + b + 1]: the nonzero terms of each basis product, the
+        pairs a * d + b in order and each pair's terms in `mult_basis` order.
+        Built once from the four rules of the module docstring and read
+        through `terms`: the ring's only multiplication table.
         """
-        if self._structure_arrays is None:
-            self._structure_arrays = K, V = self._rule_arrays()
-            self._vmax = int(np.abs(V).max())
-        return self._structure_arrays
+        if self._structure_table is None:
+            self._structure_table = self._rule_table()
+        return self._structure_table
 
-    def _rule_arrays(self):
-        """(K, V) of the four rules, by index arithmetic one left factor at a time.
+    def terms(self, pairs: np.ndarray):
+        """The live terms of the basis products numbered `pairs` (a * d + b).
+
+        Returns (owner, cls, val), one entry per term: val[s] e_{cls[s]} is
+        a term of the product numbered pairs[owner[s]], in the order of
+        `pairs` and, within a pair, in `mult_basis` order.
+        """
+        start, cls, val = self.structure_table()
+        lo = start[pairs]
+        n = start[pairs + 1] - lo
+        owner = np.repeat(np.arange(len(n)), n)
+        at = np.arange(len(owner)) + np.repeat(lo - (np.cumsum(n) - n), n)
+        return owner, cls[at], val[at]
+
+    def _rule_table(self):
+        """(start, cls, val) of the four rules, one left factor at a time.
 
         A product is t_lead + f * sum_nu t_nu over a family of e classes
-        t_nu = base + stride * nu.  Slot 0 holds t_lead with 1 + f, and
-        when f > 0 slots 1.. hold the other nu in increasing order with f,
-        as `mult_basis` lists them.  P * P is the one term m + [b == c].
-        Lookup tables do the arithmetic mod e and on levels, and a row's
-        temporaries are d long: freed d x d temporaries and the first use of
-        further numpy kernels both showed up in the peak RSS of small runs.
+        t_nu = base + stride * nu: t_lead with 1 + f first, then when f > 0
+        the other nu in increasing order with f, as `mult_basis` lists
+        them.  P * P is the one term m + [b == c].  A left factor's
+        products fill one d x e row, whose nonzero coefficients are its
+        live terms.  Lookup tables do the arithmetic mod e and on levels,
+        and a row's temporaries are d x e: freed d x d temporaries and the
+        first use of further numpy kernels both showed up in the peak RSS
+        of small runs.
         """
         params = self.params
         e, d, basis = params.e, len(self.basis), self.basis
@@ -326,57 +342,61 @@ class TRing:
         add = as_matrix([[(x + y) % e for y in chars] for x in chars])
         sub = as_matrix([[(x - y) % e for y in chars] for x in chars])
         pp = as_matrix([[params.multiplicity + (x == y) for y in chars] for x in chars])
-        # slot j > 0 holds nu = others[j, lead], the nu != lead in increasing order
-        others = as_matrix([[j - 1 + (j > x) for x in chars] for j in chars])
+        # column j of a family holds nu = order[j, lead]: the lead, then the
+        # other nu in increasing order; only the lead's coefficient has the 1
+        order = as_matrix([[x if j == 0 else j - 1 + (j > x) for x in chars] for j in chars])
+        first = as_matrix([[int(j == 0)] for j in chars])
         count = [params.nontrivial_coset_count(j) for j in levels]
         high = as_matrix([[count[max(i, j)] for j in levels] for i in levels])
-        live = as_matrix([[int(count[max(i, j)] > 0) for j in levels] for i in levels])
         low = as_matrix([[min(i, j) for j in levels] for i in levels])
         modulus = np.array([params.p**i for i in levels])
         # coset[i, u]: the index of M[i, coset of the unit u mod p^i, 0]
         coset = np.zeros((params.n + 1, params.pn), dtype=np.int64)
         for b in basis[e * e :: e]:  # M[i, alpha, 0], one per coset
             coset[b.level, AutCoset(b.level, b.alpha).members(params)] = self.index[b]
-        width = e if any(count[1:]) else 1
-        K, V = (np.zeros((d, d, width), dtype=np.int64) for _ in range(2))
+        cls, val = (np.zeros((d, e), dtype=np.int64) for _ in range(2))
+        # start[1:] holds the term counts, row by row, until the running sum
+        start = np.zeros(d * d + 1, dtype=np.int64)
+        sizes = start[1:].reshape(d, d)
+        classes, coeffs = [], []
 
-        def put(a, cols, base, stride, lead, fam, alive):
-            K[a, cols, 0] = base + stride * lead
-            V[a, cols, 0] = fam + 1
-            for j in range(1, width):
-                K[a, cols, j] = (base + stride * others[j, lead]) * alive
-                V[a, cols, j] = fam
+        def put(cols, base, stride, lead, fam):
+            cls[cols] = (base + stride * order[:, lead]).T
+            val[cols] = (fam + first).T
 
         right = level[M]
         for a, (i, x, c) in enumerate(rows):
-            if a < e * e:
-                # P[x,c] * P[y,z] = (m + [c == y]) P[x,z]
-                K[a, P, 0] = x * e + two[P]
-                V[a, P, 0] = pp[c, one[P]]
+            if i == 0:
+                # P[x,c] * P[y,z] = (m + [c == y]) P[x,z]; the P rows come
+                # first, so the other columns of P still hold 0
+                cls[P, 0] = x * e + two[P]
+                val[P, 0] = pp[c, one[P]]
                 # P[x,c] * M[j,B,z] = P[x, c-z] + m_j sum_nu P[x, nu]
-                put(a, M, x * e, 1, sub[c, two[M]], high[0, right], live[0, right])
+                put(M, x * e, 1, sub[c, two[M]], high[0, right])
             else:
                 # M[i,A,c] * P[y,z] = P[c+y, z] + m_i sum_nu P[nu, z]
-                put(a, P, two[P], e, add[c, one[P]], count[i], live[i, 0])
+                put(P, two[P], e, add[c, one[P]], count[i])
                 # M[i,A,c] * M[j,B,z] = M[k, AB, c+z] + m_max(i,j) sum_nu M[k, AB, nu]
                 k = low[i, right]
                 base = coset[k, x * one[M] % modulus[k]]
-                put(a, M, base, 1, add[c, two[M]], high[i, right], live[i, right])
-        return K, V
+                put(M, base, 1, add[c, two[M]], high[i, right])
+            live = val != 0
+            sizes[a] = np.count_nonzero(live, axis=1)
+            classes.append(cls[live])
+            coeffs.append(val[live])
+        np.cumsum(start, out=start)
+        return start, np.concatenate(classes), np.concatenate(coeffs)
 
     def mult(self, x: RingElement, y: RingElement) -> RingElement:
-        """x * y as one contraction of the two supports through (K, V)."""
+        """x * y as one contraction of the two supports through the table."""
         x._require_compatible(y)
+        d = len(self.basis)
         ia, ib = np.flatnonzero(x.vec), np.flatnonzero(y.vec)
-        X, Y = x.vec[ia], y.vec[ib]
-        K, V = self.structure_arrays()
-        keys = K[ia[:, None], ib]
-        dtype = exact_dtype(_max_abs(X) * _max_abs(Y) * self._vmax * keys.size)
-        weights = np.outer(X.astype(dtype), Y.astype(dtype))
-        sums = _segment_sum(
-            len(self.basis), keys, weights[..., None] * V[ia[:, None], ib].astype(dtype)
-        )
-        return RingElement(self, x.scalar, sums, x.den * y.den)
+        owner, cls, val = self.terms((ia[:, None] * d + ib).ravel())
+        dtype = exact_dtype(_max_abs(x.vec) * _max_abs(y.vec) * _max_abs(val) * len(cls))
+        vals = np.outer(x.vec[ia].astype(dtype), y.vec[ib].astype(dtype)).ravel()[owner]
+        vals *= val
+        return RingElement(self, x.scalar, _segment_sum(d, cls, vals), x.den * y.den)
 
     def actions(self, x: RingElement, side: str = "both"):
         """Left and right multiplication by x as d x d integer matrices.
@@ -385,27 +405,30 @@ class TRing:
         and column b of `right` is den * (e_b * x), with den the common
         denominator of x over Q and 1 otherwise (residues over F_q).  With
         side "left" or "right" only that matrix is built: (matrix, den).
-        Each matrix is one contraction of the support of x through (K, V).
+        Each matrix is one contraction of the support of x through the table.
         """
         if side not in ("both", "left", "right"):
             raise ValueError(f"side {side!r} is not left, right or both")
-        S = x.scalar
+        d = len(self.basis)
         ia = np.flatnonzero(x.vec)
-        K, V = self.structure_arrays()
-        d, _, width = K.shape
-        dtype = exact_dtype(_max_abs(x.vec) * self._vmax * len(ia) * width)
-        X = x.vec[ia].astype(dtype)
-        cols = np.arange(d)
+        X, cols = x.vec[ia], np.arange(d)
         out = []
+        # row i, column b: e_a e_b (left) or e_b e_a (right) for a = ia[i]
         if side != "right":
-            # left[c, b] sums X_a V[a, b, j] over K[a, b, j] = c
-            keys = K[ia] * d + cols[:, None]
-            out.append(_segment_sum(d * d, keys, X[:, None, None] * V[ia].astype(dtype)))
+            out.append(self._action(X, ia[:, None] * d + cols))
         if side != "left":
-            # right[c, b] sums X_a V[b, a, j] over K[b, a, j] = c
-            keys = K[:, ia] * d + cols[:, None, None]
-            out.append(_segment_sum(d * d, keys, X[:, None] * V[:, ia].astype(dtype)))
-        return (*(residues(S, m).reshape(d, d) for m in out), x.den)
+            out.append(self._action(X, ia[:, None] + cols * d))
+        return (*(residues(x.scalar, m).reshape(d, d) for m in out), x.den)
+
+    def _action(self, X, pairs):
+        """The d x d sums, at (c, b), of X[i] v over the terms v e_c of the
+        products numbered pairs[i, b]."""
+        d = len(self.basis)
+        owner, cls, val = self.terms(pairs.ravel())
+        dtype = exact_dtype(_max_abs(X) * _max_abs(val) * len(cls))
+        vals = X.astype(dtype)[owner // d]
+        vals *= val
+        return _segment_sum(d * d, cls * d + owner % d, vals)
 
     def noncommuting(self, x: RingElement) -> list:
         """The basis classes b with x * b != b * x, in basis order."""
@@ -454,13 +477,17 @@ class TRing:
     def gram_int(self) -> np.ndarray:
         """Gram matrix tr(L_a L_b) of the regular trace form, a read-only array."""
         if self._int_gram is None:
-            K, V = self.structure_arrays()
-            d, _, width = K.shape
-            # tr L_a sums the V[a, x, j] of the terms with K[a, x, j] = x
-            diagonal = K == np.arange(d)[:, None]
-            traces = (V.astype(exact_dtype(d * width * self._vmax)) * diagonal).sum(axis=(1, 2))
-            dtype = exact_dtype(_max_abs(traces) * self._vmax * width)
-            self._int_gram = (traces.astype(dtype)[K] * V.astype(dtype)).sum(axis=2)
+            d = len(self.basis)
+            owner, cls, val = self.terms(np.arange(d * d))
+            a, x = np.divmod(owner, d)
+            vmax, most = _max_abs(val), _max_abs(np.bincount(owner))
+            # tr L_a sums the v of the terms v e_x of the products e_a e_x
+            diagonal = cls == x
+            dtype = exact_dtype(d * most * vmax)
+            traces = _segment_sum(d, a[diagonal], val[diagonal].astype(dtype))
+            dtype = exact_dtype(_max_abs(traces) * vmax * most)
+            gram = _segment_sum(d * d, owner, traces.astype(dtype)[cls] * val.astype(dtype))
+            self._int_gram = gram.reshape(d, d)
             self._int_gram.setflags(write=False)
         return self._int_gram
 
@@ -468,14 +495,15 @@ class TRing:
         """Basis of the centralizer of the whole ring, by exact linear solve."""
         if not S.is_field:
             raise ScalarMismatch("center computation needs a field")
-        K, V = self.structure_arrays()
-        d, _, width = K.shape
-        a, b, _ = np.indices(K.shape)
+        d = len(self.basis)
+        owner, cls, val = self.terms(np.arange(d * d))
+        a, b = np.divmod(owner, d)
         # row (j, c), column i: coefficient of e_c in e_i e_j - e_j e_i, so
-        # e_a e_b adds V to row (b, c), column a and -V to row (a, c), column b
-        comm = np.zeros((d * d, d), dtype=exact_dtype(2 * width * self._vmax))
-        np.add.at(comm, (b * d + K, a), V)
-        np.add.at(comm, (a * d + K, b), -V)
+        # a term v e_c of e_a e_b adds v to row (b, c), column a and -v to
+        # row (a, c), column b; an entry takes at most one of each
+        comm = np.zeros((d * d, d), dtype=exact_dtype(2 * _max_abs(val)))
+        np.add.at(comm, (b * d + cls, a), val)
+        np.add.at(comm, (a * d + cls, b), -val)
         kernel = nullspace_over_field(comm[comm.any(axis=1)], S)
         return [self.from_vector(S, vec) for vec in kernel]
 

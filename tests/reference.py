@@ -688,21 +688,51 @@ def central_idempotent_scan_reference(params):
 # ------------------------------------------- the dict-loop ring products
 
 
-def structure_arrays_reference(ring):
-    """(K, V) from one `mult_basis` call per basis pair, terms in dict order."""
-    d = len(ring.basis)
-    rows, slots, targets, coeffs = [], [], [], []
-    for row, (a, b) in enumerate(product(ring.basis, repeat=2)):
-        for j, (c, v) in enumerate(ring.mult_basis(a, b).items()):
-            rows.append(row)
-            slots.append(j)
-            targets.append(ring.index[c])
-            coeffs.append(v)
-    width = max(slots) + 1
-    K = np.zeros((d * d, width), dtype=np.int64)
-    V = np.zeros((d * d, width), dtype=np.int64)
-    K[rows, slots] = targets
-    V[rows, slots] = coeffs
+def structure_table_reference(ring):
+    """(start, cls, val) from one `mult_basis` call per basis pair, terms in
+    dict order."""
+    basis, index = ring.basis, ring.index
+    products = {
+        (ia, ib): [(index[c], v) for c, v in ring.mult_basis(a, b).items()]
+        for (ia, a), (ib, b) in product(enumerate(basis), repeat=2)
+    }
+    return table_of(len(basis), products)
+
+
+def table_of(d, products):
+    """(start, cls, val) of the products {(a, b): [(c, v), ...]}, pairs in
+    order and terms in list order; every other product is 0, and terms
+    with v = 0 are dropped."""
+    sizes, classes, coeffs = [], [], []
+    for pair in product(range(d), repeat=2):
+        terms = products.get(pair, [])
+        sizes.append(len(terms))
+        classes.extend(c for c, _ in terms)
+        coeffs.extend(v for _, v in terms)
+    start = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    return without_zero_terms(
+        start, np.array(classes, dtype=np.int64), np.array(coeffs, dtype=np.int64)
+    )
+
+
+def without_zero_terms(start, cls, val):
+    """The table with its terms of coefficient 0 dropped."""
+    keep = val != 0
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    return kept[start], cls[keep], val[keep]
+
+
+def padded_arrays(ring):
+    """The table as two zero-padded d x d x J arrays K, V, J the most terms
+    of any product: e_a e_b = sum_j V[a, b, j] e_{K[a, b, j]}."""
+    start, cls, val = ring.structure_table()
+    d = ring.dimension()
+    sizes = np.diff(start)
+    width = max(int(sizes.max()), 1)
+    pair = np.repeat(np.arange(d * d), sizes)
+    slot = np.arange(len(cls)) - start[pair]
+    K, V = (np.zeros((d * d, width), dtype=np.int64) for _ in range(2))
+    K[pair, slot], V[pair, slot] = cls, val
     return K.reshape(d, d, width), V.reshape(d, d, width)
 
 
@@ -714,10 +744,10 @@ def sort_key(b):
 
 
 def patch_mult_basis(monkeypatch, mult_basis):
-    """Replace `TRing.mult_basis` and build (K, V) from it, so that a
+    """Replace `TRing.mult_basis` and build the table from it, so that a
     mutated basis product reaches every product of the ring."""
     monkeypatch.setattr(TRing, "mult_basis", mult_basis)
-    monkeypatch.setattr(TRing, "_rule_arrays", structure_arrays_reference)
+    monkeypatch.setattr(TRing, "_rule_table", structure_table_reference)
 
 
 def _basis_product(ring, ia, ib):
@@ -886,8 +916,9 @@ def _first_nonzero_sum_reference(keys, vals):
 
 
 def check_assoc_reference(K, V):
-    """Status and payload of the assoc check with every slot of (K, V)
-    expanded at both levels, zero or not, ten (a, b) rows at a time."""
+    """Status and payload of the assoc check with every slot of the padded
+    arrays (K, V) (`padded_arrays`) expanded at both levels, zero or not,
+    ten (a, b) rows at a time."""
     d, _, width = K.shape
     for start in range(0, d * d, 10):
         ab = np.arange(start, min(start + 10, d * d))

@@ -361,17 +361,18 @@ def test_corner_test_refuses_what_is_not_a_projective_idempotent():
 
 
 def test_projective_span_leaving_its_right_ideal_is_refused():
-    # one P x M product sent to a non-projective class in K: the P x P block
-    # and every idempotent check still pass, so only the ideal check sees it
+    # one term of a P x M product sent to a non-projective class in the
+    # table: the P x P block and every idempotent check still pass, so only
+    # the ideal check sees it
     params = make_params(3, 2, 2)
     eps = {ProjPair(0, 0): 1, ProjPair(1, 0): -1}
     intact = TRing(params)  # fresh rings, outside the cache
     assert blocks.corner_rank_is_one(intact, intact.element(ZZ, eps))
     ring = TRing(params)
     x = ring.element(ZZ, eps)
-    K, _ = ring.structure_arrays()
-    b = ring.level_range(1).start
-    K[ring.index[ProjPair(0, 1)], b, 0] = b
+    start, cls, _ = ring.structure_table()
+    b, d = ring.level_range(1).start, ring.dimension()
+    cls[start[ring.index[ProjPair(0, 1)] * d + b]] = b
     assert blocks._projective_products_match(ring, cartan_matrix(params))
     assert ring.mult(x, x) == x
     with pytest.raises(TheoremViolation, match="projective span is a right ideal"):
@@ -725,18 +726,20 @@ def test_raised_cartan_entry_fails_matrix_block(fresh_rings, monkeypatch, triple
 
 @pytest.mark.parametrize("slot", ["V", "K"])
 def test_projective_products_are_read_from_the_structure_arrays(slot):
-    # (K, V), which every product reads, is checked, not `mult_basis`: one
-    # slot of P[0,1] * P[1,0] changed in (K, V) alone must fail the check
+    # the table, which every product reads, is checked, not `mult_basis`:
+    # the coefficient (V) or the class (K) of the one term of P[0,1] *
+    # P[1,0] changed in the table alone must fail the check
     params = make_params(3, 2, 2)
     c = cartan_matrix(params)
     assert blocks._projective_products_match(TRing(params), c)
     ring = TRing(params)  # a fresh ring, outside the cache
-    K, V = ring.structure_arrays()
+    start, cls, val = ring.structure_table()
     a, b = ring.index[ProjPair(0, 1)], ring.index[ProjPair(1, 0)]
+    s = start[a * ring.dimension() + b]
     if slot == "V":
-        V[a, b, 0] += 3
+        val[s] += 3
     else:
-        K[a, b, 0] = ring.index[ProjPair(0, 1)]
+        cls[s] = ring.index[ProjPair(0, 1)]
     assert ring.mult_basis(ProjPair(0, 1), ProjPair(1, 0)) == {ProjPair(0, 0): c[1][1]}
     assert not blocks._projective_products_match(ring, c)
 

@@ -1,5 +1,6 @@
 """Command-line interface: payloads, exit codes, byte determinism."""
 
+import hashlib
 import json
 import random
 import subprocess
@@ -9,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import BEYOND_INSTANCES, EDGE_INSTANCES, INSTANCES, SMALL_INSTANCES
-from reference import check_assoc_reference, patch_mult_basis, sort_key
+from reference import (
+    check_assoc_reference,
+    padded_arrays,
+    patch_mult_basis,
+    sort_key,
+    table_of,
+    without_zero_terms,
+)
 
 from tsring import blocks, cli
 from tsring.cli import _check_assoc, main
@@ -103,7 +111,7 @@ def test_table_csv_agrees_with_json(capsys):
 
 @pytest.mark.parametrize("triple", [(3, 2, 2), (5, 1, 4)], ids=["p3n2e2", "p5n1e4"])
 def test_table_rows_are_the_basis_products(capsys, triple):
-    # the table reads (K, V): row by row it must be `mult_basis`, terms in
+    # `tsring table` reads the ring's table: row by row it must be `mult_basis`, terms in
     # `sort_key` order, pairs in basis order
     args = ["--p", str(triple[0]), "--n", str(triple[1]), "--e", str(triple[2])]
     code, out = run_cli(["table", *args, "--format", "json"], capsys)
@@ -235,59 +243,51 @@ def test_assoc_check_all_instances(pne):
     # nucleus, and the verdict is the full expansion's
     params = make_params(*pne)
     ring = tring(params)
-    K, V = ring.structure_arrays()
-    gens = cli._left_nucleus_generators(ring, cli._live_terms(K, V))
+    gens = cli._left_nucleus_generators(ring)
     assert gens is not None
     assert gens[:2] == [ring.index[ring.one_elem], ring.index[ProjPair(0, 0)]]
     assert set(gens) <= set(cli._generator_candidates(ring))
     expected = ("ok", {"checked": str(ring.dimension() ** 3)})
-    assert _check_assoc(params, ring) == check_assoc_reference(K, V) == expected
+    assert _check_assoc(params, ring) == check_assoc_reference(*padded_arrays(ring)) == expected
 
 
 def _mutate_structure(monkeypatch, mutate):
-    """Build (K, V) by the closed form, then let mutate(K, V) edit them."""
-    rule_arrays = TRing._rule_arrays
+    """Build the table (start, cls, val) by the closed form, then let
+    mutate(start, cls, val) edit copies in place or return a new table; the
+    terms it sets to 0 are dropped."""
+    rule_table = TRing._rule_table
 
     def mutated(self):
-        K, V = (m.copy() for m in rule_arrays(self))
-        mutate(K, V)
-        return K, V
+        table = [m.copy() for m in rule_table(self)]
+        return without_zero_terms(*(mutate(*table) or table))
 
-    monkeypatch.setattr(TRing, "_rule_arrays", mutated)
+    monkeypatch.setattr(TRing, "_rule_table", mutated)
 
 
-ASSOC_MUTATIONS = ("zeroed slot", "class under a zero", "coefficient + 1", "coefficient - 1")
+ASSOC_MUTATIONS = ("zeroed term", "coefficient + 1", "coefficient - 1")
 
 
 @pytest.mark.parametrize("chunk", [None, 1], ids=["chunked", "row_by_row"])
 @pytest.mark.parametrize("seed", range(16))
 def test_assoc_over_live_terms_matches_full_expansion(fresh_rings, monkeypatch, seed, chunk):
-    # the check expands only nonzero slots; the reference expands every
-    # slot at both levels, as the check did before, and must agree on the
-    # verdict and on `checked`
+    # the check expands only the live terms of the table; the reference
+    # expands every slot of the padded arrays at both levels, as the check
+    # did before, and must agree on the verdict and on `checked`
     rng = random.Random(seed)
     kind = ASSOC_MUTATIONS[seed % len(ASSOC_MUTATIONS)]
-    # (5,1,4) and (7,1,6) have one term per product, so no zero slot
-    instances = [(3, 2, 2), (5, 2, 4), (7, 2, 3)]
-    if kind != "class under a zero":
-        instances += [(5, 1, 4), (7, 1, 6)]
+    instances = [(3, 2, 2), (5, 2, 4), (7, 2, 3), (5, 1, 4), (7, 1, 6)]
     params = make_params(*rng.choice(instances))
 
-    def mutate(K, V):
-        slots = np.argwhere(V == 0 if kind == "class under a zero" else V != 0)
-        a, b, j = slots[rng.randrange(len(slots))]
-        if kind == "zeroed slot":
-            V[a, b, j] = 0
-        elif kind == "class under a zero":
-            K[a, b, j] = rng.randrange(1, K.shape[0])
+    def mutate(start, cls, val):
+        s = rng.randrange(len(val))
+        if kind == "zeroed term":
+            val[s] = 0
         else:
-            V[a, b, j] += 1 if kind == "coefficient + 1" else -1
+            val[s] += 1 if kind == "coefficient + 1" else -1
 
     _mutate_structure(monkeypatch, mutate)
     ring = tring(params)
-    expected = check_assoc_reference(*ring.structure_arrays())
-    if kind == "class under a zero":
-        assert expected == ("ok", {"checked": str(ring.dimension() ** 3)})
+    expected = check_assoc_reference(*padded_arrays(ring))
     if chunk is not None:
         monkeypatch.setattr(cli, "ASSOC_CHUNK_ENTRIES", chunk)
     assert _check_assoc(params, ring) == expected
@@ -313,20 +313,21 @@ def test_certificate_expands_at_most_seven_rows_of_triples(monkeypatch):
     expanded = []
     first_nonassociative = cli._first_nonassociative
 
-    def counted(terms, d, ab):
+    def counted(ring, ab):
         expanded.append(len(ab) * d)
-        return first_nonassociative(terms, d, ab)
+        return first_nonassociative(ring, ab)
 
     monkeypatch.setattr(cli, "_first_nonassociative", counted)
     assert _check_assoc(params, ring) == ("ok", {"checked": str(d**3)})
     assert 0 < sum(expanded) <= 7 * d * d
 
 
-def _assoc_tensor(K, V):
+def _assoc_tensor(ring):
     """(e_a e_b) e_c - e_a (e_b e_c) as a d x d x d x d integer array."""
-    d, _, width = K.shape
+    d = ring.dimension()
+    owner, cls, val = ring.terms(np.arange(d * d))
     T = np.zeros((d, d, d), dtype=np.int64)
-    np.add.at(T, (*np.indices((d, d, width))[:2], K), V)
+    np.add.at(T, (*np.divmod(owner, d), cls), val)
     return np.einsum("abm,mcn->abcn", T, T) - np.einsum("bcm,amn->abcn", T, T)
 
 
@@ -337,23 +338,17 @@ def test_certificate_refuses_the_middle_nucleus(fresh_rings, monkeypatch):
     # middle nucleus is a subalgebra too, so generators in it whose words
     # span would make the table associative: here the words of e_0 do not
     # span, and the rows the certificate reads are the left nucleus's
-    def mutate(K, V):
-        K[:], V[:] = 0, 0
-        V[0, 1, 0] = 1
-
-    _mutate_structure(monkeypatch, mutate)
     params = make_params(3, 1, 1)
+    d = TRing(params).dimension()
+    _mutate_structure(monkeypatch, lambda *table: table_of(d, {(0, 1): [(0, 1)]}))
     ring = tring(params)
-    K, V = ring.structure_arrays()
-    d = ring.dimension()
-    assoc = _assoc_tensor(K, V)
+    assoc = _assoc_tensor(ring)
     assert not assoc[:, 0].any() and assoc[0].any()
-    terms = cli._live_terms(K, V)
     # rows g * d + a hold the triples (g, a, b), rows a * d + g (a, g, b)
-    assert cli._first_failure(terms, d, np.arange(d)) is not None
-    assert cli._first_failure(terms, d, np.arange(d) * d) is None
-    assert cli._left_nucleus_generators(ring, terms) is None
-    expected = check_assoc_reference(K, V)
+    assert cli._first_failure(ring, np.arange(d)) is not None
+    assert cli._first_failure(ring, np.arange(d) * d) is None
+    assert cli._left_nucleus_generators(ring) is None
+    expected = check_assoc_reference(*padded_arrays(ring))
     assert expected == ("violation", {"checked": str((0 * d + 1) * d + 1)})
     assert _check_assoc(params, ring) == expected
 
@@ -367,21 +362,21 @@ def test_certificate_refuses_words_that_do_not_span(fresh_rings, monkeypatch, ki
     params = make_params(3, 2, 2)
     ring = tring(params)
     one = ring.index[ring.one_elem]
-    assert cli._spanning_generators(*ring.structure_arrays(), [one]) is None
+    assert cli._spanning_generators(ring, [one]) is None
+    d = ring.dimension()
     tring.cache_clear()
 
-    def mutate(K, V):
+    def mutate(start, cls, val):
         if kind == "zero algebra":
-            V[:] = 0
+            val[:] = 0
         else:
-            V[0] = 0
+            val[: start[d]] = 0
 
     _mutate_structure(monkeypatch, mutate)
     ring = tring(params)
-    K, V = ring.structure_arrays()
-    assert cli._spanning_generators(K, V, cli._generator_candidates(ring)) is None
-    assert cli._left_nucleus_generators(ring, cli._live_terms(K, V)) is None
-    expected = check_assoc_reference(K, V)
+    assert cli._spanning_generators(ring, cli._generator_candidates(ring)) is None
+    assert cli._left_nucleus_generators(ring) is None
+    expected = check_assoc_reference(*padded_arrays(ring))
     assert (expected[0] == "ok") == (kind == "zero algebra")
     assert _check_assoc(params, ring) == expected
 
@@ -397,30 +392,22 @@ ONE_SHORT_PRODUCTS = [("s", "t", "ts"), ("t", "s", "ts"), ("t", "t", "tt"), ("x"
 
 
 def test_certificate_refuses_words_one_class_short(fresh_rings, monkeypatch):
-    def mutate(K, V):
-        K[:], V[:] = 0, 0
-        u = ONE_SHORT["u"]
-        for y in range(K.shape[0]):
-            K[u, y, 0] = K[y, u, 0] = y
-            V[u, y, 0] = V[y, u, 0] = 1
-        for a, b, c in ONE_SHORT_PRODUCTS:
-            K[ONE_SHORT[a], ONE_SHORT[b], 0] = ONE_SHORT[c]
-            V[ONE_SHORT[a], ONE_SHORT[b], 0] = 1
-
-    _mutate_structure(monkeypatch, mutate)
     params = make_params(3, 1, 2)
+    d, u = TRing(params).dimension(), ONE_SHORT["u"]
+    products = {(u, y): [(y, 1)] for y in range(d)}
+    products.update({(y, u): [(y, 1)] for y in range(d)})
+    for a, b, c in ONE_SHORT_PRODUCTS:
+        products[ONE_SHORT[a], ONE_SHORT[b]] = [(ONE_SHORT[c], 1)]
+    _mutate_structure(monkeypatch, lambda *table: table_of(d, products))
     ring = tring(params)
-    K, V = ring.structure_arrays()
-    d = ring.dimension()
     gens = [ONE_SHORT[g] for g in "ust"]
     assert cli._generator_candidates(ring) == gens
-    assert not _assoc_tensor(K, V)[gens].any()
-    terms = cli._live_terms(K, V)
+    assert not _assoc_tensor(ring)[gens].any()
     rows = (np.sort(gens)[:, None] * d + np.arange(d)).ravel()
-    assert cli._first_failure(terms, d, rows) is None
-    assert cli._spanning_generators(K, V, gens) is None
-    assert cli._left_nucleus_generators(ring, terms) is None
-    expected = check_assoc_reference(K, V)
+    assert cli._first_failure(ring, rows) is None
+    assert cli._spanning_generators(ring, gens) is None
+    assert cli._left_nucleus_generators(ring) is None
+    expected = check_assoc_reference(*padded_arrays(ring))
     assert expected[0] == "violation"
     assert _check_assoc(params, ring) == expected
 
@@ -447,25 +434,26 @@ def test_certificate_never_certifies_a_nonassociative_table(monkeypatch, pne):
         d = TRing(params).dimension()
         name = rng.choice([*SEMIGROUPS, "random"])
 
-        def mutate(K, V):
+        def mutate(*table):
+            pairs = [divmod(pair, d) for pair in range(d * d)]
             if name == "random":
-                K.flat = [rng.randrange(d) for _ in range(K.size)]
-                V.flat = [rng.randint(-2, 2) for _ in range(V.size)]
-                return
+                cls = [rng.randrange(d) for _ in pairs]
+                val = [rng.randint(-2, 2) for _ in pairs]
+                return table_of(d, {ab: [(c, v)] for ab, c, v in zip(pairs, cls, val)})
             perm = rng.sample(range(d), d)
-            for a in range(d):
-                for b in range(d):
-                    K[perm[a], perm[b]] = perm[SEMIGROUPS[name](a, b, d)]
-            V[...] = 1
+            products = {
+                (perm[a], perm[b]): [(perm[SEMIGROUPS[name](a, b, d)], 1)] for a, b in pairs
+            }
             for _ in range(rng.choice([0, 0, 1, 2])):
                 a, b = rng.randrange(d), rng.randrange(d)
-                K[a, b, 0], V[a, b, 0] = rng.randrange(d), rng.randint(-1, 2)
+                products[a, b] = [(rng.randrange(d), rng.randint(-1, 2))]
+            return table_of(d, products)
 
         _mutate_structure(monkeypatch, mutate)
-        ring = TRing(params)  # uncached: each table builds its own arrays
-        K, V = ring.structure_arrays()
+        ring = TRing(params)  # uncached: each table builds its own
+        K, V = padded_arrays(ring)
         expected = check_assoc_reference(K, V)
-        gens = cli._left_nucleus_generators(ring, cli._live_terms(K, V))
+        gens = cli._left_nucleus_generators(ring)
         if gens is not None:
             assert expected[0] == "ok", (name, K.tolist(), V.tolist(), gens)
             certified += len(gens) < d
@@ -814,3 +802,53 @@ def test_golden_report_bytes(name, flags):
     run = subprocess.run(cmd, capture_output=True, check=False)
     assert run.returncode == 0, run.stderr.decode()
     assert run.stdout == (GOLDEN / name).read_bytes()
+
+
+# sha256 of the stdout of `tsring table`, recorded from the zero-padded
+# (K, V) implementation the table of live terms replaced
+TABLE_DIGESTS = {
+    ((3, 2, 2), "json"): "0e8e832978406df76d89eca56a988e80f577cf5578e27de38a6fe98db187561e",
+    ((3, 2, 2), "csv"): "8a1ea3062232dfe31f9763ec4dc24843f380e34bc5f4e8cebf912500c29d76e7",
+    ((7, 2, 3), "json"): "387f363da31354918ffa8ddce65422bc0b6dd2f61fe72676705a36119659a479",
+    ((7, 2, 3), "csv"): "f6bf1f5d4aad1b4784ea1d174eacaae2c6f82dd0b5abf7af72c68687019df94f",
+    ((5, 2, 4), "json"): "4bbb85045957bd3732665b1e1254976b8f96244617457c9d1298324d2b7ed39f",
+    ((5, 2, 4), "csv"): "623b84ca7c55385ad413c7573189fa47d410f1de97f677f6ee294fee11240705",
+}
+
+
+@pytest.mark.parametrize(
+    "pne,fmt", sorted(TABLE_DIGESTS), ids=lambda x: x if isinstance(x, str) else "p{}n{}e{}".format(*x)
+)
+def test_table_bytes(capsys, pne, fmt):
+    args = ["--p", str(pne[0]), "--n", str(pne[1]), "--e", str(pne[2]), "--format", fmt]
+    code, out = run_cli(["table", *args], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TABLE_DIGESTS[pne, fmt]
+
+
+# Cold `verify --which theorem-d` on (17,2,16), d = 544, in a wrapper that
+# reads its children's peak RSS.  The zero-padded d x d x 16 (K, V) it
+# replaced peaked at 178.6 MB; the table of live terms at 55.8 MB
+# (Python 3.11.7, numpy 2.4.6, Linux x86-64).
+LARGE_E_PEAK_MB = 100
+
+_LARGE_E_SCRIPT = """
+import resource, subprocess, sys
+args = ["verify", "--p", "17", "--n", "2", "--e", "16", "--which", "theorem-d"]
+run = subprocess.run([sys.executable, "-m", "tsring", *args], capture_output=True)
+sys.stdout.buffer.write(run.stdout)
+print(run.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)
+"""
+
+# sha256 of that report, as the zero-padded implementation wrote it
+LARGE_E_REPORT = "32a4e5a703f8d29f449d217dfd33c70bfedea6316c395e2722ae27ecaadc6465"
+
+
+def test_large_e_theorem_d_memory_peak():
+    run = subprocess.run(
+        [sys.executable, "-c", _LARGE_E_SCRIPT], capture_output=True, check=True
+    )
+    code, peak_kb = map(int, run.stderr.split()[-2:])
+    assert code == 0
+    assert hashlib.sha256(run.stdout).hexdigest() == LARGE_E_REPORT
+    assert peak_kb < LARGE_E_PEAK_MB * 1024

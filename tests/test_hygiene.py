@@ -2,8 +2,8 @@
 no module-level function or class of the package goes unreferenced, no
 floating point enters the package, no check is an `assert` statement, no
 matrix product bypasses `exactarith.field_mat_mul`, every function the
-benchmark's per-layer metrics name exists, and `verify` never imports
-numpy.ma."""
+benchmark's per-layer metrics name exists, `verify` never imports
+numpy.ma, and the multiplication table is read only through `TRing.terms`."""
 
 import ast
 import importlib
@@ -388,3 +388,46 @@ def test_verify_does_not_import_numpy_ma():
 
 def test_numpy_ma_import_is_seen():
     assert _imports_numpy_ma("import numpy as np\nnp.unique(np.eye(2, dtype=np.int64), axis=0)")
+
+
+# The multiplication table has one representation, the live terms of
+# `TRing.structure_table`, read elsewhere only through `TRing.terms`; the
+# zero-padded arrays and the second copy of the terms are gone.
+TABLE_OWNER = "tring.py"
+GONE_TABLE_NAMES = ("structure_arrays", "_live_terms")
+
+
+def table_access_problems(path: Path) -> list[str]:
+    """Where `path` calls `structure_table` outside `TABLE_OWNER`, or names
+    one of `GONE_TABLE_NAMES`."""
+    text = path.read_text(encoding="utf-8")
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call) and path.name != TABLE_OWNER:
+            func = node.func
+            callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if callee == "structure_table":
+                found.append(f"{path.name}:{node.lineno} structure_table")
+    for number, line in enumerate(text.splitlines(), 1):
+        found += [f"{path.name}:{number} {name}" for name in GONE_TABLE_NAMES if name in line]
+    return found
+
+
+def test_table_read_through_terms():
+    assert [x for path in sorted(SRC.glob("*.py")) for x in table_access_problems(path)] == []
+
+
+def test_table_access_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "def f(ring):\n"
+        "    start, cls, val = ring.structure_table()\n"
+        "    return ring.terms(start)  # not structure_arrays\n"
+        "g = _live_terms\n",
+        encoding="utf-8",
+    )
+    assert table_access_problems(module) == [
+        "sample.py:2 structure_table",
+        "sample.py:3 structure_arrays",
+        "sample.py:4 _live_terms",
+    ]

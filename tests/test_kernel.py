@@ -1,8 +1,8 @@
 """Dense elements and the exact product kernel against the dict loops.
 
 A `RingElement` is one integer vector over a denominator; `TRing.mult`,
-`TRing.actions`, `gram_int` and `center_basis` contract the structure
-arrays (K, V) in int64, or in Python ints past the overflow bound.
+`TRing.actions`, `gram_int` and `center_basis` contract the live terms of
+the structure table in int64, or in Python ints past the overflow bound.
 `tests/reference.py` keeps the dict elements and the scalar-by-scalar
 loops they replace.
 """

@@ -466,11 +466,11 @@ def test_raised_closed_form_coefficient_matches_reference(
 # ------------------------------------------------------------- memory guard
 
 # tracemalloc peak of `cli._check_oracle` at (3,4,2) in a fresh interpreter,
-# the ring's structure arrays built beforehand (the assoc check shares them).
+# the ring's table built beforehand (the assoc check shares it).
 # The per-pair loop it replaced measured 2_186_626 bytes (about 2.19 MB) on
 # Python 3.11.7 and numpy 2.4.6; the sweep may add at most 0.25 MB.  The
-# sweep stacked in both factors reads about 1.32 MB, and 1.55 MB with the
-# arrays built inside.
+# sweep stacked in both factors, compared with the table of live terms,
+# reads about 1.41 MB, and 1.61 MB with the table built inside.
 ORACLE_PEAK_BOUND = 2_186_626 + 250_000
 
 _PEAK_SCRIPT = """
@@ -480,7 +480,7 @@ from tsring.groupmodel import make_params
 from tsring.tring import tring
 params = make_params(3, 4, 2)
 ring = tring(params)
-ring.structure_arrays()
+ring.structure_table()
 tracemalloc.start()
 status, payload = cli._check_oracle(params, ring)
 assert (status, payload) == ("ok", {"compared": "7056"}), (status, payload)

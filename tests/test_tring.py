@@ -8,7 +8,7 @@ import pytest
 from conftest import BEYOND_INSTANCES, EDGE_INSTANCES, INSTANCES
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import det_over_field, sort_key, structure_arrays_reference
+from reference import det_over_field, sort_key, structure_table_reference
 
 from tsring.cli import _check_assoc
 from tsring.errors import BadLevel, ParamsMismatch, ScalarMismatch
@@ -244,24 +244,29 @@ def test_associativity_small(small_params):
 
 def test_structure_arrays_match_mult_basis(small_params):
     ring = tring(small_params)
-    K, V = ring.structure_arrays()
+    d = ring.dimension()
     for ia, a in enumerate(ring.basis):
         for ib, b in enumerate(ring.basis):
-            terms = {}
-            for ic, v in zip(K[ia, ib].tolist(), V[ia, ib].tolist()):
-                if v:
-                    terms[ring.basis[ic]] = v
+            _, cls, val = ring.terms(np.array([ia * d + ib]))
+            terms = {ring.basis[c]: v for c, v in zip(cls.tolist(), val.tolist())}
             assert terms == ring.mult_basis(a, b)
 
 
-def _structure_mismatch(ring, K, V):
-    """The first (a, b, slot) where (K, V) differs from the arrays built
-    from `mult_basis`, or None."""
-    K0, V0 = structure_arrays_reference(ring)
-    if K.shape != K0.shape:
-        return "shape", K.shape, K0.shape
-    bad = np.argwhere((K != K0) | (V != V0))
-    return tuple(bad[0].tolist()) if len(bad) else None
+def _structure_mismatch(ring, table):
+    """The first (a, b, term) where the table (start, cls, val) differs
+    from the one built from `mult_basis`, or None: (a, b, "count") when the
+    term counts of e_a e_b differ."""
+    start, cls, val = table
+    start0, cls0, val0 = structure_table_reference(ring)
+    d = ring.dimension()
+    counts = np.flatnonzero(np.diff(start) != np.diff(start0))
+    if len(counts):
+        return (*divmod(int(counts[0]), d), "count")
+    bad = np.flatnonzero((cls != cls0) | (val != val0))
+    if not len(bad):
+        return None
+    pair = int(np.searchsorted(start, bad[0], side="right")) - 1
+    return (*divmod(pair, d), int(bad[0] - start[pair]))
 
 
 @pytest.mark.parametrize(
@@ -271,23 +276,26 @@ def _structure_mismatch(ring, K, V):
 )
 def test_structure_arrays_equal_mult_basis_slot_for_slot(pne):
     ring = TRing(make_params(*pne))
-    K, V = ring.structure_arrays()
-    assert K.dtype == V.dtype == np.int64
-    assert _structure_mismatch(ring, K, V) is None
+    table = ring.structure_table()
+    assert all(x.dtype == np.int64 for x in table)
+    assert _structure_mismatch(ring, table) is None
 
 
 def test_structure_arrays_check_sees_one_coefficient_off():
     ring = TRing(make_params(7, 2, 3))
-    K, V = (x.copy() for x in ring.structure_arrays())
+    d = ring.dimension()
+    start, cls, val = (x.copy() for x in ring.structure_table())
     rng = random.Random(0)
     for _ in range(20):
-        a, b = rng.randrange(len(ring.basis)), rng.randrange(len(ring.basis))
-        j = rng.randrange(K.shape[2])
-        V[a, b, j] += 1
-        assert _structure_mismatch(ring, K, V) == (a, b, j)
-        V[a, b, j] -= 1
-    K[3, 4, 0] += 1
-    assert _structure_mismatch(ring, K, V) == (3, 4, 0)
+        a, b = rng.randrange(d), rng.randrange(d)
+        j = rng.randrange(start[a * d + b + 1] - start[a * d + b])
+        val[start[a * d + b] + j] += 1
+        assert _structure_mismatch(ring, (start, cls, val)) == (a, b, j)
+        val[start[a * d + b] + j] -= 1
+    cls[start[3 * d + 4]] += 1
+    assert _structure_mismatch(ring, (start, cls, val)) == (3, 4, 0)
+    start[5 * d + 1 :] += 1
+    assert _structure_mismatch(ring, (start, cls, val)) == (5, 0, "count")
 
 
 @settings(max_examples=25, deadline=None)
