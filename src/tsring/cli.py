@@ -139,31 +139,35 @@ def cmd_table(args) -> int:
 def _check_oracle(params, ring):
     """Every product e_a e_b by coset enumeration against the table, exactly.
 
-    The oracle's chunks of a rows come in basis order, so `compared`, the
-    number of pairs before the first failure in lexicographic order, is
-    exact; a pair whose enumeration raised is inconclusive.
+    The oracle enumerates the representative pairs of its twist orbits and
+    moves each row's products there from its representative's
+    (`MackeyOracle.rows`); the check compares them with the terms of the
+    table one row at a time, in basis order, so `compared`, the number of
+    pairs before the first failure in lexicographic order, is exact.  A
+    pair the oracle could not decide is inconclusive, and wins a tie.
     """
     from . import mackey
 
     d = ring.dimension()
-    for start, stop, (pair, cls, coeff, errors) in mackey.oracle(params).sweep():
-        owner, table_cls, val = ring.terms(np.arange(start * d, stop * d))
-        # closed form minus oracle, keyed by pair * d + class
-        keys = np.concatenate(((start * d + owner) * d + table_cls, pair * d + cls))
-        bad = _first_nonzero_sum(keys, np.concatenate((val, -coeff)))
-        bad = None if bad is None else bad // d
-        error = min(errors, default=None)
-        if error is not None and (bad is None or error <= bad):
-            return "inconclusive", {
-                "pair": [basis_label(ring.basis[k]) for k in divmod(error, d)],
-                "error": str(errors[error]),
-                "compared": str(error),
-            }
-        if bad is not None:
-            return "violation", {
-                "pair": [basis_label(ring.basis[k]) for k in divmod(bad, d)],
-                "compared": str(bad),
-            }
+    errors, rows = mackey.oracle(params).rows()
+    error = min(errors, default=None)
+    bad = None
+    for a, (cols, cls, coeff) in enumerate(rows):
+        if error is not None and error < a * d:
+            break
+        owner, table_cls, val = ring.terms(np.arange(a * d, (a + 1) * d))
+        # closed form minus oracle, keyed by b * d + class
+        keys = np.concatenate((owner * d + table_cls, cols * d + cls))
+        first = _first_nonzero_sum(keys, np.concatenate((val, -coeff)))
+        if first is not None:
+            bad = a * d + first // d
+            break
+    pair = lambda k: [basis_label(ring.basis[i]) for i in divmod(k, d)]
+    if error is not None and (bad is None or error <= bad):
+        why = str(errors[error])
+        return "inconclusive", {"pair": pair(error), "error": why, "compared": str(error)}
+    if bad is not None:
+        return "violation", {"pair": pair(bad), "compared": str(bad)}
     return "ok", {"compared": str(d * d)}
 
 

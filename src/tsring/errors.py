@@ -59,3 +59,7 @@ class ScanTooLarge(TsringError):
 
 class TheoremViolation(TsringError):
     """A mechanically checked identity failed; carries both sides."""
+
+
+class TransportFailed(TsringError):
+    """A one-sided twist is no basis permutation, or moves a product wrongly."""

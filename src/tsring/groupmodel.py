@@ -21,11 +21,6 @@ generators S (at most two): 1 lies in H, H*s lies in H and the orbit of 1
 under right multiplication by S covers H, and the character satisfies
 chi(1) = 0 and chi(h*s) = chi(h) + chi(s); that is |S|*|H| lookups.  Star
 products and conjugates of subgroups are subgroups by construction.
-
-`star` takes two SubgroupStacks, subgroups of one order as the rows of
-2-D arrays, and joins every row of one with every row of the other in a
-single pass; a product whose connecting elements disagree gets its
-CharacterIllDefined in place of a subgroup.
 """
 
 from __future__ import annotations
@@ -369,202 +364,52 @@ def _shape_tags(params) -> dict:
 # --------------------------------------------------------------- star, conj
 
 
-class SubgroupStack:
-    """Subgroups of G x G of one order, one per row of 2-D codes and chars.
+def star(x: SubgroupGG, y: SubgroupGG) -> SubgroupGG:
+    """The composition subgroup {(g, k) : (g, h) in X, (h, k) in Y}, in one
+    sorted join: each (g, h) of X meets the run of Y's sorted codes over h.
 
-    Rows are the subgroups' sorted code arrays; `chars` is None unless
-    every subgroup carries a character.
+    With characters on both sides the product carries the sum through any
+    connecting element; CharacterIllDefined names the first pair that two
+    connecting elements give different values.
     """
-
-    def __init__(self, params, codes, chars):
-        self.params = params
-        self.codes = codes
-        self.chars = chars
-
-    @classmethod
-    def of(cls, subgroups) -> "SubgroupStack":
-        chars = None
-        if all(x.chars is not None for x in subgroups):
-            chars = np.stack([x.chars for x in subgroups])
-        return cls(subgroups[0].params, np.stack([x.codes for x in subgroups]), chars)
-
-    def fibre(self) -> int:
-        """The common size of every fibre of every row over its first coordinate.
-
-        A subgroup's fibre over g is a coset of its kernel {(1, k)}, so all
-        have one size; this is checked, not assumed, on the sorted rows.
-        """
-        order = self.params.group_order
-        first = self.codes // order
-        f = int((first[0] == 0).sum())
-        heads = first[:, ::f]
-        width = self.codes.shape[1]
-        if (
-            width % f
-            or (first != np.repeat(heads, f, axis=1)).any()
-            or (heads[:, 1:] <= heads[:, :-1]).any()
-        ):
-            raise ValueError("fibres over the first coordinate differ in size")
-        return f
-
-    def __len__(self):
-        return len(self.codes)
-
-
-class StarProducts:
-    """The star products of every row x of one stack with every row y of another.
-
-    Product q = x * len(ys) + y holds values[bounds[q]:bounds[q + 1]], one
-    code * e + char per element in code order, or the codes alone when e is
-    None, for factors without characters; `clashes` maps a product whose
-    connecting elements disagree to its CharacterIllDefined.
-    """
-
-    def __init__(self, params, values, e, bounds, clashes):
-        self.params = params
-        self.values = values
-        self.e = e
-        self.bounds = bounds
-        self.clashes = clashes
-
-    def __len__(self):
-        return len(self.bounds) - 1
-
-    def __getitem__(self, q):
-        """Product q as a SubgroupGG, or its CharacterIllDefined."""
-        if q in self.clashes:
-            return self.clashes[q]
-        codes, chars = self.values[self.bounds[q] : self.bounds[q + 1]], None
-        if self.e is not None:
-            codes, chars = np.divmod(codes, self.e)
-        return SubgroupGG(self.params, recognize_shape(self.params, codes), codes, chars)
-
-
-def star(xs: SubgroupStack, ys: SubgroupStack, wanted=None, most=None) -> StarProducts:
-    """The composition subgroups {(g, k) : (g, h) in X, (h, k) in Y}, X a row
-    of xs and Y a row of ys, in one join.  A boolean (len(xs), len(ys))
-    `wanted` leaves the products it marks False empty.
-
-    Every fibre of a row Y over its first coordinate h has the same size f
-    (`SubgroupStack.fibre`), so a table indexed by h holds where each row's
-    fibre starts, and each element (g, h) of X meets its f partners in every
-    row Y through one gather.  The matches come out grouped by (X, Y) and,
-    within that, in the order of g; when X's fibres are single points too
-    and f = 1 each g meets one k, so they are sorted and free of repeats,
-    otherwise a sort orders them, a run of whole products of at most
-    `most` matches at a time.  When both sides carry characters a product
-    carries the sum through any connecting element; a product where two
-    connecting elements disagree is a clash.
-    """
-    if xs.params != ys.params:
+    if x.params != y.params:
         raise ParamsMismatch("star of subgroups over different params")
-    params = ys.params
-    order = params.group_order
-    f = ys.fibre()
-    rows, width = ys.codes.shape
-    count, size = xs.codes.shape
-    # starts[h, y]: where the fibre of row y over h begins in ys, else -1
-    starts = np.full((order, rows), -1, dtype=np.int64)
-    heads = np.arange(0, rows * width, f).reshape(rows, -1)
-    starts[ys.codes[:, ::f] // order, np.arange(rows)[:, None]] = heads
-    # laid out (x row, y row, x element)
-    hit = starts[xs.codes % order].transpose(0, 2, 1)
-    found = hit >= 0
-    if wanted is not None:
-        found &= wanted[:, :, None]
-    yi = hit[found]
-    del hit
-    xi = np.broadcast_to(np.arange(count * size).reshape(count, 1, size), found.shape)[found]
-    hits = found.sum(axis=2).ravel()
-    del found
-    e = params.e if xs.chars is not None and ys.chars is not None else None
-    if f == 1 and xs.fibre() == 1:
-        return StarProducts(params, _compose(xs, ys, xi, yi, e), e, _bounds(hits), {})
-    # runs of whole products, each of at most `most` matches or one product
-    matches = hits * f
-    run = (np.cumsum(matches) - matches) // (most or max(1, matches.sum()))
-    cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(hits)]
-    at = _bounds(hits)
-    values, counts, clashes = [], [], {}
-    for q0, q1 in zip(cuts[:-1], cuts[1:]):
-        span = slice(at[q0], at[q1])
-        # each hit meets the f elements of its fibre
-        partners = (yi[span, None] + np.arange(f)).ravel()
-        keys = _compose(xs, ys, np.repeat(xi[span], f), partners, e)
-        run_values, run_counts, run_clashes = _sorted_products(params, keys, matches[q0:q1], e)
-        values.append(run_values)
-        counts.append(run_counts)
-        clashes.update((q0 + q, exc) for q, exc in run_clashes.items())
-    values, counts = np.concatenate(values), np.concatenate(counts)
-    return StarProducts(params, values, e, _bounds(counts), clashes)
-
-
-def _bounds(counts):
-    """Where each of the consecutive runs of the given lengths starts, and the end."""
-    bounds = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    return bounds
-
-
-def _compose(xs, ys, xi, yi, e):
-    """code * e + char of (g, k), char the summed characters mod e, or the
-    code when e is None, for the matches (g, h) = xs[xi] and (h, k) = ys[yi]."""
-    order = xs.params.group_order
-    if e is None:
-        e, values = 1, xs.codes.ravel()[xi] // order * order
-    else:
-        values = xs.chars.ravel()[xi]
-        values += ys.chars.ravel()[yi]
-        values %= e
-        values += (xs.codes // order * (order * e)).ravel()[xi]
-    values += (ys.codes % order * e).ravel()[yi]
-    return values
-
-
-def _sorted_products(params, values, counts, e):
-    """(values, counts, clashes) of consecutive products with the given
-    numbers of matches, each sorted and free of repeats.
-
-    One key (product, code, char) per match, sorted: repeats of a (product,
-    code) are then adjacent, and a clash differs in char.
-    """
+    params = x.params
     table = group_table(params)
-    order = len(table.elems)
-    square, e = order * order, e or 1
-    keys = np.repeat(np.arange(len(counts)) * (square * e), counts)
-    keys += values
-    del values
-    keys = keys[keys.argsort(kind="stable")]
-    code_keys = keys // e
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(code_keys[1:], code_keys[:-1], out=first[1:])
-    clash = code_keys[1:][~first[1:] & (keys[1:] != keys[:-1])]
-    clashes = {}
-    # the first clash of each product, in code order
-    for key in clash[np.flatnonzero(np.diff(clash // square, prepend=-1))].tolist():
-        g, k = divmod(key % square, order)
-        clashes[key // square] = CharacterIllDefined(
-            f"connecting elements disagree at {(table.elems[g], table.elems[k])}"
-        )
-    del code_keys
-    keys = keys[first]
-    return keys % (square * e), np.bincount(keys // (square * e), minlength=len(counts)), clashes
+    xg, xh = np.divmod(x.codes, len(table.elems))
+    yh, yk = np.divmod(y.codes, len(table.elems))
+    lo = yh.searchsorted(xh, "left")
+    counts = yh.searchsorted(xh, "right") - lo
+    xi = np.repeat(np.arange(len(xh)), counts)
+    yi = np.arange(len(xi)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    codes = _encode(table, xg[xi], yk[yi])
+    order = codes.argsort(kind="stable")
+    codes = codes[order]
+    first = np.concatenate(([True], codes[1:] != codes[:-1]))
+    chars = None
+    if x.chars is not None and y.chars is not None:
+        chars = ((x.chars[xi] + y.chars[yi]) % params.e)[order]
+        clash = np.flatnonzero(~first[1:] & (chars[1:] != chars[:-1]))
+        if len(clash):
+            g, k = divmod(int(codes[clash[0]]), len(table.elems))
+            raise CharacterIllDefined(
+                f"connecting elements disagree at {(table.elems[g], table.elems[k])}"
+            )
+        chars = chars[first]
+    codes = codes[first]
+    return SubgroupGG(params, recognize_shape(params, codes), codes, chars)
 
 
-def conj(s: GGPair, x):
-    """Conjugate a subgroup of G x G, or every row of a SubgroupStack, by the
-    pair s, transporting characters."""
+def conj(s: GGPair, x: SubgroupGG) -> SubgroupGG:
+    """Conjugate a subgroup of G x G by the pair s, transporting characters."""
     table = group_table(x.params)
-    # g -> u g u^-1 as one gather over G
-    inner = lambda u: table.mul[table.mul[table.index[u]], table.inv[table.index[u]]]
+    # u g u^-1 for the indices g, two gathers
+    inner = lambda u, g: table.mul[table.mul[table.index[u], g], table.inv[table.index[u]]]
     g, h = np.divmod(x.codes, len(table.elems))
-    codes = _encode(table, inner(s[0])[g], inner(s[1])[h])
-    order = codes.argsort(axis=-1)
-    codes = np.take_along_axis(codes, order, -1)
-    chars = None if x.chars is None else np.take_along_axis(x.chars, order, -1)
-    if isinstance(x, SubgroupStack):
-        return SubgroupStack(x.params, codes, chars)
+    codes = _encode(table, inner(s[0], g), inner(s[1], h))
+    order = codes.argsort()
+    codes = codes[order]
+    chars = None if x.chars is None else x.chars[order]
     return SubgroupGG(x.params, recognize_shape(x.params, codes), codes, chars)
 
 

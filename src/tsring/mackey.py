@@ -12,18 +12,22 @@ Subgroups are the pair-code arrays of tsring.groupmodel: the kernel
 intersection, conjugation, star products and character lookups below are
 numpy searches and gathers, and only the named constructors check laws.
 
-There is one path, stacked in both factors.  `products` takes left
-factors a at one level and right factors b at one level, and runs the
-(double-coset representative t, b) pairs in blocks: each y_b of a block
-is conjugated by its (t, 1), one gather per t, and the connecting-
-character test and the star join of all a with the whole block are one
-`star_module` call.  The join rests on the equal-fibre fact of
-`groupmodel.star`.  Each resulting summand is still zero-tested,
-clash-checked, recognized literally, canonicalized when Explicit and
-classified (memoised per shape tag and character), once per distinct
-(codes, chars) summand of a block.  `sweep` runs every pair in chunks of
-left rows, in basis order; `oracle_mult` is a one-row call.  Products
-leave as flat int arrays, never per-pair dicts.
+`oracle_mult` enumerates one pair: for each double-coset representative
+t, the right factor's subgroup is conjugated by (t, 1), and the star
+module with the left factor's is zero-tested, joined, clash-checked,
+recognized, canonicalized when Explicit and classified (memoised).
+
+`rows` gives every product from (e + n)^2 enumerated pairs.  Twisting one
+side of a bimodule commutes with the tensor product over kG, for an
+automorphism theta of G and for a linear character chi of G/D alike.  On
+an inducing subgroup a left twist maps the first coordinates by theta, or
+adds chi of the first coordinate to the character; the double cosets and
+connecting subgroups stay.  With theta_u(x, r) = (u x, r), u generating
+the units mod p^n, and chi(x, r) = dlog(r), each side has e + n orbits,
+and every product is a representative pair's moved by a composite twist.
+The oracle finds each twist's basis permutation by twisting and
+classifying every inducing subgroup, and checks a sample of twisted
+products by enumerating them.
 
 The subgroups met along the way all canonicalize into five shapes:
 E x E, E x 1, 1 x E, and the twisted diagonals of D_k and of D_k E.
@@ -45,7 +49,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import CharacterIllDefined, UnrecognizedShape
+from .errors import CharacterIllDefined, TransportFailed, UnrecognizedShape
 from .groupmodel import (
     TAG_DIAG_P,
     TAG_DIAG_PE,
@@ -55,27 +59,20 @@ from .groupmodel import (
     TAG_ONEXE,
     ModelParams,
     SubgroupGG,
-    SubgroupStack,
     _positions,
     canonical_coset,
     conj,
     double_cosets_in_d,
+    group_table,
+    recognize_shape,
     star,
     subgroup_diag_pe,
     subgroup_exe,
 )
-from .tring import NonProj, ProjPair, tring
+from .tring import NonProj, ProjPair, basis_label, tring
 
-# stacked left-factor codes per chunk of `MackeyOracle.sweep`, and matches
-# sorted at a time where `groupmodel.star` sorts; (3,4,2)'s largest level,
-# 54 rows of 162 codes, takes four chunks
-ORACLE_CHUNK_ENTRIES = 2304
-
-# entries of the (a row, (t, b) pair, a code) table of one join in
-# `products`.  Each int64 temporary then stays under 128 KB, glibc's
-# default mmap threshold, so it reuses freed heap and leaves the peak RSS
-# of the check where it was.
-ORACLE_JOIN_ENTRIES = 6 * ORACLE_CHUNK_ENTRIES
+# what an enumeration or a twist may raise; the check reports it inconclusive
+ORACLE_ERRORS = (UnrecognizedShape, CharacterIllDefined, TransportFailed)
 
 
 class MackeyOracle:
@@ -102,39 +99,25 @@ class MackeyOracle:
             self._subgroups[b] = sub
         return self._subgroups[b]
 
-    @staticmethod
-    def _level_of(b) -> int:
-        return 0 if isinstance(b, ProjPair) else b.level
-
     # -------------------------------------------------------- star modules
 
-    def star_module(self, xs: SubgroupStack, ys: SubgroupStack):
-        """Star product of each row of xs with each row of ys, with the
-        tensor-product character.
+    def star_module(self, x: SubgroupGG, y: SubgroupGG):
+        """Star product of x and y with the tensor-product character, or
+        None when the module is zero.
 
         The middle subgroup k(X, Y) acts on the left factor through its
         second coordinate (inverted) and on the right factor through its
         first coordinate; the tensor product over it vanishes unless the
-        two scalar actions agree.  Returns None when every module is zero,
-        else (live, products): the products q = x * len(ys) + y whose
-        module is not zero, and `star` of the two stacks for those.
+        two scalar actions agree.
         """
-        params = self.params
-        order = params.group_order
-        # (h, 1) in Y are the multiples of |G|; (1, h) in X has code h
-        y_row, y_at = np.nonzero(ys.codes % order == 0)
-        offsets = np.arange(len(xs))[:, None] * (order * order)
-        h = ys.codes[y_row, y_at] // order
-        ix = _positions((xs.codes + offsets).ravel(), h + offsets)
-        left_action = (-xs.chars.ravel()[ix]) % params.e
-        disagree = (ix >= 0) & (left_action != ys.chars[y_row, y_at])
-        # every row of Y holds (1, 1), so each row owns a run of columns
-        runs = np.flatnonzero(np.diff(y_row, prepend=-1))
-        wanted = ~np.logical_or.reduceat(disagree, runs, axis=1)
-        live = np.flatnonzero(wanted)
-        if not live.size:
+        e, order = self.params.e, self.params.group_order
+        # (1, h) in X are the codes below |G|; (h, 1) in Y the multiples of it
+        y_left = np.flatnonzero(y.codes % order == 0)
+        ix = _positions(x.codes[: x.codes.searchsorted(order)], y.codes[y_left] // order)
+        middle = ix >= 0
+        if ((-x.chars[ix[middle]]) % e != y.chars[y_left[middle]]).any():
             return None
-        return live, star(xs, ys, wanted, ORACLE_CHUNK_ENTRIES)
+        return star(x, y)
 
     # ----------------------------------------------------- canonicalization
 
@@ -152,9 +135,7 @@ class MackeyOracle:
             moved = conj(((z1, r), (z2, r)), z)
             if moved.tag[0] != TAG_EXPLICIT:
                 return moved
-        raise UnrecognizedShape(
-            f"subgroup of order {len(z)} fits no known shape"
-        )
+        raise UnrecognizedShape(f"subgroup of order {len(z)} fits no known shape")
 
     # ------------------------------------------------------- classification
 
@@ -206,149 +187,171 @@ class MackeyOracle:
             self._classified[key] = terms
         return terms
 
-    def _block_terms(self, xs, ys):
-        """Terms of the nonzero star modules of xs and ys, or None if there
-        are none: (live, row, cls, coeff) arrays and {row: error}.
+    def oracle_mult(self, a, b, reps=None) -> dict:
+        """Structure constants of a * b recomputed by coset enumeration.
 
-        Rows index `live`, the products q = x * len(ys) + y with a nonzero
-        module.  Each distinct (codes, chars) summand is recognized,
-        canonicalized and classified once; a clash or an UnrecognizedShape
-        makes the row an error with no terms.
-        """
-        module = self.star_module(xs, ys)
-        if module is None:
-            return None
-        live, summands = module
-        clashes, data = summands.clashes, summands.values.tobytes()
-        lo, hi = (summands.bounds[live + k] * summands.values.itemsize for k in (0, 1))
-        # the bytes of its code * e + char name a summand; a clash is its own
-        ids: dict = {}
-        which = np.array(
-            [
-                ids.setdefault(clashes.get(q) or data[a:b], len(ids))
-                for q, a, b in zip(live.tolist(), lo.tolist(), hi.tolist())
-            ]
-        )
-        # the first row of each distinct summand
-        first = np.empty(len(ids), dtype=np.int64)
-        first[which[::-1]] = np.arange(len(which))[::-1]
-        found = []
-        for q in live[first].tolist():
-            z = summands[q]
-            try:
-                found.append(z if isinstance(z, CharacterIllDefined) else self._terms(z))
-            except UnrecognizedShape as exc:
-                found.append(exc)
-        failed = np.array([isinstance(t, Exception) for t in found])
-        errors = {row: found[which[row]] for row in np.flatnonzero(failed[which]).tolist()}
-        # distinct summand u owns the terms flat[offset[u]:offset[u] + size[u]]
-        size = np.array([0 if bad else len(t) for t, bad in zip(found, failed)])
-        offset = np.cumsum(size) - size
-        flat = np.array(
-            [term for t, bad in zip(found, failed) if not bad for term in t], dtype=np.int64
-        ).reshape(-1, 2)
-        n = size[which]
-        rows = np.repeat(np.arange(len(which)), n)
-        at = np.repeat(offset[which] - (np.cumsum(n) - n), n) + np.arange(n.sum())
-        return live, rows, flat[at, 0], flat[at, 1], errors
-
-    def products(self, left, right, reps=None):
-        """Products e_a * e_b by coset enumeration, a in `left`, b in `right`.
-
-        `left` and `right` are basis indices, each list inside one level;
-        `reps` defaults to `double_cosets_in_d` of the two levels.  The
-        (representative t, b) pairs run in blocks, t by t; each y_b of a
-        block is conjugated by its (t, 1), one gather per t, and the block
-        is joined with the stacked subgroups of all a in one `star` call.
-        Returns (pair, cls, coeff, errors): one entry per term of one
-        summand, with pair = a * d + b and cls a basis index, unsummed;
-        errors maps a pair to the UnrecognizedShape or CharacterIllDefined
-        of its first failing representative.
+        `reps` defaults to `double_cosets_in_d` of the two levels.  For each
+        representative t, the star module of X_a with (t, 1) Y_b (t, 1)^-1
+        is classified; the UnrecognizedShape or CharacterIllDefined of the
+        first failing representative is raised.
         """
         params = self.params
-        basis = self._ring.basis
-        d = len(basis)
         if reps is None:
-            reps = double_cosets_in_d(
-                params, self._level_of(basis[left[0]]), self._level_of(basis[right[0]])
-            )
-        xs = SubgroupStack.of([self.subgroup_of_basis(basis[a]) for a in left])
-        ys = [self.subgroup_of_basis(basis[b]) for b in right]
-        n = len(right)
-        # the join's (a row, (t, b) pair, a code) table stays under the bound
-        step = max(1, ORACLE_JOIN_ENTRIES // xs.codes.size)
-        left, right = np.asarray(left), np.asarray(right)
-        parts, errors = [], {}
-        for lo in range(0, len(reps) * n, step):
-            hi = min(lo + step, len(reps) * n)
-            cols = right[np.arange(lo, hi) % n]
-            stacks = []
-            for t in range(lo // n, (hi - 1) // n + 1):
-                # pairs t * n + k of the block, k from first to last
-                first, last = max(lo - t * n, 0), min(hi - t * n, n)
-                stacks.append(
-                    conj((reps[t], params.identity), SubgroupStack.of(ys[first:last]))
-                )
-            block = SubgroupStack(
-                params,
-                np.concatenate([y.codes for y in stacks]),
-                np.concatenate([y.chars for y in stacks]),
-            )
-            part = self._block_terms(xs, block)
-            if part is None:
-                continue
-            live, rows, cls, coeff, failed = part
-            pair = left[live // len(cols)] * d + cols[live % len(cols)]
-            # rows run representative by representative for each pair
-            for row, exc in failed.items():
-                errors.setdefault(int(pair[row]), exc)
-            parts.append((pair[rows], cls, coeff))
-        if not parts:
-            return (*(np.zeros(0, dtype=np.int64) for _ in range(3)), errors)
-        return (*(np.concatenate(arrays) for arrays in zip(*parts)), errors)
-
-    def sweep(self):
-        """All d^2 products, one chunk of left factors at a time, in basis order.
-
-        Yields (start, stop, products) for the basis rows start..stop-1
-        against every column, products as `products` returns them.  A chunk
-        holds at most ORACLE_CHUNK_ENTRIES stacked codes.
-        """
-        ring = self._ring
-        levels = [
-            [ring.index[b] for b in ring.level_basis(i)]
-            for i in range(self.params.n + 1)
-        ]
-        for left in levels:
-            order = len(self.subgroup_of_basis(ring.basis[left[0]]))
-            step = max(1, ORACLE_CHUNK_ENTRIES // order)
-            for lo in range(0, len(left), step):
-                chunk = left[lo : lo + step]
-                parts = [self.products(chunk, right) for right in levels]
-                errors = {}
-                for part in parts:
-                    errors.update(part[3])
-                arrays = (np.concatenate([part[k] for part in parts]) for k in range(3))
-                yield chunk[0], chunk[-1] + 1, (*arrays, errors)
-
-    def oracle_mult(self, a, b) -> dict:
-        """Structure constants of a * b recomputed by coset enumeration."""
-        return self.oracle_mult_with_reps(a, b, None)
-
-    def oracle_mult_with_reps(self, a, b, reps) -> dict:
-        """Same as oracle_mult but with caller-chosen coset representatives."""
-        index = self._ring.index
-        _, classes, coeffs, errors = self.products([index[a]], [index[b]], reps)
-        if errors:
-            raise next(iter(errors.values()))
+            level = lambda c: 0 if isinstance(c, ProjPair) else c.level
+            reps = double_cosets_in_d(params, level(a), level(b))
+        x, y = self.subgroup_of_basis(a), self.subgroup_of_basis(b)
         basis = self._ring.basis
         out: dict = {}
-        for c, m in zip(classes.tolist(), coeffs.tolist()):
-            out[basis[c]] = out.get(basis[c], 0) + m
+        for t in reps:
+            z = self.star_module(x, conj((t, params.identity), y))
+            if z is not None:
+                for c, m in self._terms(z):
+                    out[basis[c]] = out.get(basis[c], 0) + m
         return out
+
+    # ------------------------------------------------------------ transport
+
+    def twists(self) -> list:
+        """The generating twists of either side, as (image of G, character
+        shift), each an array over the indices of G or None.
+
+        theta_u(x, r) = (u x, r) for u generating the units mod p^n: a
+        primitive root, or -1 and 5 when p = 2 and n >= 3, where the units
+        are not cyclic; none when u = 1.  chi(x, r) = dlog(r) when e > 1.
+        """
+        params = self.params
+        x, k = np.divmod(np.arange(params.group_order), params.e)
+        units = (-1, 5) if params.p == 2 and params.n >= 3 else (params.primitive_root,)
+        out = [((u * x) % params.pn * params.e + k, None) for u in units if u % params.pn != 1]
+        if params.e > 1:
+            out.append((None, group_table(params).dlog[k]))
+        return out
+
+    def _twisted(self, z: SubgroupGG, side: int, image, shift) -> SubgroupGG:
+        """z with coordinate `side` (0 left, 1 right) moved by `image` and
+        the character at it added to z's."""
+        order = self.params.group_order
+        pair = list(np.divmod(z.codes, order))
+        chars = z.chars
+        if shift is not None:
+            chars = (chars + shift[pair[side]]) % self.params.e
+        if image is not None:
+            pair[side] = image[pair[side]]
+        codes = pair[0] * order + pair[1]
+        at = codes.argsort()
+        codes = codes[at]
+        return SubgroupGG(self.params, recognize_shape(self.params, codes), codes, chars[at])
+
+    def permutation(self, side: int, image, shift, errors: dict):
+        """The basis permutation of one generating twist of one side, or None.
+
+        Each inducing subgroup is twisted and classified; its image must be
+        one class of multiplicity 1, and no two classes may share one.  A
+        class that fails is recorded in `errors` at the least pair of its
+        row (left) or column (right), and the twist is not used.
+        """
+        basis = self._ring.basis
+        d = len(basis)
+        sigma = np.full(d, -1)
+        for c, b in enumerate(basis):
+            try:
+                terms = self._terms(self._twisted(self.subgroup_of_basis(b), side, image, shift))
+                if len(terms) != 1 or terms[0][1] != 1:
+                    raise TransportFailed(f"a twist of {basis_label(b)} is not one class")
+                sigma[c] = terms[0][0]
+            except ORACLE_ERRORS as exc:
+                errors.setdefault(c if side else c * d, exc)
+        at = sigma.argsort(kind="stable")
+        repeats = at[1:][np.diff(sigma[at]) == 0]
+        for c in repeats[sigma[repeats] >= 0].tolist():
+            exc = TransportFailed(f"a twist of {basis_label(basis[c])} repeats an image")
+            errors.setdefault(c if side else c * d, exc)
+        return None if (sigma < 0).any() or len(repeats) else sigma
+
+    def _orbits(self, perms):
+        """rep[c], the least class of the orbit of c under the permutations,
+        and twist[c], a composite of them that maps rep[c] to c, as a
+        permutation of the classes."""
+        d = len(self._ring.basis)
+        rep = np.full(d, -1)
+        twist = np.empty((d, d), dtype=np.int32)
+        for c in range(d):
+            if rep[c] >= 0:
+                continue
+            rep[c], twist[c], queue = c, np.arange(d), [c]
+            for m in queue:
+                for sigma in perms:
+                    k = sigma[m]
+                    if rep[k] < 0:
+                        rep[k], twist[k] = c, sigma[twist[m]]
+                        queue.append(k)
+        return rep, twist
+
+    def rows(self):
+        """Every product e_a e_b, transported from representative pairs.
+
+        Returns (errors, rows): errors maps a pair a * d + b to what makes
+        it inconclusive, and rows yields, for a = 0, 1, ..., d - 1, the
+        terms (b, class, coefficient) of the products e_a e_b.  A class
+        whose twist fails is an error at the least pair of its row (left)
+        or column (right); a representative pair that fails, at itself,
+        the least pair of its two orbits, whose products it leaves out.
+        The sample enumerates each twist of each representative against
+        the first representative of the other side; a product that is not
+        the twisted representative's is an error at that pair.
+        """
+        basis, index = self._ring.basis, self._ring.index
+        d = len(basis)
+        errors: dict = {}
+        perms = [[self.permutation(side, *t, errors) for t in self.twists()] for side in (0, 1)]
+        left, right = ([s for s in side if s is not None] for side in perms)
+        (left_rep, left_twist), (right_rep, right_twist) = self._orbits(left), self._orbits(right)
+        a_reps, b_reps = (np.flatnonzero(r == np.arange(d)).tolist() for r in (left_rep, right_rep))
+
+        def product(a, b):
+            """{class: coefficient} of e_a e_b by enumeration, or None with the error kept."""
+            try:
+                return {index[c]: m for c, m in self.oracle_mult(basis[a], basis[b]).items()}
+            except ORACLE_ERRORS as exc:
+                errors.setdefault(a * d + b, exc)
+
+        # the pairs of two orbits past an earlier error cannot change the report
+        found = {
+            (a, b): product(a, b)
+            for a in a_reps
+            for b in b_reps
+            if not errors or min(errors) > a * d + b
+        }
+        samples = [(sigma, a, b_reps[0], sigma[a], b_reps[0]) for sigma in left for a in a_reps]
+        samples += [(sigma, a_reps[0], b, a_reps[0], sigma[b]) for sigma in right for b in b_reps]
+        for sigma, a, b, ta, tb in samples:
+            rep = found.get((a, b))
+            got = None if rep is None else product(ta, tb)
+            if got is not None and got != {int(sigma[c]): m for c, m in rep.items()}:
+                pair = f"{basis_label(basis[a])} * {basis_label(basis[b])}"
+                errors.setdefault(ta * d + tb, TransportFailed(f"a twist moves {pair} wrongly"))
+
+        def rep_row(a):
+            """(b, class, coefficient) of the terms of e_a e_b over all b, for a
+            left representative a: the product with b's representative, moved
+            by b's twist."""
+            terms = [
+                (b, c, m)
+                for b, r in enumerate(right_rep.tolist())
+                for c, m in (found.get((a, r)) or {}).items()
+            ]
+            cols, cls, coeff = np.array(terms, dtype=np.int64).reshape(-1, 3).T
+            return cols, right_twist[cols, cls], coeff
+
+        def transported():
+            rows = {a: rep_row(a) for a in a_reps}
+            for a, r in enumerate(left_rep.tolist()):
+                cols, cls, coeff = rows[r]
+                yield cols, left_twist[a, cls], coeff
+
+        return errors, transported()
 
 
 @lru_cache(maxsize=None)
 def oracle(params: ModelParams) -> MackeyOracle:
     return MackeyOracle(params)
-

@@ -33,7 +33,6 @@ from tsring.groupmodel import (
     TAG_EXONE,
     TAG_ONEXE,
     SubgroupGG,
-    SubgroupStack,
     _encode,
     _positions,
     canonical_coset,
@@ -42,7 +41,6 @@ from tsring.groupmodel import (
     double_cosets_in_d,
     group_table,
     recognize_shape,
-    star,
     subgroup_diag_pe,
 )
 from tsring.tring import NonProj, ProjPair, TRing, basis_label, basis_to_json, tring
@@ -260,14 +258,6 @@ def double_cosets(params, i, j):
     """Canonical representatives: identity's coset first, then least-first."""
     table = group_table(params)
     return [table.elems[block[0]] for block in double_coset_partition(params, i, j)]
-
-
-def star_one(x, y):
-    """The star product of two subgroups, as a one-row call of `star`."""
-    out = star(SubgroupStack.of([x]), SubgroupStack.of([y]))[0]
-    if isinstance(out, Exception):
-        raise out
-    return out
 
 
 def first_projection(sub):
@@ -871,32 +861,17 @@ def check_oracle_reference(orc, ring):
     return "ok", {"compared": str(compared)}
 
 
-def oracle_table(orc, reps_of=None):
-    """Every product by the block routine, as {(a, b): {class: coefficient}}.
-
-    By default through `sweep`, as the oracle check runs it; with
-    reps_of(i, j), one `products` call per pair of levels i, j with those
-    representatives.  The first error is raised.
-    """
-    ring = tring(orc.params)
-    basis = ring.basis
-    if reps_of is None:
-        blocks = (block for _, _, block in orc.sweep())
-    else:
-        levels = [
-            [ring.index[c] for c in ring.level_basis(i)] for i in range(ring.params.n + 1)
-        ]
-        blocks = (
-            orc.products(left, right, reps_of(i, j))
-            for i, left in enumerate(levels)
-            for j, right in enumerate(levels)
-        )
+def oracle_table(orc):
+    """Every product as the oracle check reads it, transported from the
+    representative pairs (`MackeyOracle.rows`), as {(a, b): {class:
+    coefficient}}.  The first error is raised."""
+    basis = tring(orc.params).basis
+    errors, rows = orc.rows()
+    if errors:
+        raise errors[min(errors)]
     out = {}
-    for pair, cls, coeff, errors in blocks:
-        if errors:
-            raise errors[min(errors)]
-        for p, c, m in zip(pair.tolist(), cls.tolist(), coeff.tolist()):
-            a, b = divmod(p, len(basis))
+    for a, (cols, cls, coeff) in enumerate(rows):
+        for b, c, m in zip(cols.tolist(), cls.tolist(), coeff.tolist()):
             prod = out.setdefault((basis[a], basis[b]), {})
             prod[basis[c]] = prod.get(basis[c], 0) + m
     return out

@@ -1,11 +1,12 @@
 """The coset-enumeration oracle against the closed-form multiplication."""
 
 import os
+import re
 import subprocess
 import sys
-from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import BEYOND_INSTANCES, EDGE_INSTANCES, INSTANCES, SMALL_INSTANCES
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from reference import (
     subgroup_from_pairs,
 )
 
-from tsring import cli, mackey
+from tsring import cli
 from tsring import groupmodel as gm
 from tsring.errors import UnrecognizedShape
 from tsring.groupmodel import make_params
@@ -123,7 +124,7 @@ def test_oracle_identity_law(small_params):
 
 
 def _assert_matches_rules(params):
-    """The block sweep against the closed form, every pair compared."""
+    """The transported table against the closed form, every pair compared."""
     ring = tring(params)
     table = oracle_table(oracle(params))
     for a in ring.basis:
@@ -167,7 +168,7 @@ def test_representative_independence(p, n, e, a, b):
     orc = oracle(params)
     level = lambda x: 0 if isinstance(x, ProjPair) else x.level
     alt = _alternate_reps(params, level(a), level(b))
-    assert orc.oracle_mult_with_reps(a, b, alt) == orc.oracle_mult(a, b)
+    assert orc.oracle_mult(a, b, alt) == orc.oracle_mult(a, b)
 
 
 # ----------------------------------------------------------- coset plumbing
@@ -182,7 +183,7 @@ def test_oracle_never_consults_count_formula():
     full = gm.double_cosets_in_d(params, 0, 0)
     truncated = full[:-1]
     a = ProjPair(0, 0)
-    assert orc.oracle_mult_with_reps(a, a, truncated) != orc.oracle_mult(a, a)
+    assert orc.oracle_mult(a, a, truncated) != orc.oracle_mult(a, a)
 
 
 @pytest.mark.parametrize("p,n,e", [(3, 1, 1), (2, 2, 1), (5, 1, 2)])
@@ -197,7 +198,7 @@ def test_representative_independence_all_pairs(p, n, e):
     for a in ring.basis:
         for b in ring.basis:
             alt = _alternate_reps(params, level(a), level(b))
-            assert orc.oracle_mult_with_reps(a, b, alt) == ring.mult_basis(a, b)
+            assert orc.oracle_mult(a, b, alt) == ring.mult_basis(a, b)
 
 
 @pytest.mark.parametrize("p,n,e", EDGE_INSTANCES)
@@ -211,26 +212,25 @@ def test_oracle_matches_rules_beyond_instances(pne):
     _assert_matches_rules(make_params(*pne))
 
 
-# ------------------------------------------- the block routine, pair by pair
+# ------------------------------------------ the enumeration, pair by pair
 
 
 def _assert_block_matches_reference(params, alternate, sample=None):
-    # one `products` call per pair of levels against the per-pair loop,
-    # with least-in-D or worst-case representatives; every pair, or a
-    # random sample of pairs when the loop would be slow
+    # `oracle_mult` against the per-pair reference loop, with least-in-D or
+    # worst-case representatives; every pair, or a random sample of pairs
+    # when the loop would be slow
     orc = oracle(params)
     ring = tring(params)
     level = lambda x: 0 if isinstance(x, ProjPair) else x.level
     reps_of = (lambda i, j: _alternate_reps(params, i, j)) if alternate else (
         lambda i, j: gm.double_cosets_in_d(params, i, j)
     )
-    table = oracle_table(orc, reps_of)
     pairs = [(a, b) for a in ring.basis for b in ring.basis]
     if sample is not None:
         pairs = sample.sample(pairs, min(len(pairs), 300))
     for a, b in pairs:
         reps = reps_of(level(a), level(b))
-        assert table.get((a, b), {}) == oracle_mult_reference(orc, a, b, reps), (a, b)
+        assert orc.oracle_mult(a, b, reps) == oracle_mult_reference(orc, a, b, reps), (a, b)
 
 
 @pytest.mark.parametrize("alternate", [False, True], ids=["least", "largest"])
@@ -244,101 +244,68 @@ def test_block_routine_matches_reference_loop(pne, alternate):
 @settings(max_examples=4, deadline=None)
 @given(st.sampled_from(BEYOND_INSTANCES), st.booleans(), st.randoms(use_true_random=False))
 def test_block_routine_matches_reference_beyond_instances(pne, alternate, sample):
-    # the whole table from the block routine, 300 of its pairs through the loop
+    # 300 pairs of `oracle_mult` through the reference loop
     _assert_block_matches_reference(make_params(*pne), alternate, sample)
 
 
-def test_oracle_mult_is_a_one_row_block():
-    params = make_params(3, 2, 2)
-    orc = oracle(params)
-    ring = tring(params)
-    for a in ring.basis:
-        for b in ring.basis:
-            assert orc.oracle_mult(a, b) == oracle_mult_reference(orc, a, b)
+# ------------------------------------------------ transport along twists
+
+TRANSPORT_INSTANCES = INSTANCES + EDGE_INSTANCES + [(3, 4, 2), (5, 3, 2), (2, 4, 1), (2, 5, 1)]
 
 
-# ---------------------------------------- the stacked sweep at every block size
-
-
-@lru_cache(maxsize=None)
-def _reference_table(params):
-    orc, ring = oracle(params), tring(params)
-    return {(a, b): oracle_mult_reference(orc, a, b) for a in ring.basis for b in ring.basis}
-
-
-@pytest.mark.parametrize(
-    "entries", [1, None, 1 << 40], ids=["one_right_row", "default", "whole_level"]
-)
-@pytest.mark.parametrize(
-    "pne", INSTANCES + EDGE_INSTANCES + [(3, 4, 2)], ids=lambda t: "p{}n{}e{}".format(*t)
-)
-def test_sweep_matches_reference_at_every_block_bound(pne, entries, monkeypatch):
-    # blocks of one right row, the default blocks, and a whole level per
-    # block give the per-pair loop's products, so no block edge moves one
-    if entries is not None:
-        monkeypatch.setattr(mackey, "ORACLE_JOIN_ENTRIES", entries)
+@pytest.mark.parametrize("pne", TRANSPORT_INSTANCES, ids=lambda t: "p{}n{}e{}".format(*t))
+def test_transported_check_matches_reference(pne):
+    # the check from (e + n)^2 representative pairs reports what the
+    # per-pair loop over all d^2 pairs reports
     params = make_params(*pne)
-    expected = _reference_table(params)
-    table = oracle_table(oracle(params))
-    assert set(table) <= set(expected)
-    for pair, product in expected.items():
-        assert table.get(pair, {}) == product, pair
+    ring = tring(params)
+    assert cli._check_oracle(params, ring) == check_oracle_reference(oracle(params), ring)
 
 
-def _star_calls(params, monkeypatch):
-    """(left rows, right rows) of each `star` call of one oracle check."""
+def _counted_enumerations(params, monkeypatch):
+    """The pairs `oracle_mult` enumerates in one oracle check."""
     calls = []
-    join = gm.star
+    enumerate_pair = MackeyOracle.oracle_mult
 
-    def star(xs, ys, *args):
-        calls.append((xs.codes.shape, len(ys)))
-        return join(xs, ys, *args)
+    def counted(self, a, b, reps=None):
+        calls.append((a, b))
+        return enumerate_pair(self, a, b, reps)
 
-    monkeypatch.setattr(mackey, "star", star)
+    monkeypatch.setattr(MackeyOracle, "oracle_mult", counted)
     ring = tring(params)
     assert cli._check_oracle(params, ring) == ("ok", {"compared": str(ring.dimension() ** 2)})
     return calls
 
 
-def test_star_runs_once_per_left_chunk_and_block(monkeypatch):
-    # (3,4,2) made 948 star calls, one per left chunk, representative and
-    # right factor; now one call joins a left chunk with a block of
-    # (representative, right factor) pairs, as many as the bound allows
-    params = make_params(3, 4, 2)
-    calls = _star_calls(params, monkeypatch)
-    assert len(calls) < 400
-    for (rows, size), right in calls:
-        assert right == 1 or rows * size * right <= mackey.ORACLE_JOIN_ENTRIES
-    ring, orc = tring(params), oracle(params)
-    levels = [ring.level_basis(i) for i in range(params.n + 1)]
-    expected = 0
-    for i, level in enumerate(levels):
-        size = len(orc.subgroup_of_basis(level[0]))
-        chunk = max(1, mackey.ORACLE_CHUNK_ENTRIES // size)
-        for lo in range(0, len(level), chunk):
-            step = max(1, mackey.ORACLE_JOIN_ENTRIES // (min(chunk, len(level) - lo) * size))
-            for j, right in enumerate(levels):
-                pairs = len(gm.double_cosets_in_d(params, i, j)) * len(right)
-                expected += -(-pairs // step)
-    assert len(calls) == expected
+@pytest.mark.parametrize(
+    "pne", TRANSPORT_INSTANCES + [(13, 2, 12)], ids=lambda t: "p{}n{}e{}".format(*t)
+)
+def test_twist_orbits_leave_e_plus_n_representatives(pne, fresh_rings, monkeypatch):
+    # e orbits of projective pairs (by the character the twists keep) and
+    # one orbit per level, on each side; (e + n)^2 representative pairs,
+    # plus each generating twist of each representative in the sample
+    params = make_params(*pne)
+    orc = oracle(params)
+    ring = tring(params)
+    d, reps = ring.dimension(), params.e + params.n
+    for side in (0, 1):
+        perms = [orc.permutation(side, *twist, {}) for twist in orc.twists()]
+        rep, twist = orc._orbits(perms)
+        assert len(np.flatnonzero(rep == np.arange(d))) == reps
+        # twist[c] moves the representative to c, and is a permutation
+        assert (twist[np.arange(d), rep] == np.arange(d)).all()
+        assert (np.sort(twist, axis=1) == np.arange(d)).all()
+    calls = _counted_enumerations(params, monkeypatch)
+    assert len(calls) == reps * reps + 2 * len(orc.twists()) * reps
 
 
-def test_crosscheck_star_calls_stay_under_500(monkeypatch):
-    calls = _star_calls(make_params(7, 2, 3), monkeypatch)
-    calls += _star_calls(make_params(3, 4, 2), monkeypatch)
-    assert len(calls) < 500
+def test_oracle_check_13_2_12():
+    # 196 representative pairs and 56 samples stand for 97344 pairs
+    params = make_params(13, 2, 12)
+    assert cli._check_oracle(params, tring(params)) == ("ok", {"compared": "97344"})
 
 
-# ------------------------------------- mutations: the check against the loop
-
-
-@pytest.fixture(params=[None, 1, 1 << 40], ids=["chunked", "row_by_row", "whole_levels"])
-def chunk_entries(request, monkeypatch):
-    """The default sweep chunks and blocks; one left row per chunk and one
-    right row per block; and each level in one chunk and one block."""
-    if request.param is not None:
-        monkeypatch.setattr(mackey, "ORACLE_CHUNK_ENTRIES", request.param)
-        monkeypatch.setattr(mackey, "ORACLE_JOIN_ENTRIES", request.param)
+# --------------------------------------------------- mutations of the check
 
 
 def _both_reports(params):
@@ -348,22 +315,11 @@ def _both_reports(params):
     return block, reference
 
 
-def _first_pair_with(ring, target):
-    """Lexicographic rank of the first pair whose product contains the class."""
-    d = len(ring.basis)
-    return next(
-        ia * d + ib
-        for ia, a in enumerate(ring.basis)
-        for ib, b in enumerate(ring.basis)
-        if target in ring.mult_basis(a, b)
-    )
-
-
-def test_injected_unrecognized_shape_matches_reference(
-    fresh_rings, chunk_entries, monkeypatch
-):
-    # a summand whose class includes M[1,1,1] cannot be classified: the
-    # first pair with such a summand is inconclusive, in both paths
+def test_injected_unrecognized_shape_is_inconclusive(fresh_rings, monkeypatch):
+    # a summand whose class includes M[1,1,1] cannot be classified.  The
+    # character twist of M[1,1,0] is M[1,1,1], so it fails on both sides;
+    # the right twist's failure is at the least pair of column M[1,1,0],
+    # P[0,0] * M[1,1,0], ahead of the first product with M[1,1,1] (52)
     params = make_params(3, 2, 2)
     target = NonProj(1, 1, 1)
     classify = MackeyOracle.classify_induced
@@ -376,19 +332,19 @@ def test_injected_unrecognized_shape_matches_reference(
 
     monkeypatch.setattr(MackeyOracle, "classify_induced", refuse)
     block, reference = _both_reports(params)
-    assert block == reference
-    assert block[0] == "inconclusive"
-    ring = tring(params)
-    assert block[1]["compared"] == str(_first_pair_with(ring, target)) == "52"
-    assert block[1]["error"] == "injected: no shape"
+    assert reference[1]["compared"] == "52"
+    assert block == (
+        "inconclusive",
+        {"pair": ["P[0,0]", "M[1,1,0]"], "error": "injected: no shape", "compared": "4"},
+    )
 
 
-def test_first_failing_representative_names_the_error(
-    fresh_rings, chunk_entries, monkeypatch
-):
-    # every twisted-diagonal summand is refused, naming its tag: the first
-    # such pair, M[1,1,0] * M[1,1,0], reports the summand of its first
-    # representative (TwistedDiagPE), not of a later one (TwistedDiagP)
+def test_first_failing_representative_names_the_error(fresh_rings, monkeypatch):
+    # every twisted-diagonal summand is refused, naming its tag.  The
+    # enumeration of M[1,1,0] * M[1,1,0] reports the summand of its first
+    # representative (TwistedDiagPE), not of a later one (TwistedDiagP).
+    # The check fails first at the right twist of M[1,1,0] by the
+    # primitive root 2, the diagonal of the unit 1/2 = 2 mod 3
     classify = MackeyOracle.classify_induced
 
     def refuse(self, z):
@@ -398,23 +354,25 @@ def test_first_failing_representative_names_the_error(
 
     monkeypatch.setattr(MackeyOracle, "classify_induced", refuse)
     params = make_params(3, 2, 2)
-    block, reference = _both_reports(params)
-    assert block == reference
+    with pytest.raises(UnrecognizedShape, match=re.escape(str((gm.TAG_DIAG_PE, 1, 1)))):
+        oracle(params).oracle_mult(NonProj(1, 1, 0), NonProj(1, 1, 0))
+    block, _ = _both_reports(params)
     assert block == (
         "inconclusive",
         {
-            "pair": ["M[1,1,0]", "M[1,1,0]"],
-            "error": f"injected: {(gm.TAG_DIAG_PE, 1, 1)}",
-            "compared": "52",
+            "pair": ["P[0,0]", "M[1,1,0]"],
+            "error": f"injected: {(gm.TAG_DIAG_PE, 1, 2)}",
+            "compared": "4",
         },
     )
 
 
-def test_injected_character_clash_matches_reference(fresh_rings, chunk_entries, monkeypatch):
+def test_injected_character_clash_matches_reference(fresh_rings, monkeypatch):
     # raise the character of P[1,0] on the pairs with both coordinates
     # outside the identity: it stops being a homomorphism, the zero test
     # (which reads only (h, 1)) still passes against P[0,1], and the star
-    # product's connecting elements disagree there
+    # product's connecting elements disagree there.  P[1,0] is a right
+    # representative and P[0,1] a left one, so the pair is enumerated
     params = make_params(3, 2, 2)
     order = params.group_order
     target = ProjPair(1, 0)
@@ -436,9 +394,9 @@ def test_injected_character_clash_matches_reference(fresh_rings, chunk_entries, 
 
 
 @pytest.mark.parametrize("pair", [(0, 0), (5, 7), (11, 10)])
-def test_raised_closed_form_coefficient_matches_reference(
-    fresh_rings, chunk_entries, monkeypatch, pair
-):
+def test_raised_closed_form_coefficient_matches_reference(fresh_rings, monkeypatch, pair):
+    # (0, 0) is a representative pair; (5, 7) and (11, 10) are not, and
+    # are compared only through their twists
     params = make_params(3, 2, 2)
     basis = tring(params).basis
     chosen = (basis[pair[0]], basis[pair[1]])
@@ -463,14 +421,58 @@ def test_raised_closed_form_coefficient_matches_reference(
     )
 
 
+def test_character_twist_on_the_wrong_coordinate_is_caught(fresh_rings, monkeypatch):
+    # the character shift of a twist read at the other coordinate moves the
+    # projective pairs as the other side's twist would, and the products
+    # carried along it are wrong
+    params = make_params(3, 2, 2)
+    twisted = MackeyOracle._twisted
+
+    def misread(self, z, side, image, shift):
+        if shift is None:
+            return twisted(self, z, side, image, shift)
+        other = np.divmod(z.codes, params.group_order)[1 - side]
+        return gm.SubgroupGG(params, z.tag, z.codes, (z.chars + shift[other]) % params.e)
+
+    monkeypatch.setattr(MackeyOracle, "_twisted", misread)
+    status, _ = cli._check_oracle(params, tring(params))
+    assert status != "ok"
+
+
+def test_twist_that_merges_two_classes_is_inconclusive(fresh_rings, monkeypatch):
+    # every twist sends M[2,2,1] where it sends M[2,2,0]: no permutation.
+    # The repeat is named at the least pair of its column, P[0,0] * M[2,2,1]
+    params = make_params(3, 2, 2)
+    basis = tring(params).basis
+    merged, kept = basis.index(NonProj(2, 2, 1)), basis.index(NonProj(2, 2, 0))
+    twisted = MackeyOracle._twisted
+
+    def merge(self, z, side, image, shift):
+        if z is self.subgroup_of_basis(basis[merged]):
+            z = self.subgroup_of_basis(basis[kept])
+        return twisted(self, z, side, image, shift)
+
+    monkeypatch.setattr(MackeyOracle, "_twisted", merge)
+    assert cli._check_oracle(params, tring(params)) == (
+        "inconclusive",
+        {
+            "pair": ["P[0,0]", "M[2,2,1]"],
+            "error": "a twist of M[2,2,1] repeats an image",
+            "compared": str(merged),
+        },
+    )
+
+
 # ------------------------------------------------------------- memory guard
 
 # tracemalloc peak of `cli._check_oracle` at (3,4,2) in a fresh interpreter,
 # the ring's table built beforehand (the assoc check shares it).
 # The per-pair loop it replaced measured 2_186_626 bytes (about 2.19 MB) on
-# Python 3.11.7 and numpy 2.4.6; the sweep may add at most 0.25 MB.  The
-# sweep stacked in both factors, compared with the table of live terms,
-# reads about 1.41 MB, and 1.61 MB with the table built inside.
+# Python 3.11.7 and numpy 2.4.6; the check may add at most 0.25 MB.  The
+# check transported along twists from (e + n)^2 enumerated pairs, compared
+# row by row with the table of live terms, reads about 1.01 MB, and
+# 1.07 MB with the table built inside (the stacked sweep before it: 1.41
+# and 1.61 MB).
 ORACLE_PEAK_BOUND = 2_186_626 + 250_000
 
 _PEAK_SCRIPT = """
