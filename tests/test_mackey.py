@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from tsring import cli
 from tsring import groupmodel as gm
 from tsring.errors import UnrecognizedShape
 from tsring.groupmodel import make_params
-from tsring.mackey import MackeyOracle, oracle
+from tsring.mackey import ORACLE_ERRORS, MackeyOracle, oracle
 from tsring.tring import NonProj, ProjPair, TRing, basis_label, tring
 
 # -------------------------------------------------------- inducing subgroups
@@ -248,6 +249,16 @@ def test_block_routine_matches_reference_beyond_instances(pne, alternate, sample
     _assert_block_matches_reference(make_params(*pne), alternate, sample)
 
 
+def test_oracle_mult_is_a_one_row_block():
+    # `oracle_mult` with its default representatives, every pair
+    params = make_params(3, 2, 2)
+    orc = oracle(params)
+    ring = tring(params)
+    for a in ring.basis:
+        for b in ring.basis:
+            assert orc.oracle_mult(a, b) == oracle_mult_reference(orc, a, b)
+
+
 # ------------------------------------------------ transport along twists
 
 TRANSPORT_INSTANCES = INSTANCES + EDGE_INSTANCES + [(3, 4, 2), (5, 3, 2), (2, 4, 1), (2, 5, 1)]
@@ -260,6 +271,51 @@ def test_transported_check_matches_reference(pne):
     params = make_params(*pne)
     ring = tring(params)
     assert cli._check_oracle(params, ring) == check_oracle_reference(oracle(params), ring)
+
+
+def _use_before(orc, how):
+    """Fill the oracle's memo before the products under test are read: not
+    at all (None), by enumerating every pair alone in basis order
+    ("pairs"), or by transporting the whole table once ("table").  A failing
+    enumeration is passed over; the memo keeps classes, never failures."""
+    if how == "pairs":
+        basis = tring(orc.params).basis
+        for a in basis:
+            for b in basis:
+                try:
+                    orc.oracle_mult(a, b)
+                except ORACLE_ERRORS:
+                    pass
+    elif how == "table":
+        for _ in orc.rows()[1]:
+            pass
+
+
+@lru_cache(maxsize=None)
+def _reference_table(params):
+    orc, ring = oracle(params), tring(params)
+    return {(a, b): oracle_mult_reference(orc, a, b) for a in ring.basis for b in ring.basis}
+
+
+@pytest.mark.parametrize(
+    "before", ["pairs", None, "table"], ids=["one_right_row", "default", "whole_level"]
+)
+@pytest.mark.parametrize(
+    "pne", INSTANCES + EDGE_INSTANCES + [(3, 4, 2)], ids=lambda t: "p{}n{}e{}".format(*t)
+)
+def test_sweep_matches_reference_at_every_block_bound(pne, before):
+    # the whole transported table is the per-pair loop's, pair by pair, read
+    # from a fresh oracle (default), from one that first enumerated every
+    # pair one right factor at a time (one_right_row), and from one that
+    # first transported the whole table (whole_level)
+    params = make_params(*pne)
+    orc = MackeyOracle(params)
+    _use_before(orc, before)
+    expected = _reference_table(params)
+    table = oracle_table(orc)
+    assert set(table) <= set(expected)
+    for pair, product in expected.items():
+        assert table.get(pair, {}) == product, pair
 
 
 def _counted_enumerations(params, monkeypatch):
@@ -308,18 +364,29 @@ def test_oracle_check_13_2_12():
 # --------------------------------------------------- mutations of the check
 
 
-def _both_reports(params):
+@pytest.fixture(params=[None, "pairs", "table"], ids=["chunked", "row_by_row", "whole_levels"])
+def prior_use(request):
+    """How the oracle was used before the check under test, the mutation in
+    place: not at all, as `verify --which oracle` runs it cold (chunked);
+    every pair enumerated alone, row by row (row_by_row); or the whole table
+    transported once (whole_levels).  The report must not change."""
+    return request.param
+
+
+def _both_reports(params, before=None):
     ring = tring(params)
+    _use_before(oracle(params), before)
     block = cli._check_oracle(params, ring)
     reference = check_oracle_reference(oracle(params), ring)
     return block, reference
 
 
-def test_injected_unrecognized_shape_is_inconclusive(fresh_rings, monkeypatch):
+def test_injected_unrecognized_shape_matches_reference(fresh_rings, prior_use, monkeypatch):
     # a summand whose class includes M[1,1,1] cannot be classified.  The
     # character twist of M[1,1,0] is M[1,1,1], so it fails on both sides;
     # the right twist's failure is at the least pair of column M[1,1,0],
-    # P[0,0] * M[1,1,0], ahead of the first product with M[1,1,1] (52)
+    # P[0,0] * M[1,1,0], ahead of the per-pair loop's first product with
+    # M[1,1,1] (52)
     params = make_params(3, 2, 2)
     target = NonProj(1, 1, 1)
     classify = MackeyOracle.classify_induced
@@ -331,7 +398,7 @@ def test_injected_unrecognized_shape_is_inconclusive(fresh_rings, monkeypatch):
         return out
 
     monkeypatch.setattr(MackeyOracle, "classify_induced", refuse)
-    block, reference = _both_reports(params)
+    block, reference = _both_reports(params, prior_use)
     assert reference[1]["compared"] == "52"
     assert block == (
         "inconclusive",
@@ -339,7 +406,7 @@ def test_injected_unrecognized_shape_is_inconclusive(fresh_rings, monkeypatch):
     )
 
 
-def test_first_failing_representative_names_the_error(fresh_rings, monkeypatch):
+def test_first_failing_representative_names_the_error(fresh_rings, prior_use, monkeypatch):
     # every twisted-diagonal summand is refused, naming its tag.  The
     # enumeration of M[1,1,0] * M[1,1,0] reports the summand of its first
     # representative (TwistedDiagPE), not of a later one (TwistedDiagP).
@@ -354,9 +421,7 @@ def test_first_failing_representative_names_the_error(fresh_rings, monkeypatch):
 
     monkeypatch.setattr(MackeyOracle, "classify_induced", refuse)
     params = make_params(3, 2, 2)
-    with pytest.raises(UnrecognizedShape, match=re.escape(str((gm.TAG_DIAG_PE, 1, 1)))):
-        oracle(params).oracle_mult(NonProj(1, 1, 0), NonProj(1, 1, 0))
-    block, _ = _both_reports(params)
+    block, _ = _both_reports(params, prior_use)
     assert block == (
         "inconclusive",
         {
@@ -365,9 +430,11 @@ def test_first_failing_representative_names_the_error(fresh_rings, monkeypatch):
             "compared": "4",
         },
     )
+    with pytest.raises(UnrecognizedShape, match=re.escape(str((gm.TAG_DIAG_PE, 1, 1)))):
+        oracle(params).oracle_mult(NonProj(1, 1, 0), NonProj(1, 1, 0))
 
 
-def test_injected_character_clash_matches_reference(fresh_rings, monkeypatch):
+def test_injected_character_clash_matches_reference(fresh_rings, prior_use, monkeypatch):
     # raise the character of P[1,0] on the pairs with both coordinates
     # outside the identity: it stops being a homomorphism, the zero test
     # (which reads only (h, 1)) still passes against P[0,1], and the star
@@ -386,7 +453,7 @@ def test_injected_character_clash_matches_reference(fresh_rings, monkeypatch):
         return gm.SubgroupGG(params, sub.tag, sub.codes, (sub.chars + inner) % params.e)
 
     monkeypatch.setattr(MackeyOracle, "subgroup_of_basis", corrupt)
-    block, reference = _both_reports(params)
+    block, reference = _both_reports(params, prior_use)
     assert block == reference
     assert block[0] == "inconclusive"
     assert block[1]["pair"] == ["P[0,1]", "P[1,0]"]
@@ -394,7 +461,9 @@ def test_injected_character_clash_matches_reference(fresh_rings, monkeypatch):
 
 
 @pytest.mark.parametrize("pair", [(0, 0), (5, 7), (11, 10)])
-def test_raised_closed_form_coefficient_matches_reference(fresh_rings, monkeypatch, pair):
+def test_raised_closed_form_coefficient_matches_reference(
+    fresh_rings, prior_use, monkeypatch, pair
+):
     # (0, 0) is a representative pair; (5, 7) and (11, 10) are not, and
     # are compared only through their twists
     params = make_params(3, 2, 2)
@@ -410,7 +479,7 @@ def test_raised_closed_form_coefficient_matches_reference(fresh_rings, monkeypat
         return out
 
     patch_mult_basis(monkeypatch, raised)
-    block, reference = _both_reports(params)
+    block, reference = _both_reports(params, prior_use)
     assert block == reference
     assert block == (
         "violation",
