@@ -228,7 +228,7 @@ def _assoc_chunks(ring, rows):
     the bound.
     """
     d = ring.dimension()
-    size = _term_counts(ring)
+    size = ring.term_counts()
     per_row = size.sum(axis=1)
     owner, m, _ = ring.terms(rows)
     entries = _segment_sum(len(rows), owner, per_row[m])
@@ -236,12 +236,6 @@ def _assoc_chunks(ring, rows):
     entries += size.max(axis=1)[a] * per_row[b]
     chunk = (np.cumsum(entries) - entries) // ASSOC_CHUNK_ENTRIES
     return np.split(rows, np.flatnonzero(np.diff(chunk)) + 1)
-
-
-def _term_counts(ring):
-    """size[a, b]: the number of live terms of e_a e_b."""
-    d = ring.dimension()
-    return np.bincount(ring.terms(np.arange(d * d))[0], minlength=d * d).reshape(d, d)
 
 
 def _first_failure(ring, rows):
@@ -365,7 +359,7 @@ def _check_assoc(params, ring):
     of triples before the first failure in lexicographic order, is exact.
     """
     d = ring.dimension()
-    most, vmax = _max_abs(_term_counts(ring)), _max_abs(ring.terms(np.arange(d * d))[2])
+    most, vmax = _max_abs(ring.term_counts()), _max_abs(ring.terms(np.arange(d * d))[2])
     # a key sums at most 2 * most^2 products of two coefficients
     if most * most * vmax * vmax >= 1 << 62:
         raise ArithmeticBound(

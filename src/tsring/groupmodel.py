@@ -20,7 +20,7 @@ them.  Only the named constructors certify a subgroup, from its closed-form
 generators S (at most two): 1 lies in H, H*s lies in H and the orbit of 1
 under right multiplication by S covers H, and the character satisfies
 chi(1) = 0 and chi(h*s) = chi(h) + chi(s); that is |S|*|H| lookups.  Star
-products and conjugates of subgroups are subgroups by construction.
+products and conjugates of subgroups are subgroups by construction, untagged.
 """
 
 from __future__ import annotations
@@ -184,14 +184,14 @@ TAG_EXONE = "ExOne"
 TAG_ONEXE = "OnexE"
 TAG_DIAG_P = "TwistedDiagP"
 TAG_DIAG_PE = "TwistedDiagPE"
-TAG_EXPLICIT = "Explicit"
 
 
 class SubgroupGG:
     """A subgroup of G x G with a shape tag and optional linear character.
 
     `codes` and `chars` are the arrays of the module docstring (`chars` is
-    None without a character); the named constructors certify them.
+    None without a character); the named constructors certify them and
+    set the tag, which is None on star products and conjugates.
     """
 
     def __init__(self, params, tag, codes, chars=None):
@@ -344,9 +344,9 @@ def _diagonal(params, tag, unit, ranks, lam) -> SubgroupGG:
 # --------------------------------------------------------- shape recognition
 
 
-def recognize_shape(params, codes) -> tuple:
-    """The tag of the shape with exactly these sorted pair codes, else Explicit."""
-    return _shape_tags(params).get(codes.tobytes(), (TAG_EXPLICIT,))
+def recognize_shape(params, codes) -> tuple | None:
+    """The tag of the shape with exactly these sorted pair codes, else None."""
+    return _shape_tags(params).get(codes.tobytes())
 
 
 @lru_cache(maxsize=None)
@@ -397,7 +397,7 @@ def star(x: SubgroupGG, y: SubgroupGG) -> SubgroupGG:
             )
         chars = chars[first]
     codes = codes[first]
-    return SubgroupGG(params, recognize_shape(params, codes), codes, chars)
+    return SubgroupGG(params, None, codes, chars)
 
 
 def conj(s: GGPair, x: SubgroupGG) -> SubgroupGG:
@@ -410,7 +410,7 @@ def conj(s: GGPair, x: SubgroupGG) -> SubgroupGG:
     order = codes.argsort()
     codes = codes[order]
     chars = None if x.chars is None else x.chars[order]
-    return SubgroupGG(x.params, recognize_shape(x.params, codes), codes, chars)
+    return SubgroupGG(x.params, None, codes, chars)
 
 
 # --------------------------------------------------------------------------

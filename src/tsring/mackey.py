@@ -14,8 +14,8 @@ numpy searches and gathers, and only the named constructors check laws.
 
 `oracle_mult` enumerates one pair: for each double-coset representative
 t, the right factor's subgroup is conjugated by (t, 1), and the star
-module with the left factor's is zero-tested, joined, clash-checked,
-recognized, canonicalized when Explicit and classified (memoised).
+module with the left factor's is zero-tested, joined, clash-checked and
+classified (memoised) once `canonicalize` has recognized its shape.
 
 `rows` gives every product from (e + n)^2 enumerated pairs.  Twisting one
 side of a bimodule commutes with the tensor product over kG, for an
@@ -29,10 +29,19 @@ The oracle finds each twist's basis permutation by twisting and
 classifying every inducing subgroup, and checks a sample of twisted
 products by enumerating them.
 
-The subgroups met along the way all canonicalize into five shapes:
-E x E, E x 1, 1 x E, and the twisted diagonals of D_k and of D_k E.
-Anything else raises UnrecognizedShape, which is a hard failure worth
-surfacing rather than papering over.
+Every summand is literally one of five shapes: E x E, E x 1, 1 x E, and
+the twisted diagonals of D_k and of D_k E.  The inducing subgroups are
+literal shapes, and at t = 0 their star products are too: twisted
+diagonals compose to a twisted diagonal, and E x E absorbs the others.
+The representative t from `double_cosets_in_d` is the least in-D member
+of its (D_i E, D_j E) double coset, so t = 0 or t lies outside
+D_max(i,j).  Conjugating by (t, 1) moves (y, s) to (y + (1 - s) t, s),
+so a pair of the star product through some s != 1 needs (1 - s) t in
+D_max(i,j); as 1 - s is a unit mod p, that forces t = 0.  For t != 0
+only s = 1 joins, which leaves literal shapes again.  A twist moves a
+literal shape to a literal shape.  So `canonicalize` only looks a
+summand up, and one that fits no shape raises UnrecognizedShape, which
+the check reports as inconclusive.
 
 One subtlety: the star-product module is a tensor product over the
 connecting subgroup k(X, Y) = k_2(X) ∩ k_1(Y).  When the two characters
@@ -45,7 +54,6 @@ characters disagree.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -55,7 +63,6 @@ from .groupmodel import (
     TAG_DIAG_PE,
     TAG_EXE,
     TAG_EXONE,
-    TAG_EXPLICIT,
     TAG_ONEXE,
     ModelParams,
     SubgroupGG,
@@ -122,20 +129,15 @@ class MackeyOracle:
     # ----------------------------------------------------- canonicalization
 
     def canonicalize(self, z: SubgroupGG) -> SubgroupGG:
-        """Bring a star-product subgroup into one of the five shapes.
+        """z tagged with its literal shape, or UnrecognizedShape.
 
-        Literal recognition is the fast path.  Otherwise search for a
-        conjugating pair inside (D x D) Delta(E), which normalizes every
-        twisted diagonal; the class of the induced module is unchanged.
+        The package's one shape recognition: every summand is literally a
+        shape (module docstring), so no conjugate of z is searched.
         """
-        if z.tag[0] != TAG_EXPLICIT:
-            return z
-        d = range(self.params.pn)
-        for z1, z2, r in product(d, d, self.params.subgroup_E):
-            moved = conj(((z1, r), (z2, r)), z)
-            if moved.tag[0] != TAG_EXPLICIT:
-                return moved
-        raise UnrecognizedShape(f"subgroup of order {len(z)} fits no known shape")
+        tag = recognize_shape(self.params, z.codes)
+        if tag is None:
+            raise UnrecognizedShape(f"subgroup of order {len(z)} fits no known shape")
+        return SubgroupGG(self.params, tag, z.codes, z.chars)
 
     # ------------------------------------------------------- classification
 
@@ -177,8 +179,7 @@ class MackeyOracle:
 
     def _terms(self, z: SubgroupGG) -> list:
         """(basis index, multiplicity) of the class induced from a summand."""
-        if z.tag[0] == TAG_EXPLICIT:
-            z = self.canonicalize(z)
+        z = self.canonicalize(z)
         key = (z.tag, z.chars.astype(self._char_dtype).tobytes())
         terms = self._classified.get(key)
         if terms is None:
@@ -187,22 +188,20 @@ class MackeyOracle:
             self._classified[key] = terms
         return terms
 
-    def oracle_mult(self, a, b, reps=None) -> dict:
+    def oracle_mult(self, a, b) -> dict:
         """Structure constants of a * b recomputed by coset enumeration.
 
-        `reps` defaults to `double_cosets_in_d` of the two levels.  For each
-        representative t, the star module of X_a with (t, 1) Y_b (t, 1)^-1
-        is classified; the UnrecognizedShape or CharacterIllDefined of the
-        first failing representative is raised.
+        For each representative t of `double_cosets_in_d` of the two levels,
+        the star module of X_a with (t, 1) Y_b (t, 1)^-1 is classified; the
+        UnrecognizedShape or CharacterIllDefined of the first failing
+        representative is raised.
         """
         params = self.params
-        if reps is None:
-            level = lambda c: 0 if isinstance(c, ProjPair) else c.level
-            reps = double_cosets_in_d(params, level(a), level(b))
+        level = lambda c: 0 if isinstance(c, ProjPair) else c.level
         x, y = self.subgroup_of_basis(a), self.subgroup_of_basis(b)
         basis = self._ring.basis
         out: dict = {}
-        for t in reps:
+        for t in double_cosets_in_d(params, level(a), level(b)):
             z = self.star_module(x, conj((t, params.identity), y))
             if z is not None:
                 for c, m in self._terms(z):
@@ -240,7 +239,7 @@ class MackeyOracle:
         codes = pair[0] * order + pair[1]
         at = codes.argsort()
         codes = codes[at]
-        return SubgroupGG(self.params, recognize_shape(self.params, codes), codes, chars[at])
+        return SubgroupGG(self.params, None, codes, chars[at])
 
     def permutation(self, side: int, image, shift, errors: dict):
         """The basis permutation of one generating twist of one side, or None.

@@ -318,6 +318,11 @@ class TRing:
         at = np.arange(len(owner)) + np.repeat(lo - (np.cumsum(n) - n), n)
         return owner, cls[at], val[at]
 
+    def term_counts(self) -> np.ndarray:
+        """counts[a, b]: the number of live terms of e_a e_b, read off the table."""
+        d = len(self.basis)
+        return np.diff(self.structure_table()[0]).reshape(d, d)
+
     def _rule_table(self):
         """(start, cls, val) of the four rules, one left factor at a time.
 
@@ -480,7 +485,7 @@ class TRing:
             d = len(self.basis)
             owner, cls, val = self.terms(np.arange(d * d))
             a, x = np.divmod(owner, d)
-            vmax, most = _max_abs(val), _max_abs(np.bincount(owner))
+            vmax, most = _max_abs(val), _max_abs(self.term_counts())
             # tr L_a sums the v of the terms v e_x of the products e_a e_x
             diagonal = cls == x
             dtype = exact_dtype(d * most * vmax)

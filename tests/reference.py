@@ -806,7 +806,7 @@ def star_reference(x, y):
         )
     first = np.concatenate(([True], ~repeat))
     codes = codes[first]
-    return SubgroupGG(params, recognize_shape(params, codes), codes, chars[first])
+    return SubgroupGG(params, None, codes, chars[first])
 
 
 def _star_module_reference(x, y):
@@ -821,8 +821,25 @@ def _star_module_reference(x, y):
     return star_reference(x, y)
 
 
+def canonicalize_reference(params, z):
+    """z as one of the five shapes, tagged: its first conjugate, z itself
+    first, by a pair of (D x D) Delta(E) that is literal.  That group
+    normalizes every twisted diagonal, and the class of the induced module
+    is unchanged, so any double-coset representatives may be used."""
+    d = range(params.pn)
+    for z1, z2, r in product(d, d, params.subgroup_E):
+        moved = conj(((z1, r), (z2, r)), z)
+        tag = recognize_shape(params, moved.codes)
+        if tag is not None:
+            return SubgroupGG(params, tag, moved.codes, moved.chars)
+    raise UnrecognizedShape(f"subgroup of order {len(z)} fits no known shape")
+
+
 def oracle_mult_reference(orc, a, b, reps=None):
-    """a * b by the per-pair loop: conjugate, star module, canonicalize, classify."""
+    """a * b by the per-pair loop: conjugate, star module, canonicalize, classify.
+
+    `reps` defaults to `double_cosets_in_d` of the two levels; any other
+    representatives are brought back to the shapes by a conjugation search."""
     params = orc.params
     level = lambda c: 0 if isinstance(c, ProjPair) else c.level
     if reps is None:
@@ -834,7 +851,7 @@ def oracle_mult_reference(orc, a, b, reps=None):
         summand = _star_module_reference(x, conj((t, params.identity), y))
         if summand is None:
             continue
-        for c, m in orc.classify_induced(orc.canonicalize(summand)).items():
+        for c, m in orc.classify_induced(canonicalize_reference(params, summand)).items():
             out[c] = out.get(c, 0) + m
     return out
 

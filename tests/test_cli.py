@@ -19,7 +19,8 @@ from reference import (
     without_zero_terms,
 )
 
-from tsring import blocks, cli
+from tsring import blocks, cli, mackey
+from tsring import groupmodel as gm
 from tsring.cli import _check_assoc, main
 from tsring.errors import ArithmeticBound, TheoremViolation, UnrecognizedShape
 from tsring.exactarith import ZZ
@@ -158,6 +159,27 @@ def test_verify_oracle_failure_is_inconclusive(fresh_rings, monkeypatch, capsys)
         "compared": "0",
     }
     assert assoc_check["status"] == "ok"
+
+
+def test_verify_oracle_non_least_representative_is_inconclusive(fresh_rings, monkeypatch, capsys):
+    # every summand is a literal shape only at the least in-D representative
+    # of each double coset.  The largest in-D member of the trivial coset is
+    # a nonzero t in D_max(i,j), and conjugating a twisted diagonal by
+    # (t, 1) moves its pairs with s != 1 off every shape: no summand is
+    # searched for a conjugate, so the check cannot decide and exits 3
+    def largest_in_d(params, i, j):
+        elems = gm.group_table(params).elems
+        return tuple(
+            max(elems[t] for t in block if elems[t][1] == 1)
+            for block in gm.double_coset_partition(params, i, j)
+        )
+
+    monkeypatch.setattr(mackey, "double_cosets_in_d", largest_in_d)
+    code, out = run_cli(["verify", "--p", "3", "--n", "2", "--e", "2", "--which", "oracle"], capsys)
+    assert code == 3
+    (check,) = json.loads(out)["payload"]["checks"]
+    assert check["status"] == "inconclusive"
+    assert "fits no known shape" in check["details"]["error"]
 
 
 # ------------------------------------------------------------ associativity

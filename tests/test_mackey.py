@@ -13,6 +13,7 @@ from conftest import BEYOND_INSTANCES, EDGE_INSTANCES, INSTANCES, SMALL_INSTANCE
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
+    canonicalize_reference,
     character_of,
     check_character,
     check_oracle_reference,
@@ -24,7 +25,7 @@ from reference import (
     subgroup_from_pairs,
 )
 
-from tsring import cli
+from tsring import cli, mackey
 from tsring import groupmodel as gm
 from tsring.errors import UnrecognizedShape
 from tsring.groupmodel import make_params
@@ -89,11 +90,11 @@ def test_classify_rejects_alien_subgroup():
     orc = oracle(params)
     # 1 x D_1 has no twisted-diagonal shape and no conjugate that does
     elements = {(params.identity, (y, 1)) for y in params.d_subgroup(1)}
-    alien = subgroup_from_pairs(
-        params, (gm.TAG_EXPLICIT,), elements, {g: 0 for g in elements}
-    )
-    with pytest.raises(UnrecognizedShape):
-        orc.classify_induced(orc.canonicalize(alien))
+    alien = subgroup_from_pairs(params, None, elements, {g: 0 for g in elements})
+    with pytest.raises(UnrecognizedShape, match="fits no known shape"):
+        orc.canonicalize(alien)
+    with pytest.raises(UnrecognizedShape, match="fits no known shape"):
+        canonicalize_reference(params, alien)
 
 
 # ------------------------------------------------------------ oracle values
@@ -169,29 +170,31 @@ def test_representative_independence(p, n, e, a, b):
     orc = oracle(params)
     level = lambda x: 0 if isinstance(x, ProjPair) else x.level
     alt = _alternate_reps(params, level(a), level(b))
-    assert orc.oracle_mult(a, b, alt) == orc.oracle_mult(a, b)
+    assert oracle_mult_reference(orc, a, b, alt) == orc.oracle_mult(a, b)
 
 
 # ----------------------------------------------------------- coset plumbing
 
 
-def test_oracle_never_consults_count_formula():
+def test_oracle_never_consults_count_formula(monkeypatch):
     # the multiplicity of the all-characters tail equals the enumerated
     # number of nontrivial cosets, not a formula lookup: delete a coset
     # representative and the oracle's answer must change
     params = make_params(3, 2, 2)
     orc = oracle(params)
-    full = gm.double_cosets_in_d(params, 0, 0)
-    truncated = full[:-1]
     a = ProjPair(0, 0)
-    assert orc.oracle_mult(a, a, truncated) != orc.oracle_mult(a, a)
+    full = orc.oracle_mult(a, a)
+    monkeypatch.setattr(
+        mackey, "double_cosets_in_d", lambda *args: gm.double_cosets_in_d(*args)[:-1]
+    )
+    assert orc.oracle_mult(a, a) != full
 
 
 @pytest.mark.parametrize("p,n,e", [(3, 1, 1), (2, 2, 1), (5, 1, 2)])
 def test_representative_independence_all_pairs(p, n, e):
     # worst-case representatives (largest member of each coset, usually
-    # outside D) must reproduce every closed-form product via the
-    # conjugation-search canonicalization
+    # outside D) must reproduce every product of the least representatives
+    # via the reference's conjugation-search canonicalization
     params = make_params(p, n, e)
     ring = tring(params)
     orc = oracle(params)
@@ -199,7 +202,7 @@ def test_representative_independence_all_pairs(p, n, e):
     for a in ring.basis:
         for b in ring.basis:
             alt = _alternate_reps(params, level(a), level(b))
-            assert orc.oracle_mult(a, b, alt) == ring.mult_basis(a, b)
+            assert oracle_mult_reference(orc, a, b, alt) == orc.oracle_mult(a, b)
 
 
 @pytest.mark.parametrize("p,n,e", EDGE_INSTANCES)
@@ -217,9 +220,9 @@ def test_oracle_matches_rules_beyond_instances(pne):
 
 
 def _assert_block_matches_reference(params, alternate, sample=None):
-    # `oracle_mult` against the per-pair reference loop, with least-in-D or
-    # worst-case representatives; every pair, or a random sample of pairs
-    # when the loop would be slow
+    # `oracle_mult` against the per-pair reference loop, the reference with
+    # least-in-D or worst-case representatives; every pair, or a random
+    # sample of pairs when the loop would be slow
     orc = oracle(params)
     ring = tring(params)
     level = lambda x: 0 if isinstance(x, ProjPair) else x.level
@@ -231,7 +234,7 @@ def _assert_block_matches_reference(params, alternate, sample=None):
         pairs = sample.sample(pairs, min(len(pairs), 300))
     for a, b in pairs:
         reps = reps_of(level(a), level(b))
-        assert orc.oracle_mult(a, b, reps) == oracle_mult_reference(orc, a, b, reps), (a, b)
+        assert orc.oracle_mult(a, b) == oracle_mult_reference(orc, a, b, reps), (a, b)
 
 
 @pytest.mark.parametrize("alternate", [False, True], ids=["least", "largest"])
@@ -323,9 +326,9 @@ def _counted_enumerations(params, monkeypatch):
     calls = []
     enumerate_pair = MackeyOracle.oracle_mult
 
-    def counted(self, a, b, reps=None):
+    def counted(self, a, b):
         calls.append((a, b))
-        return enumerate_pair(self, a, b, reps)
+        return enumerate_pair(self, a, b)
 
     monkeypatch.setattr(MackeyOracle, "oracle_mult", counted)
     ring = tring(params)
@@ -353,6 +356,29 @@ def test_twist_orbits_leave_e_plus_n_representatives(pne, fresh_rings, monkeypat
         assert (np.sort(twist, axis=1) == np.arange(d)).all()
     calls = _counted_enumerations(params, monkeypatch)
     assert len(calls) == reps * reps + 2 * len(orc.twists()) * reps
+
+
+def test_one_shape_lookup_per_summand(monkeypatch):
+    # `canonicalize` is the one recognition site: star products, conjugates
+    # and twists stay untagged, so one oracle check looks up one shape per
+    # classified summand, 1044 on (3,4,2)
+    params = make_params(3, 4, 2)
+    calls = {"recognize": 0, "terms": 0}
+    recognize, terms = gm.recognize_shape, MackeyOracle._terms
+
+    def counted_recognize(*args):
+        calls["recognize"] += 1
+        return recognize(*args)
+
+    def counted_terms(self, z):
+        calls["terms"] += 1
+        return terms(self, z)
+
+    for module in (gm, mackey):
+        monkeypatch.setattr(module, "recognize_shape", counted_recognize)
+    monkeypatch.setattr(MackeyOracle, "_terms", counted_terms)
+    assert cli._check_oracle(params, tring(params)) == ("ok", {"compared": "7056"})
+    assert calls == {"recognize": 1044, "terms": 1044}
 
 
 def test_oracle_check_13_2_12():
