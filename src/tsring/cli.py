@@ -22,7 +22,7 @@ from .errors import (
     TheoremViolation,
     TsringError,
 )
-from .exactarith import GF, _max_abs, _rref, field_mat_mul, scalar_ring
+from .exactarith import _max_abs, scalar_ring
 from .groupmodel import make_params
 from .tring import (
     NonProj,
@@ -248,69 +248,39 @@ def _first_failure(ring, rows):
     return None
 
 
-# a prime near 10^6: residues, and sums of fewer than 4 * 10^6 products of
-# two of them, stay int64; e_g w sums one product per term of the row of g
-SPAN_PRIME = 1000003
-
-
 def _spanning_generators(ring, candidates):
-    """The candidates, in order, that lie outside the closure of those kept
-    before them, if the closure reaches dimension d mod SPAN_PRIME; else None.
+    """The candidates, in order, that the closure of those kept before them
+    has not reached, if the closure reaches every class; else None.
 
-    The closure of span(S) under w -> e_g w for g in S is kept as a reduced
-    echelon basis over F_SPAN_PRIME and grows incrementally: new vectors are
-    reduced against it, only the rows that extend it are multiplied by the
-    generators on the next pass, and a generator kept late is applied once
-    to the whole basis so far.  A generator acts through the terms of its
-    row of the table, one generator at a time.
+    A kept candidate is reached, and a class c is reached once some product
+    e_g e_b, with g kept and b reached, has v e_c as its only live term
+    outside the reached classes.  By induction each reached e_c is a
+    rational combination of the right-nested words g_1(g_2(...g_k)) over
+    the kept classes: e_g e_b is one, and so is every other term of it.  So
+    reaching every class proves, exactly, that the words span the ring over
+    Q.  Each round gathers the terms of every (kept, reached) product and
+    counts each product's terms outside.
     """
     d = ring.dimension()
-    F = GF(SPAN_PRIME)
-    echelon = np.zeros((0, d), dtype=np.int64)
-    pivots = np.zeros(0, dtype=np.int64)
-
-    def extend(rows):
-        """Add the span of `rows` to the echelon basis; returns the new rows."""
-        nonlocal echelon, pivots
-        # the pivot coordinates of the rows, through the echelon rows they hit
-        coords = rows[:, pivots]
-        hit = np.flatnonzero(coords.any(axis=0))
-        rows = (rows - field_mat_mul(coords[:, hit], echelon[hit], F)) % SPAN_PRIME
-        rows = rows[rows.any(axis=1)]
-        if not len(rows):
-            return rows
-        cols = np.flatnonzero(rows.any(axis=0))
-        reduced, new = _rref(rows[:, cols], F)
-        fresh = np.zeros((len(new), d), dtype=np.int64)
-        fresh[:, cols] = reduced[: len(new)]
-        new = cols[new]
-        hit = np.flatnonzero(echelon[:, new].any(axis=1))
-        echelon[hit] -= field_mat_mul(echelon[hit][:, new], fresh, F)
-        echelon[hit] %= SPAN_PRIME
-        echelon = np.concatenate((echelon, fresh))
-        pivots = np.concatenate((pivots, new))
-        return fresh
-
-    def act(g, rows):
-        """e_g w for each row w: w_b v summed into class c over the terms
-        v e_c of e_g e_b."""
-        b, cls, val = ring.terms(g * d + np.arange(d))
-        keys = np.arange(len(rows))[:, None] * d + cls
-        vals = rows[:, b] * (val % SPAN_PRIME)
-        return _segment_sum(len(rows) * d, keys, vals).reshape(len(rows), d) % SPAN_PRIME
-
+    reached = np.zeros(d, dtype=bool)
     gens = []
     for c in candidates:
-        if len(pivots) == d:
+        if reached.all():
             break
-        fresh = extend(np.eye(1, d, c, dtype=np.int64))
-        if not len(fresh):
+        if reached[c]:
             continue
         gens.append(c)
-        fresh = np.concatenate((fresh, extend(act(c, echelon))))
-        while len(fresh) and len(pivots) < d:
-            fresh = extend(np.concatenate([act(g, fresh) for g in gens]))
-    return gens if len(pivots) == d else None
+        reached[c] = True
+        while True:
+            pairs = (np.array(gens)[:, None] * d + np.flatnonzero(reached)).ravel()
+            owner, cls, _ = ring.terms(pairs)
+            outside = ~reached[cls]
+            alone = _segment_sum(len(pairs), owner, outside.astype(np.int64)) == 1
+            new = cls[outside & alone[owner]]
+            if not len(new):
+                break
+            reached[new] = True
+    return gens if reached.all() else None
 
 
 def _generator_candidates(ring):
@@ -351,15 +321,19 @@ def _check_assoc(params, ring):
     closed under products.  If basis classes S lie in N and the
     right-nested words g_1(g_2(...g_k)) over S span the ring, N is the
     whole ring, and every triple holds (`_left_nucleus_generators`).  The
-    span is computed mod a prime: rank d mod SPAN_PRIME gives rank d over
-    Q, and an integer table associative over Q is associative over Z.
+    span is certified over Q without elimination: each class is reached as
+    the one new term of a product of a generator and a class reached
+    before (`_spanning_generators`), and an integer table associative over
+    Q is associative over Z.
 
     Failing that, every triple is scanned over the live terms of the
     table.  Chunks of (a, b) rows run in order, so `checked`, the number
     of triples before the first failure in lexicographic order, is exact.
     """
     d = ring.dimension()
-    most, vmax = _max_abs(ring.term_counts()), _max_abs(ring.terms(np.arange(d * d))[2])
+    most = _max_abs(ring.term_counts())
+    # one row of the table at a time, so no d^2-term gather is held
+    vmax = max(_max_abs(ring.terms(np.arange(a * d, (a + 1) * d))[2]) for a in range(d))
     # a key sums at most 2 * most^2 products of two coefficients
     if most * most * vmax * vmax >= 1 << 62:
         raise ArithmeticBound(

@@ -487,6 +487,52 @@ def test_certificate_never_certifies_a_nonassociative_table(monkeypatch, pne):
     assert certified and refused
 
 
+def test_certificate_reaches_a_class_only_as_the_one_new_term(fresh_rings, monkeypatch):
+    # e_0 e_0 = e_1 + e_2 and every other product 0: the words over e_0
+    # span e_0 and e_1 + e_2 only, so a closure that took any new term
+    # would certify [0]; with e_1 kept too, e_2 is the one new term of e_0 e_0
+    params = make_params(3, 1, 1)
+    d = TRing(params).dimension()
+    _mutate_structure(monkeypatch, lambda *table: table_of(d, {(0, 0): [(1, 1), (2, 1)]}))
+    ring = tring(params)
+    assert cli._spanning_generators(ring, [0]) is None
+    assert cli._spanning_generators(ring, [0, 1]) == [0, 1]
+
+
+@pytest.mark.parametrize("pne", [(3, 2, 2), (7, 2, 3)], ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}")
+def test_certificate_needs_no_prime(fresh_rings, monkeypatch, pne):
+    # every coefficient times 1000003 keeps the table associative and its
+    # live terms where they were; the certificate must not depend on a
+    # prime that could divide them all
+    params = make_params(*pne)
+    gens = cli._left_nucleus_generators(tring(params))
+    tring.cache_clear()
+
+    def scale(start, cls, val):
+        val *= 1000003
+
+    _mutate_structure(monkeypatch, scale)
+    ring = tring(params)
+    assert cli._left_nucleus_generators(ring) == gens
+    assert _check_assoc(params, ring) == ("ok", {"checked": str(ring.dimension() ** 3)})
+
+
+# the generators the closure keeps on rungs of the ladder, as the echelon
+# certificate mod 1000003 it replaced kept them
+LADDER_GENERATORS = {
+    (3, 4, 2): [30, 0, 4, 6, 12, 31, 32],
+    (3, 5, 2): [84, 0, 4, 6, 12, 30, 85, 86],
+    (13, 2, 12): [156, 0, 144, 157, 168],
+    (2, 5, 1): [16, 0, 1, 2, 4, 8, 17, 18],
+}
+
+
+@pytest.mark.parametrize("pne", LADDER_GENERATORS, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}")
+def test_certificate_generators_on_the_ladder(pne):
+    ring = tring(make_params(*pne))
+    assert cli._left_nucleus_generators(ring) == LADDER_GENERATORS[pne]
+
+
 def test_verify_theorem_d(capsys):
     code, out = run_cli(
         [

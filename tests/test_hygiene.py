@@ -3,7 +3,8 @@ no module-level function or class of the package goes unreferenced, no
 floating point enters the package, no check is an `assert` statement, no
 matrix product bypasses `exactarith.field_mat_mul`, every function the
 benchmark's per-layer metrics name exists, `verify` never imports
-numpy.ma, and the multiplication table is read only through `TRing.terms`."""
+numpy.ma, the multiplication table is read only through `TRing.terms`, and
+the assoc check runs no elimination over a field."""
 
 import ast
 import importlib
@@ -431,3 +432,30 @@ def test_table_access_is_reported(tmp_path):
         "sample.py:3 structure_arrays",
         "sample.py:4 _live_terms",
     ]
+
+
+# The assoc certificate reaches each class as the one new term of a product
+# (`cli._spanning_generators`): no matrix product, no echelon form.
+FIELD_ELIMINATION = ("field_mat_mul", "_rref")
+
+
+@pytest.mark.parametrize("pne", [(3, 4, 2), (7, 2, 3)], ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}")
+def test_assoc_runs_no_field_elimination(monkeypatch, capsys, pne):
+    from tsring import cli, exactarith
+
+    calls = Counter()
+    for name in FIELD_ELIMINATION:
+        original = getattr(exactarith, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # every binding of the name in the package, the importers' too
+        for module in [m for key, m in sys.modules.items() if key.startswith("tsring")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    p, n, e = (str(x) for x in pne)
+    assert cli.main(["verify", "--p", p, "--n", n, "--e", e, "--which", "assoc"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    assert calls == Counter()
