@@ -48,7 +48,7 @@ from .exactarith import (
     rank_over_field,
     residues,
 )
-from .groupmodel import ModelParams, canonical_coset
+from .groupmodel import ModelParams
 from .tring import NonProj, ProjPair, RingElement, TRing, _segment_sum, tring
 
 
@@ -89,21 +89,14 @@ class LevelGroup:
     def _table(self) -> np.ndarray:
         """_table[a, b] is the index of element a times element b.
 
-        One canonical coset per pair of coset representatives; the
-        characters add mod e.
+        The coset of each product of two coset representatives is a lookup
+        in the ring's `coset_index`, as in the table's rules; characters add mod e.
         """
-        params = self.params
-        e = params.e
-        q = params.p**self.level
-        reps = [b.alpha for b in tring(params).level_basis(self.level)[::e]]
-        where = {rep: k * e for k, rep in enumerate(reps)}
-        cosets = np.array(
-            [
-                [where[canonical_coset(params, self.level, r * s % q).rep] for s in reps]
-                for r in reps
-            ],
-            dtype=np.int64,
-        )
+        params, e = self.params, self.params.e
+        ring = tring(params)
+        reps = [b.alpha for b in ring.level_basis(self.level)[::e]]
+        index, q = ring.coset_index[self.level] - self.span.start, params.p**self.level
+        cosets = np.array([[index[r * s % q] for s in reps] for r in reps], dtype=np.int64)
         k = np.arange(self.order)
         return cosets[k[:, None] // e, k // e] + (k[:, None] + k) % e
 
@@ -228,7 +221,10 @@ def _twist(gamma: LevelGroup, Y: np.ndarray, t) -> np.ndarray:
     e = gamma.params.e
     dtype = exact_dtype(max(_max_abs(Y), 1) * (t.denominator + e * abs(t.numerator)))
     runs = Y.reshape(*Y.shape[:-1], -1, e).astype(dtype)
-    return (runs * t.denominator + runs.sum(axis=-1, keepdims=True) * t.numerator).reshape(Y.shape)
+    sums = runs.sum(axis=-1, keepdims=True)
+    runs *= t.denominator
+    runs += sums * t.numerator
+    return runs.reshape(Y.shape)
 
 
 def _times_twist(gamma: LevelGroup, y: RingElement, t) -> RingElement:
@@ -289,16 +285,15 @@ def ideal_identity(params: ModelParams, S, i: int) -> RingElement:
 class LevelBlockIso:
     """Certified isomorphism between a level block and its group algebra.
 
-    psi^-1 = `from_group_algebra` multiplies by the twist inverse d_i in
-    the level span and then by f_i; psi = `to_group_algebra` projects to
-    the level span and multiplies by the twist c_i (`_twist`).  They are
-    certified on R, the right action of f_i: R[span, span] = den I makes
-    a -> a f_i injective on the level span, so bijective onto the block by
-    the dimension count of `_decompose`; the lifts psi^-1(g), the columns
-    of R[:, span] times the twist matrix of d_i, go back to the identity
-    under c_i.  The u with psi^-1(u v) = psi^-1(u) psi^-1(v) for all v form
-    a subalgebra containing 1 = psi(f_i), so for each certified generator
-    s only, its left action times the lifts must permute them by s.
+    Column g of the lifts L over D is psi^-1(g) = (g d_i) f_i, g d_i the
+    twist of g by d_i (`_level_lifts`), so `from_group_algebra` is L z / D;
+    psi = `to_group_algebra` twists the level coefficients by c_i.  Checked:
+    L_1 = f_i, psi(L_g / D) = g, and (s d_i) L_g = L_sg for each generator s
+    and every g, with e live terms on the left.  By induction over the
+    closure of the generators, L_g = w f_i for w a product of factors s d_i
+    along a word for g; f_i being a central idempotent (`_decompose`),
+    L_a L_b = w f_i w' f_i = w L_b = L_ab.  a -> a f_i is injective on the
+    level span, so psi^-1 is bijective by the dimension count.
     """
 
     ring: TRing
@@ -306,6 +301,8 @@ class LevelBlockIso:
     level: int
     gamma: LevelGroup
     projector: RingElement  # f_i, central idempotent cutting out the block
+    lifts: np.ndarray  # L, column g is D psi^-1(g)
+    lift_den: int  # D
     checks: dict = field(default_factory=dict)
 
     def to_group_algebra(self, y: RingElement) -> RingElement:
@@ -313,8 +310,8 @@ class LevelBlockIso:
         return _times_twist(self.gamma, y, c)
 
     def from_group_algebra(self, z: RingElement) -> RingElement:
-        d = _twist_inverse_coefficient(self.gamma, self.scalar)
-        return self.ring.mult(_times_twist(self.gamma, z, d), self.projector)
+        image = field_mat_mul(self.lifts, z.vec[self.gamma.span, None], self.scalar)
+        return RingElement(self.ring, self.scalar, image[:, 0], self.lift_den * z.den)
 
 
 @dataclass
@@ -399,16 +396,16 @@ def _decompose(ring: TRing, S) -> BlockDecomposition:
     # the classes of the ideal I_i come first in basis order
     cuts = [len(ring.ideal_le(i)) for i in range(n + 1)]
     noncentral = []  # per e_i, the positions of the classes it fails to commute with
-    for i, ei in enumerate(chain):
-        # e_i b = b = b e_i on every class b of the ideal: columns of the actions
-        left, right, den = ring.actions(ei)
-        unit = np.eye(len(ring.basis), dtype=left.dtype)[:, : cuts[i]] * den
-        wrong = (left[:, : cuts[i]] != unit) | (right[:, : cuts[i]] != unit)
-        bad = np.flatnonzero(wrong.any(axis=0))
+    identity = np.eye(len(ring.basis), dtype=np.int8)  # read for its nonzero entries
+    for i, (ei, cut) in enumerate(zip(chain, cuts)):
+        # e_i b = b = b e_i on the ideal: den e_b in column b of either side
+        left, right = (ring.products(ei, identity, side) for side in ("left", "right"))
+        wrong = _off_identity(left[:, :cut], ei.den) | _off_identity(right[:, :cut], ei.den)
+        bad = np.flatnonzero(wrong)
         if bad.size:
             _violation(f"e_{i} identity on ideal", ring.basis[bad[0]], None)
         noncentral.append(np.flatnonzero((left != right).any(axis=0)))
-        del left, right, unit, wrong  # d x d each, before the next actions() call
+        del left, right  # d x d each, before the next products
     for i, outside in enumerate(noncentral):
         if outside.size:
             _violation(f"e_{i} central at {ring.basis[outside[0]]}", None, None)
@@ -438,6 +435,12 @@ def _decompose(ring: TRing, S) -> BlockDecomposition:
         dims=dims,
         isos=isos,
     )
+
+
+def _off_identity(m: np.ndarray, den) -> np.ndarray:
+    """Mask of the columns j of m other than den times column j of the identity."""
+    j = np.arange(m.shape[1])
+    return (np.count_nonzero(m, axis=0) != 1) | (m[j, j] != den)
 
 
 def _projective_products_match(ring: TRing, c) -> bool:
@@ -498,55 +501,55 @@ def _build_matrix_iso(ring: TRing, S, f0: RingElement) -> MatrixBlockIso:
 
 
 def _level_lifts(ring: TRing, S, gamma: LevelGroup, fi: RingElement):
-    """(L, D): column g of L over D is psi^-1(g) = (g d_i) f_i.
+    """(L, D): column g of L over D is psi^-1(g) = (g d_i) f_i, d x |Gamma_i|.
 
-    L is R[:, span] times the twist matrix of d_i, for R the right action
-    of f_i, after R[span, span] = den I shows a -> a f_i injective there.
-    """
-    right, den = ring.actions(fi, side="right")
+    R, f_i on the right of the identity's level columns, is den I on the
+    level span, so a -> a f_i is injective there; L is R times the twist
+    matrix of d_i."""
     span = gamma.span
-    unit = np.eye(gamma.order, dtype=exact_dtype(den)) * den
-    lost = np.flatnonzero((right[span, span] != unit).any(axis=0))
+    level_columns = np.eye(ring.dimension(), gamma.order, -span.start, dtype=np.int8)
+    right, den = ring.products(fi, level_columns, "right"), fi.den
+    lost = np.flatnonzero(_off_identity(right[span], den))
     if lost.size:
-        g = span.start + lost[0]
-        y = RingElement(ring, S, right[:, g], den).restrict(span)
-        _violation(f"block {gamma.level} projection", y, ring.from_basis(S, ring.basis[g]))
+        y = RingElement(ring, S, right[:, lost[0]], den).restrict(span)
+        lost_class = ring.basis[span.start + lost[0]]
+        _violation(f"block {gamma.level} projection", y, ring.from_basis(S, lost_class))
     t = _twist_inverse_coefficient(gamma, S)
-    return residues(S, _twist(gamma, right[:, span], t)), den * t.denominator
+    return residues(S, _twist(gamma, right, t)), den * t.denominator
 
 
 def _build_level_iso(ring: TRing, S, i: int, fi: RingElement) -> LevelBlockIso:
     gamma = level_group(ring.params, i)
-    iso = LevelBlockIso(ring=ring, scalar=S, level=i, gamma=gamma, projector=fi)
     # group element g is the level class of the same index
     one = ring.from_basis(S, ring.basis[gamma.span.start])
     # the twist unit and its closed-form inverse really are inverse
     cd = ga_mul(gamma, twist_unit(gamma, S), twist_unit_inverse(gamma, S))
     if cd != one:
         _violation(f"c_{i} d_{i}", cd, one)
-    # injectivity of x -> x f_i on the level span (`block i projection`);
-    # `_decompose` counts dimensions for the rest
+    # x -> x f_i injective on the level span; `_decompose` counts dimensions
     lifts, lift_den = _level_lifts(ring, S, gamma, fi)
     gens = gamma.generators()
     reached = len(gamma.closure(gens))
     if reached != gamma.order:
         _violation(f"block {i} generators", reached, gamma.order)
-    for s in gens:
-        # column g of left . lifts is den_s * lift_den * psi^-1(s) psi^-1(g)
-        left, den_s = ring.actions(RingElement(ring, S, lifts[:, s], lift_den), side="left")
-        products = field_mat_mul(left, lifts, S)
-        expected = lifts[:, gamma._table[s]].astype(exact_dtype(_max_abs(lifts) * den_s)) * den_s
-        if (products != residues(S, expected)).any():
-            _violation(f"block {i} multiplicativity", None, None)
-        del left, products, expected  # before the next actions() call
-    if iso.to_group_algebra(fi) != one:
-        _violation(f"block {i} unit image", iso.to_group_algebra(fi), one)
+    # the argument of `LevelBlockIso`: L_1 = f_i, then (s d_i) L_g = L_sg
+    if RingElement(ring, S, lifts[:, 0], lift_den) != fi:
+        _violation(f"block {i} multiplicativity", None, None)
     # row g of the twisted level rows is lift_den * psi(psi^-1(g))
     back = residues(S, _twist(gamma, lifts[gamma.span].T, ring.params.nontrivial_coset_count(i)))
     if (back != np.eye(gamma.order, dtype=exact_dtype(lift_den)) * lift_den).any():
         _violation(f"block {i} round trip", None, None)
-    iso.checks.update({"multiplicative": True, "round_trip": True})
-    return iso
+    t, most = _twist_inverse_coefficient(gamma, S), _max_abs(lifts)
+    for s in gens:
+        # column g is den * (s d_i) L_g, with den the denominator of s d_i
+        factor = _times_twist(gamma, ring.from_basis(S, ring.basis[gamma.span.start + s]), t)
+        expected = lifts[:, gamma._table[s]].astype(exact_dtype(most * factor.den), copy=False)
+        expected *= factor.den
+        if (ring.products(factor, lifts, "left") != residues(S, expected)).any():
+            _violation(f"block {i} multiplicativity", None, None)
+        del expected  # d x |Gamma_i|, before the next products
+    checks = {"multiplicative": True, "round_trip": True}
+    return LevelBlockIso(ring, S, i, gamma, fi, lifts, lift_den, checks)
 
 
 # --------------------------------------------------------------------------
@@ -758,11 +761,10 @@ def semisimplicity_decide(params: ModelParams, q: int) -> SemisimplicityDecision
             block_order = params.p ** (i - 1) * (params.p - 1)
             if block_order % q != 0:
                 continue
-            gamma = level_group(params, i)
             fi = ideal_identity(params, S, i) - ideal_identity(params, S, i - 1)
-            iso = LevelBlockIso(ring=ring, scalar=S, level=i, gamma=gamma, projector=fi)
-            ones = ring.element(S, {b: 1 for b in ring.level_basis(i)})
-            z = iso.from_group_algebra(ones)
+            # psi^-1 of the sum of the group elements: the row sums of the lifts
+            lifts, lift_den = _level_lifts(ring, S, level_group(params, i), fi)
+            z = RingElement(ring, S, lifts.sum(axis=1), lift_den)
             cert = _central_nilpotent_certificate(ring, z)
             if cert is not None:
                 cert["block_level"] = i

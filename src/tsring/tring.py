@@ -26,7 +26,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -202,11 +202,11 @@ class TRing:
     """Basis, multiplication table and derived structure for one model.
 
     The table of live terms (`structure_table`) is the only multiplication
-    table: products, the actions of an element, the trace form and the
-    center are exact integer contractions over its terms, in int64 under an
-    up-front bound on the sums and in Python ints past it.  They read an
-    element's integer vector directly, and its denominator multiplies
-    through.
+    table: products, an element times the columns of a matrix (`products`),
+    the trace form and the center are exact integer contractions over its
+    terms, in int64 under a bound on the sums and in Python ints past it.
+    They read an element's integer vector directly, and its denominator
+    multiplies through.
     """
 
     def __init__(self, params: ModelParams):
@@ -323,6 +323,15 @@ class TRing:
         d = len(self.basis)
         return np.diff(self.structure_table()[0]).reshape(d, d)
 
+    @cached_property
+    def coset_index(self) -> np.ndarray:
+        """coset_index[i, u]: the index of M[i, coset of the unit u mod p^i, 0]."""
+        params = self.params
+        coset = np.zeros((params.n + 1, params.pn), dtype=np.int64)
+        for b in self.basis[params.e**2 :: params.e]:  # M[i, alpha, 0], one per coset
+            coset[b.level, AutCoset(b.level, b.alpha).members(params)] = self.index[b]
+        return coset
+
     def _rule_table(self):
         """(start, cls, val) of the four rules, one left factor at a time.
 
@@ -355,10 +364,6 @@ class TRing:
         high = as_matrix([[count[max(i, j)] for j in levels] for i in levels])
         low = as_matrix([[min(i, j) for j in levels] for i in levels])
         modulus = np.array([params.p**i for i in levels])
-        # coset[i, u]: the index of M[i, coset of the unit u mod p^i, 0]
-        coset = np.zeros((params.n + 1, params.pn), dtype=np.int64)
-        for b in basis[e * e :: e]:  # M[i, alpha, 0], one per coset
-            coset[b.level, AutCoset(b.level, b.alpha).members(params)] = self.index[b]
         cls, val = (np.zeros((d, e), dtype=np.int64) for _ in range(2))
         # start[1:] holds the term counts, row by row, until the running sum
         start = np.zeros(d * d + 1, dtype=np.int64)
@@ -383,7 +388,7 @@ class TRing:
                 put(P, two[P], e, add[c, one[P]], count[i])
                 # M[i,A,c] * M[j,B,z] = M[k, AB, c+z] + m_max(i,j) sum_nu M[k, AB, nu]
                 k = low[i, right]
-                base = coset[k, x * one[M] % modulus[k]]
+                base = self.coset_index[k, x * one[M] % modulus[k]]
                 put(M, base, 1, add[c, two[M]], high[i, right])
             live = val != 0
             sizes[a] = np.count_nonzero(live, axis=1)
@@ -403,41 +408,33 @@ class TRing:
         vals *= val
         return RingElement(self, x.scalar, _segment_sum(d, cls, vals), x.den * y.den)
 
-    def actions(self, x: RingElement, side: str = "both"):
-        """Left and right multiplication by x as d x d integer matrices.
+    def products(self, x: RingElement, Y: np.ndarray, side: str) -> np.ndarray:
+        """den * (x * y_j) (side "left") or den * (y_j * x) ("right") in column j.
 
-        Returns (left, right, den): column b of `left` is den * (x * e_b)
-        and column b of `right` is den * (e_b * x), with den the common
-        denominator of x over Q and 1 otherwise (residues over F_q).  With
-        side "left" or "right" only that matrix is built: (matrix, den).
-        Each matrix is one contraction of the support of x through the table.
+        y_j is column j of the integer d x k matrix Y, den the denominator of
+        x; residues over F_q.  One gather per class a of the support of x,
+        against the nonzero entries of Y: a term v e_c of e_a e_b (left) or
+        e_b e_a (right) adds x_a Y[b, j] v at (c, j), in int64 under a running
+        `exact_dtype` bound and in Python ints past it.
         """
-        if side not in ("both", "left", "right"):
-            raise ValueError(f"side {side!r} is not left, right or both")
-        d = len(self.basis)
-        ia = np.flatnonzero(x.vec)
-        X, cols = x.vec[ia], np.arange(d)
-        out = []
-        # row i, column b: e_a e_b (left) or e_b e_a (right) for a = ia[i]
-        if side != "right":
-            out.append(self._action(X, ia[:, None] * d + cols))
-        if side != "left":
-            out.append(self._action(X, ia[:, None] + cols * d))
-        return (*(residues(x.scalar, m).reshape(d, d) for m in out), x.den)
-
-    def _action(self, X, pairs):
-        """The d x d sums, at (c, b), of X[i] v over the terms v e_c of the
-        products numbered pairs[i, b]."""
-        d = len(self.basis)
-        owner, cls, val = self.terms(pairs.ravel())
-        dtype = exact_dtype(_max_abs(X) * _max_abs(val) * len(cls))
-        vals = X.astype(dtype)[owner // d]
-        vals *= val
-        return _segment_sum(d * d, cls * d + owner % d, vals)
+        if side not in ("left", "right"):
+            raise ValueError(f"side {side!r} is not left or right")
+        d, k = Y.shape
+        rows, cols = np.nonzero(Y)
+        entries = Y[rows, cols]
+        out, bound = np.zeros(d * k, dtype=np.int64), 0
+        for a in np.flatnonzero(x.vec).tolist():
+            owner, cls, val = self.terms(a * d + rows if side == "left" else rows * d + a)
+            xa = int(x.vec[a])
+            bound += abs(xa) * _max_abs(entries) * _max_abs(val) * len(cls)
+            out = out.astype(exact_dtype(bound), copy=False)
+            np.add.at(out, cls * k + cols[owner], entries.astype(out.dtype)[owner] * val * xa)
+        return residues(x.scalar, out).reshape(d, k)
 
     def noncommuting(self, x: RingElement) -> list:
         """The basis classes b with x * b != b * x, in basis order."""
-        left, right, _ = self.actions(x)
+        identity = np.eye(len(self.basis), dtype=np.int64)
+        left, right = (self.products(x, identity, side) for side in ("left", "right"))
         return [self.basis[j] for j in np.flatnonzero((left != right).any(axis=0))]
 
     def quotient_mult(self, i: int, x: RingElement, y: RingElement) -> RingElement:

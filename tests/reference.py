@@ -22,9 +22,12 @@ from tsring.blocks import _mobius, primitive_central_idempotents_q
 from tsring.exactarith import (
     QQ,
     _inverse,
+    _max_abs,
+    exact_dtype,
     mat_inverse_over_field,
     nullspace_over_field,
     rank_over_field,
+    residues,
 )
 from tsring.groupmodel import (
     TAG_DIAG_P,
@@ -43,7 +46,15 @@ from tsring.groupmodel import (
     recognize_shape,
     subgroup_diag_pe,
 )
-from tsring.tring import NonProj, ProjPair, TRing, basis_label, basis_to_json, tring
+from tsring.tring import (
+    NonProj,
+    ProjPair,
+    TRing,
+    _segment_sum,
+    basis_label,
+    basis_to_json,
+    tring,
+)
 
 # ------------------------------------------------------------ the group model
 #
@@ -385,12 +396,33 @@ def rank_one_corner_reference(c, x) -> bool:
     return len(rref_reference(vectors, QQ)[1]) == 1
 
 
+def actions_reference(ring, x):
+    """Left and right multiplication by x as d x d integer matrices.
+
+    Returns (left, right, den): column b of `left` is den * (x * e_b) and
+    column b of `right` is den * (e_b * x), with den the denominator of x
+    (residues over F_q).  Each matrix is one contraction of the support of
+    x through the table, all of its terms gathered at once.
+    """
+    d = ring.dimension()
+    ia = np.flatnonzero(x.vec)
+    X, cols = x.vec[ia], np.arange(d)
+    out = []
+    # row i, column b: e_a e_b (left) or e_b e_a (right) for a = ia[i]
+    for pairs in (ia[:, None] * d + cols, ia[:, None] + cols * d):
+        owner, cls, val = ring.terms(pairs.ravel())
+        vals = X.astype(exact_dtype(_max_abs(X) * _max_abs(val) * len(cls)))[owner // d] * val
+        sums = _segment_sum(d * d, cls * d + owner % d, vals)
+        out.append(residues(x.scalar, sums).reshape(d, d))
+    return (*out, x.den)
+
+
 def corner_rank_reference(ring, x) -> bool:
     """Q-rank of {x * b * x : b basis} equals 1: the rank of R_x L_x.
 
     x * e_b * x is column b of R_x L_x, with L_x, R_x the d x d actions of x.
     """
-    left, right, _ = ring.actions(x)
+    left, right, _ = actions_reference(ring, x)
     return rank_over_field((right.astype(object) @ left.astype(object)).T, QQ) == 1
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -769,12 +770,16 @@ def test_raised_top_products_fail_level_block(fresh_rings, monkeypatch, triple, 
     ring = tring(params)
     top = blocks.ideal_identity(params, field, params.n)
     below = blocks.ideal_identity(params, field, params.n - 1)
+    gamma = blocks.level_group(params, params.n)
+    lifts, lift_den = blocks._level_lifts(ring, field, gamma, top - below)
     iso = blocks.LevelBlockIso(
         ring=ring,
         scalar=field,
         level=params.n,
-        gamma=blocks.level_group(params, params.n),
+        gamma=gamma,
         projector=top - below,
+        lifts=lifts,
+        lift_den=lift_den,
     )
     assert not _brute_force_level_multiplicative(ring, field, iso)
 
@@ -831,40 +836,41 @@ def test_decomposition_built_once_per_ring(fresh_rings, monkeypatch):
 def test_decomposition_builds_one_action_pair_per_chain_element(
     fresh_rings, monkeypatch, triple, field
 ):
-    # the identity and the centrality check of e_i read one pair of actions;
-    # then one pair per level for the lifts and one per level generator
+    # the identity and the centrality check of e_i read one pair of
+    # products with the identity, one per side; then one product per level
+    # for the lifts and one per level generator
     params = make_params(*triple)
-    original = TRing.actions
+    original = TRing.products
     calls = []
 
-    def actions(self, x, side="both"):
+    def products(self, x, Y, side):
         calls.append(x)
-        return original(self, x, side)
+        return original(self, x, Y, side)
 
-    monkeypatch.setattr(TRing, "actions", actions)
+    monkeypatch.setattr(TRing, "products", products)
     decomp = blocks.central_decomposition(params, field)
     n = params.n
     gens = sum(len(iso.gamma.generators()) for iso in decomp.isos[1:])
-    assert len(calls) == (n + 1) + n + gens
-    assert calls[: n + 1] == decomp.chain
+    assert len(calls) == 2 * (n + 1) + n + gens
+    assert calls[: 2 * (n + 1)] == [ei for ei in decomp.chain for _ in range(2)]
 
 
 @pytest.mark.parametrize("triple,field", MUTATION_CASES, ids=MUTATION_IDS)
 def test_level_certificate_builds_one_side_per_action(fresh_rings, monkeypatch, triple, field):
-    # the chain elements need both sides; the lifts read the right action
-    # of f_i and the generators' lifts their left action
+    # the chain elements need both sides; the lifts read f_i on the right
+    # and the generators' factors act on the left
     params = make_params(*triple)
-    original = TRing.actions
+    original = TRing.products
     sides = []
 
-    def actions(self, x, side="both"):
+    def products(self, x, Y, side):
         sides.append(side)
-        return original(self, x, side)
+        return original(self, x, Y, side)
 
-    monkeypatch.setattr(TRing, "actions", actions)
+    monkeypatch.setattr(TRing, "products", products)
     decomp = blocks.central_decomposition(params, field)
     n = params.n
-    expected = ["both"] * (n + 1)
+    expected = ["left", "right"] * (n + 1)
     for iso in decomp.isos[1:]:
         expected += ["right"] + ["left"] * len(iso.gamma.generators())
     assert sides == expected
@@ -961,22 +967,21 @@ def test_chain_element_outside_its_ideal_is_refused(fresh_rings, monkeypatch, fi
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=lambda S: S.name)
 def test_lost_level_class_fails_projection(fresh_rings, monkeypatch, field):
     # the dimension count rests on x -> x f_i being injective on the level
-    # span; a right action of f_1 that sends the last level-1 class to 0
-    # says it is not
+    # span; products with f_1 on the right that send the last level-1
+    # class to 0 say it is not
     params = make_params(3, 2, 2)
     ring = tring(params)
     f1 = blocks.ideal_identity(params, field, 1) - blocks.ideal_identity(params, field, 0)
     last = ring.level_range(1).stop - 1
-    original = TRing.actions
+    original = TRing.products
 
-    def actions(self, x, side="both"):
-        *matrices, den = original(self, x, side)
-        if x == f1 and side != "left":
-            matrices[-1] = matrices[-1].copy()
-            matrices[-1][:, last] = 0
-        return (*matrices, den)
+    def products(self, x, Y, side):
+        out = original(self, x, Y, side)
+        if x == f1 and side == "right":
+            out[:, np.flatnonzero(Y[last])] = 0  # the column of e_last f_1
+        return out
 
-    monkeypatch.setattr(TRing, "actions", actions)
+    monkeypatch.setattr(TRing, "products", products)
     lost = ring.from_basis(field, ring.basis[last])
     assert _theorem_d_error(params, field) == (1, f"block 1 projection: 0 != {lost!r}")
 
@@ -1044,30 +1049,30 @@ def test_noncentral_primitive_names_the_class(fresh_rings, monkeypatch):
 
 def test_theorem_c_certificates_stay_small(fresh_rings, monkeypatch):
     # theorem-c multiplies only the residual against the e - 1 projective
-    # members, the corner members and the lifts of the level primitives,
-    # and reads actions only for the centrality of f_0 .. f_n; theorem D's
-    # own certificate, built once per ring, is counted elsewhere
+    # members and the corner members, and reads products with the identity
+    # only for the centrality of f_0 .. f_n, one per side; theorem D's own
+    # certificate, built once per ring, is counted elsewhere
     params = make_params(5, 2, 4)
     ring = tring(params)
     blocks.central_decomposition(params, QQ)
-    mult, actions = TRing.mult, TRing.actions
-    calls = {"mult": 0, "actions": 0}
+    mult, products = TRing.mult, TRing.products
+    calls = {"mult": 0, "products": 0}
 
     def counted_mult(self, x, y):
         calls["mult"] += 1
         return mult(self, x, y)
 
-    def counted_actions(self, x, side="both"):
-        calls["actions"] += 1
-        return actions(self, x, side)
+    def counted_products(self, x, Y, side):
+        calls["products"] += 1
+        return products(self, x, Y, side)
 
     monkeypatch.setattr(TRing, "mult", counted_mult)
-    monkeypatch.setattr(TRing, "actions", counted_actions)
+    monkeypatch.setattr(TRing, "products", counted_products)
     status, payload = _check_theorem_c(params, ring, 20)
     k = int(payload["scan_primitives"])
     assert (status, k, payload["integral_masks"]) == ("ok", 10, ["0", str((1 << k) - 1)])
-    assert calls["mult"] <= 3 * params.e + k
-    assert calls["actions"] <= params.n + 1
+    assert calls["mult"] <= 3 * params.e  # the level primitives lift through L, no product
+    assert calls["products"] <= 2 * (params.n + 1)
 
 
 def _doubled(idems):
@@ -1111,3 +1116,100 @@ def test_broken_projective_product_fails_theorem_c(fresh_rings, monkeypatch):
     code, error = _theorem_d_error(params, QQ, "theorem-c")
     assert code == 1
     assert error == "projective products: None != None"
+
+
+# ------------------------------------------------------ the level certificate
+
+SPARSE_CASES = [((3, 4, 2), QQ), ((3, 4, 2), GF(5)), ((7, 2, 3), QQ), ((7, 2, 3), GF(5))]
+SPARSE_IDS = [f"p{t[0]}n{t[1]}e{t[2]}-{S.name}" for t, S in SPARSE_CASES]
+
+
+@pytest.mark.parametrize("triple,field", SPARSE_CASES, ids=SPARSE_IDS)
+def test_decomposition_multiplies_matrices_only_in_the_matrix_block(
+    fresh_rings, monkeypatch, triple, field
+):
+    # the level blocks are certified on the table's terms, with no dense
+    # matrix product; only the e x e bottom block multiplies matrices
+    original = blocks.field_mat_mul
+    callers = []
+
+    def field_mat_mul(a, b, K):
+        callers.append(sys._getframe(1).f_code.co_qualname)
+        return original(a, b, K)
+
+    monkeypatch.setattr(blocks, "field_mat_mul", field_mat_mul)
+    blocks.central_decomposition(make_params(*triple), field)
+    assert callers and set(callers) == {"MatrixBlockIso.to_matrix"}
+
+
+@pytest.mark.parametrize("triple,field", SPARSE_CASES, ids=SPARSE_IDS)
+def test_level_certificate_left_factors_have_e_terms(fresh_rings, monkeypatch, triple, field):
+    # the generator identities multiply the lifts by s d_i, which has e
+    # live terms, never by a lift
+    params = make_params(*triple)
+    original_build, original_products = blocks._build_level_iso, TRing.products
+    inside, sizes = [], []
+
+    def build_level_iso(*args):
+        inside.append(True)
+        try:
+            return original_build(*args)
+        finally:
+            inside.pop()
+
+    def products(self, x, Y, side):
+        if inside and side == "left":
+            sizes.append(np.count_nonzero(x.vec))
+        return original_products(self, x, Y, side)
+
+    monkeypatch.setattr(blocks, "_build_level_iso", build_level_iso)
+    monkeypatch.setattr(TRing, "products", products)
+    decomp = blocks.central_decomposition(params, field)
+    assert len(sizes) == sum(len(iso.gamma.generators()) for iso in decomp.isos[1:])
+    assert max(sizes) <= params.e
+
+
+@pytest.mark.parametrize("triple,field", SPARSE_CASES, ids=SPARSE_IDS)
+def test_from_group_algebra_is_the_twist_then_f_i(triple, field):
+    # L z over the lift denominator is (z d_i) f_i, the product it replaces
+    params = make_params(*triple)
+    ring = tring(params)
+    rng = random.Random(f"psi-{triple}-{field.name}")
+    for iso in blocks.central_decomposition(params, field).isos[1:]:
+        gamma = iso.gamma
+        t = blocks._twist_inverse_coefficient(gamma, field)
+        for _ in range(3):
+            values = [rng.randint(-9, 9) for _ in range(gamma.order)]
+            if field is QQ:
+                values = [Fraction(v, rng.randint(1, 6)) for v in values]
+            z = ring.from_vector(field, values, gamma.span)
+            twisted = blocks._times_twist(gamma, z, t)
+            assert iso.from_group_algebra(z) == mult_reference(ring, twisted, iso.projector)
+
+
+def test_level_table_reads_no_canonical_coset(monkeypatch):
+    # the coset of a product of representatives is a lookup in the ring's
+    # coset index, not a canonicalization per pair; the tables still follow
+    # the tuple law
+    from tsring import groupmodel
+
+    cases = [make_params(*t) for t in [(3, 2, 2), (2, 4, 1), (2, 5, 1), (7, 2, 3), (13, 2, 12)]]
+    for params in cases:
+        tring(params)  # the basis canonicalizes its representatives once
+
+    def canonical_coset(*args):
+        raise AssertionError("canonical_coset called")
+
+    for module in (groupmodel, sys.modules["tsring.tring"], blocks):
+        monkeypatch.setattr(module, "canonical_coset", canonical_coset, raising=False)
+    tables = {
+        (params, i): blocks.LevelGroup(params, i)._table.tolist()
+        for params in cases
+        for i in range(1, params.n + 1)
+    }
+    monkeypatch.undo()
+    for (params, i), table in tables.items():
+        labels = level_labels(params, i)
+        assert [[labels[k] for k in row] for row in table] == [
+            [level_mul(params, i, g, h) for h in labels] for g in labels
+        ]

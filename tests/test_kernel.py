@@ -1,10 +1,10 @@
 """Dense elements and the exact product kernel against the dict loops.
 
 A `RingElement` is one integer vector over a denominator; `TRing.mult`,
-`TRing.actions`, `gram_int` and `center_basis` contract the live terms of
+`TRing.products`, `gram_int` and `center_basis` contract the live terms of
 the structure table in int64, or in Python ints past the overflow bound.
-`tests/reference.py` keeps the dict elements and the scalar-by-scalar
-loops they replace.
+`tests/reference.py` keeps the dict elements, the scalar-by-scalar loops
+they replace and the dense d x d actions.
 """
 
 import importlib
@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
     DictElement,
+    actions_reference,
     agrees,
     as_dict,
     center_basis_reference,
@@ -25,7 +26,8 @@ from reference import (
     mult_reference,
 )
 
-from tsring.exactarith import GF, QQ, ZZ
+from tsring import blocks
+from tsring.exactarith import GF, QQ, ZZ, _max_abs, field_mat_mul
 from tsring.groupmodel import make_params
 from tsring.tring import RingElement, tring
 
@@ -59,7 +61,9 @@ def column(ring, S, matrix, den, j):
 
 def assert_kernel_agrees(ring, S, x, y):
     assert ring.mult(x, y) == mult_reference(ring, x, y)
-    left, right, den = ring.actions(x)
+    identity = np.eye(ring.dimension(), dtype=np.int64)
+    left, right = (ring.products(x, identity, side) for side in ("left", "right"))
+    den = x.den
     assert left.shape == right.shape == (ring.dimension(),) * 2
     outside = []  # classes that do not commute with x
     for j, b in enumerate(ring.basis):
@@ -157,6 +161,7 @@ def test_dense_elements_match_dict_elements(small_params, S):
 @pytest.mark.parametrize("S", [ZZ, QQ], ids=lambda S: S.name)
 def test_large_values_take_the_python_int_path(dtypes, S):
     ring = tring(make_params(3, 2, 2))
+    identity = np.eye(ring.dimension(), dtype=np.int64)
     rng = random.Random(7)
     for _ in range(3):
         x = random_element(ring, S, rng, size=5, big=True)
@@ -169,15 +174,16 @@ def test_large_values_take_the_python_int_path(dtypes, S):
         ring.mult(x, y)
         assert dtypes[0] is object  # the product's sums
         dtypes.clear()
-        ring.actions(x)
-        assert dtypes[0] is object
+        ring.products(x, identity, "left")
+        assert dtypes[-1] is object  # the running bound passed 2^62
         dtypes.clear()
         assert_arithmetic_agrees(x, y, random_scalar(S, rng, big=True))
         assert object in dtypes
     small = ring.from_basis(S, ring.basis[0])
     dtypes.clear()
     ring.mult(small, small)
-    ring.actions(small)
+    ring.products(small, identity, "left")
+    ring.products(small, identity, "right")
     assert set(dtypes) == {np.int64}
     assert small.vec.dtype == np.int64
 
@@ -197,17 +203,88 @@ def test_gram_and_center_match_dict_loops(pne):
 
 @pytest.mark.parametrize("S", SCALARS, ids=lambda S: S.name)
 def test_one_sided_actions_are_the_sides_of_both(small_params, S):
+    # the products with the identity are the dense actions, side by side
     ring = tring(small_params)
+    identity = np.eye(ring.dimension(), dtype=np.int64)
     rng = random.Random(7)
     for _ in range(3):
         x = random_element(ring, S, rng)
-        left, right, den = ring.actions(x)
+        left, right, den = actions_reference(ring, x)
+        assert den == x.den
         for side, matrix in (("left", left), ("right", right)):
-            one, one_den = ring.actions(x, side=side)
-            assert one_den == den
-            assert np.array_equal(one, matrix)
+            assert np.array_equal(ring.products(x, identity, side), matrix)
     with pytest.raises(ValueError, match="side"):
-        ring.actions(x, side="middle")
+        ring.products(x, identity, "middle")
+
+
+def random_sparse_matrix(ring, S, rng, k, big=False):
+    """A d x k integer matrix with one to four entries per column, residues over F_q."""
+    d = ring.dimension()
+    Y = np.zeros((d, k), dtype=object if big else np.int64)
+    for j in range(k):
+        for b in rng.sample(range(d), rng.randint(1, min(4, d))):
+            Y[b, j] = rng.randint(-(1 << 70), 1 << 70) if big else rng.randint(-9, 9)
+    return Y % S.characteristic if S.characteristic else Y
+
+
+def assert_products_are_reference_times(ring, S, x, Y):
+    left, right, _ = actions_reference(ring, x)
+    for side, action in (("left", left), ("right", right)):
+        product = ring.products(x, Y, side)
+        assert product.shape == Y.shape
+        assert np.array_equal(product, field_mat_mul(action, Y, S))
+
+
+PRODUCT_SCALARS = [ZZ, QQ, GF(5), GF(7)]
+
+
+@pytest.mark.parametrize("S", PRODUCT_SCALARS, ids=lambda S: S.name)
+def test_products_are_the_reference_action_times_y(small_params, S):
+    ring = tring(small_params)
+    rng = random.Random(f"products-{small_params}-{S.name}")
+    for _ in range(3):
+        x = random_element(ring, S, rng)
+        assert_products_are_reference_times(ring, S, x, random_sparse_matrix(ring, S, rng, 5))
+    # no column, and a zero factor
+    empty = np.zeros((ring.dimension(), 0), dtype=np.int64)
+    assert ring.products(x, empty, "left").shape == empty.shape
+    Y = random_sparse_matrix(ring, S, rng, 3)
+    assert not ring.products(ring.zero(S), Y, "right").any()
+
+
+LIFT_CASES = [
+    ((3, 4, 2), QQ),
+    ((3, 4, 2), GF(5)),
+    ((3, 4, 2), GF(7)),
+    ((7, 2, 3), QQ),
+    ((7, 2, 3), GF(5)),
+]
+
+
+@pytest.mark.parametrize(
+    "pne,S", LIFT_CASES, ids=[f"p{t[0]}n{t[1]}e{t[2]}-{S.name}" for t, S in LIFT_CASES]
+)
+def test_products_on_the_level_lifts(pne, S):
+    # the matrices the level certificate multiplies: the lifts of every level
+    params = make_params(*pne)
+    ring = tring(params)
+    rng = random.Random(f"lifts-{pne}-{S.name}")
+    for iso in blocks.central_decomposition(params, S).isos[1:]:
+        x = random_element(ring, S, rng)
+        assert_products_are_reference_times(ring, S, x, iso.lifts)
+
+
+@pytest.mark.parametrize("S", [ZZ, QQ], ids=lambda S: S.name)
+def test_products_past_int64_take_the_python_int_path(S):
+    ring = tring(make_params(3, 2, 2))
+    rng = random.Random(23)
+    for big_x, big_y in ((True, False), (False, True), (True, True)):
+        x = random_element(ring, S, rng, size=4, big=big_x)
+        Y = random_sparse_matrix(ring, S, rng, 4, big=big_y)
+        assert _max_abs(x.vec) * _max_abs(Y) > 1 << 63
+        assert ring.products(x, Y, "left").dtype == object
+        assert_products_are_reference_times(ring, S, x, Y)
+
 
 
 @pytest.mark.parametrize("S", SCALARS, ids=lambda S: S.name)
