@@ -12,15 +12,20 @@ automorphism cosets modulo the image of E, E-hat characters (written
 additively as Z/e), explicit subgroups of G x G with shape tags and
 linear characters, double cosets, star products, and conjugation.
 
+Products and conjugates run on index arrays in closed form
+(GroupTable); conjugation is one affine map per coordinate,
+(a, rho)(y, r)(a, rho)^-1 = (rho*y + (1 - r)*a, r).
+
 A subgroup of G x G is a sorted int64 array of pair codes g*|G| + h
 (indices as in GroupTable) with an aligned int64 array of character
 values mod e; construction, conjugation, star products and shape
 recognition are numpy index arithmetic, gathers, joins and lookups on
-them.  Only the named constructors certify a subgroup, from its closed-form
-generators S (at most two): 1 lies in H, H*s lies in H and the orbit of 1
-under right multiplication by S covers H, and the character satisfies
-chi(1) = 0 and chi(h*s) = chi(h) + chi(s); that is |S|*|H| lookups.  Star
-products and conjugates of subgroups are subgroups by construction, untagged.
+them.  Each shape's code set is certified once per process, from its
+closed-form generators S (at most two): 1 lies in H, H*s lies in H and
+the orbit of 1 under right multiplication by S covers H.  Each character
+on it is certified by chi(1) = 0 and chi(h*s) = chi(h) + chi(s); that is
+|S|*|H| lookups.  Star products and conjugates of subgroups are
+subgroups by construction, untagged.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .errors import (
     CharacterIllDefined,
     NotPrime,
     ParamsMismatch,
-    TheoremViolation,
     TwoBlocked,
 )
 from .exactarith import as_matrix, is_prime, prime_factors
@@ -230,36 +234,61 @@ def _positions(codes, queries) -> np.ndarray:
 # ----------------------------------------------------------- constructors
 
 
-def _shape(table, tag, g, h, chars, gens) -> SubgroupGG:
-    """The subgroup of index pairs (g, h), certified to be generated by `gens`.
+def _closed_form(table, tag) -> tuple:
+    """Index arrays (g, h) of the shape's pairs, and its closed-form generators.
 
-    `gens` are (g, h) index pairs; `chars`, aligned with g and h, is
-    certified to be a homomorphism on the subgroup they generate.
+    A twisted diagonal {((unit*x, r), (x, r))} runs over x in D_i and r in E
+    (TAG_DIAG_PE) or r = 1 (TAG_DIAG_P); it is generated by the image of the
+    generator p^(n-i) of D_i and, with E, by (epsilon, epsilon).
     """
-    codes = _encode(table, g, h)
-    order = codes.argsort(kind="stable")
-    codes = codes[order]
-    if chars is not None:
-        chars = chars[order]
-    _certify(table, codes, chars, gens)
-    return SubgroupGG(table.params, tag, codes, chars)
+    params, e, eps = table.params, table.params.e, table.eps
+    # (0, r) has index rank(r)
+    if tag[0] == TAG_EXE:
+        g, h = np.divmod(np.arange(e * e), e)
+        return g, h, [(eps, 0), (0, eps)]
+    if tag[0] == TAG_EXONE:
+        return np.arange(e), np.zeros(e, dtype=np.int64), [(eps, 0)]
+    if tag[0] == TAG_ONEXE:
+        return np.zeros(e, dtype=np.int64), np.arange(e), [(0, eps)]
+    kind, i, unit = tag
+    if not 1 <= i <= params.n:
+        raise BadLevel(f"level {i} outside 1..{params.n}")
+    step = params.p ** (params.n - i)
+    ranks = np.arange(e if kind == TAG_DIAG_PE else 1)
+    x = np.arange(0, params.pn, step)[:, None]
+    g = (unit * x % params.pn * e + ranks).ravel()
+    h = (x * e + ranks).ravel()
+    gens = [(unit * step % params.pn * e, step * e)]
+    if kind == TAG_DIAG_PE:
+        gens.append((eps, eps))
+    return g, h, gens
 
 
-def _certify(table, codes, chars, gens):
-    """Raise unless the sorted codes are the subgroup the generators generate.
+@lru_cache(maxsize=None)
+def _certified(params, tag) -> tuple:
+    """Sorted codes of the shape, its generators and their successor
+    positions; certified once per process, shared by its characters."""
+    table = group_table(params)
+    g, h, gens = _closed_form(table, tag)
+    codes = np.sort(_encode(table, g, h))
+    codes.flags.writeable = False
+    return codes, gens, _certify(table, codes, gens)
+
+
+def _certify(table, codes, gens) -> list:
+    """Raise unless the sorted codes are the subgroup the generators
+    generate; return the successor positions h -> h*s of each generator s.
 
     1 in H and H*s in H for each generator s put <S> inside H; the orbit of
     1 under right multiplication by S, closed by pointer doubling on the
-    successor permutations h -> h*s, then covers H.  A character is a
-    homomorphism once chi(1) = 0 and chi(h*s) = chi(h) + chi(s), by
-    induction on the length of a word in S.
+    successor permutations, then covers H.
     """
     if not len(codes) or codes[0] != 0:
         raise ValueError("subgroup misses the identity")
     g, h = np.divmod(codes, len(table.elems))
     steps = []
     for s1, s2 in gens:
-        step = _positions(codes, _encode(table, table.mul[g, s1], table.mul[h, s2]))
+        step = _positions(codes, _encode(table, table.product(g, s1), table.product(h, s2)))
         if (step < 0).any():
             raise ValueError("subgroup not closed under its generators")
         steps.append(step)
@@ -272,8 +301,13 @@ def _certify(table, codes, chars, gens):
             step = step[step]
     if not reached.all():
         raise ValueError("generators miss part of the subgroup")
-    if chars is None:
-        return
+    return steps
+
+
+def _check_character(table, codes, chars, gens, steps):
+    """Raise unless chi(1) = 0 and chi(h*s) = chi(h) + chi(s) for each
+    generator s; then chi is a homomorphism, by induction on the length of
+    a word in S."""
     if chars[0] != 0:
         raise CharacterIllDefined("character is not 0 at the identity")
     elems, n = table.elems, len(table.elems)
@@ -287,78 +321,54 @@ def _certify(table, codes, chars, gens):
             )
 
 
+def _shape(params, tag, weights=None) -> SubgroupGG:
+    """The shape of the tag; with weights (a, b), the character
+    a*dlog(r) + b*dlog(s) mod e at ((x, r), (y, s)), certified on it."""
+    codes, gens, steps = _certified(params, tag)
+    chars = None
+    if weights is not None:
+        table = group_table(params)
+        (a, b), e = weights, params.e
+        g, h = np.divmod(codes, len(table.elems))
+        chars = (a * table.dlog[g % e] + b * table.dlog[h % e]) % e
+        _check_character(table, codes, chars, gens, steps)
+    return SubgroupGG(params, tag, codes, chars)
+
+
 def subgroup_exe(params, lam=None, mu=None) -> SubgroupGG:
     """E x E; with characters, carries (rho, sigma) -> lam(rho) - mu(sigma)."""
-    table = group_table(params)
-    # (0, r) has index rank(r)
-    g, h = np.divmod(np.arange(params.e * params.e), params.e)
-    chars = None
-    if lam is not None:
-        chars = (lam * table.dlog[g] - mu * table.dlog[h]) % params.e
-    return _shape(table, (TAG_EXE,), g, h, chars, [(table.eps, 0), (0, table.eps)])
-
-
-def subgroup_exone(params, lam=None) -> SubgroupGG:
-    table = group_table(params)
-    g = np.arange(params.e)
-    chars = None if lam is None else lam * table.dlog % params.e
-    return _shape(table, (TAG_EXONE,), g, np.zeros_like(g), chars, [(table.eps, 0)])
-
-
-def subgroup_onexe(params, mu=None) -> SubgroupGG:
-    table = group_table(params)
-    h = np.arange(params.e)
-    chars = None if mu is None else mu * table.dlog % params.e
-    return _shape(table, (TAG_ONEXE,), np.zeros_like(h), h, chars, [(0, table.eps)])
-
-
-def subgroup_diag_p(params, i, unit) -> SubgroupGG:
-    """Twisted diagonal of D_i: {(unit*y, y) : y in D_i}."""
-    return _diagonal(params, (TAG_DIAG_P, i, unit % params.p**i), unit, [0], None)
+    return _shape(params, (TAG_EXE,), None if lam is None else (lam, -mu))
 
 
 def subgroup_diag_pe(params, i, unit, lam=None) -> SubgroupGG:
     """Twisted diagonal of D_i E; with a character it is lam on the E part."""
-    tag = (TAG_DIAG_PE, i, unit % params.p**i)
-    return _diagonal(params, tag, unit, np.arange(params.e), lam)
-
-
-def _diagonal(params, tag, unit, ranks, lam) -> SubgroupGG:
-    """{((unit*x, r), (x, r))} over x in D_i and r of the given ranks, generated
-    by the image of the generator p^(n-i) of D_i and, if r runs over E, by
-    (epsilon, epsilon)."""
-    i = tag[1]
-    if not 1 <= i <= params.n:
-        raise BadLevel(f"level {i} outside 1..{params.n}")
-    table, e, step = group_table(params), params.e, params.p ** (params.n - i)
-    x = np.arange(0, params.pn, step)[:, None]
-    g = (unit * x % params.pn * e + ranks).ravel()
-    h = (x * e + ranks).ravel()
-    chars = None if lam is None else np.tile(lam * table.dlog % e, len(x))
-    gens = [(unit * step % params.pn * e, step * e)]
-    if len(ranks) == e:
-        gens.append((table.eps, table.eps))
-    return _shape(table, tag, g, h, chars, gens)
+    return _shape(params, (TAG_DIAG_PE, i, unit % params.p**i), None if lam is None else (0, lam))
 
 
 # --------------------------------------------------------- shape recognition
 
 
 def recognize_shape(params, codes) -> tuple | None:
-    """The tag of the shape with exactly these sorted pair codes, else None."""
-    return _shape_tags(params).get(codes.tobytes())
+    """The tag of the shape with exactly these sorted pair codes, else None;
+    a tag is certified the first time it is returned."""
+    tag = _shape_tags(params).get(codes.tobytes())
+    if tag is not None:
+        _certified(params, tag)
+    return tag
 
 
 @lru_cache(maxsize=None)
 def _shape_tags(params) -> dict:
-    """Code bytes -> tag of every shape; the first built wins at e = 1."""
-    shapes = [subgroup_exe(params), subgroup_exone(params), subgroup_onexe(params)]
+    """Code bytes -> tag of every shape, from the closed forms; the first
+    listed wins at e = 1.  recognize_shape certifies a tag it returns."""
+    table = group_table(params)
+    tags = [(TAG_EXE,), (TAG_EXONE,), (TAG_ONEXE,)]
     for i in range(params.n, 0, -1):
         for unit in range(1, params.p**i):
             if unit % params.p:
-                shapes.append(subgroup_diag_p(params, i, unit))
-                shapes.append(subgroup_diag_pe(params, i, unit))
-    return {sub.codes.tobytes(): sub.tag for sub in reversed(shapes)}
+                tags += [(TAG_DIAG_P, i, unit), (TAG_DIAG_PE, i, unit)]
+    codes = lambda tag: np.sort(_encode(table, *_closed_form(table, tag)[:2]))
+    return {codes(tag).tobytes(): tag for tag in reversed(tags)}
 
 
 # --------------------------------------------------------------- star, conj
@@ -403,10 +413,8 @@ def star(x: SubgroupGG, y: SubgroupGG) -> SubgroupGG:
 def conj(s: GGPair, x: SubgroupGG) -> SubgroupGG:
     """Conjugate a subgroup of G x G by the pair s, transporting characters."""
     table = group_table(x.params)
-    # u g u^-1 for the indices g, two gathers
-    inner = lambda u, g: table.mul[table.mul[table.index[u], g], table.inv[table.index[u]]]
     g, h = np.divmod(x.codes, len(table.elems))
-    codes = _encode(table, inner(s[0], g), inner(s[1], h))
+    codes = _encode(table, table.conjugate(s[0], g), table.conjugate(s[1], h))
     order = codes.argsort()
     codes = codes[order]
     chars = None if x.chars is None else x.chars[order]
@@ -417,24 +425,25 @@ def conj(s: GGPair, x: SubgroupGG) -> SubgroupGG:
 # index tables and double cosets
 #
 # Elements of G are indexed in lexicographic (x, r) order; index 0 is the
-# identity.  The multiplication table lets the subgroup kernels above and
-# the brute-force scans below run as numpy index arithmetic, which keeps
-# them exact.
+# identity.  The law (x, r)(y, s) = (x + r*y mod p^n, r*s) runs on index
+# arrays from tables of O(|G|) entries, so the subgroup kernels above are
+# exact numpy index arithmetic and no |G| x |G| table is built.
+#
+# The double cosets need no table either.  (a, r)(x, 1)(b, s) lies in D
+# only when s = r^-1, and then it is a + r*x + r*b.  So the part of
+# D_i E (x, 1) D_j E inside D is E*x + D_m, m = max(i, j), and its
+# x-coordinates are those of the whole double coset.  Every double coset
+# meets D, as (y, r) = (y, 1)(0, r).  The double cosets are therefore the
+# E-orbits on D/D_m, of order q = p^(n - m).
 # --------------------------------------------------------------------------
 
 
-# int64 entries per block of rows while the table is built: the block's
-# temporaries stay at 64 KB whatever |G| is, never |G|^2 of them
-_TABLE_BLOCK = 1 << 13
-
-
 class GroupTable:
-    """Multiplication and inversion of G on indices x*e + rank(r) of (x, r).
+    """G on indices x*e + rank(r) of (x, r), with the law in closed form.
 
     rank(r) is the position of r in the sorted E and dlog[rank(r)] its
-    discrete log to the base epsilon, the generator of E.  The product
-    (x, r)*(y, s) = (x + r*y mod p^n, r*s) is computed on whole blocks of
-    rows and written into the int32 table.
+    discrete log to the base epsilon, the generator of E.  `scaled` holds
+    r*y mod p^n by rank of r and `rank_mul` the product of ranks.
     """
 
     def __init__(self, params: ModelParams):
@@ -444,27 +453,26 @@ class GroupTable:
         self.index = {g: i for i, g in enumerate(self.elems)}
         self.rank = {r: k for k, r in enumerate(units)}
         self.eps = self.rank[params.e_generator]  # the index of (0, epsilon)
-        rank_mul = as_matrix([[self.rank[r * s % pn] for s in units] for r in units])
-        rank_inv = np.array([self.rank[pow(r, -1, pn)] for r in units])
+        self.rank_mul = as_matrix([[self.rank[r * s % pn] for s in units] for r in units])
         powers = [self.rank[pow(params.e_generator, j, pn)] for j in range(e)]
         self.dlog = np.argsort(powers)  # inverts j -> rank(epsilon^j)
-        # r*y mod p^n by rank of r
-        scaled = np.array(units, dtype=np.int64)[:, None] * np.arange(pn) % pn
-        order = pn * e
-        x, k = np.divmod(np.arange(order), e)
-        self.mul = np.empty((order, order), dtype=np.int32)
-        rows = max(1, _TABLE_BLOCK // order)
-        for lo in range(0, order, rows):
-            xa, ka = x[lo : lo + rows, None], k[lo : lo + rows, None]
-            self.mul[lo : lo + rows] = (xa + scaled[ka, x]) % pn * e + rank_mul[ka, k]
-        ki = rank_inv[k]
-        self.inv = (-scaled[ki, x] % pn * e + ki).astype(np.int32)
+        self.units = np.array(units, dtype=np.int64)
+        self.scaled = self.units[:, None] * np.arange(pn) % pn
 
-    def subgroup_indices(self, level: int) -> np.ndarray:
-        """Indices of D_i E, sorted."""
-        x = np.array(self.params.d_subgroup(level), dtype=np.int32)
+    def product(self, g, h) -> np.ndarray:
+        """Indices of g*h, elementwise: (x, r)(y, s) = (x + r*y, r*s)."""
         e = self.params.e
-        return (x[:, None] * e + np.arange(e, dtype=np.int32)).ravel()
+        (x, k), (y, l) = np.divmod(g, e), np.divmod(h, e)
+        return (x + self.scaled[k, y]) % self.params.pn * e + self.rank_mul[k, l]
+
+    def conjugate(self, u: GElement, g) -> np.ndarray:
+        """Indices of u*g*u^-1 for the indices g, one affine map:
+        (a, rho)(y, r)(a, rho)^-1 = (rho*y + (1 - r)*a, r)."""
+        if u == self.params.identity:
+            return g
+        (a, rho), e = u, self.params.e
+        y, k = np.divmod(g, e)
+        return (self.scaled[self.rank[rho], y] + (1 - self.units[k]) * a) % self.params.pn * e + k
 
 
 @lru_cache(maxsize=None)
@@ -473,36 +481,12 @@ def group_table(params: ModelParams) -> GroupTable:
 
 
 @lru_cache(maxsize=None)
-def double_coset_partition(params: ModelParams, i: int, j: int) -> tuple:
-    """(D_i E, D_j E)-double cosets as index tuples, in order of least member."""
+def double_cosets_in_d(params: ModelParams, i: int, j: int) -> tuple[GElement, ...]:
+    """The least in-D member of each (D_i E, D_j E) double coset, ascending:
+    (x, 1) for the x in [0, q) with x = min over u in E of u*x mod q."""
     if not (0 <= i <= params.n and 0 <= j <= params.n):
         raise BadLevel("levels outside range")
-    table = group_table(params)
-    left = table.subgroup_indices(i)
-    right = table.subgroup_indices(j)
-    order = len(table.elems)
-    seen = np.zeros(order, dtype=bool)
-    cosets = []
-    for g in range(order):
-        if seen[g]:
-            continue
-        # sorted members as a mask: np.unique would import numpy.ma here
-        member = np.zeros(order, dtype=bool)
-        member[table.mul[np.ix_(table.mul[left, g], right)]] = True
-        seen |= member
-        cosets.append(tuple(np.flatnonzero(member).tolist()))
-    return tuple(cosets)
-
-
-@lru_cache(maxsize=None)
-def double_cosets_in_d(params: ModelParams, i: int, j: int) -> tuple[GElement, ...]:
-    """One representative per double coset, chosen inside D."""
-    table = group_table(params)
-    reps = []
-    for block in double_coset_partition(params, i, j):
-        in_d = [table.elems[t] for t in block if table.elems[t][1] == 1]
-        if not in_d:
-            first = table.elems[block[0]]
-            raise TheoremViolation(f"the double coset of {first} misses D")
-        reps.append(min(in_d))
-    return tuple(reps)
+    q = params.p ** (params.n - max(i, j))
+    x = np.arange(q)
+    least = (np.array(params.subgroup_E)[:, None] * x % q).min(axis=0)
+    return tuple((t, 1) for t in np.flatnonzero(least == x).tolist())

@@ -7,6 +7,7 @@ give the tests a shorter way to state an expectation.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -38,9 +39,9 @@ from tsring.groupmodel import (
     SubgroupGG,
     _encode,
     _positions,
+    _shape,
     canonical_coset,
     conj,
-    double_coset_partition,
     double_cosets_in_d,
     group_table,
     recognize_shape,
@@ -91,6 +92,7 @@ def char_value(params, lam, r):
     return lam * k % params.e
 
 
+@lru_cache(maxsize=None)
 def mul_table_reference(params):
     """The |G| x |G| multiplication table of GroupTable's indices, by g_mul."""
     table = group_table(params)
@@ -100,9 +102,35 @@ def mul_table_reference(params):
     )
 
 
+@lru_cache(maxsize=None)
 def inv_table_reference(params):
     table = group_table(params)
     return np.array([table.index[g_inv(params, a)] for a in table.elems], dtype=np.int32)
+
+
+def subgroup_indices(params, level):
+    """Indices of D_i E, sorted."""
+    x = np.array(params.d_subgroup(level), dtype=np.int32)
+    return (x[:, None] * params.e + np.arange(params.e, dtype=np.int32)).ravel()
+
+
+@lru_cache(maxsize=None)
+def double_coset_partition(params, i, j):
+    """(D_i E, D_j E)-double cosets as index tuples, in order of least member,
+    gathered from the reference multiplication table."""
+    if not (0 <= i <= params.n and 0 <= j <= params.n):
+        raise BadLevel("levels outside range")
+    mul = mul_table_reference(params)
+    left, right = subgroup_indices(params, i), subgroup_indices(params, j)
+    seen = np.zeros(params.group_order, dtype=bool)
+    cosets = []
+    for g in range(params.group_order):
+        if not seen[g]:
+            member = np.zeros(params.group_order, dtype=bool)
+            member[mul[np.ix_(mul[left, g], right)]] = True
+            seen |= member
+            cosets.append(tuple(np.flatnonzero(member).tolist()))
+    return tuple(cosets)
 
 
 # --------------------------------------- subgroups from explicit (g, h) pairs
@@ -151,9 +179,9 @@ def subgroup_from_pairs(params, tag, elements, character=None):
 
 def product_codes(sub):
     """Codes of all products a*b in the subgroup, as an |H| x |H| array."""
-    table = group_table(sub.params)
+    table, mul = group_table(sub.params), mul_table_reference(sub.params)
     g, h = np.divmod(sub.codes, len(table.elems))
-    return _encode(table, table.mul[np.ix_(g, g)], table.mul[np.ix_(h, h)])
+    return _encode(table, mul[np.ix_(g, g)], mul[np.ix_(h, h)])
 
 
 def check_subgroup(sub):
@@ -161,7 +189,8 @@ def check_subgroup(sub):
     if not len(sub.codes) or sub.codes[0] != 0:
         raise ValueError("subgroup misses the identity")
     g, h = np.divmod(sub.codes, len(table.elems))
-    inverses = _encode(table, table.inv[g], table.inv[h])
+    inv = inv_table_reference(sub.params)
+    inverses = _encode(table, inv[g], inv[h])
     if (_positions(sub.codes, inverses) < 0).any():
         raise ValueError("subgroup not closed under inverses")
     if (_positions(sub.codes, product_codes(sub)) < 0).any():
@@ -224,6 +253,23 @@ def diag_pe_reference(params, i, unit, lam=None):
         character = {pair: char_value(params, lam, pair[1][1]) for pair in elements}
     tag = (TAG_DIAG_PE, i, unit % params.p**i)
     return subgroup_from_pairs(params, tag, elements, character)
+
+
+# E x 1, 1 x E and the twisted diagonals of D_i, which the package builds
+# only to recognize them, through its certified shape constructor
+
+
+def subgroup_exone(params, lam=None):
+    return _shape(params, (TAG_EXONE,), None if lam is None else (lam, 0))
+
+
+def subgroup_onexe(params, mu=None):
+    return _shape(params, (TAG_ONEXE,), None if mu is None else (0, mu))
+
+
+def subgroup_diag_p(params, i, unit):
+    """Twisted diagonal of D_i: {(unit*y, y) : y in D_i}."""
+    return _shape(params, (TAG_DIAG_P, i, unit % params.p**i))
 
 
 def shape_tags_reference(params):
@@ -304,10 +350,11 @@ def normalizer_bruteforce(params, sub):
         member[table.index[a], table.index[b]] = True
     mask = np.ones((order, order), dtype=bool)
     all_idx = np.arange(order, dtype=np.int32)
+    mul, inv = mul_table_reference(params), inv_table_reference(params)
     for a, b in elements_of(sub):
         ga, gb = table.index[a], table.index[b]
-        conj_a = table.mul[table.mul[all_idx, ga], table.inv[all_idx]]
-        conj_b = table.mul[table.mul[all_idx, gb], table.inv[all_idx]]
+        conj_a = mul[mul[all_idx, ga], inv[all_idx]]
+        conj_b = mul[mul[all_idx, gb], inv[all_idx]]
         mask &= member[np.ix_(conj_a, conj_b)]
     out = set()
     for s1 in range(order):

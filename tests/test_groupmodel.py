@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from reference import (
     coset_mul,
     delta_g,
     die_elements,
+    double_coset_partition,
     double_cosets,
     elements_of,
     first_projection,
@@ -28,7 +30,10 @@ from reference import (
     right_kernel,
     shape_tags_reference,
     star_reference,
+    subgroup_diag_p,
+    subgroup_exone,
     subgroup_from_pairs,
+    subgroup_onexe,
 )
 
 from tsring import groupmodel as gm
@@ -120,17 +125,31 @@ def test_coset_mul_representative_independent():
 # ----------------------------------------------------------- element laws
 
 
+def _closed_form_tables(params):
+    """The closed-form product on all pairs, and the closed-form conjugate
+    u g u^-1 on all pairs (u, g), each as a |G| x |G| array."""
+    table = gm.group_table(params)
+    g = np.arange(params.group_order)
+    mul = table.product(g[:, None], g[None, :])
+    conj = np.array([table.conjugate(u, g) for u in table.elems])
+    return mul, conj
+
+
 def test_group_laws(any_params):
+    # associativity, identity and inverses of the closed-form product, and
+    # conjugation as u g u^-1 through the reference inverse
     params = any_params
     table = gm.group_table(params)
     order = len(table.elems)
-    mul = table.mul
+    mul, conj = _closed_form_tables(params)
     left = mul[mul[:, :, None], np.arange(order)[None, None, :]]
     right = mul[np.arange(order)[:, None, None], mul[None, :, :]]
     assert (left == right).all(), "associativity"
     ident = table.index[params.identity]
     assert (mul[ident, :] == np.arange(order)).all()
-    assert (mul[np.arange(order), table.inv] == ident).all()
+    inv = inv_table_reference(params)
+    assert (mul[np.arange(order), inv] == ident).all()
+    assert (conj == mul[mul, inv[:, None]]).all()
 
 
 def test_frobenius_action(any_params):
@@ -157,7 +176,7 @@ def test_double_coset_partition_and_sizes(any_params):
     params = any_params
     for i in range(0, params.n + 1):
         for j in range(0, params.n + 1):
-            blocks = gm.double_coset_partition(params, i, j)
+            blocks = double_coset_partition(params, i, j)
             sizes = [len(b) for b in blocks]
             assert sum(sizes) == params.group_order
             l = max(i, j)
@@ -234,7 +253,7 @@ def test_star_character_conflict_raises():
 
 def test_conj_by_identity():
     params = gm.make_params(3, 2, 2)
-    sub = gm.subgroup_diag_p(params, 1, 1)
+    sub = subgroup_diag_p(params, 1, 1)
     out = gm.conj((params.identity, params.identity), sub)
     assert elements_of(out) == elements_of(sub)
     assert gm.recognize_shape(params, out.codes) == sub.tag
@@ -242,7 +261,7 @@ def test_conj_by_identity():
 
 def test_conj_by_d_fixes_twisted_diagonal():
     params = gm.make_params(3, 2, 2)
-    sub = gm.subgroup_diag_p(params, 1, 1)
+    sub = subgroup_diag_p(params, 1, 1)
     out = gm.conj(((1, 1), (0, 1)), sub)
     assert gm.recognize_shape(params, out.codes) == (gm.TAG_DIAG_P, 1, 1)
     assert len(out) == len(sub)
@@ -259,7 +278,7 @@ def test_conj_twist_matches_unit_action():
     # conjugating by ((0, r), (0, s)) turns the unit u into r * u * s^(-1)
     params = gm.make_params(7, 2, 3)
     r = params.subgroup_E[1]
-    sub = gm.subgroup_diag_p(params, 2, 3)
+    sub = subgroup_diag_p(params, 2, 3)
     out = gm.conj(((0, r), params.identity), sub)
     assert gm.recognize_shape(params, out.codes) == (gm.TAG_DIAG_P, 2, 3 * r % 49)
 
@@ -342,7 +361,7 @@ def test_normalizer_is_dxd_delta_e(p, n, e):
         for u in range(1, p**i):
             if u % p == 0:
                 continue
-            sub = gm.subgroup_diag_p(params, i, u)
+            sub = subgroup_diag_p(params, i, u)
             assert normalizer_bruteforce(params, sub) == expected
 
 
@@ -352,19 +371,19 @@ def test_conjugacy_matches_coset_criterion(p, n, e):
     for i in range(1, n + 1):
         units = [u for u in range(1, p**i) if u % p]
         for u in units:
-            orbit = conjugate_subgroup_orbit(params, gm.subgroup_diag_p(params, i, u))
+            orbit = conjugate_subgroup_orbit(params, subgroup_diag_p(params, i, u))
             for v in units:
                 expected = gm.canonical_coset(params, i, u) == gm.canonical_coset(
                     params, i, v
                 )
-                got = frozenset(elements_of(gm.subgroup_diag_p(params, i, v))) in orbit
+                got = frozenset(elements_of(subgroup_diag_p(params, i, v))) in orbit
                 assert got == expected
 
 
 def test_different_levels_never_conjugate():
     params = gm.make_params(3, 2, 2)
-    a = gm.subgroup_diag_p(params, 1, 1)
-    b = gm.subgroup_diag_p(params, 2, 1)
+    a = subgroup_diag_p(params, 1, 1)
+    b = subgroup_diag_p(params, 2, 1)
     assert not are_conjugate_bruteforce(params, a, b)
 
 
@@ -403,19 +422,38 @@ def test_double_coset_reps_are_least_members_in_order():
         reps = double_cosets(params, i, j)
         indices = [table.index[r] for r in reps]
         assert indices == sorted(indices)
-        blocks_ = gm.double_coset_partition(params, i, j)
+        blocks_ = double_coset_partition(params, i, j)
         for rep, block in zip(reps, blocks_):
             assert table.index[rep] == min(block)
+
+
+@pytest.mark.parametrize(
+    "pne",
+    INSTANCES + EDGE_INSTANCES + [(2, 4, 1), (2, 5, 1), (3, 4, 2), (5, 3, 4)],
+    ids=lambda t: "p{}n{}e{}".format(*t),
+)
+def test_double_cosets_in_d_are_the_least_in_d_members(pne):
+    # the closed form against the double cosets gathered from the reference
+    # table: the least member inside D of each, in order of least member
+    params = gm.make_params(*pne)
+    elems = gm.group_table(params).elems
+    for i in range(params.n + 1):
+        for j in range(params.n + 1):
+            expected = tuple(
+                min(elems[t] for t in block if elems[t][1] == 1)
+                for block in double_coset_partition(params, i, j)
+            )
+            assert gm.double_cosets_in_d(params, i, j) == expected
 
 
 def test_constructor_tags_match_recognition():
     params = gm.make_params(3, 2, 2)
     built = [
         gm.subgroup_exe(params),
-        gm.subgroup_exone(params),
-        gm.subgroup_onexe(params),
-        gm.subgroup_diag_p(params, 1, 1),
-        gm.subgroup_diag_p(params, 2, 4),
+        subgroup_exone(params),
+        subgroup_onexe(params),
+        subgroup_diag_p(params, 1, 1),
+        subgroup_diag_p(params, 2, 4),
         gm.subgroup_diag_pe(params, 1, 2),
         gm.subgroup_diag_pe(params, 2, 7),
     ]
@@ -433,23 +471,38 @@ def test_constructor_tags_match_recognition():
 
 
 def test_constructors_check_closure_once_per_code_array(monkeypatch):
-    # every constructor call certifies its own code array once, from its
-    # closed-form generators, whether or not `_shape_tags` holds the codes
+    # each shape's code array is certified once per process, from its
+    # closed-form generators, and shared by every character on it; each
+    # character is still checked.  Recognition certifies a tag when it
+    # first returns it, and building the shape table certifies nothing
     params = gm.make_params(3, 2, 2)
-    gm._shape_tags(params)
-    certify = gm._certify
-    checked = []
+    gm._certified.cache_clear()
+    gm._shape_tags.cache_clear()
+    certify, check = gm._certify, gm._check_character
+    checked, characters = [], []
 
-    def spy(table, codes, chars, gens):
+    def spy(table, codes, gens):
         checked.append((len(codes), len(gens)))
-        certify(table, codes, chars, gens)
+        return certify(table, codes, gens)
+
+    def spy_character(table, codes, chars, gens, steps):
+        characters.append(len(codes))
+        check(table, codes, chars, gens, steps)
 
     monkeypatch.setattr(gm, "_certify", spy)
-    gm.subgroup_diag_pe(params, 2, 4, lam=1)
+    monkeypatch.setattr(gm, "_check_character", spy_character)
+    gm._shape_tags(params)
+    assert checked == []
+    diagonals = [gm.subgroup_diag_pe(params, 2, 4, lam=lam) for lam in range(params.e)]
+    assert all(sub.codes is diagonals[0].codes for sub in diagonals)
+    assert not diagonals[0].codes.flags.writeable
     gm.subgroup_exe(params, lam=1, mu=0)
+    gm.subgroup_exe(params, lam=0, mu=1)
     gm.subgroup_diag_pe(params, 1, 3, lam=1)  # the non-unit 3: not a tag
-    gm.subgroup_diag_p(params, 1, 2)
+    subgroup_diag_p(params, 1, 2)
+    assert gm.recognize_shape(params, gm.subgroup_diag_pe(params, 2, 13).codes) is not None
     assert checked == [(18, 2), (4, 2), (6, 2), (3, 1)]
+    assert characters == [18, 18, 4, 4, 6]
 
 
 def _index_pairs(sub):
@@ -466,6 +519,19 @@ def _generators(params, i, unit):
     return [(table.index[(unit * y % params.pn, 1)], table.index[(y, 1)]), (eps, eps)]
 
 
+def _shape(table, g, h, chars, gens):
+    """The subgroup of index pairs (g, h) through the package's certificate:
+    the closure of `gens`, then the character on it."""
+    codes = g.astype(np.int64) * len(table.elems) + h
+    order = codes.argsort(kind="stable")
+    codes = codes[order]
+    steps = gm._certify(table, codes, gens)
+    if chars is not None:
+        chars = chars[order]
+        gm._check_character(table, codes, chars, gens, steps)
+    return gm.SubgroupGG(table.params, None, codes, chars)
+
+
 def test_constructors_still_check_the_character():
     params = gm.make_params(3, 2, 2)
     table = gm.group_table(params)
@@ -473,7 +539,7 @@ def test_constructors_still_check_the_character():
     eps = table.index[(0, params.e_generator)]
     constant = np.ones(len(g), dtype=np.int64)  # not a homomorphism
     with pytest.raises(CharacterIllDefined):
-        gm._shape(table, (gm.TAG_EXE,), g, h, constant, [(eps, 0), (0, eps)])
+        _shape(table, g, h, constant, [(eps, 0), (0, eps)])
 
 
 # ---------------------- index arithmetic against the tuple reference
@@ -481,18 +547,28 @@ def test_constructors_still_check_the_character():
 
 @pytest.mark.parametrize("pne", INSTANCES + EDGE_INSTANCES, ids=lambda t: "p{}n{}e{}".format(*t))
 def test_group_table_matches_group_law(pne):
+    # the closed-form product and conjugate on all pairs, against the
+    # reference tables built by the tuple law
     params = gm.make_params(*pne)
-    table = gm.group_table(params)
-    assert table.mul.dtype == table.inv.dtype == np.int32
-    assert (table.mul == mul_table_reference(params)).all()
-    assert (table.inv == inv_table_reference(params)).all()
+    mul, conj = _closed_form_tables(params)
+    ref, inv = mul_table_reference(params), inv_table_reference(params)
+    assert (mul == ref).all()
+    assert (mul[np.arange(params.group_order), inv] == 0).all()
+    assert (conj == ref[ref, inv[:, None]]).all()
 
 
-def test_group_table_builds_in_row_blocks(monkeypatch):
-    # a block of one row at a time gives the same table
-    params = gm.make_params(7, 2, 3)
-    monkeypatch.setattr(gm, "_TABLE_BLOCK", 1)
-    assert (gm.GroupTable(params).mul == mul_table_reference(params)).all()
+def test_group_table_builds_in_row_blocks():
+    # the law needs tables of O(|G|) entries only: on (19,2,18) a |G| x |G|
+    # int32 table alone would take 169 MB
+    params = gm.make_params(19, 2, 18)
+    tracemalloc.start()
+    try:
+        table = gm.GroupTable(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.elems) == 6498
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize("pne", INSTANCES + EDGE_INSTANCES, ids=lambda t: "p{}n{}e{}".format(*t))
@@ -526,9 +602,9 @@ def _shapes(params):
     out = []
     for sub, gens in (
         (gm.subgroup_exe(params, lam=1, mu=0), [(eps, 0), (0, eps)]),
-        (gm.subgroup_exone(params, lam=1), [(eps, 0)]),
-        (gm.subgroup_onexe(params, mu=1), [(0, eps)]),
-        (gm.subgroup_diag_p(params, 2, 2), _generators(params, 2, 2)[:1]),
+        (subgroup_exone(params, lam=1), [(eps, 0)]),
+        (subgroup_onexe(params, mu=1), [(0, eps)]),
+        (subgroup_diag_p(params, 2, 2), _generators(params, 2, 2)[:1]),
         (gm.subgroup_diag_pe(params, 2, 2, lam=1), _generators(params, 2, 2)),
         (gm.subgroup_diag_pe(params, 1, 4, lam=1), _generators(params, 1, 4)),
     ):
@@ -541,7 +617,7 @@ def test_certificate_accepts_every_shape(pne):
     params = gm.make_params(*pne)
     table = gm.group_table(params)
     for tag, g, h, chars, gens in _shapes(params):
-        sub = gm._shape(table, tag, g, h, chars, gens)
+        sub = _shape(table, g, h, chars, gens)
         # the |H|^2 checks agree
         character = None if chars is None else dict(character_of(sub))
         ref = subgroup_from_pairs(params, tag, elements_of(sub), character)
@@ -558,7 +634,7 @@ def test_certificate_rejects_a_dropped_element(pne):
             keep = np.arange(len(g)) != drop
             with pytest.raises(ValueError):
                 mutant = None if chars is None else chars[keep]
-                gm._shape(table, tag, g[keep], h[keep], mutant, gens)
+                _shape(table, g[keep], h[keep], mutant, gens)
 
 
 def test_certificate_rejects_a_generator_outside_the_subgroup():
@@ -567,7 +643,7 @@ def test_certificate_rejects_a_generator_outside_the_subgroup():
     outside = (table.index[(1, 1)], 0)  # (d, 1), d of order p^n
     for tag, g, h, chars, gens in _shapes(params):
         with pytest.raises(ValueError, match="not closed"):
-            gm._shape(table, tag, g, h, chars, gens[:-1] + [outside])
+            _shape(table, g, h, chars, gens[:-1] + [outside])
 
 
 def test_certificate_rejects_generators_that_miss_part_of_the_subgroup():
@@ -577,11 +653,11 @@ def test_certificate_rejects_generators_that_miss_part_of_the_subgroup():
         if len(gens) == 2:
             # a D_i E diagonal without (epsilon, epsilon), E x E without 1 x E
             with pytest.raises(ValueError, match="miss part"):
-                gm._shape(table, tag, g, h, chars, gens[:1])
+                _shape(table, g, h, chars, gens[:1])
     # the identity alone generates nothing more
-    g, h = _index_pairs(gm.subgroup_exone(params))
+    g, h = _index_pairs(subgroup_exone(params))
     with pytest.raises(ValueError, match="miss part"):
-        gm._shape(table, (gm.TAG_EXONE,), g, h, None, [(0, 0)])
+        _shape(table, g, h, None, [(0, 0)])
 
 
 @pytest.mark.parametrize("pne", [(3, 2, 2), (7, 2, 3)], ids=lambda t: "p{}n{}e{}".format(*t))
@@ -598,4 +674,4 @@ def test_certificate_rejects_a_character_wrong_off_the_generators(pne):
             wrong = chars.copy()
             wrong[at] = (wrong[at] + 1) % params.e
             with pytest.raises(CharacterIllDefined):
-                gm._shape(table, tag, g, h, wrong, gens)
+                _shape(table, g, h, wrong, gens)

@@ -4,7 +4,8 @@ floating point enters the package, no check is an `assert` statement, no
 matrix product bypasses `exactarith.field_mat_mul`, every function the
 benchmark's per-layer metrics name exists, `verify` never imports
 numpy.ma, the multiplication table is read only through `TRing.terms`, and
-the assoc check runs no elimination over a field."""
+the group law of G has no |G| x |G| table, and the assoc check runs no
+elimination over a field."""
 
 import ast
 import importlib
@@ -375,7 +376,7 @@ def test_unresolved_per_layer_name_is_reported():
 
 # importing numpy.ma costs about 17 ms and 1.3 MB of resident memory, which
 # peak_rss_mb sees; np.unique(..., axis=0) pulls it in, tuple or bytes keys
-# do not (groupmodel.double_coset_partition, exactarith.order_components)
+# do not (exactarith.order_components)
 def _imports_numpy_ma(code: str) -> bool:
     code += "\nimport sys\nprint('numpy.ma' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -431,6 +432,43 @@ def test_table_access_is_reported(tmp_path):
         "sample.py:2 structure_table",
         "sample.py:3 structure_arrays",
         "sample.py:4 _live_terms",
+    ]
+
+
+# The law of G is in closed form (`groupmodel.GroupTable.product`), and the
+# double cosets are E-orbits on D/D_m (`groupmodel.double_cosets_in_d`): the
+# |G| x |G| table, its row blocks and the double-coset gather live only in
+# `tests/reference.py`.
+GONE_GROUP_TABLE_NAMES = ("double_coset_partition", "_TABLE_BLOCK", "subgroup_indices")
+
+
+def group_table_problems(path: Path) -> list[str]:
+    """Where `path` names one of `GONE_GROUP_TABLE_NAMES`."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [
+        f"{path.name}:{number} {name}"
+        for number, line in enumerate(lines, 1)
+        for name in GONE_GROUP_TABLE_NAMES
+        if name in line
+    ]
+
+
+def test_group_law_has_no_table():
+    assert [x for path in sorted(SRC.glob("*.py")) for x in group_table_problems(path)] == []
+
+
+def test_group_table_name_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "_TABLE_BLOCK = 1 << 13\n"
+        "def f(table, params):\n"
+        "    return table.subgroup_indices(1), double_coset_partition(params, 0, 1)\n",
+        encoding="utf-8",
+    )
+    assert group_table_problems(module) == [
+        "sample.py:1 _TABLE_BLOCK",
+        "sample.py:3 double_coset_partition",
+        "sample.py:3 subgroup_indices",
     ]
 
 

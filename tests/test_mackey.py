@@ -18,10 +18,13 @@ from reference import (
     check_character,
     check_oracle_reference,
     delta_g,
+    double_coset_partition,
     elements_of,
     oracle_mult_reference,
     oracle_table,
     patch_mult_basis,
+    subgroup_diag_p,
+    subgroup_exone,
     subgroup_from_pairs,
 )
 
@@ -71,14 +74,14 @@ def test_classify_full_diagonal_gives_identity():
 def test_classify_e_times_one():
     params = make_params(3, 2, 2)
     orc = oracle(params)
-    sub = gm.subgroup_exone(params, lam=1)
+    sub = subgroup_exone(params, lam=1)
     assert orc.classify_induced(sub) == {ProjPair(1, 0): 1, ProjPair(1, 1): 1}
 
 
 def test_classify_untwisted_level_one_diagonal():
     params = make_params(3, 2, 2)
     orc = oracle(params)
-    sub = gm.subgroup_diag_p(params, 1, 1)
+    sub = subgroup_diag_p(params, 1, 1)
     plain = subgroup_from_pairs(
         params, sub.tag, elements_of(sub), {g: 0 for g in elements_of(sub)}
     )
@@ -149,7 +152,7 @@ def _alternate_reps(params, i, j):
     """Per double coset, the largest member (usually outside D)."""
     table = gm.group_table(params)
     reps = []
-    for block in gm.double_coset_partition(params, i, j):
+    for block in double_coset_partition(params, i, j):
         reps.append(table.elems[block[-1]])
     return reps
 

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import delta_g, elements_of, level_mul, map_scalar
+from reference import (
+    delta_g,
+    elements_of,
+    level_mul,
+    map_scalar,
+    subgroup_diag_p,
+    subgroup_exone,
+)
 
 from tsring import groupmodel as gm
 from tsring.exactarith import GF, QQ, ZZ
@@ -75,10 +82,10 @@ def test_star_is_associative_on_shapes(p, n, e):
     params = make_params(p, n, e)
     shapes = [
         gm.subgroup_exe(params),
-        gm.subgroup_exone(params),
+        subgroup_exone(params),
         delta_g(params),
         gm.subgroup_diag_pe(params, 1, 1),
-        gm.subgroup_diag_p(params, 1, 1),
+        subgroup_diag_p(params, 1, 1),
     ]
     for x in shapes:
         for y in shapes:
