@@ -16,18 +16,14 @@ import time
 
 import numpy as np
 
-from .errors import (
-    ArithmeticBound,
-    ScanTooLarge,
-    TheoremViolation,
-    TsringError,
-)
-from .exactarith import _max_abs, scalar_ring
+from .errors import ScanTooLarge, TheoremViolation, TsringError
+from .exactarith import scalar_ring
 from .groupmodel import make_params
 from .tring import (
-    NonProj,
-    ProjPair,
-    _segment_sum,
+    _first_failure,
+    _first_nonzero_sum,
+    _require_int64_assoc,
+    _transported,
     basis_label,
     basis_to_json,
     tring,
@@ -171,176 +167,28 @@ def _check_oracle(params, ring):
     return "ok", {"compared": str(d * d)}
 
 
-def _first_nonzero_sum(keys, vals):
-    """The least key whose values sum to nonzero, or None."""
-    order = keys.argsort(kind="stable")
-    keys, vals = keys[order], vals[order]
-    del order
-    new = np.empty(len(keys), dtype=bool)
-    new[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    bad = np.flatnonzero(np.add.reduceat(vals, starts)) if len(keys) else ()
-    return int(keys[starts[bad[0]]]) if len(bad) else None
-
-
-# (key, value) pairs of one chunk of the associativity check, both sides
-# together; a chunk's temporaries then stay near 0.25 MB
-ASSOC_CHUNK_ENTRIES = 1 << 12
-
-
-def _first_nonassociative(ring, ab):
-    """First failing triple among (a, b, c), ab = a * d + b, or None.
-
-    The triple (a, b, c) is numbered ab * d + c.  Both sides of each
-    triple expand, over the live terms of the table, into (key, value)
-    pairs with key = number * d + basis index, the right side negated; a
-    nonzero sum over equal keys is a failure.
-    """
-    d = ring.dimension()
-    a, b = np.divmod(ab, d)
-    cols = np.arange(d)
-    # the triple (ab[r], c) is number ab[0] * d + triple[r, c]
-    triple = (ab - ab[0])[:, None] * d + cols
-    # (e_a e_b) e_c: each term v e_m of e_a e_b times e_c for every c, the
-    # pairs m * d + c
-    r, m, v = ring.terms(ab)
-    left = (m[:, None] * d + cols).ravel()
-    left_triple, left_v = triple[r].ravel(), np.repeat(v, d)
-    # e_a (e_b e_c): e_a times each term v e_m of e_b e_c, the pair a * d + m
-    rc, m, right_v = ring.terms((b[:, None] * d + cols).ravel())
-    right = a[rc // d] * d + m
-    owner, cls, val = ring.terms(np.concatenate((left, right)))
-    keys = np.concatenate((left_triple, triple.ravel()[rc]))[owner] * d + cls
-    val *= np.concatenate((left_v, -right_v))[owner]
-    first = _first_nonzero_sum(keys, val)
-    return None if first is None else ab[0] * d + first // d
-
-
-def _assoc_chunks(ring, rows):
-    """The ascending (a, b) rows `rows` cut into chunks of about
-    ASSOC_CHUNK_ENTRIES entries.
-
-    (a, b) expands on the left into the terms of e_m e_c over the terms
-    e_m of e_a e_b and all c, counted exactly, and on the right into no
-    more than the terms of e_b e_c over all c times the most terms of any
-    e_a e_m.  A chunk starts with each row that begins past a multiple of
-    the bound.
-    """
-    d = ring.dimension()
-    size = ring.term_counts()
-    per_row = size.sum(axis=1)
-    owner, m, _ = ring.terms(rows)
-    entries = _segment_sum(len(rows), owner, per_row[m])
-    a, b = np.divmod(rows, d)
-    entries += size.max(axis=1)[a] * per_row[b]
-    chunk = (np.cumsum(entries) - entries) // ASSOC_CHUNK_ENTRIES
-    return np.split(rows, np.flatnonzero(np.diff(chunk)) + 1)
-
-
-def _first_failure(ring, rows):
-    """The number of the first failing triple (a, b, c) over the ascending
-    (a, b) rows `rows` and all c, or None; chunk by chunk, in order."""
-    for chunk in _assoc_chunks(ring, rows):
-        first = _first_nonassociative(ring, chunk)
-        if first is not None:
-            return first
-    return None
-
-
-def _spanning_generators(ring, candidates):
-    """The candidates, in order, that the closure of those kept before them
-    has not reached, if the closure reaches every class; else None.
-
-    A kept candidate is reached, and a class c is reached once some product
-    e_g e_b, with g kept and b reached, has v e_c as its only live term
-    outside the reached classes.  By induction each reached e_c is a
-    rational combination of the right-nested words g_1(g_2(...g_k)) over
-    the kept classes: e_g e_b is one, and so is every other term of it.  So
-    reaching every class proves, exactly, that the words span the ring over
-    Q.  Each round gathers the terms of every (kept, reached) product and
-    counts each product's terms outside.
-    """
-    d = ring.dimension()
-    reached = np.zeros(d, dtype=bool)
-    gens = []
-    for c in candidates:
-        if reached.all():
-            break
-        if reached[c]:
-            continue
-        gens.append(c)
-        reached[c] = True
-        while True:
-            pairs = (np.array(gens)[:, None] * d + np.flatnonzero(reached)).ravel()
-            owner, cls, _ = ring.terms(pairs)
-            outside = ~reached[cls]
-            alone = _segment_sum(len(pairs), owner, outside.astype(np.int64)) == 1
-            new = cls[outside & alone[owner]]
-            if not len(new):
-                break
-            reached[new] = True
-    return gens if reached.all() else None
-
-
-def _generator_candidates(ring):
-    """The identity M[n,1,0], P[0,0], M[i,1,0] for i < n, then the other
-    level-n classes, which generate Γ_n × Z/e: basis indices, in order."""
-    n, one = ring.params.n, ring.index[ring.one_elem]
-    top = ring.level_range(n)
-    return [
-        one,
-        ring.index[ProjPair(0, 0)],
-        *(ring.index[NonProj(i, 1, 0)] for i in range(1, n)),
-        *(c for c in range(top.start, top.stop) if c != one),
-    ]
-
-
-def _left_nucleus_generators(ring):
-    """Basis classes S in the left nucleus whose right-nested words span the
-    ring, or None.
-
-    S is `_spanning_generators` of `_generator_candidates`.  It lies in the
-    left nucleus when no triple (g, a, b) with g in S fails: |S| d^2
-    triples, rows g * d + a of the scan.
-    """
-    d = ring.dimension()
-    gens = _spanning_generators(ring, _generator_candidates(ring))
-    if gens is None:
-        return None
-    rows = (np.sort(gens)[:, None] * d + np.arange(d)).ravel()
-    return gens if _first_failure(ring, rows) is None else None
-
-
 def _check_assoc(params, ring):
     """(e_a e_b) e_c = e_a (e_b e_c) for all d^3 basis triples, exactly.
 
-    First a certificate.  The Teichmüller identity
-    (wx,y,z) - (w,xy,z) + (w,x,yz) = w(x,y,z) + (w,x,y)z holds in any
-    algebra, so the left nucleus N = {x : (x,a,b) = 0 for all a, b} is
-    closed under products.  If basis classes S lie in N and the
-    right-nested words g_1(g_2(...g_k)) over S span the ring, N is the
-    whole ring, and every triple holds (`_left_nucleus_generators`).  The
-    span is certified over Q without elimination: each class is reached as
-    the one new term of a product of a generator and a class reached
-    before (`_spanning_generators`), and an integer table associative over
-    Q is associative over Z.
+    First a certificate by transport (`tring._transported`).  A left twist
+    is a basis permutation whose linear extension tau has tau(x) y = tau(xy)
+    on basis pairs, hence everywhere; a right twist rho has x rho(y) =
+    rho(xy).  So the associator (x, y, z) = (xy)z - x(yz) obeys
+    (tau x, y, z) = tau (x, y, z) and (x, y, rho z) = rho (x, y, z).  The
+    twists are read off the labels and checked on all d^2 pairs, so their
+    origin needs no trust.  Each must be bijective: then every class is a
+    composite image of the least member of its orbit, which a map that
+    merges two classes need not give.  So if the triples (a, b, c) with a
+    least in its left orbit and c least in its right one hold, all do.
 
     Failing that, every triple is scanned over the live terms of the
     table.  Chunks of (a, b) rows run in order, so `checked`, the number
     of triples before the first failure in lexicographic order, is exact.
     """
     d = ring.dimension()
-    most = _max_abs(ring.term_counts())
-    # one row of the table at a time, so no d^2-term gather is held
-    vmax = max(_max_abs(ring.terms(np.arange(a * d, (a + 1) * d))[2]) for a in range(d))
-    # a key sums at most 2 * most^2 products of two coefficients
-    if most * most * vmax * vmax >= 1 << 62:
-        raise ArithmeticBound(
-            f"{most} terms of coefficients up to {vmax} may overflow int64 sums"
-        )
-    if _left_nucleus_generators(ring) is None:
-        first = _first_failure(ring, np.arange(d * d))
+    _require_int64_assoc(ring)
+    if not _transported(ring):
+        first = _first_failure(ring, np.arange(d * d), np.arange(d))
         if first is not None:
             return "violation", {"checked": str(first)}
     return "ok", {"checked": str(d**3)}

@@ -30,15 +30,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import BadLevel, ParamsMismatch, ScalarMismatch
-from .exactarith import (
-    _inverse,
-    _max_abs,
-    as_matrix,
-    exact_dtype,
-    nullspace_over_field,
-    residues,
-)
+from .errors import ArithmeticBound, BadLevel, ParamsMismatch, ScalarMismatch
+from .exactarith import _inverse, _max_abs, as_matrix, exact_dtype, residues
 from .groupmodel import AutCoset, ModelParams, canonical_coset
 
 
@@ -202,9 +195,9 @@ class TRing:
     """Basis, multiplication table and derived structure for one model.
 
     The table of live terms (`structure_table`) is the only multiplication
-    table: products, an element times the columns of a matrix (`products`),
-    the trace form and the center are exact integer contractions over its
-    terms, in int64 under a bound on the sums and in Python ints past it.
+    table: products, an element times the columns of a matrix (`products`)
+    and the trace form are exact integer contractions over its terms, in
+    int64 under a bound on the sums and in Python ints past it.
     They read an element's integer vector directly, and its denominator
     multiplies through.
     """
@@ -493,28 +486,184 @@ class TRing:
             self._int_gram.setflags(write=False)
         return self._int_gram
 
-    def center_basis(self, S) -> list[RingElement]:
-        """Basis of the centralizer of the whole ring, by exact linear solve."""
-        if not S.is_field:
-            raise ScalarMismatch("center computation needs a field")
-        d = len(self.basis)
-        owner, cls, val = self.terms(np.arange(d * d))
-        a, b = np.divmod(owner, d)
-        # row (j, c), column i: coefficient of e_c in e_i e_j - e_j e_i, so
-        # a term v e_c of e_a e_b adds v to row (b, c), column a and -v to
-        # row (a, c), column b; an entry takes at most one of each
-        comm = np.zeros((d * d, d), dtype=exact_dtype(2 * _max_abs(val)))
-        np.add.at(comm, (b * d + cls, a), val)
-        np.add.at(comm, (a * d + cls, b), -val)
-        kernel = nullspace_over_field(comm[comm.any(axis=1)], S)
-        return [self.from_vector(S, vec) for vec in kernel]
-
 
 def _segment_sum(size: int, keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """out[k] = sum of vals over keys == k, exact in the dtype of vals."""
     out = np.zeros(size, dtype=vals.dtype)
     np.add.at(out, keys.ravel(), vals.ravel())
     return out
+
+
+# ------------------------------------------------------------ associativity
+
+# (key, value) pairs of one chunk of the associativity checks, both sides
+# together; a chunk's temporaries then stay near 0.25 MB
+ASSOC_CHUNK_ENTRIES = 1 << 12
+
+
+def _first_nonzero_sum(keys, vals):
+    """The least key whose values sum to nonzero, or None."""
+    order = keys.argsort(kind="stable")
+    keys, vals = keys[order], vals[order]
+    del order
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    bad = np.flatnonzero(np.add.reduceat(vals, starts)) if len(keys) else ()
+    return int(keys[starts[bad[0]]]) if len(bad) else None
+
+
+def _require_int64_assoc(ring):
+    """Refuse a table whose associator sums could overflow int64: a key sums
+    at most 2 * most^2 products of two coefficients."""
+    most = _max_abs(ring.term_counts())
+    vmax = _max_abs(ring.structure_table()[2])
+    if most * most * vmax * vmax >= 1 << 62:
+        raise ArithmeticBound(f"{most} terms of coefficients up to {vmax} may overflow int64 sums")
+
+
+def _first_nonassociative(ring, ab, cols):
+    """First failing triple among (a, b, c), ab = a * d + b and c in the
+    ascending `cols`, or None.
+
+    The triple (a, b, c) is numbered ab * d + c.  Both sides of each
+    triple expand, over the live terms of the table, into (key, value)
+    pairs with key = number * d + basis index, the right side negated; a
+    nonzero sum over equal keys is a failure.
+    """
+    d = ring.dimension()
+    a, b = np.divmod(ab, d)
+    # the triple (ab[r], cols[j]) is number ab[0] * d + triple[r, j]
+    triple = (ab - ab[0])[:, None] * d + cols
+    # (e_a e_b) e_c: each term v e_m of e_a e_b times e_c for every c, the
+    # pairs m * d + c
+    r, m, v = ring.terms(ab)
+    left = (m[:, None] * d + cols).ravel()
+    left_triple, left_v = triple[r].ravel(), np.repeat(v, len(cols))
+    # e_a (e_b e_c): e_a times each term v e_m of e_b e_c, the pair a * d + m
+    rc, m, right_v = ring.terms((b[:, None] * d + cols).ravel())
+    right = a[rc // len(cols)] * d + m
+    owner, cls, val = ring.terms(np.concatenate((left, right)))
+    keys = np.concatenate((left_triple, triple.ravel()[rc]))[owner] * d + cls
+    val *= np.concatenate((left_v, -right_v))[owner]
+    first = _first_nonzero_sum(keys, val)
+    return None if first is None else ab[0] * d + first // d
+
+
+def _cut(rows, entries):
+    """The ascending rows `rows` cut into chunks of about
+    ASSOC_CHUNK_ENTRIES of their `entries`: a chunk starts with each row
+    that begins past a multiple of the bound."""
+    chunk = (np.cumsum(entries) - entries) // ASSOC_CHUNK_ENTRIES
+    return np.split(rows, np.flatnonzero(np.diff(chunk)) + 1)
+
+
+def _assoc_chunks(ring, rows, cols):
+    """The ascending (a, b) rows `rows` over the columns `cols`, cut into
+    chunks of about ASSOC_CHUNK_ENTRIES entries.
+
+    (a, b) expands on the left into the terms of e_m e_c over the terms
+    e_m of e_a e_b and c in `cols`, counted exactly, and on the right into
+    no more than the terms of e_b e_c over c in `cols` times the most terms
+    of any e_a e_m.
+    """
+    d = ring.dimension()
+    counts = ring.term_counts()
+    per_row = counts[:, cols].sum(axis=1)
+    owner, m, _ = ring.terms(rows)
+    entries = _segment_sum(len(rows), owner, per_row[m])
+    a, b = np.divmod(rows, d)
+    entries += counts.max(axis=1)[a] * per_row[b]
+    return _cut(rows, entries)
+
+
+def _first_failure(ring, rows, cols):
+    """The number of the first failing triple (a, b, c) over the ascending
+    (a, b) rows `rows` and the ascending classes `cols`, or None; chunk by
+    chunk, in order."""
+    for chunk in _assoc_chunks(ring, rows, cols):
+        first = _first_nonassociative(ring, chunk, cols)
+        if first is not None:
+            return first
+    return None
+
+
+def _twist_permutations(ring):
+    """The basis permutations of the generating twists, (left, right), read
+    off the labels.
+
+    theta_u for u generating the units mod p^n (a primitive root, or -1
+    and 5 when p = 2 and n >= 3; none when u = 1) fixes the P classes and
+    sends M[i, alpha, lam] to M[i, coset of w alpha, lam], w = u on the
+    left and u^-1 on the right.  chi, when e > 1, adds 1 to lam on
+    M[i, alpha, lam] on either side, and sends P[lam, mu] to
+    P[lam + 1, mu] on the left and to P[lam, mu - 1] on the right.
+    """
+    params = ring.params
+    e, pn = params.e, params.pn
+    lam, mu = np.divmod(np.arange(e * e), e)
+    M = [(b.level, b.alpha, b.lam) for b in ring.basis[e * e :]]
+    level, alpha, char = (np.array(col) for col in zip(*M))
+    units = (-1, 5) if params.p == 2 and params.n >= 3 else (params.primitive_root,)
+    left, right = [], []
+    for u in (u for u in units if u % pn != 1):
+        for side, w in ((left, u), (right, pow(u, -1, pn))):
+            moved = ring.coset_index[level, w * alpha % params.p**level] + char
+            side.append(np.concatenate((lam * e + mu, moved)))
+    if e > 1:
+        moved = np.arange(e * e, ring.dimension()) - char + (char + 1) % e
+        left.append(np.concatenate(((lam + 1) % e * e + mu, moved)))
+        right.append(np.concatenate((lam * e + (mu - 1) % e, moved)))
+    return left, right
+
+
+def _equivariant(ring, sigma, side, chunks):
+    """Whether e_sigma(a) e_b = sigma(e_a e_b) (side "left") or e_a
+    e_sigma(b) = sigma(e_a e_b) ("right") on every pair, one chunk of rows
+    a at a time."""
+    d = ring.dimension()
+    cols = np.arange(d)
+    for rows in chunks:
+        owner, cls, val = ring.terms((rows[:, None] * d + cols).ravel())
+        if side == "left":
+            moved = sigma[rows][:, None] * d + cols
+        else:
+            moved = rows[:, None] * d + sigma
+        image_owner, image_cls, image_val = ring.terms(moved.ravel())
+        keys = np.concatenate((owner * d + sigma[cls], image_owner * d + image_cls))
+        if _first_nonzero_sum(keys, np.concatenate((val, -image_val))) is not None:
+            return False
+    return True
+
+
+def _orbit_representatives(perms, d):
+    """The least class of each orbit of the permutations `perms`, ascending:
+    each label falls to its preimages' and to its label's label until none
+    moves, when it is constant on each orbit and a member of it."""
+    rep, old = np.arange(d), None
+    while old is None or (rep != old).any():
+        old = rep.copy()
+        for sigma in perms:
+            rep[sigma] = np.minimum(rep[sigma], rep)
+        rep = rep[rep]
+    return np.flatnonzero(rep == np.arange(d))
+
+
+def _transported(ring) -> bool:
+    """Whether every twist permutation is bijective and equivariant, and
+    no triple (a, b, c) with a least in its left orbit and c least in its
+    right orbit fails."""
+    d = ring.dimension()
+    chunks = _cut(np.arange(d), 2 * ring.term_counts().sum(axis=1))
+    sides = _twist_permutations(ring)
+    for side, perms in zip(("left", "right"), sides):
+        for sigma in perms:
+            bijective = np.array_equal(np.sort(sigma), np.arange(d))
+            if not (bijective and _equivariant(ring, sigma, side, chunks)):
+                return False
+    a_reps, c_reps = (_orbit_representatives(perms, d) for perms in sides)
+    return _first_failure(ring, (a_reps[:, None] * d + np.arange(d)).ravel(), c_reps) is None
 
 
 @lru_cache(maxsize=None)

@@ -16,6 +16,7 @@ from tsring.errors import (
     BadLevel,
     BadOrder,
     CharacterIllDefined,
+    ScalarMismatch,
     ShapeMismatch,
     UnrecognizedShape,
 )
@@ -841,6 +842,24 @@ def gram_int_reference(ring):
         [sum(v * traces[ic] for ic, v in _basis_product(ring, ia, ib)) for ib in range(d)]
         for ia in range(d)
     ]
+
+
+def center_basis(ring, S):
+    """Basis of the centralizer of the whole ring over the field S, by one
+    exact linear solve over the live terms of the table."""
+    if not S.is_field:
+        raise ScalarMismatch("center computation needs a field")
+    d = len(ring.basis)
+    owner, cls, val = ring.terms(np.arange(d * d))
+    a, b = np.divmod(owner, d)
+    # row (j, c), column i: coefficient of e_c in e_i e_j - e_j e_i, so
+    # a term v e_c of e_a e_b adds v to row (b, c), column a and -v to
+    # row (a, c), column b; an entry takes at most one of each
+    comm = np.zeros((d * d, d), dtype=exact_dtype(2 * _max_abs(val)))
+    np.add.at(comm, (b * d + cls, a), val)
+    np.add.at(comm, (a * d + cls, b), -val)
+    kernel = nullspace_over_field(comm[comm.any(axis=1)], S)
+    return [ring.from_vector(S, vec) for vec in kernel]
 
 
 def center_basis_reference(ring, S):

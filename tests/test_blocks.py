@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from conftest import BEYOND_INSTANCES, EDGE_INSTANCES, INSTANCES, SMALL_INSTANCES
 from reference import (
+    center_basis,
     central_idempotent_scan_reference,
     ga_mul_reference,
     level_cyclic_subgroups,
@@ -230,7 +231,7 @@ def test_dimension_bookkeeping(any_params):
 def test_projectors_lie_in_center():
     params = make_params(3, 1, 1)
     ring = tring(params)
-    center = ring.center_basis(QQ)
+    center = center_basis(ring, QQ)
     decomp = blocks.central_decomposition(params, QQ)
     # solve membership: the center here is the whole ring (dimension 3)
     assert len(center) == 3

@@ -1,6 +1,7 @@
 """Command-line interface: payloads, exit codes, byte determinism."""
 
 import hashlib
+import importlib
 import json
 import random
 import subprocess
@@ -36,6 +37,8 @@ from tsring.tring import (
     basis_label,
     tring,
 )
+
+tring_module = importlib.import_module("tsring.tring")
 
 
 def run_cli(args, capsys):
@@ -251,7 +254,7 @@ def test_assoc_check_agrees_with_loop_under_mutation(fresh_rings, monkeypatch, s
     status, first = _first_assoc_failure(ring)
     expected = (status, {"checked": str(first)})
     assert _check_assoc(params, ring) == expected
-    monkeypatch.setattr(cli, "ASSOC_CHUNK_ENTRIES", 1)  # one (a, b) row per chunk
+    monkeypatch.setattr(tring_module, "ASSOC_CHUNK_ENTRIES", 1)  # one row per chunk
     assert _check_assoc(params, ring) == expected
 
 
@@ -262,16 +265,52 @@ CERTIFIED = list(
 
 @pytest.mark.parametrize("pne", CERTIFIED, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}")
 def test_assoc_check_all_instances(pne):
-    # the closed form is certified from a few generators in the left
-    # nucleus, and the verdict is the full expansion's
+    # the closed form is certified by transport along the label twists,
+    # and the verdict is the full expansion's
     params = make_params(*pne)
     ring = tring(params)
-    gens = cli._left_nucleus_generators(ring)
-    assert gens is not None
-    assert gens[:2] == [ring.index[ring.one_elem], ring.index[ProjPair(0, 0)]]
-    assert set(gens) <= set(cli._generator_candidates(ring))
+    assert tring_module._transported(ring)
     expected = ("ok", {"checked": str(ring.dimension() ** 3)})
     assert _check_assoc(params, ring) == check_assoc_reference(*padded_arrays(ring)) == expected
+
+
+def _dense_table(ring):
+    """T[a, b, c]: the coefficient of e_c in e_a e_b, a d x d x d array."""
+    d = ring.dimension()
+    owner, cls, val = ring.terms(np.arange(d * d))
+    T = np.zeros((d, d, d), dtype=np.int64)
+    np.add.at(T, (*np.divmod(owner, d), cls), val)
+    return T
+
+
+TWISTED = list(
+    dict.fromkeys(INSTANCES + EDGE_INSTANCES + [(3, 4, 2), (2, 4, 1), (2, 6, 1), (5, 3, 4)])
+)
+
+
+@pytest.mark.parametrize("pne", TWISTED, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}")
+def test_label_twists_are_equivariant_permutations(pne):
+    # each twist read off the labels is a permutation, moves the dense
+    # table as the twist of its side does, agrees with the oracle's twist
+    # of the inducing subgroups, and each side has e + n orbits
+    params = make_params(*pne)
+    ring = tring(params)
+    d = ring.dimension()
+    T = _dense_table(ring)
+    chunks = tring_module._cut(np.arange(d), 2 * ring.term_counts().sum(axis=1))
+    orc = mackey.oracle(params)
+    sides = tring_module._twist_permutations(ring)
+    for k, (side, perms) in enumerate(zip(("left", "right"), sides)):
+        assert len(perms) == len(orc.twists())
+        for sigma, twist in zip(perms, orc.twists()):
+            assert sorted(sigma.tolist()) == list(range(d))
+            # e_sigma(a) e_b = sigma(e_a e_b), or e_a e_sigma(b) = sigma(e_a e_b)
+            moved = T[sigma] if side == "left" else T[:, sigma]
+            assert (moved[:, :, sigma] == T).all()
+            assert tring_module._equivariant(ring, sigma, side, chunks)
+            assert (sigma == orc.permutation(k, *twist, {})).all()
+        reps = tring_module._orbit_representatives(perms, d)
+        assert len(reps) == params.e + params.n
 
 
 def _mutate_structure(monkeypatch, mutate):
@@ -312,7 +351,7 @@ def test_assoc_over_live_terms_matches_full_expansion(fresh_rings, monkeypatch, 
     ring = tring(params)
     expected = check_assoc_reference(*padded_arrays(ring))
     if chunk is not None:
-        monkeypatch.setattr(cli, "ASSOC_CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(tring_module, "ASSOC_CHUNK_ENTRIES", chunk)
     assert _check_assoc(params, ring) == expected
 
 
@@ -324,43 +363,125 @@ def test_assoc_check_refuses_int64_overflow(fresh_rings, monkeypatch):
         _check_assoc(params, tring(params))
 
 
-# ------------------------------------------- the left-nucleus certificate
+# ------------------------------------------- the certificate by transport
+
+
+def _representative_rows(ring):
+    """The (a, b) rows and the columns c of the triples the certificate
+    expands: a least in its left orbit, c in its right, b any class."""
+    d = ring.dimension()
+    left, right = tring_module._twist_permutations(ring)
+    a_reps, c_reps = (tring_module._orbit_representatives(perms, d) for perms in (left, right))
+    return (a_reps[:, None] * d + np.arange(d)).ravel(), c_reps
+
+
+def _counted_scans(monkeypatch):
+    """The row counts of every full scan `_check_assoc` runs."""
+    scans = []
+    first_failure = cli._first_failure
+
+    def counted(ring, rows, cols):
+        scans.append(len(rows))
+        return first_failure(ring, rows, cols)
+
+    monkeypatch.setattr(cli, "_first_failure", counted)
+    return scans
 
 
 def test_certificate_expands_at_most_seven_rows_of_triples(monkeypatch):
-    # (3,4,2): the identity, P[0,0], M[1..3,1,0] and two generators of
-    # Γ_4 × Z/2, so at most 7 d^2 of the d^3 triples are expanded
+    # (3,4,2): e + n = 6 orbits on each side, so the certificate expands
+    # (e + n)^2 d = 3024 of the d^3 = 592704 triples, and no scan runs
     params = make_params(3, 4, 2)
     ring = tring(params)
     d = ring.dimension()
     expanded = []
-    first_nonassociative = cli._first_nonassociative
+    first_nonassociative = tring_module._first_nonassociative
 
-    def counted(ring, ab):
-        expanded.append(len(ab) * d)
-        return first_nonassociative(ring, ab)
+    def counted(ring, ab, cols):
+        expanded.append(len(ab) * len(cols))
+        return first_nonassociative(ring, ab, cols)
 
-    monkeypatch.setattr(cli, "_first_nonassociative", counted)
+    monkeypatch.setattr(tring_module, "_first_nonassociative", counted)
+    scans = _counted_scans(monkeypatch)
     assert _check_assoc(params, ring) == ("ok", {"checked": str(d**3)})
-    assert 0 < sum(expanded) <= 7 * d * d
+    assert 0 < sum(expanded) <= (params.e + params.n) ** 2 * d == 3024
+    assert scans == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_certificate_sees_a_wrong_pair_outside_the_representatives(
+    fresh_rings, monkeypatch, seed
+):
+    # one coefficient of a pair (x, y), x least in no left orbit and y in
+    # no right one, so no representative triple reads it: the triples
+    # alone pass, equivariance fails, and the scan reports the reference
+    rng = random.Random(seed)
+    params = make_params(*rng.choice([(3, 2, 2), (7, 2, 3), (5, 2, 4)]))
+    ring = tring(params)
+    d = ring.dimension()
+    rows, cols = _representative_rows(ring)
+    x = rng.choice([a for a in range(d) if a * d not in rows[::d]])
+    y = rng.choice([c for c in range(d) if c not in cols])
+    tring.cache_clear()
+
+    def mutate(start, cls, val):
+        val[rng.randrange(start[x * d + y], start[x * d + y + 1])] += 1
+
+    _mutate_structure(monkeypatch, mutate)
+    ring = tring(params)
+    assert tring_module._first_failure(ring, rows, cols) is None
+    assert not tring_module._transported(ring)
+    expected = check_assoc_reference(*padded_arrays(ring))
+    assert expected[0] == "violation"
+    scans = _counted_scans(monkeypatch)
+    assert _check_assoc(params, ring) == expected
+    assert scans == [d * d]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("kind", ["not equivariant", "two classes to one"])
+def test_certificate_refuses_a_bad_twist(fresh_rings, monkeypatch, kind, side):
+    # a twist of either side that moves the table wrongly, or maps two
+    # classes to one image, sends the check to the scan, and the report
+    # stays the same
+    params = make_params(3, 4, 2)
+    ring = tring(params)
+    d = ring.dimension()
+    twist_permutations = tring_module._twist_permutations
+
+    def bad(ring):
+        sides = dict(zip(("left", "right"), twist_permutations(ring)))
+        sigma = sides[side][-1].copy()
+        if kind == "not equivariant":
+            sigma[[0, 1]] = sigma[[1, 0]]
+        else:
+            sigma[1] = sigma[0]
+        sides[side] = [*sides[side][:-1], sigma]
+        return sides["left"], sides["right"]
+
+    monkeypatch.setattr(tring_module, "_twist_permutations", bad)
+    if kind == "not equivariant":
+        sigma = bad(ring)[side == "right"][-1]
+        assert sorted(sigma.tolist()) == list(range(d))
+        chunks = tring_module._cut(np.arange(d), 2 * ring.term_counts().sum(axis=1))
+        assert not tring_module._equivariant(ring, sigma, side, chunks)
+    assert not tring_module._transported(ring)
+    scans = _counted_scans(monkeypatch)
+    assert _check_assoc(params, ring) == ("ok", {"checked": str(d**3)})
+    assert scans == [d * d]
 
 
 def _assoc_tensor(ring):
     """(e_a e_b) e_c - e_a (e_b e_c) as a d x d x d x d integer array."""
-    d = ring.dimension()
-    owner, cls, val = ring.terms(np.arange(d * d))
-    T = np.zeros((d, d, d), dtype=np.int64)
-    np.add.at(T, (*np.divmod(owner, d), cls), val)
+    T = _dense_table(ring)
     return np.einsum("abm,mcn->abcn", T, T) - np.einsum("bcm,amn->abcn", T, T)
 
 
 def test_certificate_refuses_the_middle_nucleus(fresh_rings, monkeypatch):
     # the one nonzero product e_0 e_1 = e_0: a e_0 = 0 and a (e_0 b) lies in
     # a span(e_0) = 0, so e_0 is in the middle nucleus, but (e_0 e_1) e_1 =
-    # e_0 while e_0 (e_1 e_1) = 0, so it is not in the left nucleus.  The
-    # middle nucleus is a subalgebra too, so generators in it whose words
-    # span would make the table associative: here the words of e_0 do not
-    # span, and the rows the certificate reads are the left nucleus's
+    # e_0 while e_0 (e_1 e_1) = 0; the right twist swapping e_1 and e_2
+    # does not move e_0 e_1 to e_0 e_2 = 0, so the scan decides
     params = make_params(3, 1, 1)
     d = TRing(params).dimension()
     _mutate_structure(monkeypatch, lambda *table: table_of(d, {(0, 1): [(0, 1)]}))
@@ -368,9 +489,9 @@ def test_certificate_refuses_the_middle_nucleus(fresh_rings, monkeypatch):
     assoc = _assoc_tensor(ring)
     assert not assoc[:, 0].any() and assoc[0].any()
     # rows g * d + a hold the triples (g, a, b), rows a * d + g (a, g, b)
-    assert cli._first_failure(ring, np.arange(d)) is not None
-    assert cli._first_failure(ring, np.arange(d) * d) is None
-    assert cli._left_nucleus_generators(ring) is None
+    assert tring_module._first_failure(ring, np.arange(d), np.arange(d)) is not None
+    assert tring_module._first_failure(ring, np.arange(d) * d, np.arange(d)) is None
+    assert not tring_module._transported(ring)
     expected = check_assoc_reference(*padded_arrays(ring))
     assert expected == ("violation", {"checked": str((0 * d + 1) * d + 1)})
     assert _check_assoc(params, ring) == expected
@@ -378,15 +499,12 @@ def test_certificate_refuses_the_middle_nucleus(fresh_rings, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["zero algebra", "P[0,0] row zeroed"])
 def test_certificate_refuses_words_that_do_not_span(fresh_rings, monkeypatch, kind):
-    # words that miss a class certify nothing, associative or not: the
-    # zero algebra is associative, and with P[0,0] e_b = 0 no left product
-    # reaches P[lam, mu] for mu != 0, while (e_a P[0,0]) e_b != 0 breaks
-    # associativity; the scan decides both
+    # the zero algebra is associative and every twist moves it rightly, so
+    # the certificate holds; with P[0,0] e_b = 0 the left character twist,
+    # which sends P[0,0] to P[1,0], no longer moves the products, while
+    # (e_a P[0,0]) e_b != 0 breaks associativity, and the scan decides
     params = make_params(3, 2, 2)
-    ring = tring(params)
-    one = ring.index[ring.one_elem]
-    assert cli._spanning_generators(ring, [one]) is None
-    d = ring.dimension()
+    d = tring(params).dimension()
     tring.cache_clear()
 
     def mutate(start, cls, val):
@@ -397,8 +515,7 @@ def test_certificate_refuses_words_that_do_not_span(fresh_rings, monkeypatch, ki
 
     _mutate_structure(monkeypatch, mutate)
     ring = tring(params)
-    assert cli._spanning_generators(ring, cli._generator_candidates(ring)) is None
-    assert cli._left_nucleus_generators(ring) is None
+    assert tring_module._transported(ring) == (kind == "zero algebra")
     expected = check_assoc_reference(*padded_arrays(ring))
     assert (expected[0] == "ok") == (kind == "zero algebra")
     assert _check_assoc(params, ring) == expected
@@ -415,6 +532,8 @@ ONE_SHORT_PRODUCTS = [("s", "t", "ts"), ("t", "s", "ts"), ("t", "t", "tt"), ("x"
 
 
 def test_certificate_refuses_words_one_class_short(fresh_rings, monkeypatch):
+    # the triples (g, a, b) with g in {u, s, t} hold, and the table is
+    # not associative: no sound certificate passes it
     params = make_params(3, 1, 2)
     d, u = TRing(params).dimension(), ONE_SHORT["u"]
     products = {(u, y): [(y, 1)] for y in range(d)}
@@ -424,12 +543,10 @@ def test_certificate_refuses_words_one_class_short(fresh_rings, monkeypatch):
     _mutate_structure(monkeypatch, lambda *table: table_of(d, products))
     ring = tring(params)
     gens = [ONE_SHORT[g] for g in "ust"]
-    assert cli._generator_candidates(ring) == gens
     assert not _assoc_tensor(ring)[gens].any()
     rows = (np.sort(gens)[:, None] * d + np.arange(d)).ravel()
-    assert cli._first_failure(ring, rows) is None
-    assert cli._spanning_generators(ring, gens) is None
-    assert cli._left_nucleus_generators(ring) is None
+    assert tring_module._first_failure(ring, rows, np.arange(d)) is None
+    assert not tring_module._transported(ring)
     expected = check_assoc_reference(*padded_arrays(ring))
     assert expected[0] == "violation"
     assert _check_assoc(params, ring) == expected
@@ -444,60 +561,82 @@ SEMIGROUPS = {
 }
 
 
+def _twist_group(perms, d):
+    """Every composite of the permutations `perms`, the identity first."""
+    group = {tuple(range(d))}
+    queue = list(group)
+    for g in queue:
+        for sigma in perms:
+            h = tuple(sigma[list(g)].tolist())
+            if h not in group:
+                group.add(h)
+                queue.append(h)
+    return [np.array(g) for g in queue]
+
+
+def _symmetrized(products, left, right):
+    """The sum over the twists tau, rho of both sides of tau rho (e_a e_b)
+    placed at (tau a, rho b): a table every twist moves rightly."""
+    out = {}
+    for (a, b), terms in products.items():
+        for tau in left:
+            for rho in right:
+                pair = out.setdefault((int(tau[a]), int(rho[b])), [])
+                pair += [(int(tau[rho[c]]), v) for c, v in terms]
+    return out
+
+
 @pytest.mark.parametrize("pne", [(3, 1, 1), (2, 2, 1), (5, 1, 1)], ids=["d3", "d4", "d5"])
 def test_certificate_never_certifies_a_nonassociative_table(monkeypatch, pne):
-    # random integer tables of one term per product, d = 3, 4 and 5: the
-    # algebra of a relabelled associative semigroup, with no, one or two
-    # slots changed, or a table drawn at random; whatever the certificate
-    # certifies, the full expansion must find associative
+    # random integer tables, d = 3, 4 and 5: the algebra of a relabelled
+    # associative semigroup, with no, one or two slots changed, or a table
+    # drawn at random, each as it is or summed over the twists of one side
+    # or of both, so that those twists move it rightly and, for both, the
+    # representative triples decide; whatever the certificate certifies,
+    # the full expansion must find associative
     params = make_params(*pne)
     rng = random.Random(pne[0] * 100 + pne[1])
+    d = TRing(params).dimension()
+    twists = tring_module._twist_permutations(TRing(params))
+    left, right = (_twist_group(perms, d) for perms in twists)
+    fixed = [np.arange(d)]
     certified = refused = 0
     for _ in range(120):
-        d = TRing(params).dimension()
         name = rng.choice([*SEMIGROUPS, "random"])
+        sides = rng.choice(["none", "left", "right", "both", "both"])
 
         def mutate(*table):
             pairs = [divmod(pair, d) for pair in range(d * d)]
             if name == "random":
                 cls = [rng.randrange(d) for _ in pairs]
                 val = [rng.randint(-2, 2) for _ in pairs]
-                return table_of(d, {ab: [(c, v)] for ab, c, v in zip(pairs, cls, val)})
-            perm = rng.sample(range(d), d)
-            products = {
-                (perm[a], perm[b]): [(perm[SEMIGROUPS[name](a, b, d)], 1)] for a, b in pairs
-            }
-            for _ in range(rng.choice([0, 0, 1, 2])):
-                a, b = rng.randrange(d), rng.randrange(d)
-                products[a, b] = [(rng.randrange(d), rng.randint(-1, 2))]
+                products = {ab: [(c, v)] for ab, c, v in zip(pairs, cls, val)}
+            else:
+                perm = rng.sample(range(d), d)
+                products = {
+                    (perm[a], perm[b]): [(perm[SEMIGROUPS[name](a, b, d)], 1)] for a, b in pairs
+                }
+                for _ in range(rng.choice([0, 0, 1, 2])):
+                    a, b = rng.randrange(d), rng.randrange(d)
+                    products[a, b] = [(rng.randrange(d), rng.randint(-1, 2))]
+            if sides != "none":
+                taus = fixed if sides == "right" else left
+                rhos = fixed if sides == "left" else right
+                products = _symmetrized(products, taus, rhos)
             return table_of(d, products)
 
         _mutate_structure(monkeypatch, mutate)
         ring = TRing(params)  # uncached: each table builds its own
-        K, V = padded_arrays(ring)
-        expected = check_assoc_reference(K, V)
-        gens = cli._left_nucleus_generators(ring)
-        if gens is not None:
-            assert expected[0] == "ok", (name, K.tolist(), V.tolist(), gens)
-            certified += len(gens) < d
-        else:
+        expected = check_assoc_reference(*padded_arrays(ring))
+        if tring_module._transported(ring):
+            assert expected[0] == "ok", (name, sides, ring.structure_table())
+            certified += 1
+        elif sides == "both":
             refused += expected[0] == "violation"
         assert _check_assoc(params, ring) == expected
-    # the lemma was used, on fewer generators than classes, and tables
-    # were refused
+    # tables were certified, and tables the twists move rightly were
+    # refused by the representative triples
     assert certified and refused
-
-
-def test_certificate_reaches_a_class_only_as_the_one_new_term(fresh_rings, monkeypatch):
-    # e_0 e_0 = e_1 + e_2 and every other product 0: the words over e_0
-    # span e_0 and e_1 + e_2 only, so a closure that took any new term
-    # would certify [0]; with e_1 kept too, e_2 is the one new term of e_0 e_0
-    params = make_params(3, 1, 1)
-    d = TRing(params).dimension()
-    _mutate_structure(monkeypatch, lambda *table: table_of(d, {(0, 0): [(1, 1), (2, 1)]}))
-    ring = tring(params)
-    assert cli._spanning_generators(ring, [0]) is None
-    assert cli._spanning_generators(ring, [0, 1]) == [0, 1]
 
 
 @pytest.mark.parametrize("pne", [(3, 2, 2), (7, 2, 3)], ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}")
@@ -506,32 +645,37 @@ def test_certificate_needs_no_prime(fresh_rings, monkeypatch, pne):
     # live terms where they were; the certificate must not depend on a
     # prime that could divide them all
     params = make_params(*pne)
-    gens = cli._left_nucleus_generators(tring(params))
-    tring.cache_clear()
 
     def scale(start, cls, val):
         val *= 1000003
 
     _mutate_structure(monkeypatch, scale)
     ring = tring(params)
-    assert cli._left_nucleus_generators(ring) == gens
+    assert tring_module._transported(ring)
+    scans = _counted_scans(monkeypatch)
     assert _check_assoc(params, ring) == ("ok", {"checked": str(ring.dimension() ** 3)})
+    assert scans == []
 
 
-# the generators the closure keeps on rungs of the ladder, as the echelon
-# certificate mod 1000003 it replaced kept them
-LADDER_GENERATORS = {
-    (3, 4, 2): [30, 0, 4, 6, 12, 31, 32],
-    (3, 5, 2): [84, 0, 4, 6, 12, 30, 85, 86],
-    (13, 2, 12): [156, 0, 144, 157, 168],
-    (2, 5, 1): [16, 0, 1, 2, 4, 8, 17, 18],
-}
+# rungs of the ladder, where the orbits of the label twists leave e + n
+# representatives on each side
+LADDER_GENERATORS = [(3, 4, 2), (3, 5, 2), (13, 2, 12), (2, 5, 1)]
 
 
 @pytest.mark.parametrize("pne", LADDER_GENERATORS, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}")
 def test_certificate_generators_on_the_ladder(pne):
-    ring = tring(make_params(*pne))
-    assert cli._left_nucleus_generators(ring) == LADDER_GENERATORS[pne]
+    # the left character twist moves lam, so P[0, mu] represents the left
+    # orbits of projective pairs, the right one moves mu, so P[lam, 0]
+    # the right; the twists of a side move every M[i, alpha, lam] of a
+    # level to M[i, 1, 0]
+    params = make_params(*pne)
+    ring = tring(params)
+    rows, cols = _representative_rows(ring)
+    levels = [ring.index[NonProj(i, 1, 0)] for i in range(1, params.n + 1)]
+    P = [ring.index[ProjPair(0, mu)] for mu in range(params.e)]
+    assert (rows[:: ring.dimension()] // ring.dimension()).tolist() == P + levels
+    P = [ring.index[ProjPair(lam, 0)] for lam in range(params.e)]
+    assert cols.tolist() == P + levels
 
 
 def test_verify_theorem_d(capsys):

@@ -5,7 +5,8 @@ matrix product bypasses `exactarith.field_mat_mul`, every function the
 benchmark's per-layer metrics name exists, `verify` never imports
 numpy.ma, the multiplication table is read only through `TRing.terms`, and
 the group law of G has no |G| x |G| table, and the assoc check runs no
-elimination over a field."""
+elimination over a field, has no Teichmüller certificate and never imports
+the oracle."""
 
 import ast
 import importlib
@@ -472,8 +473,64 @@ def test_group_table_name_is_reported(tmp_path):
     ]
 
 
-# The assoc certificate reaches each class as the one new term of a product
-# (`cli._spanning_generators`): no matrix product, no echelon form.
+# Associativity is certified by transport along the label twists
+# (`tring._transported`): the Teichmüller certificate, its generators and
+# its span closure are gone.
+GONE_ASSOC_NAMES = ("_spanning_generators", "_generator_candidates", "_left_nucleus_generators")
+
+
+def assoc_certificate_problems(path: Path) -> list[str]:
+    """Where `path` names one of `GONE_ASSOC_NAMES`."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [
+        f"{path.name}:{number} {name}"
+        for number, line in enumerate(lines, 1)
+        for name in GONE_ASSOC_NAMES
+        if name in line
+    ]
+
+
+def test_assoc_has_no_teichmuller_certificate():
+    assert [x for path in sorted(SRC.glob("*.py")) for x in assoc_certificate_problems(path)] == []
+
+
+def test_assoc_certificate_name_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "def f(ring):\n"
+        "    gens = _spanning_generators(ring, _generator_candidates(ring))\n"
+        "    return cli._left_nucleus_generators(ring)\n",
+        encoding="utf-8",
+    )
+    assert assoc_certificate_problems(module) == [
+        "sample.py:2 _spanning_generators",
+        "sample.py:2 _generator_candidates",
+        "sample.py:3 _left_nucleus_generators",
+    ]
+
+
+# The assoc check reads the twists off the labels, never from the oracle,
+# so it stays independent of it; it imports no `tsring.mackey`.
+def test_assoc_does_not_import_the_oracle():
+    code = (
+        "import sys\n"
+        "from tsring.cli import main\n"
+        "main(['verify', '--p', '3', '--n', '4', '--e', '2', '--which', 'assoc'])\n"
+        "print('tsring.mackey' in sys.modules)"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout.rsplit("\n", 2)[0])["status"] == "ok"
+    assert run.stdout.splitlines()[-1] == "False"
+
+
+def test_oracle_import_is_seen():
+    code = "import sys\nimport tsring.mackey\nprint('tsring.mackey' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "True"
+
+
+# The assoc certificate compares products in the table: no matrix product,
+# no echelon form.
 FIELD_ELIMINATION = ("field_mat_mul", "_rref")
 
 
