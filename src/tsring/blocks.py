@@ -20,8 +20,9 @@ and a certified semisimplicity decision procedure.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,17 +59,18 @@ from .tring import NonProj, ProjPair, RingElement, TRing, _segment_sum, tring
 
 
 class LevelGroup:
-    """Pairs (automorphism coset at level i, character of E), componentwise.
+    """U_i / image(E) x Z/e, U_i the units mod p^i, as pairs (coset, character).
 
-    Abelian of order p^(i-1)(p-1).  Element k is the k-th level-i class
-    M[i, alpha, lam] in basis order (coset representative number k // e,
-    character k % e), and element 0 = M[i, 1, 0] is the identity.  An
-    element of k[Gamma] is a ring element supported on the level, the basis
-    positions `span`: labeling into and out of the group algebra is the
-    identity on coefficient vectors.  Products are lookups in the index
-    multiplication table.  Subgroups are frozensets of indices: the cyclic
-    subgroups <g>, closed under products (AB is a subgroup because the
-    group is abelian).
+    Element k is the k-th level-i class M[i, alpha, lam] in basis order
+    (coset number k // e, character k % e); element 0 = M[i, 1, 0] is the
+    identity.  An element of k[Gamma] is a ring element supported on the
+    level, the basis positions `span`: labeling into and out of the group
+    algebra is the identity on coefficient vectors.  The `coordinates` of
+    element k are the exponents of its coset over the generating units (a
+    primitive root, or -1 and 5 when p = 2), each modulo that unit's order
+    in U_i / image(E) as read off the ring's `coset_index`, then lam mod e.
+    The walk over every exponent vector reaches each level class once
+    (checked), so products add coordinates.
     """
 
     def __init__(self, params: ModelParams, level: int):
@@ -76,37 +78,45 @@ class LevelGroup:
             raise BadLevel(f"level {level} outside 1..{params.n}")
         self.params = params
         self.level = level
-        self.span = tring(params).level_range(level)
+        ring = tring(params)
+        self.span = ring.level_range(level)
         self.order = self.span.stop - self.span.start
-        if self.order != params.p ** (level - 1) * (params.p - 1):
-            raise TheoremViolation(
-                f"level {level} has {self.order} classes, not p^(i-1)(p-1)"
-            )
+        e, q, index = params.e, params.p**level, ring.coset_index[level]
+        units, moduli = np.ones(1, dtype=np.int64), []
+        for u in (-1, 5) if params.p == 2 else (params.primitive_root,):
+            walk = [1]  # the powers of u mod q, up to the first in the identity's coset
+            while index[walk[-1] * u % q] != index[1]:
+                walk.append(walk[-1] * u % q)
+            moduli.append(len(walk))
+            units = np.outer(units, walk).ravel() % q  # the first unit's exponent slowest
+        self.moduli = (*moduli, e)
+        # the element of each exponent vector, numbered as `np.ravel_multi_index`
+        # does; each of the p^(i-1)(p-1) level classes once, so prod(moduli) = |Gamma_i|
+        self._by_code = (index[units, None] - self.span.start + np.arange(e)).ravel()
+        if sorted(self._by_code.tolist()) != list(range(q // params.p * (params.p - 1))):
+            raise TheoremViolation(f"Gamma_{level}: the walk over {self.moduli} misses a class")
+        code = np.empty(self.order, dtype=np.int64)
+        code[self._by_code] = np.arange(self.order)
+        self.coordinates = np.unravel_index(code, self.moduli)
 
     # ------------------------------------------------------------ group law
 
-    @cached_property
-    def _table(self) -> np.ndarray:
-        """_table[a, b] is the index of element a times element b.
+    def _element(self, exponents):
+        """The element of the exponent arrays, one per modulus, each reduced."""
+        return self._by_code[np.ravel_multi_index(exponents, self.moduli, mode="wrap")]
 
-        The coset of each product of two coset representatives is a lookup
-        in the ring's `coset_index`, as in the table's rules; characters add mod e.
-        """
-        params, e = self.params, self.params.e
-        ring = tring(params)
-        reps = [b.alpha for b in ring.level_basis(self.level)[::e]]
-        index, q = ring.coset_index[self.level] - self.span.start, params.p**self.level
-        cosets = np.array([[index[r * s % q] for s in reps] for r in reps], dtype=np.int64)
-        k = np.arange(self.order)
-        return cosets[k[:, None] // e, k // e] + (k[:, None] + k) % e
+    def product(self, a, b):
+        """The index of element a times element b: its coordinates are the
+        sums of theirs; index arrays broadcast."""
+        return self._element([c[a] + c[b] for c in self.coordinates])
 
     def closure(self, gens) -> frozenset:
         """The subgroup generated by the element indices `gens`."""
-        table = self._table
         found = {0}
         frontier = found
         while frontier:
-            frontier = set(table[np.ix_(sorted(frontier), gens)].ravel().tolist()) - found
+            products = self.product(np.array(sorted(frontier))[:, None], list(gens))
+            frontier = set(products.ravel().tolist()) - found
             found |= frontier
         return frozenset(found)
 
@@ -120,68 +130,49 @@ class LevelGroup:
                 reached = self.closure(gens)
         return tuple(gens)
 
-    # ------------------------------------------------------------ subgroups
+    # ---------------------------------------------------- rational idempotents
 
-    def _product(self, a, b):
-        return frozenset(self._table[np.ix_(sorted(a), sorted(b))].ravel().tolist())
-
-    @cached_property
-    def cyclic_subgroups(self):
-        """The distinct subgroups <g>, as frozensets of element indices."""
-        table = self._table.tolist()
-        out = set()
-        for g in range(self.order):
-            powers = {0}
-            cur = g
-            while cur != 0:
-                powers.add(cur)
-                cur = table[cur][g]
-            out.add(frozenset(powers))
-        return out
-
-    @cached_property
-    def _subgroups(self):
-        """Every subgroup: products of cyclic subgroups."""
-        found = set(self.cyclic_subgroups)
-        frontier = found
-        while frontier:
-            frontier = {
-                self._product(a, c) for a in frontier for c in self.cyclic_subgroups
-            } - found
-            found |= frontier
-        return found
+    def cyclic_subgroup_count(self) -> int:
+        """The sum over element orders d of #{g : |g| = d} / phi(d)."""
+        orders = np.lcm.reduce([m // np.gcd(c, m) for c, m in zip(self.coordinates, self.moduli)])
+        counts = Counter(orders.tolist())
+        return sum(n // sum(math.gcd(k, d) == 1 for k in range(d)) for d, n in counts.items())
 
     def primitive_rational_idempotents(self):
         """Primitive central idempotents of Q[Gamma], one per cyclic quotient.
 
-        For each subgroup H with Gamma/H cyclic of order m,
+        Gamma/H is cyclic exactly when H = ker chi.  chi_x(g), x an element,
+        is the L-th root of unity of exponent sum_j x_j g_j L / m_j over the
+        coordinates, L the lcm of the moduli m_j.  The characters with the
+        kernel H of chi_x are its Galois conjugates chi_y, y generating <x>,
+        and the sum of their e_chi is, with m = |x| and M_d = {g : chi_x(g)^d
+        = 1} the subgroup with [M_d : H] = d,
 
-            eps(Gamma, H) = sum over squarefree d | m of mu(d) * avg(M_d),
+            eps(Gamma, H) = sum over d | m of mu(d) * avg(M_d)
+                          = |Gamma|^-1 sum over g of c_m(chi_x(g)) g,
 
-        where M_d is the subgroup containing H with [M_d : H] = d and avg(M)
-        is the average of the elements of M: the product of avg(H) - avg(M)
-        over the M of prime index over H, expanded (Jespers-Leal-Paques
-        2003; Olivieri-del Rio-Simon 2004).  There are as many as there are
-        cyclic subgroups, the number of simple components of Q[Gamma]
-        (Perlis-Walker); `primitive_central_idempotents_q` checks the count.
-        Ordered by decreasing |H|, then by the element indices of H.  The
-        coefficients are numerators over |Gamma|.
+        c_m the Ramanujan sum.  One per cyclic subgroup, the number of simple
+        components of Q[Gamma] (Perlis-Walker), which
+        `primitive_central_idempotents_q` checks.  Ordered by decreasing |H|,
+        then by the element indices of H; numerators over |Gamma|.
         """
-        ring = tring(self.params)
-        everything = frozenset(range(self.order))
-        # each numerator sums at most one |Gamma|/|M| per subgroup M
-        dtype = exact_dtype(self.order * len(self._subgroups))
-        out = []
-        for h in sorted(self._subgroups, key=lambda s: (-len(s), sorted(s))):
-            if all(self._product(h, c) != everything for c in self.cyclic_subgroups):
-                continue  # Gamma/H is not cyclic
-            nums = np.zeros(ring.dimension(), dtype=dtype)
-            for m in self._subgroups:
-                mu = _mobius(len(m) // len(h)) if h <= m else 0
-                if mu:
-                    nums[self.span][sorted(m)] += mu * (self.order // len(m))
-            out.append(RingElement(ring, QQ, nums, self.order))
-        return out
+        ring, top, found = tring(self.params), math.lcm(*self.moduli), []
+        seen = np.zeros(self.order, dtype=bool)  # the generators of each <x> done
+        for x in range(self.order):
+            if seen[x]:
+                continue
+            value = sum(c[x] * (top // m) * c for c, m in zip(self.coordinates, self.moduli))
+            orders = top // np.gcd(value, top)  # of each chi_x(g), the largest m = |x|
+            m = int(orders.max())
+            k = np.flatnonzero(np.gcd(np.arange(m), m) == 1)  # x^k generates <x>
+            seen[self._element([c[x] * k for c in self.coordinates])] = True
+            nums = np.zeros(ring.dimension(), dtype=exact_dtype(self.order))
+            for d in range(1, m + 1):
+                if m % d == 0:  # M_d holds the g with d % orders[g] == 0
+                    nums[self.span][d % orders == 0] += _mobius(d) * (m // d)
+            kernel = np.flatnonzero(orders == 1).tolist()
+            found.append(((-len(kernel), kernel), RingElement(ring, QQ, nums, self.order)))
+        return [x for _, x in sorted(found, key=lambda item: item[0])]
 
 
 def _mobius(d: int) -> int:
@@ -201,12 +192,12 @@ def level_group(params: ModelParams, level: int) -> LevelGroup:
 
 
 def ga_mul(gamma: LevelGroup, x: RingElement, y: RingElement) -> RingElement:
-    """x * y in k[Gamma], one contraction of the two supports through the table."""
+    """x * y in k[Gamma], one contraction of the two supports through the law."""
     X, Y = x.vec[gamma.span], y.vec[gamma.span]
     ia, ib = np.flatnonzero(X), np.flatnonzero(Y)
+    keys = gamma.span.start + gamma.product(ia[:, None], ib)  # its temporaries before the weights
     dtype = exact_dtype(_max_abs(X) * _max_abs(Y) * len(ia))
     weights = np.outer(X[ia].astype(dtype), Y[ib].astype(dtype))
-    keys = gamma.span.start + gamma._table[np.ix_(ia, ib)]
     sums = _segment_sum(len(x.vec), keys, weights)
     return RingElement(x.ring, x.scalar, sums, x.den * y.den)
 
@@ -543,7 +534,8 @@ def _build_level_iso(ring: TRing, S, i: int, fi: RingElement) -> LevelBlockIso:
     for s in gens:
         # column g is den * (s d_i) L_g, with den the denominator of s d_i
         factor = _times_twist(gamma, ring.from_basis(S, ring.basis[gamma.span.start + s]), t)
-        expected = lifts[:, gamma._table[s]].astype(exact_dtype(most * factor.den), copy=False)
+        column = gamma.product(s, slice(None))
+        expected = lifts[:, column].astype(exact_dtype(most * factor.den), copy=False)
         expected *= factor.den
         if (ring.products(factor, lifts, "left") != residues(S, expected)).any():
             _violation(f"block {i} multiplicativity", None, None)
@@ -643,26 +635,19 @@ def primitive_central_idempotents_q(params: ModelParams) -> list[RingElement]:
     to 1, R f_0 is a matrix algebra and psi^-1 maps Q[Gamma_i] onto R f_i
     isomorphically.  So f_0 is primitive, and each level's family is
     checked in Q[Gamma_i] at size |Gamma_i| (`ga_mul`): nonzero,
-    idempotent, pairwise orthogonal, and central because the table of
-    Gamma_i is symmetric.  Q[Gamma_i] is a product of one field per cyclic
-    subgroup of Gamma_i (Perlis-Walker), so a family that large is its
-    primitive idempotents, summing to 1.  Through psi^-1 the members are
-    orthogonal idempotents of R f_i, central in R as the f_i are.
-    Centrality in R is re-checked on the f_i only.
+    idempotent, pairwise orthogonal, and central because the law of
+    Gamma_i adds coordinates (`LevelGroup`; theorem D checks it against the
+    table).  Q[Gamma_i] is a product of one field per cyclic subgroup of
+    Gamma_i (Perlis-Walker), so a family that large is its primitive
+    idempotents, summing to 1.  Through psi^-1 the members are orthogonal
+    idempotents of R f_i, central in R as the f_i are.
     """
-    ring = tring(params)
     decomp = central_decomposition(params, QQ)
-    for f in decomp.projectors:
-        outside = ring.noncommuting(f)
-        if outside:
-            _violation("centrality of primitive idempotent", f, outside[0])
     prims = [decomp.projectors[0]]
     for iso in decomp.isos[1:]:
         gamma, i = iso.gamma, iso.level
-        if not (gamma._table == gamma._table.T).all():
-            _violation(f"Gamma_{i} is abelian", None, None)
         idems = gamma.primitive_rational_idempotents()
-        cyclic = len(gamma.cyclic_subgroups)
+        cyclic = gamma.cyclic_subgroup_count()
         if len(idems) != cyclic:
             _violation(f"simple components of Q[Gamma_{i}]", len(idems), cyclic)
         for a, x in enumerate(idems):

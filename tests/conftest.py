@@ -2,6 +2,7 @@
 
 import pytest
 
+from tsring.blocks import level_group
 from tsring.exactarith import is_prime
 from tsring.groupmodel import make_params
 from tsring.mackey import oracle
@@ -39,17 +40,19 @@ BEYOND_INSTANCES = [
 
 @pytest.fixture
 def fresh_rings():
-    """Empty the ring and oracle caches before and after the test.
+    """Empty the ring, level group and oracle caches before and after the test.
 
     A mutated ring or oracle must not leak into the caches other tests
     share, and one cached earlier must not hand a mutation test the block
-    data or the classifications it found before the mutation.
+    data, the level coordinates or the classifications it found before the
+    mutation.
     """
-    tring.cache_clear()
-    oracle.cache_clear()
+    caches = (tring, level_group, oracle)
+    for cached in caches:
+        cached.cache_clear()
     yield
-    tring.cache_clear()
-    oracle.cache_clear()
+    for cached in caches:
+        cached.cache_clear()
 
 
 @pytest.fixture(params=INSTANCES, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}")

@@ -687,6 +687,21 @@ def level_cyclic_subgroups(params, level):
     return out
 
 
+def level_generators(params, level):
+    """The labels of `LevelGroup.generators`: each label, in basis order,
+    that the closure of those before it under the tuple law misses."""
+    gens, reached = [], {(1, 0)}
+    for g in level_labels(params, level):
+        if g in reached:
+            continue
+        gens.append(g)
+        frontier = reached
+        while frontier:
+            frontier = {level_mul(params, level, x, s) for x in frontier for s in gens} - reached
+            reached = reached | frontier
+    return gens
+
+
 def level_element(params, level, S, coeffs):
     """The ring element of a label-keyed map: label g is the class M[level, *g]."""
     return tring(params).element(S, {NonProj(level, *g): v for g, v in coeffs.items()})

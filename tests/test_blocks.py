@@ -5,6 +5,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from reference import (
     ga_mul_reference,
     level_cyclic_subgroups,
     level_element,
+    level_generators,
     level_labels,
     level_mul,
     corner_rank_reference,
@@ -38,18 +40,24 @@ from tsring.tring import NonProj, ProjPair, RingElement, TRing, tring
 # ------------------------------------------------------------- label groups
 
 
+def _law(gamma):
+    """Row a, column b: the index of element a times element b."""
+    k = np.arange(gamma.order)
+    return gamma.product(k[:, None], k)
+
+
 def test_level_group_orders(any_params):
     params = any_params
     for i in range(1, params.n + 1):
         gamma = blocks.level_group(params, i)
         assert gamma.order == params.p ** (i - 1) * (params.p - 1)
         # abelian
-        assert (gamma._table == gamma._table.T).all()
+        assert (_law(gamma) == _law(gamma).T).all()
 
 
 def test_level_table_is_the_tuple_law(any_params):
-    # element k is the label of the k-th level class, and the index table
-    # multiplies labels as the group law does
+    # element k is the label of the k-th level class, and adding
+    # coordinates multiplies labels as the group law does
     params = any_params
     for i in range(1, params.n + 1):
         gamma = blocks.level_group(params, i)
@@ -57,7 +65,7 @@ def test_level_table_is_the_tuple_law(any_params):
         assert labels[0] == (1, 0)
         assert [b.level for b in tring(params).basis[gamma.span]] == [i] * gamma.order
         assert [
-            [labels[k] for k in row] for row in gamma._table.tolist()
+            [labels[k] for k in row] for row in _law(gamma).tolist()
         ] == [[level_mul(params, i, g, h) for h in labels] for g in labels]
 
 
@@ -76,9 +84,22 @@ def test_level_group_non_cyclic_two_power():
     ]
 
 
-@pytest.mark.parametrize(
-    "triple", INSTANCES + BEYOND_INSTANCES, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}"
-)
+LEVEL_INSTANCES = INSTANCES + BEYOND_INSTANCES  # the edge instances among them
+
+
+@pytest.mark.parametrize("triple", LEVEL_INSTANCES, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}")
+def test_level_counts_and_generators_are_the_tuple_law(triple):
+    # p = 2 from n = 3 on needs both -1 and 5 as generating units
+    params = make_params(*triple)
+    for i in range(1, params.n + 1):
+        gamma = blocks.level_group(params, i)
+        labels = level_labels(params, i)
+        assert math.prod(gamma.moduli) == gamma.order
+        assert gamma.cyclic_subgroup_count() == len(level_cyclic_subgroups(params, i))
+        assert [labels[k] for k in gamma.generators()] == level_generators(params, i)
+
+
+@pytest.mark.parametrize("triple", LEVEL_INSTANCES, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}")
 def test_level_group_primitive_idempotents(triple):
     params = make_params(*triple)
     for i in range(1, params.n + 1):
@@ -101,6 +122,24 @@ def test_level_group_primitive_idempotents(triple):
                 if a_idx != b_idx:
                     assert blocks.ga_mul(gamma, x, y).is_zero()
         assert total == ring.from_basis(QQ, NonProj(i, 1, 0))
+
+
+def test_level_group_footprint_is_linear():
+    # the coordinates hold O(|Gamma|) entries: at level 7 of (3,7,2),
+    # |Gamma| = 1458, the group with its idempotents and generators stays
+    # far below the 17 MB that a |Gamma|^2 index table alone takes
+    params = make_params(3, 7, 2)
+    tring(params).coset_index  # the ring and its coset index are built first
+    tracemalloc.start()
+    try:
+        gamma = blocks.LevelGroup(params, 7)
+        gamma.primitive_rational_idempotents()
+        gamma.generators()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gamma.order == 1458
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("S", [ZZ, QQ, GF(2), GF(5)], ids=lambda S: S.name)
@@ -785,6 +824,39 @@ def test_raised_top_products_fail_level_block(fresh_rings, monkeypatch, triple, 
     assert not _brute_force_level_multiplicative(ring, field, iso)
 
 
+WALK_CASES = [
+    # the primitive root's level-1 coset merged into the identity's: the
+    # root has order 1 in U_1 / image(E), so the moduli (1, 3) cover only
+    # 3 of the 6 elements of Gamma_1
+    ((7, 2, 3), 1, 3, 1, "Gamma_1: the walk over (1, 3) misses a class"),
+    # 3 mod 8 sent to the class of 5: -1 and 5 keep their orders 2, but
+    # the walk meets 5's class twice, at 5 and at (-1) 5 = 3, and misses 3's
+    ((2, 3, 1), 3, 3, 5, "Gamma_3: the walk over (2, 2, 1) misses a class"),
+]
+
+
+@pytest.mark.parametrize("case", WALK_CASES, ids=["p7n2e3-order", "p2n3e1-bijection"])
+def test_merged_unit_coset_fails_the_walk(fresh_rings, monkeypatch, case):
+    # a wrong coset index is a theorem-d violation, not a crash
+    triple, level, moved, onto, error = case
+    original = TRing.coset_index.func
+
+    def coset_index(self):
+        coset = original(self)
+        row = coset[level]
+        row[row == row[moved]] = row[onto]
+        return coset
+
+    monkeypatch.setattr(TRing, "coset_index", property(coset_index))
+    p, n, e = (str(x) for x in triple)
+    args = ["verify", "--p", p, "--n", n, "--e", e, "--which", "theorem-d", "--field", "Q"]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(args)
+    check = json.loads(out.getvalue())["payload"]["checks"][0]
+    assert (code, check["status"], check["details"]["error"]) == (1, "violation", error)
+
+
 @pytest.mark.parametrize("triple", [(5, 1, 2), (2, 3, 1)], ids=["p5n1e2", "p2n3e1"])
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=lambda S: S.name)
 def test_dropped_generator_is_refused(fresh_rings, monkeypatch, triple, field):
@@ -793,7 +865,7 @@ def test_dropped_generator_is_refused(fresh_rings, monkeypatch, triple, field):
     gamma = blocks.level_group(params, params.n)
     original = blocks.LevelGroup.generators
     assert len(original(gamma)) == 2
-    assert len(gamma.cyclic_subgroups) == 4
+    assert gamma.cyclic_subgroup_count() == 4
 
     def generators(self):
         gens = original(self)
@@ -1013,7 +1085,7 @@ def test_relabeled_lifts_fail_round_trip(fresh_rings, monkeypatch, field):
 
     def level_lifts(ring, S, gamma, fi):
         lifts, lift_den = original(ring, S, gamma, fi)
-        inverses[gamma.level] = inverse = (gamma._table == 0).argmax(axis=1)
+        inverses[gamma.level] = inverse = (_law(gamma) == 0).argmax(axis=1)
         return lifts[:, inverse], lift_den
 
     monkeypatch.setattr(blocks, "_level_lifts", level_lifts)
@@ -1022,37 +1094,11 @@ def test_relabeled_lifts_fail_round_trip(fresh_rings, monkeypatch, field):
     assert inverses[2].tolist() != list(range(6))
 
 
-def test_noncentral_primitive_names_the_class(fresh_rings, monkeypatch):
-    params = make_params(3, 2, 2)
-    ring = tring(params)
-    eps = _noncentral_idempotent(ring, QQ)
-    original = blocks.central_decomposition
-
-    def central_decomposition(params, S):
-        decomp = original(params, S)
-        return blocks.BlockDecomposition(
-            params=decomp.params,
-            scalar=decomp.scalar,
-            chain=decomp.chain,
-            projectors=[eps] + decomp.projectors[1:],
-            dims=decomp.dims,
-            isos=decomp.isos,
-        )
-
-    monkeypatch.setattr(blocks, "central_decomposition", central_decomposition)
-    first = _first_noncommuting(ring, eps)
-    assert first == ProjPair(0, 1)
-    assert _theorem_d_error(params, QQ, "theorem-c") == (
-        1,
-        f"centrality of primitive idempotent: {eps!r} != {first!r}",
-    )
-
-
 def test_theorem_c_certificates_stay_small(fresh_rings, monkeypatch):
     # theorem-c multiplies only the residual against the e - 1 projective
-    # members and the corner members, and reads products with the identity
-    # only for the centrality of f_0 .. f_n, one per side; theorem D's own
-    # certificate, built once per ring, is counted elsewhere
+    # members and the corner members, and reads no products with the
+    # identity: theorem D's own certificate, built once per ring and
+    # counted elsewhere, already makes every f_i central
     params = make_params(5, 2, 4)
     ring = tring(params)
     blocks.central_decomposition(params, QQ)
@@ -1073,7 +1119,7 @@ def test_theorem_c_certificates_stay_small(fresh_rings, monkeypatch):
     k = int(payload["scan_primitives"])
     assert (status, k, payload["integral_masks"]) == ("ok", 10, ["0", str((1 << k) - 1)])
     assert calls["mult"] <= 3 * params.e  # the level primitives lift through L, no product
-    assert calls["products"] <= 2 * (params.n + 1)
+    assert calls["products"] == 0
 
 
 def _doubled(idems):
@@ -1189,9 +1235,8 @@ def test_from_group_algebra_is_the_twist_then_f_i(triple, field):
 
 
 def test_level_table_reads_no_canonical_coset(monkeypatch):
-    # the coset of a product of representatives is a lookup in the ring's
-    # coset index, not a canonicalization per pair; the tables still follow
-    # the tuple law
+    # the coordinates are read off the ring's coset index, not a
+    # canonicalization per element; the laws still follow the tuple law
     from tsring import groupmodel
 
     cases = [make_params(*t) for t in [(3, 2, 2), (2, 4, 1), (2, 5, 1), (7, 2, 3), (13, 2, 12)]]
@@ -1203,13 +1248,13 @@ def test_level_table_reads_no_canonical_coset(monkeypatch):
 
     for module in (groupmodel, sys.modules["tsring.tring"], blocks):
         monkeypatch.setattr(module, "canonical_coset", canonical_coset, raising=False)
-    tables = {
-        (params, i): blocks.LevelGroup(params, i)._table.tolist()
+    laws = {
+        (params, i): _law(blocks.LevelGroup(params, i)).tolist()
         for params in cases
         for i in range(1, params.n + 1)
     }
     monkeypatch.undo()
-    for (params, i), table in tables.items():
+    for (params, i), table in laws.items():
         labels = level_labels(params, i)
         assert [[labels[k] for k in row] for row in table] == [
             [level_mul(params, i, g, h) for h in labels] for g in labels

@@ -3,10 +3,10 @@ no module-level function or class of the package goes unreferenced, no
 floating point enters the package, no check is an `assert` statement, no
 matrix product bypasses `exactarith.field_mat_mul`, every function the
 benchmark's per-layer metrics name exists, `verify` never imports
-numpy.ma, the multiplication table is read only through `TRing.terms`, and
-the group law of G has no |G| x |G| table, and the assoc check runs no
-elimination over a field, has no Teichmüller certificate and never imports
-the oracle."""
+numpy.ma, the multiplication table is read only through `TRing.terms`,
+the group laws of G and of the level groups have no index tables, and the
+assoc check runs no elimination over a field, has no Teichmüller
+certificate and never imports the oracle."""
 
 import ast
 import importlib
@@ -470,6 +470,43 @@ def test_group_table_name_is_reported(tmp_path):
         "sample.py:1 _TABLE_BLOCK",
         "sample.py:3 double_coset_partition",
         "sample.py:3 subgroup_indices",
+    ]
+
+
+# The level groups are products of cyclic groups on coordinates
+# (`blocks.LevelGroup.product`): the |Gamma_i| x |Gamma_i| index table, the
+# subgroup lattice and its products live only in `tests/reference.py`.
+GONE_LEVEL_TABLE_NAMES = ("._table", "cyclic_subgroups", "_subgroups", "_product(")
+
+
+def level_table_problems(path: Path) -> list[str]:
+    """Where `path` names one of `GONE_LEVEL_TABLE_NAMES`."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [
+        f"{path.name}:{number} {name}"
+        for number, line in enumerate(lines, 1)
+        for name in GONE_LEVEL_TABLE_NAMES
+        if name in line
+    ]
+
+
+def test_level_law_has_no_table():
+    assert level_table_problems(SRC / "blocks.py") == []
+
+
+def test_level_table_name_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "def f(gamma, h):\n"
+        "    rows = gamma._table[h]\n"
+        "    return gamma._product(h, h), gamma.cyclic_subgroups, gamma._subgroups\n",
+        encoding="utf-8",
+    )
+    assert level_table_problems(module) == [
+        "sample.py:2 ._table",
+        "sample.py:3 cyclic_subgroups",
+        "sample.py:3 _subgroups",
+        "sample.py:3 _product(",
     ]
 
 
