@@ -45,12 +45,11 @@ from .exactarith import (
     field_of_characteristic,
     nullspace_over_field,
     order_components,
-    prime_factors,
     rank_over_field,
     residues,
 )
-from .groupmodel import ModelParams
-from .tring import NonProj, ProjPair, RingElement, TRing, _segment_sum, tring
+from .model import ModelParams, NonProj, ProjPair, prime_factors
+from .tring import RingElement, TRing, _segment_sum, tring
 
 
 # --------------------------------------------------------------------------

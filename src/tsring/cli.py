@@ -14,20 +14,8 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from .errors import ScanTooLarge, TheoremViolation, TsringError
-from .exactarith import scalar_ring
-from .groupmodel import make_params
-from .tring import (
-    _first_failure,
-    _first_nonzero_sum,
-    _require_int64_assoc,
-    _transported,
-    basis_label,
-    basis_to_json,
-    tring,
-)
+from .model import basis_label, basis_to_json, build_basis, make_params
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -62,13 +50,18 @@ def _write(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
 def _parse_fields(spec: str):
     """The fields of a comma list of "Q" and "F<q>": Z is no field, and a
     list that names none is refused, as a report would certify nothing."""
+    from .exactarith import scalar_ring
+
     fields = [scalar_ring(token.strip()) for token in spec.split(",") if token.strip()]
     if not fields:
         raise ValueError("--field names no field")
@@ -83,11 +76,8 @@ def _parse_fields(spec: str):
 
 def cmd_basis(args) -> int:
     params = make_params(args.p, args.n, args.e)
-    ring = tring(params)
-    payload = {
-        "count": str(ring.dimension()),
-        "elements": [basis_to_json(b) for b in ring.basis],
-    }
+    basis = build_basis(params)
+    payload = {"count": str(len(basis)), "elements": [basis_to_json(b) for b in basis]}
     _write(_report("basis", params, "ok", payload), args.out)
     return EXIT_OK
 
@@ -95,6 +85,10 @@ def cmd_basis(args) -> int:
 def cmd_table(args) -> int:
     import csv
     import io
+
+    import numpy as np
+
+    from .tring import tring
 
     params = make_params(args.p, args.n, args.e)
     ring = tring(params)
@@ -142,7 +136,10 @@ def _check_oracle(params, ring):
     pairs before the first failure in lexicographic order, is exact.  A
     pair the oracle could not decide is inconclusive, and wins a tie.
     """
+    import numpy as np
+
     from . import mackey
+    from .tring import _first_nonzero_sum
 
     d = ring.dimension()
     errors, rows = mackey.oracle(params).rows()
@@ -185,6 +182,10 @@ def _check_assoc(params, ring):
     table.  Chunks of (a, b) rows run in order, so `checked`, the number
     of triples before the first failure in lexicographic order, is exact.
     """
+    import numpy as np
+
+    from .tring import _first_failure, _require_int64_assoc, _transported
+
     d = ring.dimension()
     _require_int64_assoc(ring)
     if not _transported(ring):
@@ -300,14 +301,18 @@ def _check_semisimple(params, ring, fields):
 
 def cmd_verify(args) -> int:
     params = make_params(args.p, args.n, args.e)
-    ring = tring(params)
     which = [w.strip() for w in args.which.split(",") if w.strip()]
     if not which:
         raise ValueError("--which names no check")
     for w in which:
         if w not in VERIFY_CHECKS:
             raise ValueError(f"unknown check {w!r}")
+    # tring before `_parse_fields` imports numpy: the heap that compiling the
+    # largest module frees is then reused by numpy's import, not added to it
+    from .tring import tring
+
     fields = _parse_fields(args.field)
+    ring = tring(params)
     checks = []
     overall = "ok"
     for w in which:

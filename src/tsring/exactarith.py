@@ -34,21 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotInvertible, NotPrime, ShapeMismatch, TheoremViolation
-
-
-def prime_factors(n: int) -> list:
-    """The prime factors of n >= 1 with multiplicity, ascending, by trial division."""
-    out, q = [], 2
-    while q * q <= n:
-        while n % q == 0:
-            out.append(q)
-            n //= q
-        q += 1
-    return out + [n] if n > 1 else out
-
-
-def is_prime(q: int) -> bool:
-    return q >= 2 and prime_factors(q) == [q]
+from .model import is_prime, prime_factors
 
 
 # --------------------------------------------------------------------------

@@ -1,16 +1,14 @@
-"""Concrete model of G = D ⋊ E for cyclic D of order p^n.
+"""The group G = D ⋊ E of `tsring.model` and the subgroup calculus of G x G.
 
-D is written additively as Z/p^n and E as the unique subgroup of order e
-of the unit group (Z/p^n)^*, acting by multiplication.  Group elements
-are pairs (x, r) with x in Z/p^n and r a unit in E, multiplying by
+Group elements are pairs (x, r) with x in Z/p^n and r a unit in E,
+multiplying by
 
     (x, r) * (y, s) = (x + r*y mod p^n, r*s mod p^n).
 
-The module also implements the subgroup calculus of G x G needed for
-bimodule computations: restriction of automorphisms between levels,
-automorphism cosets modulo the image of E, E-hat characters (written
-additively as Z/e), explicit subgroups of G x G with shape tags and
-linear characters, double cosets, star products, and conjugation.
+The module implements what bimodule computations need: canonical
+automorphism cosets, E-hat characters (written additively as Z/e),
+explicit subgroups of G x G with shape tags and linear characters, double
+cosets, star products, and conjugation.
 
 Products and conjugates run on index arrays in closed form
 (GroupTable); conjugation is one affine map per coordinate,
@@ -30,143 +28,16 @@ subgroups by construction, untagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    BadLevel,
-    BadOrder,
-    CharacterIllDefined,
-    NotPrime,
-    ParamsMismatch,
-    TwoBlocked,
-)
-from .exactarith import as_matrix, is_prime, prime_factors
+from .errors import BadLevel, BadOrder, CharacterIllDefined, ParamsMismatch
+from .exactarith import as_matrix
+from .model import AutCoset, ModelParams, _pi_e_image
 
 GElement = tuple  # (x, r) with x in Z/p^n and r a unit lying in E
 GGPair = tuple  # (g, h) with g, h GElements
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """The triple (p, n, e): |D| = p^n, |E| = e with e | p - 1."""
-
-    p: int
-    n: int
-    e: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise NotPrime(f"p = {self.p} is not prime")
-        if self.n < 1:
-            raise BadOrder(f"n = {self.n} must be positive")
-        if self.p == 2 and self.e > 1:
-            raise TwoBlocked("p = 2 forces a trivial inertial subgroup")
-        if self.e < 1 or (self.p - 1) % self.e != 0:
-            raise BadOrder(f"e = {self.e} does not divide p - 1 = {self.p - 1}")
-
-    # ---------------------------------------------------------------- sizes
-
-    @cached_property
-    def pn(self) -> int:
-        return self.p**self.n
-
-    @cached_property
-    def group_order(self) -> int:
-        return self.pn * self.e
-
-    @cached_property
-    def unit_group_order(self) -> int:
-        return self.pn // self.p * (self.p - 1)
-
-    @cached_property
-    def multiplicity(self) -> int:
-        """(p^n - 1)/e, the exceptional multiplicity of the model."""
-        return (self.pn - 1) // self.e
-
-    def nontrivial_coset_count(self, level: int) -> int:
-        """(p^(n-level) - 1)/e; counts nontrivial double cosets at the level."""
-        if not 0 <= level <= self.n:
-            raise BadLevel(f"level {level} outside 0..{self.n}")
-        return (self.p ** (self.n - level) - 1) // self.e
-
-    # ------------------------------------------------------------- E and D
-
-    @cached_property
-    def primitive_root(self) -> int:
-        """Smallest generator of the cyclic unit group (Z/p^n)^* (p odd)."""
-        if self.p == 2:
-            if self.pn <= 2:
-                return 1
-            if self.pn == 4:
-                return 3
-            raise BadOrder("the unit group mod 2^n is not cyclic for n >= 3")
-        order = self.unit_group_order
-        primes = set(prime_factors(order))
-        for g in range(2, self.pn):
-            if g % self.p == 0:
-                continue
-            if all(pow(g, order // q, self.pn) != 1 for q in primes):
-                return g
-        raise AssertionError("no primitive root found")
-
-    @cached_property
-    def e_generator(self) -> int:
-        """Generator of E, the unique order-e subgroup of the units."""
-        if self.e == 1:
-            return 1
-        return pow(self.primitive_root, self.unit_group_order // self.e, self.pn)
-
-    @cached_property
-    def subgroup_E(self) -> tuple[int, ...]:
-        g = self.e_generator
-        members = {1}
-        cur = g
-        while cur not in members:
-            members.add(cur)
-            cur = cur * g % self.pn
-        if len(members) != self.e:
-            raise BadOrder(f"{g} generates {len(members)} units, not e = {self.e}")
-        return tuple(sorted(members))
-
-    def d_subgroup(self, i: int) -> tuple[int, ...]:
-        """Elements of D_i, the subgroup of D of order p^i."""
-        if not 0 <= i <= self.n:
-            raise BadLevel(f"level {i} outside 0..{self.n}")
-        step = self.p ** (self.n - i)
-        return tuple(range(0, self.pn, step))
-
-    @property
-    def identity(self) -> GElement:
-        return (0, 1)
-
-
-def make_params(p: int, n: int, e: int) -> ModelParams:
-    return ModelParams(p, n, e)
-
-
-# --------------------------------------------------------------------------
-# restriction maps and automorphism cosets
-# --------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _pi_e_image(params: ModelParams, i: int) -> tuple[int, ...]:
-    return tuple(sorted({s % params.p**i for s in params.subgroup_E}))
-
-
-@dataclass(frozen=True)
-class AutCoset:
-    """A coset of the image of E inside Aut(D_i), by its least representative."""
-
-    level: int
-    rep: int
-
-    def members(self, params: ModelParams) -> tuple[int, ...]:
-        q = params.p**self.level
-        return tuple(sorted(self.rep * s % q for s in _pi_e_image(params, self.level)))
 
 
 def canonical_coset(params: ModelParams, i: int, unit: int) -> AutCoset:

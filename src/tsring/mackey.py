@@ -64,7 +64,6 @@ from .groupmodel import (
     TAG_EXE,
     TAG_EXONE,
     TAG_ONEXE,
-    ModelParams,
     SubgroupGG,
     _positions,
     canonical_coset,
@@ -76,7 +75,8 @@ from .groupmodel import (
     subgroup_diag_pe,
     subgroup_exe,
 )
-from .tring import NonProj, ProjPair, basis_label, tring
+from .model import ModelParams, NonProj, ProjPair, basis_label
+from .tring import tring
 
 # what an enumeration or a twist may raise; the check reports it inconclusive
 ORACLE_ERRORS = (UnrecognizedShape, CharacterIllDefined, TransportFailed)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -32,59 +31,8 @@ import numpy as np
 
 from .errors import ArithmeticBound, BadLevel, ParamsMismatch, ScalarMismatch
 from .exactarith import _inverse, _max_abs, as_matrix, exact_dtype, residues
-from .groupmodel import AutCoset, ModelParams, canonical_coset
-
-
-@dataclass(frozen=True)
-class ProjPair:
-    """Class of the projective cover pair indexed by two characters."""
-
-    lam: int
-    mu: int
-
-
-@dataclass(frozen=True)
-class NonProj:
-    """Non-projective indecomposable class at a level, coset, character."""
-
-    level: int
-    alpha: int  # canonical coset representative at this level
-    lam: int
-
-
-def basis_label(b) -> str:
-    if isinstance(b, ProjPair):
-        return f"P[{b.lam},{b.mu}]"
-    return f"M[{b.level},{b.alpha},{b.lam}]"
-
-
-def basis_from_label(text: str):
-    kind, rest = text[0], text[1:]
-    nums = [int(x) for x in rest.strip("[]").split(",")]
-    if kind == "P":
-        return ProjPair(*nums)
-    if kind == "M":
-        return NonProj(*nums)
-    raise ValueError(f"bad basis label {text!r}")
-
-
-def basis_to_json(b) -> dict:
-    if isinstance(b, ProjPair):
-        return {"type": "P", "lambda": str(b.lam), "mu": str(b.mu)}
-    return {
-        "type": "M",
-        "i": str(b.level),
-        "alpha": str(b.alpha),
-        "lambda": str(b.lam),
-    }
-
-
-def basis_from_json(obj: dict):
-    if obj["type"] == "P":
-        return ProjPair(int(obj["lambda"]), int(obj["mu"]))
-    if obj["type"] == "M":
-        return NonProj(int(obj["i"]), int(obj["alpha"]), int(obj["lambda"]))
-    raise ValueError(f"bad basis object {obj!r}")
+from .groupmodel import canonical_coset
+from .model import AutCoset, ModelParams, NonProj, ProjPair, basis_label, basis_to_json, build_basis
 
 
 class RingElement:
@@ -204,7 +152,7 @@ class TRing:
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self.basis = self._build_basis()
+        self.basis = build_basis(params)
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.one_elem = NonProj(params.n, 1, 0)
         levels = [b.level if isinstance(b, NonProj) else 0 for b in self.basis]
@@ -213,21 +161,6 @@ class TRing:
         self._int_gram = None
         # certified block data, built once per ring by tsring.blocks
         self.block_memo: dict = {}
-
-    def _build_basis(self):
-        params = self.params
-        basis = [
-            ProjPair(lam, mu) for lam in range(params.e) for mu in range(params.e)
-        ]
-        for i in range(1, params.n + 1):
-            q = params.p**i
-            reps = sorted(
-                {canonical_coset(params, i, u).rep for u in range(1, q) if u % params.p}
-            )
-            basis.extend(
-                NonProj(i, rep, lam) for rep in reps for lam in range(params.e)
-            )
-        return basis
 
     # ------------------------------------------------------------ structure
 

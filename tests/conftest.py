@@ -3,9 +3,8 @@
 import pytest
 
 from tsring.blocks import level_group
-from tsring.exactarith import is_prime
-from tsring.groupmodel import make_params
 from tsring.mackey import oracle
+from tsring.model import is_prime, make_params
 from tsring.tring import tring
 
 # the full verification instance set

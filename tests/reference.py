@@ -48,15 +48,8 @@ from tsring.groupmodel import (
     recognize_shape,
     subgroup_diag_pe,
 )
-from tsring.tring import (
-    NonProj,
-    ProjPair,
-    TRing,
-    _segment_sum,
-    basis_label,
-    basis_to_json,
-    tring,
-)
+from tsring.model import NonProj, ProjPair, basis_label, basis_to_json
+from tsring.tring import TRing, _segment_sum, tring
 
 # ------------------------------------------------------------ the group model
 #
@@ -299,6 +292,17 @@ def pi(params, i, unit):
     if unit % params.p == 0:
         raise BadOrder(f"{unit} is not a unit (divisible by {params.p})")
     return unit % params.p**i
+
+
+def basis_reference(params):
+    """The basis as the ring once built it: the projective pairs, then per
+    level the sorted canonical_coset representatives of every unit."""
+    basis = [ProjPair(lam, mu) for lam in range(params.e) for mu in range(params.e)]
+    for i in range(1, params.n + 1):
+        q = params.p**i
+        reps = sorted({canonical_coset(params, i, u).rep for u in range(1, q) if u % params.p})
+        basis.extend(NonProj(i, rep, lam) for rep in reps for lam in range(params.e))
+    return basis
 
 
 def coset_mul(params, a, b):

@@ -36,9 +36,9 @@ from reference import (
 from tsring import blocks, cartan
 from tsring.exactarith import GF, QQ, ZZ, field_mat_mul, snf
 from tsring import groupmodel as gm
-from tsring.groupmodel import make_params
 from tsring.mackey import oracle
-from tsring.tring import NonProj, ProjPair, tring
+from tsring.model import NonProj, ProjPair, make_params
+from tsring.tring import tring
 
 S = [
     (3, 1, 1),

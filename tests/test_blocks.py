@@ -32,9 +32,9 @@ from tsring import blocks, exactarith
 from tsring.cartan import cartan_inverse, cartan_matrix
 from tsring.cli import _check_theorem_c, main
 from tsring.errors import BadLevel, CharIsP, ScanTooLarge, TheoremViolation
-from tsring.exactarith import GF, QQ, ZZ, field_mat_mul, prime_factors, rank_over_field
-from tsring.groupmodel import make_params
-from tsring.tring import NonProj, ProjPair, RingElement, TRing, tring
+from tsring.exactarith import GF, QQ, ZZ, field_mat_mul, rank_over_field
+from tsring.model import NonProj, ProjPair, make_params, prime_factors
+from tsring.tring import RingElement, TRing, tring
 
 
 # ------------------------------------------------------------- label groups

@@ -24,8 +24,8 @@ from tsring.exactarith import (
     rank_over_field,
     snf,
 )
-from tsring.groupmodel import make_params
-from tsring.tring import ProjPair, tring
+from tsring.model import ProjPair, make_params
+from tsring.tring import tring
 
 
 def identity_matrix(n):

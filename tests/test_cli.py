@@ -26,17 +26,16 @@ from tsring import groupmodel as gm
 from tsring.cli import _check_assoc, main
 from tsring.errors import ArithmeticBound, TheoremViolation, UnrecognizedShape
 from tsring.exactarith import ZZ
-from tsring.groupmodel import make_params
 from tsring.mackey import MackeyOracle
-from tsring.tring import (
+from tsring.model import (
     NonProj,
     ProjPair,
-    TRing,
     basis_from_json,
     basis_from_label,
     basis_label,
-    tring,
+    make_params,
 )
+from tsring.tring import TRing, tring
 
 tring_module = importlib.import_module("tsring.tring")
 
@@ -71,6 +70,17 @@ def test_basis_rejects_nonprime(capsys):
 def test_usage_error_exit_code(capsys):
     code, _ = run_cli(["verify", "--p", "3", "--n", "1", "--e", "1", "--which", "bogus"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["basis", "table", "verify"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, command):
+    # exit 1 means a violation; a path that cannot be opened is exit 2
+    out = tmp_path / "missing" / "report"
+    code = main([command, "--p", "3", "--n", "1", "--e", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: cannot write {out}: No such file or directory\n"
+    assert not out.exists()
 
 
 def test_table_json_row_count_and_values(capsys):
@@ -376,15 +386,25 @@ def _representative_rows(ring):
 
 
 def _counted_scans(monkeypatch):
-    """The row counts of every full scan `_check_assoc` runs."""
-    scans = []
-    first_failure = cli._first_failure
+    """The row counts of every full scan `_check_assoc` runs: the calls of
+    `_first_failure` made outside the certificate `_transported`."""
+    scans, certifying = [], []
+    first_failure, transported = tring_module._first_failure, tring_module._transported
 
     def counted(ring, rows, cols):
-        scans.append(len(rows))
+        if not certifying:
+            scans.append(len(rows))
         return first_failure(ring, rows, cols)
 
-    monkeypatch.setattr(cli, "_first_failure", counted)
+    def certificate(ring):
+        certifying.append(True)
+        try:
+            return transported(ring)
+        finally:
+            certifying.pop()
+
+    monkeypatch.setattr(tring_module, "_first_failure", counted)
+    monkeypatch.setattr(tring_module, "_transported", certificate)
     return scans
 
 
@@ -1027,6 +1047,25 @@ TABLE_DIGESTS = {
     ((5, 2, 4), "json"): "4bbb85045957bd3732665b1e1254976b8f96244617457c9d1298324d2b7ed39f",
     ((5, 2, 4), "csv"): "623b84ca7c55385ad413c7573189fa47d410f1de97f677f6ee294fee11240705",
 }
+
+
+# sha256 of `tsring basis` stdout, as the enumeration of sorted
+# canonical_coset representatives wrote it
+BASIS_DIGESTS = {
+    (3, 4, 2): "2bcec9ef9928d53225683f62e1ec95ea251e7d4c105a25d60c2b77db69814406",
+    (7, 2, 3): "7b04508231d589f01953821d0f488d35568150cc35342f988b2c9ad566e8e614",
+    (11, 1, 10): "8a00c6bbd9e67c4692b70641cee837afd09e529c5ee16e6e2c961a6252fb60b0",
+    (2, 5, 1): "7c477ffa5c9a5cabf43ad308b2e954e04358926e0993827916aeee243bee5fc4",
+    (13, 2, 12): "f08529960484ca0e4907f0ff87596245a38291f992d11e6490959c19e324bfbb",
+}
+
+
+@pytest.mark.parametrize("pne", sorted(BASIS_DIGESTS), ids=lambda t: "p{}n{}e{}".format(*t))
+def test_basis_bytes(capsys, pne):
+    args = ["--p", str(pne[0]), "--n", str(pne[1]), "--e", str(pne[2])]
+    code, out = run_cli(["basis", *args], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BASIS_DIGESTS[pne]
 
 
 @pytest.mark.parametrize(

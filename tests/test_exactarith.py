@@ -19,17 +19,15 @@ from tsring.exactarith import (
     _rref,
     det_int,
     field_mat_mul,
-    is_prime,
     mat_inverse_over_field,
     nullspace_over_field,
     order_components,
-    prime_factors,
     rank_over_field,
     scalar_ring,
     snf,
 )
-from tsring.groupmodel import make_params
-from tsring.tring import ProjPair, tring
+from tsring.model import ProjPair, is_prime, make_params, prime_factors
+from tsring.tring import tring
 
 
 # ----------------------------------------------------------------- scalars

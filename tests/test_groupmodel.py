@@ -39,6 +39,7 @@ from reference import (
 from tsring import groupmodel as gm
 from tsring.errors import BadLevel, BadOrder, CharacterIllDefined, NotPrime, TwoBlocked
 from tsring.mackey import oracle
+from tsring.model import make_params
 from tsring.tring import tring
 
 
@@ -46,25 +47,25 @@ from tsring.tring import tring
 
 
 def test_make_params_322():
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     assert params.subgroup_E == (1, 8)
     assert params.multiplicity == 4
     assert params.group_order == 18
 
 
 def test_make_params_trivial_e():
-    assert gm.make_params(5, 1, 1).subgroup_E == (1,)
+    assert make_params(5, 1, 1).subgroup_E == (1,)
 
 
 def test_make_params_errors():
     with pytest.raises(BadOrder):
-        gm.make_params(3, 2, 4)
+        make_params(3, 2, 4)
     with pytest.raises(NotPrime):
-        gm.make_params(4, 1, 1)
+        make_params(4, 1, 1)
     with pytest.raises(TwoBlocked):
-        gm.make_params(2, 2, 2)
+        make_params(2, 2, 2)
     with pytest.raises(BadOrder):
-        gm.make_params(3, 0, 1)
+        make_params(3, 0, 1)
 
 
 def test_subgroup_e_is_the_order_e_subgroup(any_params):
@@ -82,7 +83,7 @@ def test_subgroup_e_is_the_order_e_subgroup(any_params):
 
 
 def test_pi_reduction():
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     assert pi(params, 1, 8) == 2
     assert pi(params, 2, 8) == 8
     with pytest.raises(BadLevel):
@@ -92,7 +93,7 @@ def test_pi_reduction():
 
 
 def test_pi_injective_on_e():
-    params = gm.make_params(7, 2, 3)
+    params = make_params(7, 2, 3)
     image = {pi(params, 1, r) for r in params.subgroup_E}
     assert len(image) == 3
 
@@ -105,7 +106,7 @@ def test_pi_injective_on_e_everywhere(any_params):
 
 
 def test_canonical_coset():
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     coset = gm.canonical_coset(params, 2, 7)
     assert coset.rep == 2
     assert coset.members(params) == (2, 7)
@@ -114,7 +115,7 @@ def test_canonical_coset():
 
 
 def test_coset_mul_representative_independent():
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     a, b = gm.canonical_coset(params, 2, 2), gm.canonical_coset(params, 2, 4)
     prod = coset_mul(params, a, b)
     # replacing 2 by its coset-mate 7 must not change the product coset
@@ -165,10 +166,10 @@ def test_frobenius_action(any_params):
 
 
 def test_double_coset_counts_examples():
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     assert len(double_cosets(params, 1, 1)) == 2  # trivial + 1
     assert len(double_cosets(params, 2, 2)) == 1
-    params524 = gm.make_params(5, 2, 4)
+    params524 = make_params(5, 2, 4)
     assert len(double_cosets(params524, 1, 2)) == 1
 
 
@@ -199,13 +200,13 @@ def test_double_coset_reps_first_is_identity(any_params):
 
 
 def test_star_diagonal_idempotent():
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     dg = delta_g(params)
     assert elements_of(gm.star(dg, dg)) == elements_of(dg)
 
 
 def test_star_twisted_diagonals_compose():
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     for i, alpha in ((1, 1), (2, 2), (2, 4)):
         for j, beta in ((1, 1), (2, 2)):
             a = gm.subgroup_diag_pe(params, i, alpha)
@@ -223,14 +224,14 @@ def test_star_twisted_diagonals_compose():
 
 
 def test_star_exe_absorbs_diagonal():
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     exe = gm.subgroup_exe(params)
     diag = gm.subgroup_diag_pe(params, 2, 2)
     assert elements_of(gm.star(exe, diag)) == elements_of(exe)
 
 
 def test_star_character_well_defined():
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     x = gm.subgroup_exe(params, lam=1, mu=0)
     y = gm.subgroup_diag_pe(params, 2, 1, lam=1)
     out = gm.star(x, y)
@@ -239,7 +240,7 @@ def test_star_character_well_defined():
 
 
 def test_star_character_conflict_raises():
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     # E x E against itself has connecting subgroup E; mismatched middle
     # characters really do disagree, which star must surface
     x = gm.subgroup_exe(params, lam=0, mu=1)
@@ -252,7 +253,7 @@ def test_star_character_conflict_raises():
 
 
 def test_conj_by_identity():
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     sub = subgroup_diag_p(params, 1, 1)
     out = gm.conj((params.identity, params.identity), sub)
     assert elements_of(out) == elements_of(sub)
@@ -260,7 +261,7 @@ def test_conj_by_identity():
 
 
 def test_conj_by_d_fixes_twisted_diagonal():
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     sub = subgroup_diag_p(params, 1, 1)
     out = gm.conj(((1, 1), (0, 1)), sub)
     assert gm.recognize_shape(params, out.codes) == (gm.TAG_DIAG_P, 1, 1)
@@ -276,7 +277,7 @@ def test_conj_preserves_order(any_params):
 
 def test_conj_twist_matches_unit_action():
     # conjugating by ((0, r), (0, s)) turns the unit u into r * u * s^(-1)
-    params = gm.make_params(7, 2, 3)
+    params = make_params(7, 2, 3)
     r = params.subgroup_E[1]
     sub = subgroup_diag_p(params, 2, 3)
     out = gm.conj(((0, r), params.identity), sub)
@@ -355,7 +356,7 @@ def _dxd_delta_e(params):
 
 @pytest.mark.parametrize("p,n,e", [(3, 2, 2), (5, 1, 2), (2, 3, 1)])
 def test_normalizer_is_dxd_delta_e(p, n, e):
-    params = gm.make_params(p, n, e)
+    params = make_params(p, n, e)
     expected = _dxd_delta_e(params)
     for i in range(1, n + 1):
         for u in range(1, p**i):
@@ -367,7 +368,7 @@ def test_normalizer_is_dxd_delta_e(p, n, e):
 
 @pytest.mark.parametrize("p,n,e", [(3, 2, 2), (5, 1, 4), (2, 3, 1)])
 def test_conjugacy_matches_coset_criterion(p, n, e):
-    params = gm.make_params(p, n, e)
+    params = make_params(p, n, e)
     for i in range(1, n + 1):
         units = [u for u in range(1, p**i) if u % p]
         for u in units:
@@ -381,7 +382,7 @@ def test_conjugacy_matches_coset_criterion(p, n, e):
 
 
 def test_different_levels_never_conjugate():
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     a = subgroup_diag_p(params, 1, 1)
     b = subgroup_diag_p(params, 2, 1)
     assert not are_conjugate_bruteforce(params, a, b)
@@ -391,7 +392,7 @@ def test_different_levels_never_conjugate():
 
 
 def test_subgroup_projections_and_kernels():
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     exe = gm.subgroup_exe(params)
     assert left_kernel(exe) == frozenset((0, r) for r in params.subgroup_E)
     assert right_kernel(exe) == frozenset((0, r) for r in params.subgroup_E)
@@ -401,7 +402,7 @@ def test_subgroup_projections_and_kernels():
 
 
 def test_subgroup_validation_rejects_non_subgroup():
-    params = gm.make_params(3, 1, 1)
+    params = make_params(3, 1, 1)
     with pytest.raises(ValueError):
         subgroup_from_pairs(params, None, {((1, 1), (0, 1))})
 
@@ -409,14 +410,14 @@ def test_subgroup_validation_rejects_non_subgroup():
 def test_star_requires_same_params():
     from tsring.errors import ParamsMismatch
 
-    a = gm.subgroup_exe(gm.make_params(3, 2, 2))
-    b = gm.subgroup_exe(gm.make_params(3, 1, 1))
+    a = gm.subgroup_exe(make_params(3, 2, 2))
+    b = gm.subgroup_exe(make_params(3, 1, 1))
     with pytest.raises(ParamsMismatch):
         gm.star(a, b)
 
 
 def test_double_coset_reps_are_least_members_in_order():
-    params = gm.make_params(7, 2, 3)
+    params = make_params(7, 2, 3)
     table = gm.group_table(params)
     for i, j in [(0, 0), (0, 1), (1, 1), (1, 2)]:
         reps = double_cosets(params, i, j)
@@ -435,7 +436,7 @@ def test_double_coset_reps_are_least_members_in_order():
 def test_double_cosets_in_d_are_the_least_in_d_members(pne):
     # the closed form against the double cosets gathered from the reference
     # table: the least member inside D of each, in order of least member
-    params = gm.make_params(*pne)
+    params = make_params(*pne)
     elems = gm.group_table(params).elems
     for i in range(params.n + 1):
         for j in range(params.n + 1):
@@ -447,7 +448,7 @@ def test_double_cosets_in_d_are_the_least_in_d_members(pne):
 
 
 def test_constructor_tags_match_recognition():
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     built = [
         gm.subgroup_exe(params),
         subgroup_exone(params),
@@ -475,7 +476,7 @@ def test_constructors_check_closure_once_per_code_array(monkeypatch):
     # closed-form generators, and shared by every character on it; each
     # character is still checked.  Recognition certifies a tag when it
     # first returns it, and building the shape table certifies nothing
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     gm._certified.cache_clear()
     gm._shape_tags.cache_clear()
     certify, check = gm._certify, gm._check_character
@@ -533,7 +534,7 @@ def _shape(table, g, h, chars, gens):
 
 
 def test_constructors_still_check_the_character():
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     table = gm.group_table(params)
     g, h = _index_pairs(gm.subgroup_exe(params))
     eps = table.index[(0, params.e_generator)]
@@ -549,7 +550,7 @@ def test_constructors_still_check_the_character():
 def test_group_table_matches_group_law(pne):
     # the closed-form product and conjugate on all pairs, against the
     # reference tables built by the tuple law
-    params = gm.make_params(*pne)
+    params = make_params(*pne)
     mul, conj = _closed_form_tables(params)
     ref, inv = mul_table_reference(params), inv_table_reference(params)
     assert (mul == ref).all()
@@ -560,7 +561,7 @@ def test_group_table_matches_group_law(pne):
 def test_group_table_builds_in_row_blocks():
     # the law needs tables of O(|G|) entries only: on (19,2,18) a |G| x |G|
     # int32 table alone would take 169 MB
-    params = gm.make_params(19, 2, 18)
+    params = make_params(19, 2, 18)
     tracemalloc.start()
     try:
         table = gm.GroupTable(params)
@@ -574,7 +575,7 @@ def test_group_table_builds_in_row_blocks():
 @pytest.mark.parametrize("pne", INSTANCES + EDGE_INSTANCES, ids=lambda t: "p{}n{}e{}".format(*t))
 def test_shape_tags_match_tuple_constructors(pne):
     # the same codes, tags and order, so the first built still wins at e = 1
-    params = gm.make_params(*pne)
+    params = make_params(*pne)
     built = gm._shape_tags(params)
     reference = shape_tags_reference(params)
     assert list(built.items()) == list(reference.items())
@@ -582,7 +583,7 @@ def test_shape_tags_match_tuple_constructors(pne):
 
 @pytest.mark.parametrize("pne", INSTANCES + EDGE_INSTANCES, ids=lambda t: "p{}n{}e{}".format(*t))
 def test_basis_subgroups_match_tuple_constructors(pne):
-    params = gm.make_params(*pne)
+    params = make_params(*pne)
     orc = oracle(params)
     for b in tring(params).basis:
         sub, ref = orc.subgroup_of_basis(b), basis_subgroup_reference(params, b)
@@ -614,7 +615,7 @@ def _shapes(params):
 
 @pytest.mark.parametrize("pne", [(3, 2, 2), (7, 2, 3)], ids=lambda t: "p{}n{}e{}".format(*t))
 def test_certificate_accepts_every_shape(pne):
-    params = gm.make_params(*pne)
+    params = make_params(*pne)
     table = gm.group_table(params)
     for tag, g, h, chars, gens in _shapes(params):
         sub = _shape(table, g, h, chars, gens)
@@ -626,7 +627,7 @@ def test_certificate_accepts_every_shape(pne):
 
 @pytest.mark.parametrize("pne", [(3, 2, 2), (7, 2, 3)], ids=lambda t: "p{}n{}e{}".format(*t))
 def test_certificate_rejects_a_dropped_element(pne):
-    params = gm.make_params(*pne)
+    params = make_params(*pne)
     table = gm.group_table(params)
     rng = random.Random(0)
     for tag, g, h, chars, gens in _shapes(params):
@@ -638,7 +639,7 @@ def test_certificate_rejects_a_dropped_element(pne):
 
 
 def test_certificate_rejects_a_generator_outside_the_subgroup():
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     table = gm.group_table(params)
     outside = (table.index[(1, 1)], 0)  # (d, 1), d of order p^n
     for tag, g, h, chars, gens in _shapes(params):
@@ -647,7 +648,7 @@ def test_certificate_rejects_a_generator_outside_the_subgroup():
 
 
 def test_certificate_rejects_generators_that_miss_part_of_the_subgroup():
-    params = gm.make_params(3, 2, 2)
+    params = make_params(3, 2, 2)
     table = gm.group_table(params)
     for tag, g, h, chars, gens in _shapes(params):
         if len(gens) == 2:
@@ -662,7 +663,7 @@ def test_certificate_rejects_generators_that_miss_part_of_the_subgroup():
 
 @pytest.mark.parametrize("pne", [(3, 2, 2), (7, 2, 3)], ids=lambda t: "p{}n{}e{}".format(*t))
 def test_certificate_rejects_a_character_wrong_off_the_generators(pne):
-    params = gm.make_params(*pne)
+    params = make_params(*pne)
     table = gm.group_table(params)
     order = params.group_order
     for tag, g, h, chars, gens in _shapes(params):

@@ -3,10 +3,10 @@ no module-level function or class of the package goes unreferenced, no
 floating point enters the package, no check is an `assert` statement, no
 matrix product bypasses `exactarith.field_mat_mul`, every function the
 benchmark's per-layer metrics name exists, `verify` never imports
-numpy.ma, the multiplication table is read only through `TRing.terms`,
-the group laws of G and of the level groups have no index tables, and the
-assoc check runs no elimination over a field, has no Teichmüller
-certificate and never imports the oracle."""
+numpy.ma, `basis` imports no numpy, the multiplication table is read
+only through `TRing.terms`, the group laws of G and of the level groups
+have no index tables, and the assoc check runs no elimination over a
+field, has no Teichmüller certificate and never imports the oracle."""
 
 import ast
 import importlib
@@ -391,6 +391,45 @@ def test_verify_does_not_import_numpy_ma():
 
 def test_numpy_ma_import_is_seen():
     assert _imports_numpy_ma("import numpy as np\nnp.unique(np.eye(2, dtype=np.int64), axis=0)")
+
+
+# `tsring basis`, `--help` and a usage error need only `tsring.model`; numpy
+# and the numeric modules cost about 100 ms of every cold start.
+NUMERIC_MODULES = {"numpy", "tsring.tring", "tsring.groupmodel", "tsring.exactarith"}
+
+
+def _cold_start(*args) -> tuple[int, set]:
+    """Exit code and loaded modules of `python -m tsring ARGS`, read off
+    `-X importtime`, which lists every module as its import completes."""
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "tsring", *args],
+        capture_output=True,
+        text=True,
+    )
+    rows = [line.split("|") for line in run.stderr.splitlines()]
+    return run.returncode, {row[-1].strip() for row in rows if row[0].startswith("import time:")}
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (["basis", "--p", "3", "--n", "4", "--e", "2"], 0),
+        (["--help"], 0),
+        (["basis", "--p", "4", "--n", "1", "--e", "1"], 2),
+    ],
+    ids=["basis", "help", "usage-error"],
+)
+def test_basis_starts_without_numpy(args, code):
+    exit_code, loaded = _cold_start(*args)
+    assert exit_code == code
+    assert "tsring.model" in loaded
+    assert loaded & NUMERIC_MODULES == set()
+
+
+def test_verify_start_is_seen():
+    exit_code, loaded = _cold_start("verify", "--p", "3", "--n", "1", "--e", "1")
+    assert exit_code == 0
+    assert NUMERIC_MODULES <= loaded
 
 
 # The multiplication table has one representation, the live terms of

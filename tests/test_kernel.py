@@ -30,7 +30,7 @@ from reference import (
 
 from tsring import blocks
 from tsring.exactarith import GF, QQ, ZZ, _max_abs, field_mat_mul
-from tsring.groupmodel import make_params
+from tsring.model import make_params
 from tsring.tring import RingElement, tring
 
 # the module; the package namespace binds `tsring.tring` to the ring cache

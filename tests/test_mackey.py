@@ -31,9 +31,9 @@ from reference import (
 from tsring import cli, mackey
 from tsring import groupmodel as gm
 from tsring.errors import UnrecognizedShape
-from tsring.groupmodel import make_params
 from tsring.mackey import ORACLE_ERRORS, MackeyOracle, oracle
-from tsring.tring import NonProj, ProjPair, TRing, basis_label, tring
+from tsring.model import NonProj, ProjPair, basis_label, make_params
+from tsring.tring import TRing, tring
 
 # -------------------------------------------------------- inducing subgroups
 
@@ -576,7 +576,7 @@ ORACLE_PEAK_BOUND = 2_186_626 + 250_000
 _PEAK_SCRIPT = """
 import tracemalloc
 from tsring import cli
-from tsring.groupmodel import make_params
+from tsring.model import make_params
 from tsring.tring import tring
 params = make_params(3, 4, 2)
 ring = tring(params)

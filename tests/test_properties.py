@@ -17,7 +17,7 @@ from reference import (
 
 from tsring import groupmodel as gm
 from tsring.exactarith import GF, QQ, ZZ
-from tsring.groupmodel import make_params
+from tsring.model import make_params
 from tsring.tring import tring
 
 PARAMS = make_params(3, 2, 2)

@@ -8,22 +8,29 @@ import pytest
 from conftest import BEYOND_INSTANCES, EDGE_INSTANCES, INSTANCES
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import center_basis, det_over_field, sort_key, structure_table_reference
+from reference import (
+    basis_reference,
+    center_basis,
+    det_over_field,
+    sort_key,
+    structure_table_reference,
+)
 
 from tsring.cli import _check_assoc
 from tsring.errors import BadLevel, ParamsMismatch, ScalarMismatch
 from tsring.exactarith import GF, QQ, ZZ, rank_over_field
-from tsring.groupmodel import make_params
-from tsring.tring import (
+from tsring.groupmodel import canonical_coset
+from tsring.model import (
     NonProj,
     ProjPair,
-    TRing,
     basis_from_json,
     basis_from_label,
     basis_label,
     basis_to_json,
-    tring,
+    build_basis,
+    make_params,
 )
+from tsring.tring import TRing, tring
 
 
 # ------------------------------------------------------------------- basis
@@ -54,6 +61,19 @@ def test_basis_count_formula(any_params):
     for i in range(1, params.n + 1):
         assert len(ring.level_basis(i)) == params.p ** (i - 1) * (params.p - 1)
     assert ring.basis == sorted(ring.basis, key=sort_key)
+
+
+@pytest.mark.parametrize(
+    "pne", INSTANCES + BEYOND_INSTANCES, ids=lambda t: f"p{t[0]}n{t[1]}e{t[2]}"
+)
+def test_basis_walk_matches_the_canonical_cosets(pne):
+    # the walk over the units keeps the least member of each coset; the
+    # reference canonicalizes every unit and sorts the representatives
+    params = make_params(*pne)
+    basis = build_basis(params)
+    assert basis == basis_reference(params)
+    for b in basis[params.e**2 :]:
+        assert canonical_coset(params, b.level, b.alpha).rep == b.alpha
 
 
 # ---------------------------------------------------------- multiplication
