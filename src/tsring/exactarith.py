@@ -21,7 +21,7 @@ product and `residues` its one reduction mod q.  Rank, kernel and inverse
 over a field share one elimination.  The Smith normal form routine
 returns transformation certificates (d, u, v) with d = u*c*v, u and v
 unimodular, and the diagonal of d a nonnegative divisibility chain; the
-components of an order in Z^k are read off a basis it gives.
+components of an order in Z^k are read off a basis it gives, certified on residues.
 """
 
 from __future__ import annotations
@@ -269,23 +269,29 @@ def order_components(a, den: int) -> list[int]:
     """Components of O = {x in Z^k : a x = 0 mod den} as column bitmasks,
     each checked to lie in O: the 0/1 vectors of O are exactly their unions.
 
-    Only the distinct nonzero rows A of a mod den matter.  With u A v =
-    diag(s) (`snf`, re-checked), B = v diag(den / gcd(den, s_i)) spans O (a
-    zero or missing s_i gives 1); A B = 0 mod den is re-checked.  i ~ j when
-    rows i and j of B agree mod a prime l | den.  Only unions lie in O: for
-    1_S = B z and i ~ j over l, (1_S)_i = (1_S)_j mod l, both 0 or 1.  Each
-    component does (for a ring O, as the components of Spec O).
+    Only the distinct nonzero rows A of a mod den matter.  With d = u A v
+    (`snf`), B = v diag(den / gcd(den, d_ii)), d_ii = 0 past d, spans O over
+    Z_(l) for each prime l | den, given u A v = d diagonal, v invertible mod
+    l and A B = 0, all checked mod den: y = v^-1 x is in Z_(l)^k for x in O,
+    and d y = u A x = 0.  i ~ j when rows i and j of B agree mod some l; for
+    1_S = B z in O, (1_S)_i = (1_S)_j mod l, both 0 or 1: only unions lie in O.
     """
     k = a.shape[1]
     rows = sorted({tuple(row) for row in (a % den).tolist() if any(row)})
     residue = np.array(rows, dtype=object).reshape(len(rows), k)
     result = snf(residue)
-    s = result.diagonal()
-    basis = result.v.astype(object) * ([den // math.gcd(den, x) for x in s] + [1] * (k - len(s)))
-    if not result.check(residue) or (field_mat_mul(residue, basis, ZZ) % den).any():
-        raise TheoremViolation(f"order basis of the residue rows {residue.tolist()}")
+    d, u, v = (m % den for m in (result.d, result.u, result.v))
+    diagonal, primes = np.diagonal(d).tolist(), set(prime_factors(den))
+    basis = v * ([den // math.gcd(den, x) for x in diagonal] + [1] * (k - len(diagonal))) % den
+    if (
+        np.count_nonzero(d) != np.count_nonzero(diagonal)
+        or ((field_mat_mul(field_mat_mul(u, residue, ZZ), v, ZZ) - d) % den).any()
+        or any(rank_over_field(v, GF(ell)) < k for ell in primes)
+        or (field_mat_mul(residue, basis, ZZ) % den).any()
+    ):
+        raise TheoremViolation(f"order basis mod {den} of the residue rows {residue.tolist()}")
     label = list(range(k))
-    for ell in set(prime_factors(den)):
+    for ell in primes:
         first = {}
         for i, row in enumerate((basis % ell).tolist()):
             old, new = label[i], label[first.setdefault(tuple(row), i)]

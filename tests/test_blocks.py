@@ -32,7 +32,7 @@ from tsring import blocks, exactarith
 from tsring.cartan import cartan_inverse, cartan_matrix
 from tsring.cli import _check_theorem_c, main
 from tsring.errors import BadLevel, CharIsP, ScanTooLarge, TheoremViolation
-from tsring.exactarith import GF, QQ, ZZ, field_mat_mul, rank_over_field
+from tsring.exactarith import GF, QQ, ZZ, field_mat_mul, nullspace_over_field, rank_over_field
 from tsring.model import NonProj, ProjPair, make_params, prime_factors
 from tsring.tring import RingElement, TRing, tring
 
@@ -593,6 +593,51 @@ def test_char_p_decision_multiplies_one_element_in_the_quotient(monkeypatch):
     assert 0 < len(calls) <= 2 * (81).bit_length()
 
 
+def _char_p_kernel_element(params):
+    """The top-level coefficients of the z that `_char_p_nilpotent` tries."""
+    ring, S = tring(params), GF(params.p)
+    g, power = len(ring.level_basis(params.n)), params.p
+    while power < g:
+        power *= params.p
+    return nullspace_over_field(blocks._top_powers(ring, S, power).T, S)[0]
+
+
+@pytest.mark.parametrize("pne", [(3, 2, 2), (3, 4, 2)], ids=["p3n2e2", "p3n4e2"])
+@pytest.mark.parametrize("broken", ["central", "ideal"])
+def test_char_p_quotient_nilpotent_needs_an_ideal_and_a_central_z(
+    fresh_rings, monkeypatch, pne, broken
+):
+    # one extra top-level term in e_a e_b leaves every top power, and so z
+    # and z^(p^s) = 0, as they were.  "central": a in the support of z, b
+    # a top class outside it, so z e_b != e_b z modulo the lower levels;
+    # "ideal": a the last class below the top, so the lower levels no
+    # longer span an ideal.  Either way the quotient proves nothing, and
+    # the decision falls through to the projective-sum certificate
+    params = make_params(*pne)
+    ring = tring(params)
+    top = ring.level_range(params.n)
+    z = _char_p_kernel_element(params)
+    if broken == "central":
+        a, b = (top.start + int(np.flatnonzero(z == v)[0]) for v in (z.max(), 0))
+    else:
+        a, b = top.start - 1, top.start
+    x, y, extra = ring.basis[a], ring.basis[b], ring.basis[top.start]
+    original = TRing.mult_basis
+
+    def mult_basis(self, u, v):
+        prod = original(self, u, v)
+        if (u, v) == (x, y):
+            prod = {**prod, extra: prod.get(extra, 0) + 1}
+        return prod
+
+    assert blocks.semisimplicity_decide(params, params.p).method == "quotient_nilpotent"
+    tring.cache_clear()
+    patch_mult_basis(monkeypatch, mult_basis)
+    assert (_char_p_kernel_element(params) == z).all()
+    decision = blocks.semisimplicity_decide(params, params.p)
+    assert (decision.verdict, decision.method) == ("not_semisimple", "projective_sum_nilpotent")
+
+
 def test_semisimplicity_char_p_defect_one():
     # n = 1 and q = p: the stated invertibility criterion says semisimple,
     # but the projective-class sum is a nonzero central square-zero element
@@ -1095,10 +1140,10 @@ def test_relabeled_lifts_fail_round_trip(fresh_rings, monkeypatch, field):
 
 
 def test_theorem_c_certificates_stay_small(fresh_rings, monkeypatch):
-    # theorem-c multiplies only the residual against the e - 1 projective
-    # members and the corner members, and reads no products with the
-    # identity: theorem D's own certificate, built once per ring and
-    # counted elsewhere, already makes every f_i central
+    # theorem-c squares only the residual and the e - 1 corner members, and
+    # reads no products with the identity: theorem D's own certificate,
+    # built once per ring and counted elsewhere, already makes every f_i
+    # central
     params = make_params(5, 2, 4)
     ring = tring(params)
     blocks.central_decomposition(params, QQ)
@@ -1118,7 +1163,7 @@ def test_theorem_c_certificates_stay_small(fresh_rings, monkeypatch):
     status, payload = _check_theorem_c(params, ring, 20)
     k = int(payload["scan_primitives"])
     assert (status, k, payload["integral_masks"]) == ("ok", 10, ["0", str((1 << k) - 1)])
-    assert calls["mult"] <= 3 * params.e  # the level primitives lift through L, no product
+    assert calls["mult"] <= params.e  # the level primitives lift through L, no product
     assert calls["products"] == 0
 
 
@@ -1132,8 +1177,8 @@ def _merged(idems):
 
 @pytest.mark.parametrize("forge", [_doubled, _merged], ids=["doubled", "merged"])
 def test_forged_level_primitives_fail_theorem_c(fresh_rings, monkeypatch, forge):
-    # a doubled member is no idempotent; the sum of two is one, but it is
-    # not orthogonal to either summand
+    # a doubled member is no idempotent; the sum of two is one, but the
+    # family then sums to more than M[1,1,0]
     params = make_params(3, 2, 2)
     original = blocks.LevelGroup.primitive_rational_idempotents
     monkeypatch.setattr(
@@ -1143,8 +1188,85 @@ def test_forged_level_primitives_fail_theorem_c(fresh_rings, monkeypatch, forge)
     )
     code, error = _theorem_d_error(params, QQ, "theorem-c")
     assert code == 1
-    name = "primitive central idempotent" if forge is _doubled else "orthogonality"
+    name = "primitive central idempotent" if forge is _doubled else "level 1 primitive idempotents"
     assert error.startswith(name)
+
+
+def _shifted(idems):
+    # the sum is kept, the first member is no idempotent
+    t = idems[0].ring.from_basis(QQ, NonProj(1, 1, 1))
+    return [idems[0] + t, idems[1] - t] + idems[2:]
+
+
+def _zeroed(idems):
+    # the sum is kept and every member is idempotent, but one is zero
+    return [idems[0] + idems[1], idems[1].scale(0)] + idems[2:]
+
+
+@pytest.mark.parametrize(
+    "forge,name",
+    [(_shifted, "primitive central idempotent: "), (_zeroed, "primitive central idempotent is")],
+    ids=["shifted", "zeroed"],
+)
+def test_level_family_with_the_right_sum_fails_theorem_c(fresh_rings, monkeypatch, forge, name):
+    params = make_params(3, 2, 2)
+    original = blocks.LevelGroup.primitive_rational_idempotents
+    monkeypatch.setattr(
+        blocks.LevelGroup,
+        "primitive_rational_idempotents",
+        lambda self: forge(original(self)) if self.level == 1 else original(self),
+    )
+    code, error = _theorem_d_error(params, QQ, "theorem-c")
+    assert code == 1
+    assert error.startswith(name)
+
+
+@pytest.mark.parametrize("pne", [(3, 4, 2), (5, 2, 4)], ids=["p3n4e2", "p5n2e4"])
+def test_theorem_c_checks_no_determinant_and_no_pair(fresh_rings, monkeypatch, pne):
+    # orthogonality comes from one sum per level and the order basis from
+    # residues mod D: one ga_mul per level member (its square) and one per
+    # level (c_i d_i), no determinant and no Smith certificate re-check
+    params = make_params(*pne)
+    ga_mul, det_int, check = blocks.ga_mul, exactarith.det_int, exactarith.SnfResult.check
+    calls = {"square": 0, "other": 0, "det_int": 0, "check": 0}
+
+    def counted_ga_mul(gamma, x, y):
+        calls["square" if x is y else "other"] += 1
+        return ga_mul(gamma, x, y)
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(blocks, "ga_mul", counted_ga_mul)
+    monkeypatch.setattr(exactarith, "det_int", counted("det_int", det_int))
+    monkeypatch.setattr(exactarith.SnfResult, "check", counted("check", check))
+    status, payload = _check_theorem_c(params, tring(params), 20)
+    members = int(payload["scan_primitives"]) - 1  # all but f_0
+    assert status == "ok"
+    assert calls == {"square": members, "other": params.n, "det_int": 0, "check": 0}
+
+
+def test_duplicated_projective_member_fails_on_the_residual(fresh_rings, monkeypatch):
+    # eps_1 built as a second eps_0: every member is an idempotent with a
+    # rank-one corner, but the two are not orthogonal, so the residual
+    # 1 - 2 eps_0 - eps_2 is no idempotent
+    params = make_params(5, 2, 4)
+    ring = tring(params)
+
+    def pair(lam, mu):  # P[1,1] - P[3,1] becomes P[0,0] - P[3,0]
+        return ProjPair(lam, mu) if mu != 1 else ProjPair(0 if lam == 1 else lam, 0)
+
+    monkeypatch.setattr(blocks, "ProjPair", pair)
+    eps = [ring.element(ZZ, {ProjPair(i, i): 1, ProjPair(3, i): -1}) for i in (0, 0, 2)]
+    residual = ring.one(ZZ) - eps[0] - eps[1] - eps[2]
+    with pytest.raises(TheoremViolation) as caught:
+        blocks.integral_primitive_decomposition(params)
+    assert str(caught.value).startswith("integral idempotent: ")
+    assert str(caught.value).endswith(f" != {residual!r}")
 
 
 def test_broken_projective_product_fails_theorem_c(fresh_rings, monkeypatch):

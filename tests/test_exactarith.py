@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import det_over_field, field_mat_mul_reference, rref_reference
 
+from tsring import exactarith
 from tsring.errors import NotInvertible, NotPrime, ShapeMismatch, TheoremViolation
 from tsring.exactarith import (
     GF,
     QQ,
     ZZ,
+    SnfResult,
     _inverse,
     _rref,
     det_int,
@@ -124,6 +126,108 @@ def test_order_components():
     # components are not in the order, which is refused, not assumed
     with pytest.raises(TheoremViolation, match="component 1 outside the order"):
         order_components(np.array([[1, 1, 1]]), 3)
+
+
+# x_0 = x_1 mod 12 and x_2 = x_3 mod 3, the third row twice the second: the
+# components are {0, 1} and {2, 3}; the Smith form has the diagonal entry
+# 12 = 0 mod 12 and a column past the diagonal, which the forgeries use
+ORDER_ROWS, ORDER_DEN = np.array([[1, 11, 0, 0], [0, 0, 4, 8], [0, 0, 8, 4]]), 12
+
+
+def _v_column_times(ell):
+    def forge(result):
+        # the column past the diagonal: u A v = d and A B = 0 still hold
+        v = result.v.astype(object)
+        v[:, 3] *= ell
+        return SnfResult(result.d, result.u, v)
+
+    return forge
+
+
+def _off_diagonal(result):
+    # row 1 added to row 0 of u and of d: u A v = d still holds
+    u, d = result.u.astype(object), result.d.astype(object)
+    u[0] += u[1]
+    d[0] += d[1]
+    return SnfResult(d, u, result.v)
+
+
+def _wrong_diagonal(result):
+    # 12 read as 1: the column of B it scales becomes 0, so A B = 0 holds
+    d = result.d.astype(object)
+    (j,) = [j for j in range(len(d)) if d[j, j] == ORDER_DEN]
+    d[j, j] = 1
+    return SnfResult(d, result.u, result.v)
+
+
+def _zero_row(result):
+    # the row of the entry 4 zeroed in u and in d: u A v = d holds, but the
+    # column of B it scaled becomes a column of v outside the order
+    u, d = result.u.astype(object), result.d.astype(object)
+    (j,) = [j for j in range(len(d)) if d[j, j] == 4]
+    u[j] = d[j, j] = 0
+    return SnfResult(d, u, result.v)
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [_v_column_times(2), _v_column_times(3), _off_diagonal, _wrong_diagonal, _zero_row],
+    ids=["v-times-2", "v-times-3", "off-diagonal", "u-A-v-not-d", "A-B-not-0"],
+)
+def test_order_basis_refuses_a_forged_smith_form(monkeypatch, forge):
+    # each forgery breaks exactly one of the checks mod D: v invertible mod
+    # every prime of D, d diagonal, u A v = d, A B = 0
+    assert sorted(order_components(ORDER_ROWS, ORDER_DEN)) == [3, 12]
+    monkeypatch.setattr(exactarith, "snf", lambda c: forge(snf(c)))
+    with pytest.raises(TheoremViolation, match="order basis"):
+        order_components(ORDER_ROWS, ORDER_DEN)
+
+
+def _order_with_blocks(rng, den, k):
+    """(a, masks): rows mod den whose 0/1 solutions are exactly the unions of
+    a random partition of range(k), the partition's blocks as bitmasks.
+
+    A block is chained by rows (den / q) c (x_i - x_j), q a prime power
+    exactly dividing den and c a unit mod q, each forcing x_i = x_j mod q;
+    random combinations of the rows follow, then a shuffle."""
+    primes = prime_factors(den)
+    powers = [ell ** primes.count(ell) for ell in set(primes)]
+    label = [rng.randrange(k) if powers else i for i in range(k)]
+    blocks = [[i for i in range(k) if label[i] == x] for x in sorted(set(label))]
+    rows = []
+    for members in blocks:
+        for i, j in zip(members, members[1:]):
+            q = rng.choice(powers)
+            c = rng.choice([u for u in range(1, q) if math.gcd(u, q) == 1]) * (den // q)
+            rows.append([c if t == i else -c if t == j else 0 for t in range(k)])
+    for _ in range(rng.randrange(2 * k) if rows else rng.randrange(3)):
+        r = [rng.randrange(den + 1) for _ in rows]
+        rows.append([sum(x * row[t] for x, row in zip(r, rows)) % den for t in range(k)])
+    rng.shuffle(rows)
+    a = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+    return a, sorted(sum(1 << i for i in members) for members in blocks)
+
+
+def test_order_components_match_subset_sums():
+    # D with two primes, one repeated, and D = 1; the integral 0/1 vectors by
+    # brute force over all 2^k subsets, against the unions of the components
+    rng = random.Random(20261020)
+    shapes = set()
+    for den in (54, 20, 1):
+        for _ in range(25):
+            k = rng.randint(1, 12)
+            a, masks = _order_with_blocks(rng, den, k)
+            comps = sorted(order_components(a, den))
+            assert comps == masks
+            bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+            integral = np.flatnonzero(~((bits @ a.T) % den).any(axis=1)).tolist()
+            unions = sorted(
+                sum(c for j, c in enumerate(comps) if t >> j & 1) for t in range(1 << len(comps))
+            )
+            assert integral == unions
+            m = len({tuple(row) for row in (a % den).tolist() if any(row)})
+            shapes.add((den, (m > k) - (m < k)))
+    assert {(54, -1), (54, 1), (20, -1), (20, 1), (1, -1)} <= shapes
 
 
 def test_snf_special_cartan_shape():
