@@ -10,8 +10,10 @@ Each is certified primitive by a rank-one corner.  The corner element
 X *_C E_ij *_C X = (X C e_i)(e_j^T C X) is column i of XC times row j of
 CX, so the Q-span of the corner is col(XC) (x) row(CX), of rank
 rank(XC) * rank(CX).  The corner has rank one exactly when
-rank_Q(XC) = rank_Q(CX) = 1: an e x e test (`_rank_one_corner`) that
-theorem-a and theorem-c (`blocks.corner_rank_is_one`) share.
+rank_Q(XC) = rank_Q(CX) = 1 (`_rank_one_corner`).  Theorems A and C
+(`blocks.corner_rank_is_one`) share one e x e certificate,
+`is_primitive_idempotent`.  Neither multiplies two distinct members:
+orthogonality follows from one idempotent sum by the sum lemma (`blocks`).
 
 Over a field whose characteristic does not divide det(C), the twist is
 invertible and the ideal becomes a genuine matrix algebra with identity
@@ -20,7 +22,6 @@ given by C^{-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -77,17 +78,6 @@ class TwistedMatRing:
         """a *_c a == a, with a reduced into the scalars first."""
         return np.array_equal(self.mult(a, a), residues(self.scalar, as_matrix(a)))
 
-    def are_orthogonal(self, a, b) -> bool:
-        return not (self.mult(a, b).any() or self.mult(b, a).any())
-
-
-@dataclass
-class IdempotentCertificate:
-    """An element together with recomputable primitivity evidence."""
-
-    element: np.ndarray
-    checks: dict = field(default_factory=dict)
-
 
 def _rank_one_corner(c, x) -> bool:
     """The corner {x *_c E_ij *_c x} has Q-rank 1: rank(xc) = rank(cx) = 1.
@@ -101,24 +91,25 @@ def _rank_one_corner(c, x) -> bool:
     )
 
 
-def certify_projective_idempotent(c, element) -> IdempotentCertificate:
-    """Recompute idempotency and the rank-one-corner witness from scratch."""
+def is_primitive_idempotent(c, x) -> bool:
+    """x is an idempotent of the twisted ring on c with a rank-one corner.
+
+    One twisted square and two e x e ranks; x may hold Fractions.
+    """
     c = as_matrix(c)
-    ring = TwistedMatRing(len(c), c)
-    cert = IdempotentCertificate(element=as_matrix(element))
-    cert.checks["idempotent"] = ring.is_idempotent(cert.element)
-    cert.checks["rank_one_corner"] = _rank_one_corner(c, cert.element)
-    return cert
+    return TwistedMatRing(len(c), c, QQ).is_idempotent(x) and _rank_one_corner(c, x)
 
 
-def orthogonal_projective_idempotents(c) -> list[IdempotentCertificate]:
+def orthogonal_projective_idempotents(c) -> list[np.ndarray]:
     """A maximal family of orthogonal primitive idempotents over Z.
 
     One idempotent per elementary divisor equal to 1: pull the matrix
     units E_ii back through the Smith-normal-form change of basis, so
-    idempotent i is v E_ii u, column i of v times row i of u.  Each
-    certificate records idempotency, pairwise orthogonality, and the
-    rank-one-corner primitivity witness.
+    idempotent i is v E_ii u, column i of v times row i of u.  Each member
+    passes `is_primitive_idempotent`, and their sum v[:, :r] u[:r] is
+    checked idempotent: the twisted ring is an associative Q-algebra
+    (adjoin a unit if c is singular), so the members are pairwise
+    orthogonal by the sum lemma.  Any failure raises TheoremViolation.
     """
     c = as_matrix(c)
     result = snf(c)
@@ -128,18 +119,13 @@ def orthogonal_projective_idempotents(c) -> list[IdempotentCertificate]:
             " divisibility chain"
         )
     r = result.diagonal().count(1)
-    ring = TwistedMatRing(len(c), c)
-    elements = [field_mat_mul(result.v[:, i : i + 1], result.u[i : i + 1], ZZ) for i in range(r)]
-    certs = []
-    for i, elem in enumerate(elements):
-        cert = certify_projective_idempotent(c, elem)
-        cert.checks["orthogonal_to"] = [
-            j
-            for j, other in enumerate(elements)
-            if j != i and ring.are_orthogonal(elem, other)
-        ]
-        certs.append(cert)
-    return certs
+    members = [field_mat_mul(result.v[:, i : i + 1], result.u[i : i + 1], ZZ) for i in range(r)]
+    if not all(is_primitive_idempotent(c, x) for x in members):
+        raise TheoremViolation("a Smith member is not a primitive idempotent")
+    total = field_mat_mul(result.v[:, :r], result.u[:r], ZZ)
+    if not TwistedMatRing(len(c), c).is_idempotent(total):
+        raise TheoremViolation("the Smith members do not sum to an idempotent")
+    return members
 
 
 def matrix_to_projective_element(ring: TRing, S, mat) -> RingElement:

@@ -359,7 +359,7 @@ class TRing:
 
     def noncommuting(self, x: RingElement) -> list:
         """The basis classes b with x * b != b * x, in basis order."""
-        identity = np.eye(len(self.basis), dtype=np.int64)
+        identity = np.eye(len(self.basis), dtype=np.int8)
         left, right = (self.products(x, identity, side) for side in ("left", "right"))
         return [self.basis[j] for j in np.flatnonzero((left != right).any(axis=0))]
 

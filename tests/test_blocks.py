@@ -395,10 +395,24 @@ def test_corner_test_agrees_with_the_d_by_d_corner_over_q():
 
 def test_corner_test_refuses_what_is_not_a_projective_idempotent():
     ring = tring(make_params(3, 2, 2))
-    with pytest.raises(ValueError):
-        blocks.corner_rank_is_one(ring, ring.one(ZZ))  # idempotent, not projective
-    with pytest.raises(ValueError):
-        blocks.corner_rank_is_one(ring, ring.from_basis(ZZ, ProjPair(0, 0)))  # P00^2 = 5 P00
+    assert not blocks.corner_rank_is_one(ring, ring.one(ZZ))  # idempotent, not projective
+    assert not blocks.corner_rank_is_one(ring, ring.from_basis(ZZ, ProjPair(0, 0)))  # P00^2 = 5 P00
+
+
+def test_non_idempotent_projective_member_fails_theorem_c(fresh_rings, monkeypatch):
+    # the member P[0,0] - P[1,0] doubled: its corner still has rank one, but
+    # it is no idempotent, so the corner test answers False (exit 1)
+    params = make_params(3, 2, 2)
+    element, member = TRing.element, {ProjPair(0, 0): 1, ProjPair(1, 0): -1}
+
+    def doubled(self, S, coeffs):
+        x = element(self, S, coeffs)
+        return x.scale(2) if coeffs == member else x
+
+    monkeypatch.setattr(TRing, "element", doubled)
+    code, error = _theorem_d_error(params, QQ, "theorem-c")
+    assert code == 1
+    assert error.startswith("primitive projective idempotent")
 
 
 def test_projective_span_leaving_its_right_ideal_is_refused():
@@ -668,7 +682,7 @@ def test_block_iso_dispatcher():
     assert bottom.to_matrix(bottom.projector).tolist() == [[Fraction(1)]]
     top = blocks.central_decomposition(params, QQ).isos[1]
     assert top.gamma.order == 2
-    assert top.checks["multiplicative"] and top.checks["round_trip"]
+    assert top.from_group_algebra(top.to_group_algebra(top.projector)) == top.projector
 
 
 def test_semisimplicity_312_grid():
@@ -758,13 +772,11 @@ def test_block_certificates_agree_with_brute_force(triple, field):
     for fi, dim in zip(projectors, decomp.dims):
         assert _block_rank(ring, fi) == dim
     bottom, *levels = decomp.isos
-    assert bottom.checks == {"multiplicative": True, "identity": True, "round_trip": True}
     assert _brute_force_matrix_multiplicative(ring, field, bottom)
     for b in ring.level_basis(0):
         x = ring.from_basis(field, b)
         assert bottom.from_matrix(bottom.to_matrix(x)) == x
     for iso in levels:
-        assert iso.checks == {"multiplicative": True, "round_trip": True}
         assert _brute_force_level_multiplicative(ring, field, iso)
         for y in _block_images(ring, field, iso):
             assert iso.from_group_algebra(iso.to_group_algebra(y)) == y
@@ -1140,10 +1152,10 @@ def test_relabeled_lifts_fail_round_trip(fresh_rings, monkeypatch, field):
 
 
 def test_theorem_c_certificates_stay_small(fresh_rings, monkeypatch):
-    # theorem-c squares only the residual and the e - 1 corner members, and
-    # reads no products with the identity: theorem D's own certificate,
-    # built once per ring and counted elsewhere, already makes every f_i
-    # central
+    # theorem-c squares only the residual in the ring (the e - 1 projective
+    # members are squared as e x e matrices), and reads no products with
+    # the identity: theorem D's own certificate, built once per ring and
+    # counted elsewhere, already makes every f_i central
     params = make_params(5, 2, 4)
     ring = tring(params)
     blocks.central_decomposition(params, QQ)
@@ -1163,7 +1175,7 @@ def test_theorem_c_certificates_stay_small(fresh_rings, monkeypatch):
     status, payload = _check_theorem_c(params, ring, 20)
     k = int(payload["scan_primitives"])
     assert (status, k, payload["integral_masks"]) == ("ok", 10, ["0", str((1 << k) - 1)])
-    assert calls["mult"] <= params.e  # the level primitives lift through L, no product
+    assert calls["mult"] == 1  # the residual's square; the level primitives lift through L
     assert calls["products"] == 0
 
 

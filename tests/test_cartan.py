@@ -14,11 +14,12 @@ from reference import (
 )
 
 from tsring import cartan
-from tsring.errors import NotInvertible, ShapeMismatch
+from tsring.errors import NotInvertible, ShapeMismatch, TheoremViolation
 from tsring.exactarith import (
     GF,
     QQ,
     ZZ,
+    SnfResult,
     field_mat_mul,
     mat_inverse_over_field,
     rank_over_field,
@@ -30,6 +31,11 @@ from tsring.tring import tring
 
 def identity_matrix(n):
     return np.eye(n, dtype=np.int64)
+
+
+def _orthogonal(ring, a, b):
+    """a *_c b = 0 = b *_c a, by brute force."""
+    return not (ring.mult(a, b).any() or ring.mult(b, a).any())
 
 
 def _int_inverse(mat):
@@ -97,24 +103,25 @@ def test_twisted_shape_mismatch():
 
 
 def test_orthogonal_idempotents_special_cartan():
-    certs = cartan.orthogonal_projective_idempotents([[5, 4], [4, 5]])
-    assert len(certs) == 1
-    assert certs[0].checks["idempotent"]
-    assert certs[0].checks["rank_one_corner"]
+    c = [[5, 4], [4, 5]]
+    members = cartan.orthogonal_projective_idempotents(c)
+    assert len(members) == 1
+    assert cartan.TwistedMatRing(2, c).is_idempotent(members[0])
+    assert rank_one_corner_reference(c, members[0])
 
 
 def test_known_difference_form_certifies():
-    cert = cartan.certify_projective_idempotent([[5, 4], [4, 5]], [[1, 0], [-1, 0]])
-    assert cert.checks["idempotent"] and cert.checks["rank_one_corner"]
+    assert cartan.is_primitive_idempotent([[5, 4], [4, 5]], [[1, 0], [-1, 0]])
 
 
 def test_orthogonal_idempotents_identity_cartan():
-    certs = cartan.orthogonal_projective_idempotents(identity_matrix(3))
-    assert len(certs) == 3
+    members = cartan.orthogonal_projective_idempotents(identity_matrix(3))
+    assert len(members) == 3
     units = matrix_units(3)
-    for i, cert in enumerate(certs):
-        assert cert.element.tolist() == units[i * 3 + i]
-        assert cert.checks["orthogonal_to"] == [j for j in range(3) if j != i]
+    ring = cartan.TwistedMatRing(3, identity_matrix(3))
+    for i, x in enumerate(members):
+        assert x.tolist() == units[i * 3 + i]
+        assert all(_orthogonal(ring, x, y) for j, y in enumerate(members) if j != i)
 
 
 def test_orthogonal_idempotents_defect_full():
@@ -125,12 +132,12 @@ def test_idempotent_images_under_snf_iso_are_units(any_params):
     params = any_params
     c = cartan.cartan_matrix(params)
     result = snf(c)
-    certs = cartan.orthogonal_projective_idempotents(c)
+    members = cartan.orthogonal_projective_idempotents(c)
     u = [list(r) for r in result.u]
     v_inv = _int_inverse([list(r) for r in result.v])
     u_inv = _int_inverse(u)
-    for i, cert in enumerate(certs):
-        image = field_mat_mul(field_mat_mul(v_inv, cert.element, ZZ), u_inv, ZZ)
+    for i, x in enumerate(members):
+        image = field_mat_mul(field_mat_mul(v_inv, x, ZZ), u_inv, ZZ)
         expected = [[0] * params.e for _ in range(params.e)]
         expected[i][i] = 1
         assert image.tolist() == expected
@@ -158,12 +165,100 @@ def test_random_spd_idempotent_families():
         for i in range(size):
             c[i][i] += 1  # makes it positive definite
         ring = cartan.TwistedMatRing(size, c)
-        certs = cartan.orthogonal_projective_idempotents(c)
-        for i, cert in enumerate(certs):
-            assert cert.checks["idempotent"]
-            assert cert.checks["rank_one_corner"]
-            for j in cert.checks["orthogonal_to"]:
-                assert ring.are_orthogonal(cert.element, certs[j].element)
+        members = cartan.orthogonal_projective_idempotents(c)
+        for i, x in enumerate(members):
+            assert ring.is_idempotent(x)
+            assert rank_one_corner_reference(c, x)
+            for y in members[i + 1 :]:
+                assert _orthogonal(ring, x, y)
+
+
+@pytest.mark.parametrize("pne", [(3, 2, 2), (5, 1, 4), (13, 2, 12), (29, 1, 28)])
+def test_theorem_a_makes_at_most_r_plus_one_twisted_products(monkeypatch, pne):
+    # one square per member and one of their sum: no pair is multiplied
+    c = cartan.cartan_matrix(make_params(*pne))
+    mult, calls = cartan.TwistedMatRing.mult, []
+
+    def counted(self, a, b):
+        calls.append(1)
+        return mult(self, a, b)
+
+    monkeypatch.setattr(cartan.TwistedMatRing, "mult", counted)
+    r = len(cartan.orthogonal_projective_idempotents(c))
+    assert r == pne[2] - 1
+    assert len(calls) <= r + 1
+
+
+def test_duplicated_smith_member_is_refused_by_the_sum(monkeypatch):
+    # member 1 made equal to member 0: each member is still a primitive
+    # idempotent, but their sum 2 x_0 + x_2 is not idempotent
+    c = cartan.cartan_matrix(make_params(5, 1, 4))
+    result = snf(c)
+    u, v = result.u.copy(), result.v.copy()
+    u[1], v[:, 1] = u[0], v[:, 0]
+    forged = SnfResult(d=result.d, u=u, v=v)
+    monkeypatch.setattr(cartan, "snf", lambda _c: forged)
+    monkeypatch.setattr(SnfResult, "check", lambda self, _c: True)
+    members = [field_mat_mul(v[:, i : i + 1], u[i : i + 1], ZZ) for i in range(3)]
+    assert all(cartan.is_primitive_idempotent(c, x) for x in members)
+    with pytest.raises(TheoremViolation, match="sum to an idempotent"):
+        cartan.orthogonal_projective_idempotents(c)
+
+
+def test_non_idempotent_smith_member_is_refused(monkeypatch):
+    c = cartan.cartan_matrix(make_params(5, 1, 4))
+    result = snf(c)
+    forged = SnfResult(d=result.d, u=result.u * 2, v=result.v)
+    monkeypatch.setattr(cartan, "snf", lambda _c: forged)
+    monkeypatch.setattr(SnfResult, "check", lambda self, _c: True)
+    with pytest.raises(TheoremViolation, match="not a primitive idempotent"):
+        cartan.orthogonal_projective_idempotents(c)
+
+
+def _unimodular(e):
+    """L U, with L unit lower and U unit upper triangular: det 1."""
+    entries = st.lists(st.integers(-2, 2), min_size=e * e, max_size=e * e)
+
+    def build(pair):
+        lower, upper = (np.array(x, dtype=object).reshape(e, e) for x in pair)
+        lower, upper = np.tril(lower, -1), np.triu(upper, 1)
+        np.fill_diagonal(lower, 1)
+        np.fill_diagonal(upper, 1)
+        return field_mat_mul(lower, upper, ZZ)
+
+    return st.tuples(entries, entries).map(build)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sum_lemma_in_twisted_rings(data):
+    # idempotents x_k = A E_kk A^-1 C^-1 of the twisted ring on C, from one
+    # or two bases A: their sum is idempotent exactly when they are
+    # pairwise orthogonal, checked by brute force
+    e = data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        m = data.draw(st.integers(1, 6))
+        c = np.full((e, e), m, dtype=np.int64) + np.eye(e, dtype=np.int64)
+    else:
+        a = np.array(data.draw(_square(e)), dtype=np.int64)
+        c = field_mat_mul(a, a.T, ZZ) + np.eye(e, dtype=np.int64)  # positive definite
+    c_inv = mat_inverse_over_field(c, QQ)
+    ring = cartan.TwistedMatRing(e, c, QQ)
+    members = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        basis = data.draw(_unimodular(e))
+        inverse = mat_inverse_over_field(basis, QQ)
+        for k in data.draw(st.lists(st.integers(0, e - 1), max_size=e)):
+            unit = np.zeros((e, e), dtype=np.int64)
+            unit[k, k] = 1
+            members.append(field_mat_mul(field_mat_mul(basis, unit, ZZ), inverse, QQ))
+    members = [field_mat_mul(x, c_inv, QQ) for x in members]
+    assert all(ring.is_idempotent(x) for x in members)
+    total = sum(members, np.zeros((e, e), dtype=object))
+    orthogonal = all(
+        _orthogonal(ring, x, y) for i, x in enumerate(members) for y in members[i + 1 :]
+    )
+    assert ring.is_idempotent(total) == orthogonal
 
 
 # ------------------------------------------------------ rank-one corners
@@ -206,15 +301,15 @@ def test_identity_corner_has_rank_four():
     ident = [[1, 0], [0, 1]]
     assert not rank_one_corner_reference(ident, ident)
     assert not cartan._rank_one_corner(ident, ident)
-    assert not cartan.certify_projective_idempotent(ident, ident).checks["rank_one_corner"]
+    assert not cartan.is_primitive_idempotent(ident, ident)
 
 
 def test_theorem_a_corners_match_the_e2_products(any_params):
     params = any_params
     c = cartan.cartan_matrix(params)
-    for cert in cartan.orthogonal_projective_idempotents(c):
-        assert cert.checks["rank_one_corner"] == rank_one_corner_reference(c, cert.element)
-        assert cert.checks["rank_one_corner"]
+    for x in cartan.orthogonal_projective_idempotents(c):
+        assert cartan._rank_one_corner(c, x) == rank_one_corner_reference(c, x)
+        assert cartan._rank_one_corner(c, x)
 
 
 # -------------------------------------------------- identities over fields
@@ -273,7 +368,7 @@ def test_primitive_decomposition_over_q():
         assert np.array_equal(ring.mult(x, x), x)
         for j, y in enumerate(pieces):
             if i != j:
-                assert ring.are_orthogonal(x, y)
+                assert _orthogonal(ring, x, y)
         # rank-one image in the plain matrix algebra
         image = field_mat_mul(x, c, QQ)
         assert rank_over_field(image, QQ) == 1

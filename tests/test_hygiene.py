@@ -5,8 +5,9 @@ matrix product bypasses `exactarith.field_mat_mul`, every function the
 benchmark's per-layer metrics name exists, `verify` never imports
 numpy.ma, `basis` imports no numpy, the multiplication table is read
 only through `TRing.terms`, the group laws of G and of the level groups
-have no index tables, and the assoc check runs no elimination over a
-field, has no Teichmüller certificate and never imports the oracle."""
+have no index tables, the assoc check runs no elimination over a
+field, has no Teichmüller certificate and never imports the oracle, and
+no class keeps a `checks` record."""
 
 import ast
 import importlib
@@ -510,6 +511,39 @@ def test_group_table_name_is_reported(tmp_path):
         "sample.py:3 double_coset_partition",
         "sample.py:3 subgroup_indices",
     ]
+
+
+# A certificate raises on its first failure, so a record of passed checks
+# kept on a class can only ever hold True: none is kept.
+def checks_record_problems(path: Path) -> list[str]:
+    """Where `path` declares a `checks` field in a class body or reads or
+    writes a `.checks` attribute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+                found += [t.lineno for t in targets if isinstance(t, ast.Name) and t.id == "checks"]
+        elif isinstance(node, ast.Attribute) and node.attr == "checks":
+            found.append(node.lineno)
+    return [f"{path.name}:{number} checks" for number in sorted(found)]
+
+
+def test_no_class_keeps_a_checks_record():
+    assert [x for path in sorted(SRC.glob("*.py")) for x in checks_record_problems(path)] == []
+
+
+def test_checks_record_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "class Iso:\n"
+        "    checks: dict = None\n"
+        "def f(iso):\n"
+        "    checks = []  # a local list is no record\n"
+        "    iso.checks.update(checks)\n",
+        encoding="utf-8",
+    )
+    assert checks_record_problems(module) == ["sample.py:2 checks", "sample.py:5 checks"]
 
 
 # The level groups are products of cyclic groups on coordinates
