@@ -22,8 +22,7 @@ rank in the left regular representation, so their images sum directly).
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -272,8 +271,9 @@ def ideal_identity(params: ModelParams, S, i: int) -> RingElement:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class LevelBlockIso:
+class LevelBlockIso(
+    namedtuple("LevelBlockIso", "ring scalar level gamma projector lifts lift_den")
+):
     """Certified isomorphism between a level block and its group algebra.
 
     Column g of the lifts L over D is psi^-1(g) = (g d_i) f_i, g d_i the
@@ -285,15 +285,13 @@ class LevelBlockIso:
     along a word for g; f_i being a central idempotent (`_decompose`),
     L_a L_b = w f_i w' f_i = w L_b = L_ab.  a -> a f_i is injective on the
     level span, so psi^-1 is bijective by the dimension count.
+
+    Fields: the ring, the scalar ring, the level i, its label group gamma,
+    the projector f_i (the central idempotent cutting out the block), the
+    lifts L (column g is D psi^-1(g)) and lift_den, D.
     """
 
-    ring: TRing
-    scalar: object
-    level: int
-    gamma: LevelGroup
-    projector: RingElement  # f_i, central idempotent cutting out the block
-    lifts: np.ndarray  # L, column g is D psi^-1(g)
-    lift_den: int  # D
+    __slots__ = ()
 
     def to_group_algebra(self, y: RingElement) -> RingElement:
         c = self.ring.params.nontrivial_coset_count(self.level)
@@ -304,8 +302,9 @@ class LevelBlockIso:
         return RingElement(self.ring, self.scalar, image[:, 0], self.lift_den * z.den)
 
 
-@dataclass
-class MatrixBlockIso:
+class MatrixBlockIso(
+    namedtuple("MatrixBlockIso", "ring scalar projector cartan cartan_inverse")
+):
     """Certified isomorphism x -> X C between the bottom block and e x e matrices.
 
     X is the coefficient matrix of x on the P[a, b] and C the Cartan
@@ -313,14 +312,10 @@ class MatrixBlockIso:
     C_bc P[a,d], which is checked once per ring over Z and so holds over
     every field.  The inverse is Z -> Z C^-1, with C^-1 the coefficient
     matrix of f_0; the identity check to_matrix(f_0) = C^-1 C = I gives
-    C C^-1 = I, the round trip.
+    C C^-1 = I, the round trip.  The projector is f_0 = e_0.
     """
 
-    ring: TRing
-    scalar: object
-    projector: RingElement  # f_0 = e_0
-    cartan: np.ndarray
-    cartan_inverse: np.ndarray
+    __slots__ = ()
 
     def to_matrix(self, y: RingElement):
         proj = y.restrict(slice(0, self.ring.params.e ** 2))
@@ -332,16 +327,14 @@ class MatrixBlockIso:
         return matrix_to_projective_element(self.ring, S, coeff)
 
 
-@dataclass
-class BlockDecomposition:
-    """Verified block data: chain idempotents, projectors, dimensions."""
+class BlockDecomposition(
+    namedtuple("BlockDecomposition", "params scalar chain projectors dims isos")
+):
+    """Verified block data: the chain idempotents e_0 .. e_n, the projectors
+    f_0 .. f_n, the block dimensions, and the isos, the `MatrixBlockIso`
+    then one `LevelBlockIso` per level."""
 
-    params: ModelParams
-    scalar: object
-    chain: list  # e_0 .. e_n
-    projectors: list  # f_0 .. f_n
-    dims: list
-    isos: list  # MatrixBlockIso then LevelBlockIso per level
+    __slots__ = ()
 
 
 def _violation(name, lhs, rhs):
@@ -596,12 +589,12 @@ def corner_rank_is_one(ring: TRing, x: RingElement) -> bool:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class ScanReport:
-    primitive_count: int
-    sums_checked: int
-    integral_masks: list  # bitmask per integral sum, ascending
-    only_zero_and_one: bool
+class ScanReport(
+    namedtuple("ScanReport", "primitive_count sums_checked integral_masks only_zero_and_one")
+):
+    """The scan's counts, and one bitmask per integral sum, ascending."""
+
+    __slots__ = ()
 
 
 def primitive_central_idempotents_q(params: ModelParams) -> list[RingElement]:
@@ -666,11 +659,14 @@ def rational_central_idempotent_scan(
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class SemisimplicityDecision:
-    verdict: str  # "semisimple" | "not_semisimple" | "inconclusive"
-    method: str
-    certificate: dict = field(default_factory=dict)
+class SemisimplicityDecision(namedtuple("SemisimplicityDecision", "verdict method certificate")):
+    """verdict is "semisimple", "not_semisimple" or "inconclusive"; a decision
+    given no certificate gets a dict of its own."""
+
+    __slots__ = ()
+
+    def __new__(cls, verdict: str, method: str, certificate: dict | None = None):
+        return super().__new__(cls, verdict, method, {} if certificate is None else certificate)
 
 
 def stated_criterion(params: ModelParams, q: int) -> bool:

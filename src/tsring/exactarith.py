@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -42,13 +42,10 @@ from .model import is_prime, prime_factors
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarRing:
+class ScalarRing(namedtuple("ScalarRing", "name characteristic is_field")):
     """Z, Q or F_q, known by its characteristic and whether it is a field."""
 
-    name: str
-    characteristic: int
-    is_field: bool
+    __slots__ = ()
 
 
 ZZ = ScalarRing("Z", 0, False)
@@ -190,13 +187,11 @@ def is_unimodular(a) -> bool:
     return abs(det_int(a)) == 1
 
 
-@dataclass(frozen=True, eq=False)
 class SnfResult:
     """Smith normal form certificate: d = u * c * v with u, v unimodular."""
 
-    d: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
+    def __init__(self, d: np.ndarray, u: np.ndarray, v: np.ndarray):
+        self.d, self.u, self.v = d, u, v
 
     def diagonal(self) -> list:
         return np.diagonal(as_matrix(self.d)).tolist()

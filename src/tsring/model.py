@@ -9,7 +9,7 @@ library and `tsring.errors`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from .errors import BadLevel, BadOrder, NotPrime, TwoBlocked
@@ -30,23 +30,21 @@ def is_prime(q: int) -> bool:
     return q >= 2 and prime_factors(q) == [q]
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """The triple (p, n, e): |D| = p^n, |E| = e with e | p - 1."""
+class ModelParams(namedtuple("ModelParams", "p n e")):
+    """The triple (p, n, e): |D| = p^n, |E| = e with e | p - 1.
 
-    p: int
-    n: int
-    e: int
+    No `__slots__`: the sizes below are cached in the instance dict."""
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise NotPrime(f"p = {self.p} is not prime")
-        if self.n < 1:
-            raise BadOrder(f"n = {self.n} must be positive")
-        if self.p == 2 and self.e > 1:
+    def __new__(cls, p: int, n: int, e: int):
+        if not is_prime(p):
+            raise NotPrime(f"p = {p} is not prime")
+        if n < 1:
+            raise BadOrder(f"n = {n} must be positive")
+        if p == 2 and e > 1:
             raise TwoBlocked("p = 2 forces a trivial inertial subgroup")
-        if self.e < 1 or (self.p - 1) % self.e != 0:
-            raise BadOrder(f"e = {self.e} does not divide p - 1 = {self.p - 1}")
+        if e < 1 or (p - 1) % e != 0:
+            raise BadOrder(f"e = {e} does not divide p - 1 = {p - 1}")
+        return super().__new__(cls, p, n, e)
 
     # ---------------------------------------------------------------- sizes
 
@@ -138,12 +136,10 @@ def _pi_e_image(params: ModelParams, i: int) -> tuple[int, ...]:
     return tuple(sorted({s % params.p**i for s in params.subgroup_E}))
 
 
-@dataclass(frozen=True)
-class AutCoset:
+class AutCoset(namedtuple("AutCoset", "level rep")):
     """A coset of the image of E inside Aut(D_i), by its least representative."""
 
-    level: int
-    rep: int
+    __slots__ = ()
 
     def members(self, params: ModelParams) -> tuple[int, ...]:
         q = params.p**self.level
@@ -155,21 +151,17 @@ class AutCoset:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjPair:
+class ProjPair(namedtuple("ProjPair", "lam mu")):
     """Class of the projective cover pair indexed by two characters."""
 
-    lam: int
-    mu: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NonProj:
-    """Non-projective indecomposable class at a level, coset, character."""
+class NonProj(namedtuple("NonProj", "level alpha lam")):
+    """Non-projective indecomposable class at a level, coset, character;
+    alpha is the canonical coset representative at the level."""
 
-    level: int
-    alpha: int  # canonical coset representative at this level
-    lam: int
+    __slots__ = ()
 
 
 def build_basis(params: ModelParams) -> list:

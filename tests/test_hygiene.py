@@ -6,8 +6,8 @@ benchmark's per-layer metrics name exists, `verify` never imports
 numpy.ma, `basis` imports no numpy, the multiplication table is read
 only through `TRing.terms`, the group laws of G and of the level groups
 have no index tables, the assoc check runs no elimination over a
-field, has no Teichmüller certificate and never imports the oracle, and
-no class keeps a `checks` record."""
+field, has no Teichmüller certificate and never imports the oracle, no
+class keeps a `checks` record, and no module imports `dataclasses`."""
 
 import ast
 import importlib
@@ -395,7 +395,8 @@ def test_numpy_ma_import_is_seen():
 
 
 # `tsring basis`, `--help` and a usage error need only `tsring.model`; numpy
-# and the numeric modules cost about 100 ms of every cold start.
+# and the numeric modules cost about 100 ms of every cold start, and
+# `dataclasses` with `inspect` about 9 ms more.
 NUMERIC_MODULES = {"numpy", "tsring.tring", "tsring.groupmodel", "tsring.exactarith"}
 
 
@@ -425,6 +426,7 @@ def test_basis_starts_without_numpy(args, code):
     assert exit_code == code
     assert "tsring.model" in loaded
     assert loaded & NUMERIC_MODULES == set()
+    assert loaded & {"dataclasses", "inspect"} == set()
 
 
 def test_verify_start_is_seen():
@@ -544,6 +546,41 @@ def test_checks_record_is_reported(tmp_path):
         encoding="utf-8",
     )
     assert checks_record_problems(module) == ["sample.py:2 checks", "sample.py:5 checks"]
+
+
+# The records are named tuples or plain classes: importing `dataclasses`
+# pulls in `inspect` and `ast`, and each dataclass definition execs its
+# generated methods, at every cold start.
+def dataclasses_imports(path: Path) -> list[str]:
+    """Where `path` imports `dataclasses` or a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [node.lineno for a in node.names if a.name.split(".")[0] == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found.append(node.lineno)
+    return [f"{path.name}:{number} dataclasses" for number in sorted(found)]
+
+
+def test_no_module_imports_dataclasses():
+    assert [x for path in sorted(SRC.glob("*.py")) for x in dataclasses_imports(path)] == []
+
+
+def test_dataclasses_import_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "import json, dataclasses as dc\n"
+        "from dataclasses import dataclass\n"
+        "def f():\n"
+        "    from dataclasses import field\n"
+        "    return dataclass, field, dc  # a dataclass in a comment is no import\n",
+        encoding="utf-8",
+    )
+    assert dataclasses_imports(module) == [
+        "sample.py:1 dataclasses",
+        "sample.py:2 dataclasses",
+        "sample.py:4 dataclasses",
+    ]
 
 
 # The level groups are products of cyclic groups on coordinates
